@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -192,10 +192,17 @@ class Subspace:
         return self.contains_all(other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        """Span of the union, canonical."""
+        """Span of the union, canonical.
+
+        The larger echelon basis seeds a builder as it stands; only the
+        smaller basis is reduced against it and eliminated.
+        """
         self._check_compatible(other)
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return rref(stacked, self.p, self.ambient_dim)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        builder = SubspaceBuilder.from_subspace(big)
+        if not builder.absorb(small.basis):
+            return big
+        return builder.subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked-basis map.
@@ -225,8 +232,7 @@ class Subspace:
 
     def complement_rows_in(self, ambient_rows: np.ndarray) -> np.ndarray:
         """Greedy subset of ``ambient_rows`` independent modulo self, in order."""
-        builder = SubspaceBuilder(self.p, self.ambient_dim)
-        builder.absorb(self.basis)
+        builder = SubspaceBuilder.from_subspace(self)
         picked = []
         for row in ambient_rows:
             if builder.absorb(row.reshape(1, -1)):
@@ -254,26 +260,26 @@ def rref(rows, p: int, ambient_dim: Optional[int] = None) -> Subspace:
     return Subspace(p, mat.shape[1], basis, pivots)
 
 
-def span_of_vectors(vectors: Iterable, p: int, ambient_dim: int) -> Subspace:
-    return rref(list(vectors), p, ambient_dim)
-
-
 def kernel(matrix, p: int) -> Subspace:
     """Kernel { x : x @ A = 0 } of the row-convention map given by ``A``."""
     _check_prime(p)
     a = _as_matrix(matrix, p)
-    m, n = a.shape
-    red, pivots = _rref(a.T.copy(), p)
+    m = a.shape[0]
+    # A^T is eliminated with its columns reversed.  In reversed coordinates
+    # each kernel vector e_f - sum_i red[i, f] e_{pivot_i} ends in its free
+    # column f and is zero on every other free column, so read back in the
+    # original order the vectors are already the kernel's reduced echelon
+    # basis, with the free columns as pivots.
+    red, pivots = _rref(a.T[:, ::-1], p)
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
     if not free:
         return zero_subspace(p, m)
     vecs = np.zeros((len(free), m), dtype=np.int64)
-    for k, f in enumerate(free):
-        vecs[k, f] = 1
-        for i, c in enumerate(pivots):
-            vecs[k, c] = (-red[i, f]) % p
-    return rref(vecs, p, m)
+    vecs[range(len(free)), free] = 1
+    vecs[:, list(pivots)] = (-red[:, free].T) % p
+    basis = vecs[::-1, ::-1].copy()
+    return Subspace(p, m, basis, tuple(m - 1 - f for f in reversed(free)))
 
 
 def image(matrix, p: int) -> Subspace:
@@ -312,10 +318,6 @@ def solve_row(matrix: np.ndarray, v, p: int) -> Optional[np.ndarray]:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 class SubspaceBuilder:
     """Incremental echelon accumulator for large spanning sets.
 
@@ -330,6 +332,15 @@ class SubspaceBuilder:
         self._mat = np.zeros((ambient_dim, ambient_dim), dtype=np.int64)
         self._count = 0
         self._pivots: list[int] = []
+
+    @classmethod
+    def from_subspace(cls, space: Subspace) -> "SubspaceBuilder":
+        """A builder whose running basis starts as ``space``'s echelon basis."""
+        builder = cls(space.p, space.ambient_dim)
+        builder._mat[: space.dim] = space.basis
+        builder._count = space.dim
+        builder._pivots = list(space.pivots)
+        return builder
 
     @property
     def dim(self) -> int:
@@ -430,8 +441,7 @@ def lex_vectors(p: int, length: int):
 
 def lex_complement(inside: Subspace, p: int, dim: int) -> np.ndarray:
     """Lexicographically least basis of a complement of ``inside`` in GF(p)^dim."""
-    builder = SubspaceBuilder(p, dim)
-    builder.absorb(inside.basis)
+    builder = SubspaceBuilder.from_subspace(inside)
     picked = []
     target = dim - inside.dim
     for vec in lex_vectors(p, dim):

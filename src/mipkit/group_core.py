@@ -40,6 +40,19 @@ class InternalCheckError(AssertionError):
     """A verified identity failed: signals a bug, never user error."""
 
 
+def log_p(n: int, p: int) -> int:
+    """The exact k with p**k == n; ValueError when n is no power of p."""
+    if p < 2 or n < 1:
+        raise ValueError(f"log_p needs n >= 1 and p >= 2, got n={n}, p={p}")
+    k, rest = 0, n
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
+        raise ValueError(f"{n} is not a power of {p}")
+    return k
+
+
 def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -72,6 +85,10 @@ class PcPresentation:
     )
 
     def __post_init__(self):
+        if self.p not in ORDER_CAPS:
+            raise PresentationError(
+                f"p = {self.p} is not a supported prime {tuple(ORDER_CAPS)}"
+            )
         d = len(self.rel_orders)
         for m in self.rel_orders:
             if m < 2 or not _is_p_power(m, self.p):
@@ -159,12 +176,17 @@ class PcPresentation:
                 i = int(m.group(1))
                 if not 1 <= i <= d:
                     raise PresentationError(f"order line for unknown generator {i}")
+                if i - 1 in orders:
+                    raise PresentationError(f"duplicate order line for generator {i}")
                 orders[i - 1] = int(m.group(2))
             elif ln.startswith("pow"):
                 m = re.fullmatch(r"pow\s+(\d+)\s*=\s*(.+)", ln)
                 if not m:
                     raise PresentationError(f"bad pow line {ln!r}")
-                powers[int(m.group(1)) - 1] = parse_word(m.group(2))
+                i = int(m.group(1)) - 1
+                if i in powers:
+                    raise PresentationError(f"duplicate pow line for generator {i + 1}")
+                powers[i] = parse_word(m.group(2))
             elif ln.startswith("comm"):
                 m = re.fullmatch(r"comm\s+(\d+)\s+(\d+)\s*=\s*(.+)", ln)
                 if not m:
@@ -172,6 +194,8 @@ class PcPresentation:
                 j, i = int(m.group(1)) - 1, int(m.group(2)) - 1
                 if not i < j:
                     raise PresentationError("comm lines need j > i")
+                if (j, i) in commutators:
+                    raise PresentationError(f"duplicate comm line for ({j + 1},{i + 1})")
                 commutators[(j, i)] = parse_word(m.group(3))
             else:
                 raise PresentationError(f"unrecognized line {ln!r}")
@@ -460,7 +484,9 @@ class Subgroup:
         return self.parent is other.parent and self._set == other._set
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self._set))
+        # the element set alone: an id() would make set iteration order,
+        # and with it normal_subgroups' generator tuples, vary by process
+        return hash(self._set)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
@@ -836,7 +862,7 @@ def abelian_type(g: Union[FiniteGroup, Subgroup]) -> AbelianType:
         t = 1
         while True:
             om = omega(s, t)
-            log_sizes.append(round(np.log(om.order) / np.log(p)))
+            log_sizes.append(log_p(om.order, p))
             if om.order == s.order:
                 break
             t += 1

@@ -182,26 +182,20 @@ class AlgIdeal:
 
 
 def augmentation_ideal(A: GroupAlgebra) -> AlgIdeal:
-    if "aug_ideal" not in A._cache:
-        # the echelon basis is known in closed form: e_i - e_{n-1}
-        n = A.dim
-        if n == 1:
-            space = fl.zero_subspace(A.p, 1)
-        else:
-            basis = np.concatenate(
-                [
-                    np.eye(n - 1, dtype=np.int64),
-                    np.full((n - 1, 1), A.p - 1, dtype=np.int64),
-                ],
-                axis=1,
-            )
-            space = fl.Subspace(A.p, n, basis, tuple(range(n - 1)))
-        A._cache["aug_ideal"] = AlgIdeal(A, space)
-    return A._cache["aug_ideal"]
+    """I(G) = I(G)G, with the echelon basis e_i - e_{n-1}."""
+    return relative_augmentation_ideal(A, A.group.full_subgroup())
 
 
 def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
-    """I(N)G = span{(m-1)g}: the kernel of the projection onto F_p[G/N]."""
+    """I(N)G = span{(m-1)g}: the kernel of the projection onto F_p[G/N].
+
+    Over any field, span{e_mg - e_g} for m in the generators of N is the
+    set of vectors summing to zero on every orbit C of <gens> acting on G
+    by left multiplication.  Its reduced echelon basis is therefore
+    {e_g - e_last(C)} over g != last(C), with last(C) the highest index in
+    C.  The orbits are derived from the generators, so the check that they
+    are the |G:N| cosets of N re-derives dim I(N)G = n - n/|N|.
+    """
     key = ("rel_aug", n_sub.elements)
     if key not in A._cache:
         if n_sub.parent is not A.group:
@@ -209,18 +203,32 @@ def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
         if not n_sub.is_normal():
             raise NotNormalError("relative augmentation ideal needs a normal subgroup")
         n = A.dim
-        eye = np.eye(n, dtype=np.int64)
         gens = n_sub.generators or tuple(g for g in n_sub.elements if g)
-        blocks = [eye[A.group.mul[m, :]] - eye for m in gens]
-        if blocks:
-            space = fl.rref(np.concatenate(blocks, axis=0), A.p, n)
-        else:
-            space = fl.zero_subspace(A.p, n)
-        expected = n - n // n_sub.order
-        if space.dim != expected:
+        # min-label propagation: every g ends labelled by its orbit's least index
+        idx = np.arange(n)
+        label = idx
+        while True:
+            prev = label
+            for m in gens:
+                label = np.minimum(label, label[A.group.mul[m, :]])
+            if np.array_equal(label, prev):
+                break
+        roots = np.nonzero(label == idx)[0]
+        sizes = np.bincount(label)[roots]
+        if roots.size != n // n_sub.order or (sizes != n_sub.order).any():
             raise InternalCheckError(
-                f"relative augmentation ideal has dim {space.dim}, expected {expected}"
+                f"generators of a normal subgroup of order {n_sub.order} have "
+                f"{roots.size} orbits of sizes {sorted(set(sizes.tolist()))} "
+                f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
             )
+        last = np.zeros(n, dtype=np.int64)
+        np.maximum.at(last, label, idx)
+        last = last[label]
+        rows = np.nonzero(last != idx)[0]
+        basis = np.zeros((rows.size, n), dtype=np.int64)
+        basis[np.arange(rows.size), rows] = 1
+        basis[np.arange(rows.size), last[rows]] = A.p - 1
+        space = Subspace(A.p, n, basis, tuple(rows.tolist()))
         A._cache[key] = AlgIdeal(A, space)
     return A._cache[key]
 
@@ -383,7 +391,7 @@ def jennings_poincare_layer_dims(G: FiniteGroup) -> list[int]:
     poly = [1]
     for i in range(len(series) - 1):
         n = i + 1
-        rank = round(np.log(series[i].order / series[i + 1].order) / np.log(p))
+        rank = gc.log_p(series[i].order // series[i + 1].order, p)
         factor = [0] * ((p - 1) * n + 1)
         for k in range(p):
             factor[k * n] = 1

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mipkit import catalog as cat
 from mipkit import cli
@@ -155,3 +161,33 @@ def test_bad_subcommand_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p 0\ngens 1\norder 1 2\n",
+        "p 1\ngens 1\norder 1 2\n",
+        "p 4\ngens 1\norder 1 4\n",
+        "p 2\ngens 1\norder 1 2\norder 1 4\n",
+        "p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2\npow 1 = 1\n",
+        "p 2\ngens 2\norder 1 2\norder 2 2\ncomm 2 1 = 1\ncomm 2 1 = 1\n",
+    ],
+)
+def test_malformed_pcp_is_one_parse_error(tmp_path, text):
+    # in a subprocess with a timeout: a presentation that hangs the parser
+    # must fail this test, not the whole suite
+    path = tmp_path / "bad.pcp"
+    path.write_text(text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from mipkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "--no-timing", "analyze", f"@{path}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "MIPKIT_CACHE_DIR": str(tmp_path / "cache")},
+    )
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"]["kind"] == "parse"

@@ -223,3 +223,60 @@ def test_fp_vector_validation():
         fl.FpVector(3, (0, 3, 1))
     with pytest.raises(ValueError):
         fl.FpVector(4, (0, 1))
+
+
+# -- differential checks against the elimination oracle ``_rref`` -----------
+
+
+def _matrix_of_rank(p, m, n, r, seed):
+    """An m x n matrix over GF(p) of rank at most r (exactly r when generic)."""
+    rng = np.random.default_rng(seed)
+    if r == 0:
+        return np.zeros((m, n), dtype=np.int64)
+    return (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
+
+
+_shapes = dict(
+    p=st.sampled_from([2, 3, 5, 7]),
+    m=st.integers(min_value=0, max_value=9),
+    n=st.integers(min_value=1, max_value=9),
+    r=st.integers(min_value=0, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_shapes, k=st.integers(min_value=0, max_value=9))
+def test_sum_matches_rref_of_stacked_bases(p, m, n, r, seed, k):
+    u = fl.rref(_matrix_of_rank(p, m, n, min(r, m, n), seed), p, n)
+    v = fl.rref(_matrix_of_rank(p, k, n, k, seed + 1), p, n)
+    for a, b in ((u, v), (v, u), (u, u), (u, fl.full_subspace(p, n))):
+        s = a.sum(b)
+        oracle_basis, oracle_pivots = fl._rref(np.concatenate([a.basis, b.basis]), p)
+        assert s.pivots == oracle_pivots
+        assert np.array_equal(s.basis, oracle_basis)
+
+
+def _two_pass_kernel(a, p):
+    """The kernel built from the free columns of rref(A^T), then eliminated again."""
+    m = a.shape[0]
+    red, pivots = fl._rref(a.T.copy(), p)
+    free = [c for c in range(m) if c not in pivots]
+    vecs = np.zeros((len(free), m), dtype=np.int64)
+    for k, f in enumerate(free):
+        vecs[k, f] = 1
+        for i, c in enumerate(pivots):
+            vecs[k, c] = (-red[i, f]) % p
+    return fl._rref(vecs, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_shapes)
+def test_kernel_matches_two_pass_construction(p, m, n, r, seed):
+    a = _matrix_of_rank(p, m, n, min(r, m, n), seed)
+    ker = fl.kernel(a, p)
+    basis, pivots = _two_pass_kernel(a, p)
+    assert ker.pivots == pivots
+    assert np.array_equal(ker.basis, basis)
+    assert not ((ker.basis @ a) % p).any()
+    assert ker.dim == m - len(fl._rref(a, p)[1])

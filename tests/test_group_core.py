@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +368,39 @@ def test_subgroup_as_group_identity_preserved(groups):
     for i in range(grp.order):
         for j in range(grp.order):
             assert back[grp.mul[i, j]] == D16.mul[back[i], back[j]]
+
+
+def test_log_p_is_exact():
+    # past 2**63 a float log cannot even take the argument
+    for p in (2, 3, 5, 7):
+        for k in range(70):
+            assert gc.log_p(p**k, p) == k
+    # a float log rounds the first two to 39 and 9 instead of refusing them
+    for n, p in ((3**39 + 1, 3), (2**7 * 3, 2), (6, 2), (0, 2), (8, 1), (8, 0)):
+        with pytest.raises(ValueError):
+            gc.log_p(n, p)
+
+
+def test_normal_subgroups_repeat_across_processes():
+    script = (
+        "import hashlib\n"
+        "from mipkit import catalog, group_core as gc\n"
+        "for name in ('D8xC4xC2', 'M27xC9', 'Heis27xC3'):\n"
+        "    subs = gc.normal_subgroups(catalog.build(name))\n"
+        "    data = repr([(s.elements, s.generators) for s in subs]).encode()\n"
+        "    print(name, hashlib.sha256(data).hexdigest())\n"
+    )
+    src = str(Path(gc.__file__).resolve().parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert runs[0].count("\n") == 3
+    assert runs[0] == runs[1]

@@ -58,6 +58,34 @@ def test_relative_ideal_requires_normal(algebras):
         ma.relative_augmentation_ideal(A, A.group.subgroup((4,)))
 
 
+def test_relative_ideal_closed_form_matches_elimination(groups, algebras):
+    # the echelon basis {e_g - e_last(C)} against an elimination of the
+    # spanning set {e_mg - e_g} over the generators m of N
+    for name, G in groups.items():
+        A = algebras[name]
+        eye = np.eye(G.order, dtype=np.int64)
+        for N in gc.normal_subgroups(G):
+            space = ma.relative_augmentation_ideal(A, N).space
+            if N.order == 1:
+                assert space.dim == 0
+                continue
+            blocks = [eye[G.mul[m, :]] - eye for m in N.generators]
+            basis, pivots = fl._rref(np.concatenate(blocks) % G.p, G.p)
+            assert space.pivots == pivots, (name, N.order)
+            assert np.array_equal(space.basis, basis), (name, N.order)
+
+
+def test_relative_ideal_rejects_generators_of_a_proper_subgroup(groups):
+    G = groups["D8xC4"]
+    N = gc.center(G)
+    cyclic = G.subgroup((max(N.elements, key=G.element_order),))
+    assert cyclic.order < N.order
+    # N's element set with a generator tuple that closes to less than N
+    fake = gc.Subgroup(G, N.elements, cyclic.generators)
+    with pytest.raises(gc.InternalCheckError):
+        ma.relative_augmentation_ideal(ma.GroupAlgebra(G), fake)
+
+
 def test_ideal_two_sidedness(algebras):
     for name in ("D8", "Q8", "Heis27"):
         A = algebras[name]
