@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import decomposition as dc
-from . import fp_linalg as fl
 from . import group_core as gc
 from . import modular_algebra as ma
 from .group_core import FiniteGroup, InternalCheckError, Subgroup
@@ -250,22 +249,22 @@ def generate_catalog(depth_limit: int = 2, t_max: int = 2) -> list[CanonicalExpr
 
 def stabilization_threshold(G: FiniteGroup) -> int:
     """log_p of the group exponent: beyond it all series are constant."""
-    e, p = G.exponent(), G.p
-    tau = 0
-    while p**tau < e:
-        tau += 1
-    return max(tau, 1)
+    return max(gc.log_p(G.exponent(), G.p), 1)
 
 
 def evaluate(expr: CanonicalExpr, G: FiniteGroup, tau: Optional[int] = None) -> Subgroup:
     """Evaluate an expression to a (verified normal) subgroup of G."""
     if tau is None:
         tau = stabilization_threshold(G)
+    return _evaluate(G, expr, tau)
+
+
+@gc._memo
+def _evaluate(G: FiniteGroup, expr: CanonicalExpr, tau: int) -> Subgroup:
     norm = normalize(expr, tau)
-    cache = G._cache.setdefault("canonical_eval", {})
-    key = expr_key(norm)
-    if key in cache:
-        return cache[key]
+    if norm != expr:
+        # one evaluation per normalized form, whatever form it was asked in
+        return _evaluate(G, norm, tau)
 
     def require_derived(n_sub: Subgroup, node: CanonicalExpr) -> None:
         if not n_sub.contains_subgroup(gc.commutator_subgroup(G)):
@@ -301,9 +300,8 @@ def evaluate(expr: CanonicalExpr, G: FiniteGroup, tau: Optional[int] = None) -> 
     else:
         raise TypeError(f"not a canonical expression: {norm!r}")
     if not result.is_normal():
-        raise InternalCheckError(f"evaluation of {key} is not normal")
-    cache[key] = result
-    return cache[key]
+        raise InternalCheckError(f"evaluation of {expr_key(norm)} is not normal")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,7 @@ def fingerprint(
         group=G.name,
         p=G.p,
         order=G.order,
-        d=gc.min_generators(G) if G.order > 1 else 0,
+        d=gc.min_generators(G),
         jennings=tuple(s.order for s in series),
         ab_type=tuple(split.ab_type().orders),
         catalog=catalog,
@@ -526,15 +524,7 @@ def verify_canonical_images(
             lh = evaluate(expr, H, tau)
         except ContainmentError:
             continue
-        img = iso.apply_subspace(
-            ma.relative_augmentation_ideal(iso.source, lg).space
-            if lg.order > 1
-            else fl.zero_subspace(iso.source.p, iso.source.dim)
-        )
-        target = (
-            ma.relative_augmentation_ideal(iso.target, lh).space
-            if lh.order > 1
-            else fl.zero_subspace(iso.target.p, iso.target.dim)
-        )
+        img = iso.apply_subspace(ma.relative_augmentation_ideal(iso.source, lg).space)
+        target = ma.relative_augmentation_ideal(iso.target, lh).space
         out[expr_key(normalize(expr, tau))] = img == target
     return out

@@ -105,10 +105,6 @@ def builtin_catalog() -> list[CatalogEntry]:
     return list(_ENTRIES)
 
 
-def catalog_names() -> list[str]:
-    return [e.name for e in _ENTRIES]
-
-
 _built: dict[str, FiniteGroup] = {}
 
 

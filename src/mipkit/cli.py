@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Optional
@@ -105,7 +106,14 @@ def fingerprint_cached(spec: str, group: FiniteGroup, depth: int, t_max: Optiona
         except (ValueError, OSError):
             print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
     payload = ci.fingerprint(group, depth, eff_tmax).payload()
-    path.write_text(_canonical_json(payload))
+    # write aside and rename, so a concurrent reader never sees half an entry
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_canonical_json(payload))
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return payload
 
 

@@ -26,15 +26,6 @@ from .group_core import (
 )
 
 
-def _log_p(n: int, p: int) -> int:
-    e = 0
-    while p**e < n:
-        e += 1
-    if p**e != n:
-        raise ValueError(f"{n} is not a power of {p}")
-    return e
-
-
 def homocyclic_rank(G: FiniteGroup, t: int) -> int:
     """Rank of the homocyclic direct factor of exponent p^t."""
     lam = ma.power_quotient_map(G, t)
@@ -126,7 +117,7 @@ def _claim_adjust(
         if inter.is_trivial():
             x_new = x
         else:
-            e = t - _log_p(inter.order, p)
+            e = t - gc.log_p(inter.order, p)
             sj_n = gc.join(s_j, n_sub)
             y_neg = G.power(y, -(p**e))
             found = None
@@ -166,7 +157,7 @@ def complement_construction(G: FiniteGroup, T: Subgroup) -> Subgroup:
     if T.is_trivial():
         return G.full_subgroup()
     p = G.p
-    t = _log_p(T.exponent(), p)
+    t = gc.log_p(T.exponent(), p)
     ttype = gc.abelian_type(T)
     rank = len(ttype.orders)
     if ttype.orders != (p**t,) * rank:
@@ -239,7 +230,7 @@ def _formula_component_rank(G: FiniteGroup, t: int) -> int:
 def formula_ab_type(G: FiniteGroup) -> AbelianType:
     """Abelian-factor type assembled from the per-exponent quotient ranks."""
     p = G.p
-    tau = _log_p(G.exponent(), p) if G.order > 1 else 0
+    tau = gc.log_p(G.exponent(), p)
     orders: list[int] = []
     for t in range(1, tau + 1):
         orders.extend([p**t] * _formula_component_rank(G, t))

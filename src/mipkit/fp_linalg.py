@@ -111,11 +111,6 @@ class FpVector:
         if any(c < 0 or c >= self.p for c in self.coords):
             raise ValueError("coordinates must be reduced mod p")
 
-    @classmethod
-    def from_array(cls, arr, p: int) -> "FpVector":
-        a = np.asarray(arr, dtype=np.int64) % p
-        return cls(p, tuple(int(x) for x in a))
-
     @property
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=np.int64)
@@ -208,7 +203,9 @@ class Subspace:
         """Intersection via the kernel of the stacked-basis map.
 
         Row vectors (x, y) with x @ B_self + y @ B_other = 0 parameterize the
-        intersection as x @ B_self.
+        intersection as x @ B_self.  The product is already reduced echelon:
+        every kernel pivot lies in an x column (x = 0 forces y = 0), so the
+        x parts are in RREF, and B_self is in RREF with pivots self.pivots.
         """
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
@@ -218,7 +215,7 @@ class Subspace:
         if ker.dim == 0:
             return zero_subspace(self.p, self.ambient_dim)
         vecs = (ker.basis[:, : self.dim] @ self.basis) % self.p
-        return rref(vecs, self.p, self.ambient_dim)
+        return Subspace(self.p, self.ambient_dim, vecs, tuple(self.pivots[c] for c in ker.pivots))
 
     def reduction_matrix(self) -> np.ndarray:
         """Matrix R with v @ R = reduce(v); the projection along self."""

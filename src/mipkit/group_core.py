@@ -8,10 +8,18 @@ via its product formula, Burnside bases, quotients, and direct products.
 
 Everything is exact and exhaustively verified at construction; caps keep
 orders small enough for that to stay cheap.
+
+Values computed once per group, subgroup or algebra go through ``_memo``: it
+keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
+*args)``, so arguments are part of the key and a Subgroup argument matches
+only a subgroup of the same parent.  The whole-group subgroup shares its
+parent's dict, so ``center(G)`` and ``center(G.full_subgroup())`` are one
+entry.  A cached list is handed out as a fresh copy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -51,6 +59,24 @@ def log_p(n: int, p: int) -> int:
     if rest != 1:
         raise ValueError(f"{n} is not a power of {p}")
     return k
+
+
+_MISSING = object()
+
+
+def _memo(fn):
+    """Cache ``fn(owner, *args)`` per owner; see the module docstring."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        key = (name, *args)
+        value = owner._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = owner._cache[key] = fn(owner, *args)
+        return list(value) if type(value) is list else value
+
+    return cached
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -380,68 +406,61 @@ class FiniteGroup:
         return range(self.order)
 
     @property
+    @_memo
     def is_abelian(self) -> bool:
-        if "is_abelian" not in self._cache:
-            self._cache["is_abelian"] = bool(np.array_equal(self.mul, self.mul.T))
-        return self._cache["is_abelian"]
+        return bool(np.array_equal(self.mul, self.mul.T))
 
+    @_memo
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = max(self.element_order(g) for g in self.elements())
-        return self._cache["exponent"]
+        return max(self.element_order(g) for g in self.elements())
 
+    @_memo
     def power_p_map(self, t: int) -> np.ndarray:
         """The map g -> g^{p^t} as an index table."""
-        key = ("power_p_map", t)
-        if key not in self._cache:
-            if t == 0:
-                tab = np.arange(self.order)
-            else:
-                prev = self.power_p_map(t - 1)
-                step = np.array(
-                    [self.power(g, self.p) for g in self.elements()], dtype=np.int64
-                )
-                tab = step[prev]
-            tab.setflags(write=False)
-            self._cache[key] = tab
-        return self._cache[key]
+        if t == 0:
+            tab = np.arange(self.order)
+        else:
+            prev = self.power_p_map(t - 1)
+            step = np.array(
+                [self.power(g, self.p) for g in self.elements()], dtype=np.int64
+            )
+            tab = step[prev]
+        tab.setflags(write=False)
+        return tab
 
+    @_memo
     def commutator_table(self) -> np.ndarray:
-        if "commutator_table" not in self._cache:
-            n = self.order
-            ia = self.inv[:, None]
-            ib = self.inv[None, :]
-            tab = self.mul[self.mul[self.mul[ia, ib], np.arange(n)[:, None]], np.arange(n)[None, :]]
-            tab.setflags(write=False)
-            self._cache["commutator_table"] = tab
-        return self._cache["commutator_table"]
+        n = self.order
+        ia = self.inv[:, None]
+        ib = self.inv[None, :]
+        tab = self.mul[self.mul[self.mul[ia, ib], np.arange(n)[:, None]], np.arange(n)[None, :]]
+        tab.setflags(write=False)
+        return tab
 
+    @_memo
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        if "classes" not in self._cache:
-            seen = [False] * self.order
-            classes = []
-            for a in self.elements():
-                if seen[a]:
-                    continue
-                orbit = sorted({self.conjugate(a, g) for g in self.elements()})
-                for x in orbit:
-                    seen[x] = True
-                classes.append(tuple(orbit))
-            self._cache["classes"] = classes
-        return self._cache["classes"]
+        seen = [False] * self.order
+        classes = []
+        for a in self.elements():
+            if seen[a]:
+                continue
+            orbit = sorted({self.conjugate(a, g) for g in self.elements()})
+            for x in orbit:
+                seen[x] = True
+            classes.append(tuple(orbit))
+        return classes
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order}, p={self.p})"
 
     # -- whole-group views ---------------------------------------------------
 
+    @_memo
     def full_subgroup(self) -> "Subgroup":
-        if "full_subgroup" not in self._cache:
-            elems = tuple(range(self.order))
-            self._cache["full_subgroup"] = Subgroup(
-                self, elems, _reduce_generators(self, elems)
-            )
-        return self._cache["full_subgroup"]
+        elems = tuple(range(self.order))
+        whole = Subgroup(self, elems, _reduce_generators(self, elems))
+        whole._cache = self._cache
+        return whole
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), ())
@@ -500,56 +519,47 @@ class Subgroup:
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return other._set <= self._set
 
+    @_memo
     def is_normal(self) -> bool:
-        if "is_normal" not in self._cache:
-            G = self.parent
-            ok = all(
-                G.conjugate(s, g) in self._set
-                for s in self.generators or self.elements
-                for g in range(G.order)
-            )
-            self._cache["is_normal"] = ok
-        return self._cache["is_normal"]
+        G = self.parent
+        return all(
+            G.conjugate(s, g) in self._set
+            for s in self.generators or self.elements
+            for g in range(G.order)
+        )
 
+    @_memo
     def is_abelian(self) -> bool:
-        if "is_abelian" not in self._cache:
-            mul = self.parent.mul
-            idx = np.array(self.elements)
-            sub = mul[np.ix_(idx, idx)]
-            self._cache["is_abelian"] = bool(np.array_equal(sub, sub.T))
-        return self._cache["is_abelian"]
+        idx = np.array(self.elements)
+        sub = self.parent.mul[np.ix_(idx, idx)]
+        return bool(np.array_equal(sub, sub.T))
 
+    @_memo
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = max(
-                self.parent.element_order(g) for g in self.elements
-            )
-        return self._cache["exponent"]
+        return max(self.parent.element_order(g) for g in self.elements)
 
     def is_elementary_abelian(self) -> bool:
         return self.is_abelian() and self.exponent() in (1, self.parent.p)
 
-    def as_group(self, name: Optional[str] = None) -> tuple[FiniteGroup, tuple[int, ...]]:
+    @_memo
+    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Standalone table for this subgroup plus the index map back.
 
         Entry i of the returned map is the parent index of the new element i;
         the identity stays at 0 because elements are sorted.
         """
-        key = "as_group"
-        if key not in self._cache:
-            idx = {g: i for i, g in enumerate(self.elements)}
-            arr = np.array(self.elements)
-            table = self.parent.mul[np.ix_(arr, arr)]
-            remap = np.vectorize(idx.__getitem__, otypes=[np.int64])(table)
-            grp = FiniteGroup(
-                self.parent.p,
-                remap,
-                name=name or f"{self.parent.name}_sub{self.order}",
-                provenance={"kind": "subgroup", "parent": self.parent.name},
-                _validated=True,
-            )
-            self._cache[key] = (grp, tuple(self.elements))
-        return self._cache[key]
+        idx = {g: i for i, g in enumerate(self.elements)}
+        arr = np.array(self.elements)
+        table = self.parent.mul[np.ix_(arr, arr)]
+        remap = np.vectorize(idx.__getitem__, otypes=[np.int64])(table)
+        grp = FiniteGroup(
+            self.parent.p,
+            remap,
+            name=f"{self.parent.name}_sub{self.order}",
+            provenance={"kind": "subgroup", "parent": self.parent.name},
+            _validated=True,
+        )
+        return grp, tuple(self.elements)
 
 
 def _closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
@@ -618,17 +628,15 @@ def intersect_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
     return subgroup_from_elements(a.parent, a._set & b._set)
 
 
+@_memo
 def center(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
-    key = "center"
-    if key not in s._cache:
-        G = s.parent
-        idx = np.array(s.elements)
-        sub = G.mul[np.ix_(idx, idx)]
-        central_mask = (sub == sub.T).all(axis=1)
-        elems = tuple(int(idx[i]) for i in np.nonzero(central_mask)[0])
-        s._cache[key] = subgroup_from_elements(G, elems)
-    return s._cache[key]
+    G = s.parent
+    idx = np.array(s.elements)
+    sub = G.mul[np.ix_(idx, idx)]
+    central_mask = (sub == sub.T).all(axis=1)
+    elems = tuple(int(idx[i]) for i in np.nonzero(central_mask)[0])
+    return subgroup_from_elements(G, elems)
 
 
 def centralizer(g: Union[FiniteGroup, Subgroup], of: Subgroup) -> Subgroup:
@@ -643,64 +651,56 @@ def centralizer(g: Union[FiniteGroup, Subgroup], of: Subgroup) -> Subgroup:
     return subgroup_from_elements(G, elems)
 
 
+@_memo
 def commutator_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
-    key = "derived"
-    if key not in s._cache:
-        G = s.parent
-        idx = np.array(s.elements)
-        comms = set(G.commutator_table()[np.ix_(idx, idx)].ravel().tolist())
-        s._cache[key] = G.subgroup(_reduce_generators(G, sorted(comms)))
-    return s._cache[key]
+    G = s.parent
+    idx = np.array(s.elements)
+    comms = set(G.commutator_table()[np.ix_(idx, idx)].ravel().tolist())
+    return G.subgroup(_reduce_generators(G, sorted(comms)))
 
 
+@_memo
 def lower_central_series(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
     s = _as_subgroup(g)
-    key = "lcs"
-    if key not in s._cache:
-        G = s.parent
-        ctab = G.commutator_table()
-        s_idx = np.array(s.elements)
-        series = [s if isinstance(g, Subgroup) else G.full_subgroup()]
-        while True:
-            prev = series[-1]
-            comms = np.unique(ctab[np.ix_(np.array(prev.elements), s_idx)])
-            nxt = G.subgroup(_reduce_generators(G, [int(c) for c in comms]))
-            if nxt == prev:
-                break
-            series.append(nxt)
-            if nxt.is_trivial():
-                break
-        s._cache[key] = series
-    return s._cache[key]
+    G = s.parent
+    ctab = G.commutator_table()
+    s_idx = np.array(s.elements)
+    series = [s]
+    while True:
+        prev = series[-1]
+        comms = np.unique(ctab[np.ix_(np.array(prev.elements), s_idx)])
+        nxt = G.subgroup(_reduce_generators(G, [int(c) for c in comms]))
+        if nxt == prev:
+            break
+        series.append(nxt)
+        if nxt.is_trivial():
+            break
+    return series
 
 
+@_memo
 def omega(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
     """Subgroup generated by the elements of order dividing p^t."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     s = _as_subgroup(g)
-    key = ("omega", t)
-    if key not in s._cache:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        G = s.parent
-        powmap = G.power_p_map(t)
-        gens = [x for x in s.elements if powmap[x] == 0]
-        s._cache[key] = G.subgroup(_reduce_generators(G, gens))
-    return s._cache[key]
+    G = s.parent
+    powmap = G.power_p_map(t)
+    gens = [x for x in s.elements if powmap[x] == 0]
+    return G.subgroup(_reduce_generators(G, gens))
 
 
+@_memo
 def agemo(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
     """Subgroup generated by the p^t-th powers."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     s = _as_subgroup(g)
-    key = ("agemo", t)
-    if key not in s._cache:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        G = s.parent
-        powmap = G.power_p_map(t)
-        gens = sorted({int(powmap[x]) for x in s.elements})
-        s._cache[key] = G.subgroup(_reduce_generators(G, gens))
-    return s._cache[key]
+    G = s.parent
+    powmap = G.power_p_map(t)
+    gens = sorted({int(powmap[x]) for x in s.elements})
+    return G.subgroup(_reduce_generators(G, gens))
 
 
 def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subgroup:
@@ -717,12 +717,10 @@ def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subg
     return result
 
 
+@_memo
 def frattini(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
-    key = "frattini"
-    if key not in s._cache:
-        s._cache[key] = join(agemo(s, 1), commutator_subgroup(s))
-    return s._cache[key]
+    return join(agemo(s, 1), commutator_subgroup(s))
 
 
 def frattini_by_maximals(G: FiniteGroup) -> Subgroup:
@@ -738,61 +736,41 @@ def frattini_by_maximals(G: FiniteGroup) -> Subgroup:
     return subgroup_from_elements(G, elems)
 
 
+@_memo
 def jennings_series_product_formula(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
     """Jennings series D_n = prod over i*p^j >= n of agemo_j(gamma_i).
 
     Returns D_1 (the whole group) down to the first trivial term inclusive.
     """
     s = _as_subgroup(g)
-    key = "jennings"
-    if key not in s._cache:
-        G = s.parent
-        p = G.p
-        lcs = lower_central_series(s)
-        exp = s.exponent()
-        tmax = 0
-        while p**tmax < exp:
-            tmax += 1
-        # agemo_j applied to each lower-central term
-        terms: dict[tuple[int, int], Subgroup] = {}
-        for i, gamma in enumerate(lcs, start=1):
-            for j in range(tmax + 1):
-                terms[(i, j)] = agemo(gamma, j)
-        series = []
-        n = 1
-        while True:
-            d_n = G.trivial_subgroup()
-            for (i, j), term in terms.items():
-                if i * p**j >= n and not term.is_trivial():
-                    d_n = join(d_n, term)
-            series.append(d_n)
-            if d_n.is_trivial():
-                break
-            n += 1
-        s._cache[key] = series
-    return s._cache[key]
+    G = s.parent
+    p = G.p
+    lcs = lower_central_series(s)
+    tmax = log_p(s.exponent(), p)
+    # agemo_j applied to each lower-central term
+    terms: dict[tuple[int, int], Subgroup] = {}
+    for i, gamma in enumerate(lcs, start=1):
+        for j in range(tmax + 1):
+            terms[(i, j)] = agemo(gamma, j)
+    series = []
+    n = 1
+    while True:
+        d_n = G.trivial_subgroup()
+        for (i, j), term in terms.items():
+            if i * p**j >= n and not term.is_trivial():
+                d_n = join(d_n, term)
+        series.append(d_n)
+        if d_n.is_trivial():
+            break
+        n += 1
+    return series
 
 
+@_memo
 def burnside_basis(g: Union[FiniteGroup, Subgroup]) -> list[int]:
     """Deterministic minimal generating set: repeatedly take the smallest
     element outside the subgroup generated so far together with Frattini."""
-    s = _as_subgroup(g)
-    key = "burnside_basis"
-    if key not in s._cache:
-        G = s.parent
-        phi = frattini(s)
-        basis: list[int] = []
-        current = phi
-        for x in s.elements:
-            if current.order == s.order:
-                break
-            if x not in current:
-                basis.append(x)
-                current = join(current, G.subgroup((x,)))
-        if set(_closure(G, basis)) != s._set:
-            raise InternalCheckError("burnside basis does not generate")
-        s._cache[key] = basis
-    return list(s._cache[key])
+    return burnside_basis_extend(g, ())
 
 
 def burnside_basis_extend(g: Union[FiniteGroup, Subgroup], seed: Sequence[int]) -> list[int]:
@@ -830,13 +808,6 @@ class AbelianType:
         if list(self.orders) != sorted(self.orders, reverse=True):
             raise ValueError("orders must be nonincreasing")
 
-    @property
-    def group_order(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
-
     def rank_of_exponent(self, q: int) -> int:
         return sum(1 for m in self.orders if m == q)
 
@@ -850,30 +821,28 @@ class AbelianType:
         return "[" + ",".join(str(m) for m in self.orders) + "]"
 
 
+@_memo
 def abelian_type(g: Union[FiniteGroup, Subgroup]) -> AbelianType:
     """Invariant factors from the ranks |omega_i| / |omega_{i-1}|."""
     s = _as_subgroup(g)
     if not s.is_abelian():
         raise ValueError("abelian_type needs an abelian group")
-    key = "abelian_type"
-    if key not in s._cache:
-        p = s.parent.p
-        log_sizes = [0]
-        t = 1
-        while True:
-            om = omega(s, t)
-            log_sizes.append(log_p(om.order, p))
-            if om.order == s.order:
-                break
-            t += 1
-        # s_i = number of cyclic factors of order >= p^i
-        counts = [log_sizes[i] - log_sizes[i - 1] for i in range(1, len(log_sizes))]
-        counts.append(0)
-        orders = []
-        for i in range(1, len(counts)):
-            orders.extend([p**i] * (counts[i - 1] - counts[i]))
-        s._cache[key] = AbelianType(tuple(sorted(orders, reverse=True)))
-    return s._cache[key]
+    p = s.parent.p
+    log_sizes = [0]
+    t = 1
+    while True:
+        om = omega(s, t)
+        log_sizes.append(log_p(om.order, p))
+        if om.order == s.order:
+            break
+        t += 1
+    # s_i = number of cyclic factors of order >= p^i
+    counts = [log_sizes[i] - log_sizes[i - 1] for i in range(1, len(log_sizes))]
+    counts.append(0)
+    orders = []
+    for i in range(1, len(counts)):
+        orders.extend([p**i] * (counts[i - 1] - counts[i]))
+    return AbelianType(tuple(sorted(orders, reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +880,6 @@ class GroupHom:
 
     def is_injective(self) -> bool:
         return len(set(self.images.tolist())) == self.domain.order
-
-    def is_surjective(self) -> bool:
-        return len(set(self.images.tolist())) == self.codomain.order
 
 
 def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -1097,27 +1063,25 @@ def normal_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     return G.subgroup(_reduce_generators(G, sorted(closure_gens))) if closure_gens else G.trivial_subgroup()
 
 
+@_memo
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups: normal closures of cyclic subgroups, closed
     under pairwise join.  Complete because every normal subgroup is the
     join of the closures of its elements."""
-    if "normal_subgroups" not in G._cache:
-        base = {G.trivial_subgroup()}
-        for g in G.elements():
-            if g:
-                base.add(normal_closure(G, [g]))
-        found = {s._set: s for s in base}
-        frontier = list(base)
-        while frontier:
-            new = []
-            for a in frontier:
-                for key in list(found):
-                    b = found[key]
-                    j = join(a, b)
-                    if j._set not in found:
-                        found[j._set] = j
-                        new.append(j)
-            frontier = new
-        result = sorted(found.values(), key=lambda s: (s.order, s.elements))
-        G._cache["normal_subgroups"] = result
-    return list(G._cache["normal_subgroups"])
+    base = {G.trivial_subgroup()}
+    for g in G.elements():
+        if g:
+            base.add(normal_closure(G, [g]))
+    found = {s._set: s for s in base}
+    frontier = list(base)
+    while frontier:
+        new = []
+        for a in frontier:
+            for key in list(found):
+                b = found[key]
+                j = join(a, b)
+                if j._set not in found:
+                    found[j._set] = j
+                    new.append(j)
+        frontier = new
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))

@@ -142,13 +142,6 @@ class AlgElement:
     def augmentation(self) -> int:
         return self.algebra.augmentation_vec(self.coeffs)
 
-    def as_fp_vector(self) -> fl.FpVector:
-        return fl.FpVector.from_array(self.coeffs, self.algebra.p)
-
-
-def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
-    return x * y
-
 
 def augmentation(x: AlgElement) -> int:
     return x.augmentation()
@@ -196,41 +189,42 @@ def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
     C.  The orbits are derived from the generators, so the check that they
     are the |G:N| cosets of N re-derives dim I(N)G = n - n/|N|.
     """
-    key = ("rel_aug", n_sub.elements)
-    if key not in A._cache:
-        if n_sub.parent is not A.group:
-            raise ValueError("subgroup of a different group")
-        if not n_sub.is_normal():
-            raise NotNormalError("relative augmentation ideal needs a normal subgroup")
-        n = A.dim
-        gens = n_sub.generators or tuple(g for g in n_sub.elements if g)
-        # min-label propagation: every g ends labelled by its orbit's least index
-        idx = np.arange(n)
-        label = idx
-        while True:
-            prev = label
-            for m in gens:
-                label = np.minimum(label, label[A.group.mul[m, :]])
-            if np.array_equal(label, prev):
-                break
-        roots = np.nonzero(label == idx)[0]
-        sizes = np.bincount(label)[roots]
-        if roots.size != n // n_sub.order or (sizes != n_sub.order).any():
-            raise InternalCheckError(
-                f"generators of a normal subgroup of order {n_sub.order} have "
-                f"{roots.size} orbits of sizes {sorted(set(sizes.tolist()))} "
-                f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
-            )
-        last = np.zeros(n, dtype=np.int64)
-        np.maximum.at(last, label, idx)
-        last = last[label]
-        rows = np.nonzero(last != idx)[0]
-        basis = np.zeros((rows.size, n), dtype=np.int64)
-        basis[np.arange(rows.size), rows] = 1
-        basis[np.arange(rows.size), last[rows]] = A.p - 1
-        space = Subspace(A.p, n, basis, tuple(rows.tolist()))
-        A._cache[key] = AlgIdeal(A, space)
-    return A._cache[key]
+    if n_sub.parent is not A.group:
+        raise ValueError("subgroup of a different group")
+    if not n_sub.is_normal():
+        raise NotNormalError("relative augmentation ideal needs a normal subgroup")
+    return _orbit_ideal(A, n_sub)
+
+
+@gc._memo
+def _orbit_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
+    n = A.dim
+    gens = n_sub.generators or tuple(g for g in n_sub.elements if g)
+    # min-label propagation: every g ends labelled by its orbit's least index
+    idx = np.arange(n)
+    label = idx
+    while True:
+        prev = label
+        for m in gens:
+            label = np.minimum(label, label[A.group.mul[m, :]])
+        if np.array_equal(label, prev):
+            break
+    roots = np.nonzero(label == idx)[0]
+    sizes = np.bincount(label)[roots]
+    if roots.size != n // n_sub.order or (sizes != n_sub.order).any():
+        raise InternalCheckError(
+            f"generators of a normal subgroup of order {n_sub.order} have "
+            f"{roots.size} orbits of sizes {sorted(set(sizes.tolist()))} "
+            f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
+        )
+    last = np.zeros(n, dtype=np.int64)
+    np.maximum.at(last, label, idx)
+    last = last[label]
+    rows = np.nonzero(last != idx)[0]
+    basis = np.zeros((rows.size, n), dtype=np.int64)
+    basis[np.arange(rows.size), rows] = 1
+    basis[np.arange(rows.size), last[rows]] = A.p - 1
+    return AlgIdeal(A, Subspace(A.p, n, basis, tuple(rows.tolist())))
 
 
 def augmentation_span(A: GroupAlgebra, sub: Subgroup) -> Subspace:
@@ -272,7 +266,7 @@ def _ideal_chain(A: GroupAlgebra, n: int) -> Subspace:
     if not chain:
         chain.append(fl.full_subspace(A.p, A.dim))
         chain.append(augmentation_ideal(A).space)
-    gens = gc.burnside_basis(A.group) if A.group.order > 1 else []
+    gens = gc.burnside_basis(A.group)
     while len(chain) <= n:
         prev = chain[-1]
         if prev.dim == 0:
@@ -321,6 +315,7 @@ def ideal_product(i: AlgIdeal, j: AlgIdeal) -> AlgIdeal:
     return AlgIdeal(i.algebra, subspace_product(i.algebra, i.space, j.space))
 
 
+@gc._memo
 def nilpotency_index(A: GroupAlgebra) -> int:
     """Least n with I(G)^n = 0."""
     n = 1
@@ -340,35 +335,34 @@ def _one_minus_rows(A: GroupAlgebra) -> np.ndarray:
     return rows % A.p
 
 
+@gc._memo
 def jennings_by_ideal(A: GroupAlgebra) -> list[Subgroup]:
     """Dimension subgroups D_n = { g : g - 1 in I^n }.
 
     The result is checked, term by term, against the product-formula
     computation on the group side; disagreement raises loudly.
     """
-    if "jennings_by_ideal" not in A._cache:
-        G = A.group
-        rows = _one_minus_rows(A)
-        series: list[Subgroup] = []
-        n = 1
-        while True:
-            space = _ideal_chain(A, n)
-            residual = space.reduce_rows(rows)
-            members = [g for g in range(A.dim) if not residual[g].any()]
-            sub = G.subgroup(gc._reduce_generators(G, members))
-            if set(sub.elements) != set(members):
-                raise InternalCheckError("ideal-membership set is not a subgroup")
-            series.append(sub)
-            if sub.is_trivial():
-                break
-            n += 1
-        formula = gc.jennings_series_product_formula(G)
-        if [s.elements for s in series] != [s.elements for s in formula]:
-            raise InternalCheckError(
-                "ideal-membership Jennings series disagrees with the product formula"
-            )
-        A._cache["jennings_by_ideal"] = series
-    return list(A._cache["jennings_by_ideal"])
+    G = A.group
+    rows = _one_minus_rows(A)
+    series: list[Subgroup] = []
+    n = 1
+    while True:
+        space = _ideal_chain(A, n)
+        residual = space.reduce_rows(rows)
+        members = [g for g in range(A.dim) if not residual[g].any()]
+        sub = G.subgroup(gc._reduce_generators(G, members))
+        if set(sub.elements) != set(members):
+            raise InternalCheckError("ideal-membership set is not a subgroup")
+        series.append(sub)
+        if sub.is_trivial():
+            break
+        n += 1
+    formula = gc.jennings_series_product_formula(G)
+    if [s.elements for s in series] != [s.elements for s in formula]:
+        raise InternalCheckError(
+            "ideal-membership Jennings series disagrees with the product formula"
+        )
+    return series
 
 
 def loewy_layer_dims(A: GroupAlgebra) -> list[int]:
@@ -404,42 +398,39 @@ def jennings_poincare_layer_dims(G: FiniteGroup) -> list[int]:
 # commutator subspace, center, projections
 
 
+@gc._memo
 def commutator_subspace(A: GroupAlgebra) -> Subspace:
     """[kG, kG]: spanned by the in-class differences x - rep(class of x)."""
-    if "commutator_subspace" not in A._cache:
-        n = A.dim
-        rows = []
-        for cls in A.group.conjugacy_classes():
-            rep = cls[0]
-            for x in cls[1:]:
-                row = np.zeros(n, dtype=np.int64)
-                row[x] += 1
-                row[rep] -= 1
-                rows.append(row % A.p)
-        A._cache["commutator_subspace"] = fl.rref(rows, A.p, n)
-    return A._cache["commutator_subspace"]
+    n = A.dim
+    rows = []
+    for cls in A.group.conjugacy_classes():
+        rep = cls[0]
+        for x in cls[1:]:
+            row = np.zeros(n, dtype=np.int64)
+            row[x] += 1
+            row[rep] -= 1
+            rows.append(row % A.p)
+    return fl.rref(rows, A.p, n)
 
 
+@gc._memo
 def algebra_center(A: GroupAlgebra) -> Subspace:
     """Solutions of xg = gx for a generating set; class sums as a basis."""
-    if "algebra_center" not in A._cache:
-        n = A.dim
-        eye = np.eye(n, dtype=np.int64)
-        gens = gc.burnside_basis(A.group) if n > 1 else []
-        if not gens:
-            A._cache["algebra_center"] = fl.full_subspace(A.p, n)
-            return A._cache["algebra_center"]
-        blocks = []
-        for g in gens:
-            r_mat = eye[A.group.mul[:, g]]
-            l_mat = eye[A.group.mul[g, :]]
-            blocks.append((r_mat - l_mat) % A.p)
-        stacked = np.concatenate(blocks, axis=1)
-        space = fl.kernel(stacked, A.p)
-        if space.dim != len(A.group.conjugacy_classes()):
-            raise InternalCheckError("center dimension != number of conjugacy classes")
-        A._cache["algebra_center"] = space
-    return A._cache["algebra_center"]
+    n = A.dim
+    eye = np.eye(n, dtype=np.int64)
+    gens = gc.burnside_basis(A.group)
+    if not gens:
+        return fl.full_subspace(A.p, n)
+    blocks = []
+    for g in gens:
+        r_mat = eye[A.group.mul[:, g]]
+        l_mat = eye[A.group.mul[g, :]]
+        blocks.append((r_mat - l_mat) % A.p)
+    stacked = np.concatenate(blocks, axis=1)
+    space = fl.kernel(stacked, A.p)
+    if space.dim != len(A.group.conjugacy_classes()):
+        raise InternalCheckError("center dimension != number of conjugacy classes")
+    return space
 
 
 def center_decomposition(A: GroupAlgebra) -> tuple[Subspace, Subspace, Subspace]:
@@ -568,12 +559,7 @@ class ElementaryQuotient:
         self.m_sub = m_sub
         self.k_sub = k_sub
         self.p = p
-        rank = 0
-        q = m_sub.order // k_sub.order
-        while p**rank < q:
-            rank += 1
-        if p**rank != q:
-            raise ValueError("quotient order is not a p-power")
+        rank = gc.log_p(m_sub.order // k_sub.order, p)
         self.rank = rank
         pool = list(rep_pool) if rep_pool is not None else list(m_sub.elements)
         basis: list[int] = []
@@ -635,6 +621,7 @@ class GradedPowerMap:
         return self.domain.rank - self.kernel().dim
 
 
+@gc._memo
 def power_quotient_map(G: FiniteGroup, t: int) -> GradedPowerMap:
     """The p^{t-1} power map from the central p^t-torsion modulo Frattini
     into the graded piece of p^{t-1}-th powers modulo p^t-th powers.
@@ -645,33 +632,30 @@ def power_quotient_map(G: FiniteGroup, t: int) -> GradedPowerMap:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    key = ("power_quotient_map", t)
-    if key not in G._cache:
-        p = G.p
-        z = gc.center(G)
-        otz = gc.omega(z, t)
-        phi = gc.frattini(G)
-        derived = gc.commutator_subgroup(G)
-        dom = ElementaryQuotient(gc.join(otz, phi), phi, rep_pool=otz.elements)
-        top = gc.join(gc.agemo(G, t - 1), derived)
-        bottom = gc.join(gc.agemo(G, t), derived)
-        cod = ElementaryQuotient(top, bottom)
-        q = p ** (t - 1)
-        rows = []
-        for b in dom.basis:
-            rows.append(cod.coords(G.power(b, q)))
-            if dom.k_sub.order > 1:
-                k = dom.k_sub.elements[1]
-                second = G.mul_elems(b, k)
-                if not np.array_equal(cod.coords(G.power(second, q)), rows[-1]):
-                    raise InternalCheckError("graded power map is not well defined")
-        matrix = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, cod.rank), dtype=np.int64)
-        )
-        G._cache[key] = GradedPowerMap(dom, cod, q, matrix)
-    return G._cache[key]
+    p = G.p
+    z = gc.center(G)
+    otz = gc.omega(z, t)
+    phi = gc.frattini(G)
+    derived = gc.commutator_subgroup(G)
+    dom = ElementaryQuotient(gc.join(otz, phi), phi, rep_pool=otz.elements)
+    top = gc.join(gc.agemo(G, t - 1), derived)
+    bottom = gc.join(gc.agemo(G, t), derived)
+    cod = ElementaryQuotient(top, bottom)
+    q = p ** (t - 1)
+    rows = []
+    for b in dom.basis:
+        rows.append(cod.coords(G.power(b, q)))
+        if dom.k_sub.order > 1:
+            k = dom.k_sub.elements[1]
+            second = G.mul_elems(b, k)
+            if not np.array_equal(cod.coords(G.power(second, q)), rows[-1]):
+                raise InternalCheckError("graded power map is not well defined")
+    matrix = (
+        np.array(rows, dtype=np.int64)
+        if rows
+        else np.zeros((0, cod.rank), dtype=np.int64)
+    )
+    return GradedPowerMap(dom, cod, q, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +691,7 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
     d_n = series[n - 1] if n - 1 < len(series) else G.trivial_subgroup()
     d_n1 = series[n] if n < len(series) else G.trivial_subgroup()
     dom = ElementaryQuotient(gc.join(d_n, n_sub), gc.join(d_n1, n_sub))
-    rel = relative_augmentation_ideal(A, n_sub).space if n_sub.order > 1 else fl.zero_subspace(A.p, A.dim)
+    rel = relative_augmentation_ideal(A, n_sub).space
     top = _ideal_chain(A, n).sum(rel)
     bottom = _ideal_chain(A, n + 1).sum(rel)
     cod = Subquotient(top, bottom)
@@ -750,7 +734,7 @@ def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
     p = A.p
     q = p ** (t - 1)
     n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
-    rel = relative_augmentation_ideal(A, n_sub).space if n_sub.order > 1 else fl.zero_subspace(p, A.dim)
+    rel = relative_augmentation_ideal(A, n_sub).space
     dom = Subquotient(_ideal_chain(A, 1), _ideal_chain(A, 2))
     cod = Subquotient(_ideal_chain(A, q).sum(rel), _ideal_chain(A, q + 1).sum(rel))
     rows = []
@@ -798,7 +782,7 @@ def group_jennings_with_normal(A: GroupAlgebra, n_sub: Subgroup, n: int) -> Subg
     G = A.group
     if not n_sub.is_normal():
         raise NotNormalError("needs a normal subgroup")
-    rel = relative_augmentation_ideal(A, n_sub).space if n_sub.order > 1 else fl.zero_subspace(A.p, A.dim)
+    rel = relative_augmentation_ideal(A, n_sub).space
     space = _ideal_chain(A, n).sum(rel)
     residual = space.reduce_rows(_one_minus_rows(A))
     members = [g for g in range(A.dim) if not residual[g].any()]
@@ -871,8 +855,9 @@ def _unit_candidates(B: GroupAlgebra) -> list[np.ndarray]:
 
 def _vec_inverse(B: GroupAlgebra, u: np.ndarray) -> np.ndarray:
     # units of augmentation 1 have p-power order since I(B) is nilpotent
+    nil = nilpotency_index(B)
     k = 1
-    while B.p**k < nilpotency_index(B):
+    while B.p**k < nil:
         k += 1
     return B.power_vec(u, B.p**k - 1)
 
@@ -990,22 +975,20 @@ def iso_search_iter(
             return None
 
     cands = [prefiltered(i) for i in range(d)]
-    if d == 1:
-        for u in cands[0]:
-            if relations_hold([u]):
-                iso = build_iso([u])
-                if iso is not None:
-                    yield iso
-        return
-    for u1 in cands[0]:
-        if not relations_hold([u1, None]):
-            continue
-        for u2 in cands[1]:
-            if not relations_hold([u1, u2]):
-                continue
-            iso = build_iso([u1, u2])
+
+    def extend(images: list[np.ndarray]):
+        # depth-first over generator positions, candidates in encoding order
+        if len(images) == d:
+            iso = build_iso(images)
             if iso is not None:
                 yield iso
+            return
+        for u in cands[len(images)]:
+            trial = images + [u]
+            if relations_hold(trial + [None] * (d - len(trial))):
+                yield from extend(trial)
+
+    yield from extend([])
 
 
 def iso_search(
@@ -1059,11 +1042,7 @@ def check_ideal_complement(
     report["j_is_ideal"] = AlgIdeal(A, j_space).verify_two_sided()
     report["codim_matches"] = A.dim - j_space.dim == l_sub.order
     i2 = _ideal_chain(A, 2)
-    rel_n = (
-        relative_augmentation_ideal(A, n_sub).space
-        if n_sub.order > 1
-        else fl.zero_subspace(A.p, A.dim)
-    )
+    rel_n = relative_augmentation_ideal(A, n_sub).space
     report["degree_one_matches"] = j_space.sum(i2) == rel_n.sum(i2)
     kl_rows = np.eye(A.dim, dtype=np.int64)[list(l_sub.elements)]
     kl = fl.rref(kl_rows, A.p, A.dim)

@@ -191,3 +191,17 @@ def test_malformed_pcp_is_one_parse_error(tmp_path, text):
     assert proc.returncode == 2, proc.stderr
     report = json.loads(proc.stdout)
     assert report["error"]["kind"] == "parse"
+
+
+# interrupted before the bytes land (serialization) and after (the rename)
+@pytest.mark.parametrize("owner, attr", [(cli, "_canonical_json"), (os, "replace")], ids=["serialize", "rename"])
+def test_interrupted_cache_write_leaves_nothing_behind(monkeypatch, tmp_path, owner, attr):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(owner, attr, boom)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.fingerprint_cached("C4", cat.build("C4"), 1, None)
+    assert list(tmp_path.iterdir()) == []

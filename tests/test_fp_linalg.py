@@ -280,3 +280,23 @@ def test_kernel_matches_two_pass_construction(p, m, n, r, seed):
     assert np.array_equal(ker.basis, basis)
     assert not ((ker.basis @ a) % p).any()
     assert ker.dim == m - len(fl._rref(a, p)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=0, max_value=5),
+    k=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_intersect_matches_rref_of_enumerated_common_vectors(p, n, m, k, seed):
+    u = fl.rref(_matrix_of_rank(p, m, n, min(m, n), seed), p, n)
+    v = fl.rref(_matrix_of_rank(p, k, n, min(k, n), seed + 1), p, n)
+    every = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    for a, b in ((u, v), (v, u), (u, u), (u, fl.full_subspace(p, n))):
+        common = ~a.reduce_rows(every).any(axis=1) & ~b.reduce_rows(every).any(axis=1)
+        oracle_basis, oracle_pivots = fl._rref(every[common], p)
+        s = a.intersect(b)
+        assert s.pivots == oracle_pivots
+        assert np.array_equal(s.basis, oracle_basis)

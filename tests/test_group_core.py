@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mipkit import catalog as cat
 from mipkit import group_core as gc
+from mipkit import modular_algebra as ma
 
 
 def census(G):
@@ -404,3 +407,69 @@ def test_normal_subgroups_repeat_across_processes():
     ]
     assert runs[0].count("\n") == 3
     assert runs[0] == runs[1]
+
+
+# -- the memo rule: one cache mechanism, lists handed out as copies ---------
+
+
+def _list_valued_memos():
+    return {
+        "conjugacy_classes": lambda G, A: G.conjugacy_classes(),
+        "lower_central_series": lambda G, A: gc.lower_central_series(G),
+        "jennings_series_product_formula": lambda G, A: gc.jennings_series_product_formula(G),
+        "burnside_basis": lambda G, A: gc.burnside_basis(G),
+        "normal_subgroups": lambda G, A: gc.normal_subgroups(G),
+        "jennings_by_ideal": lambda G, A: ma.jennings_by_ideal(A),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_list_valued_memos()))
+def test_memoized_lists_are_handed_out_as_copies(name):
+    fn = _list_valued_memos()[name]
+    # a fresh build: cat.build would hand out the D8 every other test shares
+    G = next(e for e in cat.builtin_catalog() if e.name == "D8").build()
+    A = ma.GroupAlgebra(G)
+    first = fn(G, A)
+    expected = list(first)
+    first.clear()
+    assert fn(G, A) == expected
+
+
+def test_center_of_group_and_of_full_subgroup_share_one_entry(groups):
+    G = groups["Q8"]
+    assert gc.center(G) is gc.center(G.full_subgroup())
+    assert gc.lower_central_series(G) == gc.lower_central_series(G.full_subgroup())
+
+
+def test_memo_keys_on_arguments_and_keeps_types():
+    G = cat.build("C16")
+    assert [gc.omega(G, t).order for t in range(5)] == [1, 2, 4, 8, 16]
+    assert [gc.agemo(G, t).order for t in range(5)] == [16, 8, 4, 2, 1]
+    assert isinstance(gc.abelian_type(G), gc.AbelianType)
+    assert isinstance(G.exponent(), int) and isinstance(G.is_abelian, bool)
+    assert isinstance(G.full_subgroup().as_group(), tuple)
+
+
+def test_only_memo_touches_the_per_object_caches():
+    """Every ``._cache`` access sits in ``_memo``, in the constructors that
+    create the dict, in ``full_subgroup`` (which shares its parent's dict) or
+    in ``_ideal_chain`` (whose growing chain is not a function value)."""
+    allowed = {
+        ("group_core", "_memo"),
+        ("group_core", "__init__"),
+        ("group_core", "full_subgroup"),
+        ("modular_algebra", "__init__"),
+        ("modular_algebra", "_ideal_chain"),
+    }
+    found = set()
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        stack = [(tree, None)]
+        while stack:
+            node, func = stack.pop()
+            if func is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name  # the outermost function: _memo, not its wrapper
+            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+                found.add((path.stem, func))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert found - allowed == set()

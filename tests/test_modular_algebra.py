@@ -420,3 +420,13 @@ def test_algebra_over_p5():
     assert [ma._ideal_chain(A, n).dim for n in range(6)] == [5, 4, 3, 2, 1, 0]
     pm = ma.power_map_commutative(A, 1)
     assert pm.kernel.dim == 4 and pm.image_hull.dim == 1
+
+
+def test_relative_augmentation_ideal_checks_its_input_on_every_call():
+    from mipkit import catalog as cat
+
+    A = ma.GroupAlgebra(cat.build("D8"))
+    assert ma.relative_augmentation_ideal(A, gc.center(A.group)).dim == 4
+    # same element indices, other parent: a cached answer must not leak out
+    with pytest.raises(ValueError, match="different group"):
+        ma.relative_augmentation_ideal(A, gc.center(cat.build("Q8")))
