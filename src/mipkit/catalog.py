@@ -105,19 +105,12 @@ def builtin_catalog() -> list[CatalogEntry]:
     return list(_ENTRIES)
 
 
-_built: dict[str, FiniteGroup] = {}
-
-
 def build(name: str) -> FiniteGroup:
-    """Build (and memoize) a catalog group by name."""
-    if name not in _built:
-        for entry in _ENTRIES:
-            if entry.name == name:
-                _built[name] = entry.build()
-                break
-        else:
-            raise KeyError(f"unknown catalog group {name!r}")
-    return _built[name]
+    """Build a catalog group by name: a fresh group on every call."""
+    for entry in _ENTRIES:
+        if entry.name == name:
+            return entry.build()
+    raise KeyError(f"unknown catalog group {name!r}")
 
 
 def selftest_entry(entry: CatalogEntry) -> dict[str, bool]:

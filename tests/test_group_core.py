@@ -1,4 +1,6 @@
 import ast
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
+from mipkit import cli
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 
@@ -426,8 +430,7 @@ def _list_valued_memos():
 @pytest.mark.parametrize("name", sorted(_list_valued_memos()))
 def test_memoized_lists_are_handed_out_as_copies(name):
     fn = _list_valued_memos()[name]
-    # a fresh build: cat.build would hand out the D8 every other test shares
-    G = next(e for e in cat.builtin_catalog() if e.name == "D8").build()
+    G = cat.build("D8")
     A = ma.GroupAlgebra(G)
     first = fn(G, A)
     expected = list(first)
@@ -473,3 +476,108 @@ def test_only_memo_touches_the_per_object_caches():
                 found.add((path.stem, func))
             stack.extend((child, func) for child in ast.iter_child_nodes(node))
     assert found - allowed == set()
+
+
+# -- Light's associativity test against the n^3 oracle -----------------------
+
+
+def _associative_n3(mul):
+    """The exhaustive check over all n^3 triples, chunked to bound memory:
+    the oracle for Light's test."""
+    n = mul.shape[0]
+    chunk = max(1, (1 << 22) // (n * n))
+    for start in range(0, n, chunk):
+        block = np.arange(start, min(start + chunk, n))
+        if not np.array_equal(mul[mul[block], :], mul[block][:, mul]):
+            return False
+    return True
+
+
+def _cycle_switches(mul, length):
+    """(a, c, cycle) for every Latin-preserving row switch of a group table.
+
+    For rows a, c the columns map as b -> d with c*d = a*b; on a cycle of
+    that map rows a and c can trade their entries and every row and column
+    stays a permutation.  A 2-cycle is an intercalate swap.  Row 0, column 0
+    and the value 0 are left alone, so the identity and inverses survive.
+    """
+    n = mul.shape[0]
+    col_of = np.argsort(mul, axis=1)  # col_of[c, v]: the column where row c holds v
+    found = []
+    for a, c in itertools.combinations(range(1, n), 2):
+        step = col_of[c, mul[a]]
+        for b in range(1, n):
+            cycle = [b]
+            while len(cycle) <= length and step[cycle[-1]] != b:
+                cycle.append(int(step[cycle[-1]]))
+            if len(cycle) == length and min(cycle) == b and 0 not in cycle and 0 not in mul[a, cycle]:
+                found.append((a, c, cycle))
+    return found
+
+
+def _switched(mul, a, c, cycle):
+    table = mul.copy()
+    table[a, cycle], table[c, cycle] = mul[c, cycle], mul[a, cycle]
+    return table
+
+
+SWITCH_SAMPLE = 100
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in cat.builtin_catalog() if gc.PcPresentation.parse(e.presentation).order <= 81]
+)
+def test_light_test_rejects_exactly_what_the_n3_oracle_rejects(name, groups):
+    """Row switches of a catalog table (all of them, or a seeded sample of
+    SWITCH_SAMPLE where there are more than 500) reach the associativity
+    check; ``from_mul_table`` must raise the one associativity error exactly
+    when the n^3 oracle rejects."""
+    G = groups[name]
+    assert _associative_n3(G.mul)
+    switches = _cycle_switches(G.mul, 2 if G.p == 2 else 3)
+    if name == "D8xC2":
+        assert len(switches) == 462
+    if len(switches) > 500:
+        rng = np.random.default_rng(6)
+        switches = [switches[i] for i in rng.choice(len(switches), SWITCH_SAMPLE, replace=False)]
+    for a, c, cycle in switches:
+        table = _switched(G.mul, a, c, cycle)
+        if _associative_n3(table):
+            gc.from_mul_table(table)
+        else:
+            with pytest.raises(gc.PresentationError) as info:
+                gc.from_mul_table(table)
+            assert type(info.value) is gc.PresentationError
+            assert str(info.value) == "multiplication table is not associative"
+
+
+def test_non_associative_mul_file_is_one_parse_error(capsys, monkeypatch, tmp_path):
+    mul = cat.build("D8xC2").mul
+    table = next(
+        t for t in (_switched(mul, *s) for s in _cycle_switches(mul, 2)) if not _associative_n3(t)
+    )
+    path = tmp_path / "bad.mul"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in table.tolist()))
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    code = cli.main(["--no-timing", "analyze", f"@{path}"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert report["error"]["message"].endswith("multiplication table is not associative")
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "Q8xC2", "Heis27", "M27"])
+def test_relabeled_table_has_the_same_fingerprint(name, groups):
+    """A random relabeling fixing 0, fed as a raw table, is accepted with
+    generators chosen greedily in its own index order and gives the
+    fingerprint of the presentation build."""
+    G = groups[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    table = np.empty_like(G.mul)
+    table[np.ix_(perm, perm)] = perm[G.mul]
+    H = gc.from_mul_table(table, name=name)
+    gens = gc._light_generators(H.mul)
+    assert gens == sorted(gens)
+    assert tuple(gens) == gc._reduce_generators(H, H.elements())
+    assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()
