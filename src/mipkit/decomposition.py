@@ -211,12 +211,6 @@ class HomocyclicDecomposition:
             orders.extend([self.group.p**comp.t] * comp.rank)
         return AbelianType(tuple(sorted(orders, reverse=True)))
 
-    def component_rank(self, t: int) -> int:
-        for comp in self.components:
-            if comp.t == t:
-                return comp.rank
-        return 0
-
 
 def _formula_component_rank(G: FiniteGroup, t: int) -> int:
     """Rank of the exponent-p^t homocyclic component of the abelian group

@@ -6,6 +6,10 @@ augmentation and relative augmentation ideals, ideal powers, the
 commutator subspace and algebra center, the Jennings series via ideal
 membership, power maps between graded quotients, and a bounded
 exhaustive search for explicit algebra isomorphisms of tiny algebras.
+
+Products go through one left-translation table per algebra, row g of
+``mul[inv]``, which maps y to g . y; xy is then a single gather over the
+nonzero coefficients of x.
 """
 
 from __future__ import annotations
@@ -67,29 +71,37 @@ class GroupAlgebra:
 
     # -- raw vector arithmetic -------------------------------------------------
 
+    @gc._memo
+    def _left_table(self) -> np.ndarray:
+        """Row g is the left translation by g: (g . y) = y[table[g]]."""
+        table = self.group.mul[self.group.inv]
+        table.setflags(write=False)
+        return table
+
     def _left_perm(self, g: int) -> np.ndarray:
-        # (g . y) = y[mul[g^-1, :]]
-        return self.group.mul[self.group.inv[g], :]
+        return self._left_table()[g]
 
     def _right_perm(self, g: int) -> np.ndarray:
         # (x . g) = x[mul[:, g^-1]]
         return self.group.mul[:, self.group.inv[g]]
 
     def multiply_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.dim, dtype=np.int64)
-        for g in np.nonzero(x)[0]:
-            z += x[g] * y[self._left_perm(int(g))]
-        return z % self.p
+        # xy = sum over g of x[g] (g . y): one gather of the translated rows
+        nz = np.flatnonzero(x)
+        return (x[nz] @ y[self._left_table()[nz]]) % self.p
 
     def power_vec(self, x: np.ndarray, k: int) -> np.ndarray:
-        result = np.zeros(self.dim, dtype=np.int64)
-        result[0] = 1
+        result = None
         base = x % self.p
         while k:
             if k & 1:
-                result = self.multiply_vec(result, base)
-            base = self.multiply_vec(base, base)
+                result = base if result is None else self.multiply_vec(result, base)
             k >>= 1
+            if k:
+                base = self.multiply_vec(base, base)
+        if result is None:
+            result = np.zeros(self.dim, dtype=np.int64)
+            result[0] = 1
         return result
 
     def augmentation_vec(self, x: np.ndarray) -> int:
@@ -300,11 +312,12 @@ def subspace_product(A: GroupAlgebra, u: Subspace, v: Subspace) -> Subspace:
         return fl.zero_subspace(A.p, A.dim)
     builder = fl.SubspaceBuilder(A.p, A.dim)
     vb = v.basis
+    left = A._left_table()
     for x in u.basis:
         # x . (every basis row of v) at once
         acc = np.zeros_like(vb)
-        for g in np.nonzero(x)[0]:
-            acc += x[g] * vb[:, A._left_perm(int(g))]
+        for g in np.flatnonzero(x):
+            acc += x[g] * vb[:, left[g]]
         builder.absorb(acc % A.p)
     return builder.subspace()
 
@@ -835,31 +848,40 @@ class AlgebraIso:
         return fl.rref((space.basis @ self.matrix) % self.source.p, self.source.p)
 
 
-def _int_to_vec(k: int, p: int, n: int) -> np.ndarray:
-    digits = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        digits[i] = k % p
+def _unit_candidates(B: GroupAlgebra) -> np.ndarray:
+    """All of 1 + I(B), one row each, ordered by the little-endian integer
+    encoding of the coefficient vector.
+
+    The first n-1 coefficients run through every value in encoding order
+    and the last is the one that makes the augmentation 1; a stable sort
+    on that most significant digit restores the full encoding order.
+    """
+    p, n = B.p, B.dim
+    count = p ** (n - 1)
+    units = np.empty((count, n), dtype=np.int8)
+    k = np.arange(count)
+    for i in range(n - 1):
+        units[:, i] = k % p
         k //= p
-    return digits
+    units[:, n - 1] = (1 - units[:, : n - 1].sum(axis=1)) % p
+    return units[np.argsort(units[:, n - 1], kind="stable")]
 
 
-def _unit_candidates(B: GroupAlgebra) -> list[np.ndarray]:
-    """All of 1 + I(B), ordered by the little-endian integer encoding."""
-    out = []
-    for k in range(B.p**B.dim):
-        v = _int_to_vec(k, B.p, B.dim)
-        if B.augmentation_vec(v) == 1:
-            out.append(v)
-    return out
+def _inverse_exponent(B: GroupAlgebra) -> int:
+    """An e with u^e = u^-1 for every unit u of augmentation 1.
 
-
-def _vec_inverse(B: GroupAlgebra, u: np.ndarray) -> np.ndarray:
-    # units of augmentation 1 have p-power order since I(B) is nilpotent
+    Such units have p-power order because I(B) is nilpotent: with
+    p^k >= nilpotency_index(B), (u - 1)^{p^k} = 0, so u^{p^k} = 1.
+    """
     nil = nilpotency_index(B)
     k = 1
     while B.p**k < nil:
         k += 1
-    return B.power_vec(u, B.p**k - 1)
+    return B.p**k - 1
+
+
+def _vec_inverse(B: GroupAlgebra, u: np.ndarray) -> np.ndarray:
+    return B.power_vec(u, _inverse_exponent(B))
 
 
 def iso_search_iter(
@@ -888,73 +910,73 @@ def iso_search_iter(
     d = len(presentation.rel_orders)
     if d > ISO_SEARCH_GEN_CAP:
         raise CapExceededError(f"iso search capped at {ISO_SEARCH_GEN_CAP} generators")
-    gen_indices = A.group.provenance.get("gen_indices") or gc._pcp_generator_indices(presentation)
 
+    # Candidates are row indices into one unit table.  Each power u^e a
+    # relation needs, the inverse among them, is computed once per unit and
+    # kept in a table of the same narrow dtype; -1 marks a row not yet filled.
     units = _unit_candidates(B)
+    inverse_e = _inverse_exponent(B)
+    radices = presentation.rel_orders
+    one = np.zeros(B.dim, dtype=np.int64)
+    one[0] = 1
+    power_tables: dict[int, np.ndarray] = {}
 
-    def eval_word(word, images) -> np.ndarray:
-        acc = np.zeros(B.dim, dtype=np.int64)
-        acc[0] = 1
+    def power(u: int, e: int) -> np.ndarray:
+        if e == 1:
+            return units[u].astype(np.int64)
+        table = power_tables.get(e)
+        if table is None:
+            table = power_tables[e] = np.full(units.shape, -1, dtype=np.int8)
+        if table[u, 0] < 0:
+            table[u] = B.power_vec(units[u].astype(np.int64), e)
+        return table[u].astype(np.int64)
+
+    def eval_word(word, images: list[int]) -> np.ndarray:
+        acc = one
         for g, e in word:
-            acc = B.multiply_vec(acc, B.power_vec(images[g], e))
+            factor = power(images[g], e)
+            acc = factor if acc is one else B.multiply_vec(acc, factor)
         return acc
 
-    def relations_hold(images: list[Optional[np.ndarray]]) -> bool:
-        for i in range(d):
-            u = images[i]
-            if u is None:
-                continue
-            word = presentation.power_word(i)
-            if any(images[g] is None for g, _ in word):
-                continue
-            if not np.array_equal(B.power_vec(u, presentation.rel_orders[i]), eval_word(word, images)):
-                return False
-        for (j, i), word in presentation.commutators.items():
-            if images[i] is None or images[j] is None:
-                continue
-            if any(images[g] is None for g, _ in word):
-                continue
-            ui, uj = images[i], images[j]
-            lhs = B.multiply_vec(
-                B.multiply_vec(_vec_inverse(B, uj), _vec_inverse(B, ui)),
-                B.multiply_vec(uj, ui),
-            )
-            if not np.array_equal(lhs, eval_word(word, images)):
-                return False
-        # default trivial commutators must also hold
-        for j in range(d):
-            for i in range(j):
-                if (j, i) in presentation.commutators:
-                    continue
-                if images[i] is None or images[j] is None:
-                    continue
-                lhs = B.multiply_vec(images[j], images[i])
-                rhs = B.multiply_vec(images[i], images[j])
-                if not np.array_equal(lhs, rhs):
-                    return False
-        return True
+    def power_holds(im: list[int], i: int, word) -> bool:
+        return np.array_equal(power(im[i], radices[i]), eval_word(word, im))
 
-    def prefiltered(i: int) -> list[np.ndarray]:
+    def commutator_holds(im: list[int], i: int, j: int, word) -> bool:
+        ui, uj = power(im[i], 1), power(im[j], 1)
+        if word is None:
+            # a commutator the presentation omits is trivial: the images commute
+            return np.array_equal(B.multiply_vec(uj, ui), B.multiply_vec(ui, uj))
+        lhs = B.multiply_vec(
+            B.multiply_vec(power(im[j], inverse_e), power(im[i], inverse_e)),
+            B.multiply_vec(uj, ui),
+        )
+        return np.array_equal(lhs, eval_word(word, im))
+
+    # Each relation is filed under the last generator it involves and
+    # checked when that generator's image is chosen; a prefix of images is
+    # extended only after every relation among it holds.
+    checks: list[list] = [[] for _ in range(d)]
+    for i in range(d):
         word = presentation.power_word(i)
-        if word:
-            return units
-        out = []
-        one = np.zeros(B.dim, dtype=np.int64)
-        one[0] = 1
-        for u in units:
-            if np.array_equal(B.power_vec(u, presentation.rel_orders[i]), one):
-                out.append(u)
-        return out
+        checks[max([i] + [g for g, _ in word])].append((power_holds, (i, word)))
+    for j in range(d):
+        for i in range(j):
+            word = presentation.commutators.get((j, i))
+            last = max([j] + [g for g, _ in word or ()])
+            checks[last].append((commutator_holds, (i, j, word)))
 
-    radices = presentation.rel_orders
+    def prefiltered(i: int) -> list[int]:
+        if presentation.power_word(i):
+            return list(range(len(units)))
+        return [u for u in range(len(units)) if np.array_equal(power(u, radices[i]), one)]
+
     tuples = list(itertools.product(*[range(m) for m in radices]))
 
     def build_iso(images: list[np.ndarray]) -> Optional[AlgebraIso]:
         vecs: dict[tuple, np.ndarray] = {}
         for tup in tuples:
             if not any(tup):
-                v = np.zeros(B.dim, dtype=np.int64)
-                v[0] = 1
+                v = one.copy()
             else:
                 i = max(k for k in range(d) if tup[k])
                 prev = list(tup)
@@ -962,7 +984,7 @@ def iso_search_iter(
                 v = B.multiply_vec(vecs[tuple(prev)], images[i])
             vecs[tup] = v
         matrix = np.zeros((A.dim, B.dim), dtype=np.int64)
-        for pos, tup in enumerate(tuples):
+        for tup in tuples:
             idx = 0
             for a, m in zip(tup, radices):
                 idx = idx * m + a
@@ -976,16 +998,17 @@ def iso_search_iter(
 
     cands = [prefiltered(i) for i in range(d)]
 
-    def extend(images: list[np.ndarray]):
+    def extend(images: list[int]):
         # depth-first over generator positions, candidates in encoding order
         if len(images) == d:
-            iso = build_iso(images)
+            iso = build_iso([power(u, 1) for u in images])
             if iso is not None:
                 yield iso
             return
-        for u in cands[len(images)]:
+        level = len(images)
+        for u in cands[level]:
             trial = images + [u]
-            if relations_hold(trial + [None] * (d - len(trial))):
+            if all(holds(trial, *args) for holds, args in checks[level]):
                 yield from extend(trial)
 
     yield from extend([])

@@ -27,6 +27,28 @@ def test_catalog_command(capsys, monkeypatch, tmp_path):
     assert "timing" not in report
 
 
+def test_argparse_error_then_a_good_command_in_one_process(capsys, monkeypatch, tmp_path):
+    # exit 2 with argparse's own stderr, and a failed parse leaves the next
+    # command in the same process unaffected
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    for _ in range(2):
+        assert cli.main(["--no-timing", "analyze"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mipkit analyze")
+        assert captured.err.endswith(
+            "mipkit analyze: error: the following arguments are required: group\n"
+        )
+        assert cli.main(["--no-timing", "catalog"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["command"] == "catalog" and "timing" not in report
+        assert [e["name"] for e in report["result"]["entries"]] == [
+            e.name for e in cat.builtin_catalog()
+        ]
+
+
 def test_selftest_command(capsys, monkeypatch, tmp_path):
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "selftest")
     assert code == 0

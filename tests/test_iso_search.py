@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -148,3 +150,53 @@ def test_complement_criterion_through_extended_witness(algebras, d8_exotic):
         ext.target, j, emb_n_h.image_subgroup(), emb_l_h.image_subgroup()
     )
     assert all(report.values()), report
+
+
+# -- the search order --------------------------------------------------------
+
+
+def _int_to_vec(k, p, n):
+    """Little-endian base-p digits of k: the encoding that orders candidates."""
+    digits = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        digits[i] = k % p
+        k //= p
+    return digits
+
+
+def _units_by_encoding(B):
+    """1 + I(B) by filtering every integer below p^n: the oracle order."""
+    vecs = (_int_to_vec(k, B.p, B.dim) for k in range(B.p**B.dim))
+    return np.array([v for v in vecs if v.sum() % B.p == 1])
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2xC2", "D8", "C9", "C3xC3", "C5"])
+def test_unit_candidates_in_encoding_order(algebras, name):
+    if name == "C5":
+        B = ma.GroupAlgebra(gc.from_pc_presentation("p 5\ngens 1\norder 1 5\n", name="C5"))
+    else:
+        B = algebras[name]
+    units = ma._unit_candidates(B)
+    assert units.shape == (B.p ** (B.dim - 1), B.dim)
+    assert np.array_equal(units, _units_by_encoding(B))
+
+
+# SHA-256 of json.dumps([list of generator_images of every automorphism
+# iso_search_iter yields, in order], separators=(",", ":")), recorded from the
+# per-candidate search that re-derived every power and inverse.
+_SELF_SEARCH_DIGESTS = {
+    "D8": (512, "81b1692e66a57b3b5b70d46c0d1252bf695c8065b34b4f16533b9db9b2b1df80"),
+    "Q8": (1536, "27fdf22c1b946029a47daa2d3e1f7dec6c7f1f22e6717eabd5b08afc874534c5"),
+    "C4xC2": (2048, "2d680aeb6f2d5bfb8044f8e96d694e3fb7efe5ab11c7ed8d5dceacdfbf49e37e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SELF_SEARCH_DIGESTS))
+def test_self_search_enumeration_is_pinned(algebras, name):
+    A = algebras[name]
+    images = [
+        [list(u) for u in iso.generator_images]
+        for iso in ma.iso_search_iter(A, ma.GroupAlgebra(A.group))
+    ]
+    digest = hashlib.sha256(json.dumps(images, separators=(",", ":")).encode()).hexdigest()
+    assert (len(images), digest) == _SELF_SEARCH_DIGESTS[name]

@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mipkit import catalog as cat
 from mipkit import fp_linalg as fl
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
@@ -430,3 +435,92 @@ def test_relative_augmentation_ideal_checks_its_input_on_every_call():
     # same element indices, other parent: a cached answer must not leak out
     with pytest.raises(ValueError, match="different group"):
         ma.relative_augmentation_ideal(A, gc.center(cat.build("Q8")))
+
+
+# -- the product kernel against the per-coefficient loop ---------------------
+
+
+def _multiply_loop(A, x, y):
+    """xy as the sum of x[g] (g . y) over the nonzero coefficients, one left
+    translation y[mul[g^-1, :]] at a time: the oracle for the gather."""
+    G = A.group
+    z = np.zeros(A.dim, dtype=np.int64)
+    for g in np.nonzero(x)[0]:
+        z += x[g] * y[G.mul[G.inv[g], :]]
+    return z % A.p
+
+
+def _power_loop(A, x, k):
+    z = np.zeros(A.dim, dtype=np.int64)
+    z[0] = 1
+    for _ in range(k):
+        z = _multiply_loop(A, z, x)
+    return z
+
+
+_PCP_GROUPS = {
+    "C5": "p 5\ngens 1\norder 1 5\n",
+    "C25": "p 5\ngens 1\norder 1 25\n",
+    "C5xC5": "p 5\ngens 2\norder 1 5\norder 2 5\n",
+    "C7": "p 7\ngens 1\norder 1 7\n",
+}
+_KERNEL_GROUPS = sorted(
+    [e.name for e in cat.builtin_catalog() if e.expected["order"] <= 27] + list(_PCP_GROUPS)
+)
+
+
+@functools.cache
+def _kernel_algebra(name):
+    if name in _PCP_GROUPS:
+        return ma.GroupAlgebra(gc.from_pc_presentation(_PCP_GROUPS[name], name=name))
+    return ma.GroupAlgebra(cat.build(name))
+
+
+@st.composite
+def _vectors(draw, A):
+    """Coefficient vectors of every density, from zero to full support."""
+    k = draw(st.integers(0, A.dim))
+    support = draw(st.permutations(range(A.dim)))[:k]
+    values = draw(st.lists(st.integers(1, A.p - 1), min_size=k, max_size=k))
+    v = np.zeros(A.dim, dtype=np.int64)
+    v[support] = values
+    return v
+
+
+def test_kernel_groups_cover_every_prime():
+    assert {_kernel_algebra(name).p for name in _KERNEL_GROUPS} == {2, 3, 5, 7}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(_KERNEL_GROUPS), data=st.data())
+def test_multiply_and_power_match_the_loop(name, data):
+    A = _kernel_algebra(name)
+    x = data.draw(_vectors(A))
+    y = data.draw(_vectors(A))
+    assert np.array_equal(A.multiply_vec(x, y), _multiply_loop(A, x, y))
+    for k in range(10):
+        assert np.array_equal(A.power_vec(x, k), _power_loop(A, x, k)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_KERNEL_GROUPS), data=st.data())
+def test_subspace_product_matches_the_loop(name, data):
+    A = _kernel_algebra(name)
+    xs = data.draw(st.lists(_vectors(A), max_size=3))
+    ys = data.draw(st.lists(_vectors(A), max_size=3))
+    u = fl.rref(xs, A.p, A.dim) if xs else fl.zero_subspace(A.p, A.dim)
+    v = fl.rref(ys, A.p, A.dim) if ys else fl.zero_subspace(A.p, A.dim)
+    products = [_multiply_loop(A, x, y) for x in u.basis for y in v.basis]
+    expected = fl.rref(products, A.p, A.dim) if products else fl.zero_subspace(A.p, A.dim)
+    assert ma.subspace_product(A, u, v) == expected
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "C9"])
+def test_vec_inverse_of_every_unit(algebras, name):
+    B = algebras[name]
+    one = np.zeros(B.dim, dtype=np.int64)
+    one[0] = 1
+    for u in ma._unit_candidates(B).astype(np.int64):
+        inv = ma._vec_inverse(B, u)
+        assert np.array_equal(B.multiply_vec(inv, u), one)
+        assert np.array_equal(B.multiply_vec(u, inv), one)
