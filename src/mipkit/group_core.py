@@ -11,6 +11,10 @@ two-sided identity and inverses, and it is proved associative by Light's
 test over a generating set found by BFS.  Caps keep orders small enough for
 dense tables to stay cheap.
 
+Subgroups of a validated table are closed by Dimino's walk over right
+cosets (``_grow``), which also picks the greedy generating witness in the
+same pass; it relies on associativity, so Light's test keeps its BFS.
+
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
 *args)``, so arguments are part of the key and a Subgroup argument matches
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -312,6 +317,10 @@ def _light_generators(mul: np.ndarray) -> list[int]:
     An index not yet reached becomes a generator; a BFS under right
     multiplication from the identity then extends the reached set.  The
     walk ends when every index is reached, which proves that they generate.
+
+    Not ``_grow``: this runs before the table is known to be associative,
+    and the BFS reaches every element as a left-nested product
+    (..(g_1 g_2)..) g_k, which is what Light's test needs.
     """
     n = mul.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -450,6 +459,13 @@ class FiniteGroup:
         return tab
 
     @_memo
+    def _columns(self) -> tuple[bytes, ...]:
+        """The table's columns, one byte per entry: ``_columns()[x][h]`` is
+        h x.  Every order cap is below 256; ``bytes`` rejects a larger entry.
+        A tuple, so that ``_memo`` hands it out without a copy."""
+        return tuple(bytes(col) for col in self.mul.T.tolist())
+
+    @_memo
     def commutator_table(self) -> np.ndarray:
         n = self.order
         ia = self.inv[:, None]
@@ -580,43 +596,66 @@ class Subgroup:
         return grp, tuple(self.elements)
 
 
-def _closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
+def _grow(G: FiniteGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]:
+    """The subgroup generated by ``elements``, as a set, and the greedy
+    witness: each element not yet in the subgroup H found so far, in order.
+
+    H grows to <H, g> by Dimino's walk over right cosets (G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991, ch. 3):
+    add H g, then a new coset H (r s) for each representative r and
+    generator s whose product lies outside the cosets found so far.  The
+    first generator's subgroup is its powers.  A coset stands in for its
+    elements because (h r) s = h (r s), so the table must be associative.
+    """
+    cols = G._columns()
     seen = {0}
-    frontier = [0]
-    gens = [g for g in gens if g != 0]
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = int(G.mul[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+    gens: list[int] = []
+    for g in elements:
+        if g in seen:
+            continue
+        gens.append(g)
+        if len(seen) == 1:
+            col, x = cols[g], g
+            while x:
+                seen.add(x)
+                x = col[x]
+            continue
+        coset = operator.itemgetter(*seen)  # H x as a tuple, |H| >= 2
+        seen.update(coset(cols[g]))
+        reps = [g]
+        for r in reps:  # grows as new cosets are found
+            for s in gens:
+                x = cols[s][r]
+                if x not in seen:
+                    reps.append(x)
+                    seen.update(coset(cols[x]))
+    return seen, gens
+
+
+def _closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(_grow(G, gens)[0]))
 
 
 def _reduce_generators(G: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
     """Small generating witness: greedy over the elements in given order."""
-    target = len(_closure(G, elements))
-    gens: list[int] = []
-    current = {0}
-    for g in elements:
-        if g not in current:
-            gens.append(g)
-            current = set(_closure(G, gens))
-            if len(current) == target:
-                break
-    return tuple(gens)
+    return tuple(_grow(G, elements)[1])
+
+
+def _generated(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
+    """The subgroup generated by ``elements``, witnessed by the greedy
+    generators of ``_reduce_generators`` in increasing order."""
+    seen, gens = _grow(G, elements)
+    return Subgroup(G, tuple(sorted(seen)), tuple(sorted(gens)))
 
 
 def subgroup_from_elements(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     elems = tuple(sorted(set(elements)))
-    return Subgroup(G, elems, _reduce_generators(G, elems))
+    seen, gens = _grow(G, elems)
+    if len(seen) != len(elems):
+        raise InternalCheckError(
+            f"{len(elems)} elements of {G.name} are not a subgroup: they generate order {len(seen)}"
+        )
+    return Subgroup(G, elems, tuple(gens))
 
 
 def _as_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
@@ -675,7 +714,7 @@ def commutator_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     G = s.parent
     idx = np.array(s.elements)
     comms = set(G.commutator_table()[np.ix_(idx, idx)].ravel().tolist())
-    return G.subgroup(_reduce_generators(G, sorted(comms)))
+    return _generated(G, sorted(comms))
 
 
 @_memo
@@ -688,7 +727,7 @@ def lower_central_series(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
     while True:
         prev = series[-1]
         comms = np.unique(ctab[np.ix_(np.array(prev.elements), s_idx)])
-        nxt = G.subgroup(_reduce_generators(G, [int(c) for c in comms]))
+        nxt = _generated(G, [int(c) for c in comms])
         if nxt == prev:
             break
         series.append(nxt)
@@ -706,7 +745,7 @@ def omega(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
     G = s.parent
     powmap = G.power_p_map(t)
     gens = [x for x in s.elements if powmap[x] == 0]
-    return G.subgroup(_reduce_generators(G, gens))
+    return _generated(G, gens)
 
 
 @_memo
@@ -718,7 +757,7 @@ def agemo(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
     G = s.parent
     powmap = G.power_p_map(t)
     gens = sorted({int(powmap[x]) for x in s.elements})
-    return G.subgroup(_reduce_generators(G, gens))
+    return _generated(G, gens)
 
 
 def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subgroup:
@@ -731,8 +770,7 @@ def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subg
         raise NotNormalError("relative omega needs a normal subgroup")
     powmap = G.power_p_map(t)
     gens = [x for x in s.elements if int(powmap[x]) in n]
-    result = G.subgroup(_reduce_generators(G, sorted(set(gens) | n._set)))
-    return result
+    return _generated(G, sorted(set(gens) | n._set))
 
 
 @_memo
@@ -807,8 +845,12 @@ def burnside_basis_extend(g: Union[FiniteGroup, Subgroup], seed: Sequence[int]) 
         if x not in current:
             basis.append(x)
             current = join(current, G.subgroup((x,)))
-    if set(_closure(G, basis)) != s._set:
-        raise InternalCheckError("extended basis does not generate")
+    generated = _grow(G, basis)[0]
+    if generated != s._set:
+        raise InternalCheckError(
+            f"extended basis generates a subgroup of order {len(generated)} of {G.name},"
+            f" not the given subgroup of order {s.order}"
+        )
     return basis
 
 
@@ -1079,7 +1121,7 @@ def from_mul_table(mul: np.ndarray, name: str = "G") -> FiniteGroup:
 def normal_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     gens = set(elements) - {0}
     closure_gens = {G.conjugate(x, g) for x in gens for g in G.elements()}
-    return G.subgroup(_reduce_generators(G, sorted(closure_gens))) if closure_gens else G.trivial_subgroup()
+    return _generated(G, sorted(closure_gens))
 
 
 @_memo

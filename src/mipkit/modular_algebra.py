@@ -363,7 +363,7 @@ def jennings_by_ideal(A: GroupAlgebra) -> list[Subgroup]:
         space = _ideal_chain(A, n)
         residual = space.reduce_rows(rows)
         members = [g for g in range(A.dim) if not residual[g].any()]
-        sub = G.subgroup(gc._reduce_generators(G, members))
+        sub = gc._generated(G, members)
         if set(sub.elements) != set(members):
             raise InternalCheckError("ideal-membership set is not a subgroup")
         series.append(sub)

@@ -31,7 +31,7 @@ def announce(tag: str, ok: bool, detail: str = "") -> None:
 
 def fresh_groups():
     """Rebuild every catalog group so no cross-test cache deflates timings."""
-    return {entry.name: entry.build() for entry in cat.builtin_catalog()}
+    return {entry.name: cat.build(entry.name) for entry in cat.builtin_catalog()}
 
 
 # -- A1 ---------------------------------------------------------------------

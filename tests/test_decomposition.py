@@ -149,9 +149,8 @@ def test_split_merges_with_abelian_products(groups):
 def test_split_determinism(groups):
     from mipkit import catalog as cat
 
-    entry = next(e for e in cat.builtin_catalog() if e.name == "D8xC4xC2")
-    a = dc.ab_nab_split(entry.build()).certificate
-    b = dc.ab_nab_split(entry.build()).certificate
+    a = dc.ab_nab_split(cat.build("D8xC4xC2")).certificate
+    b = dc.ab_nab_split(cat.build("D8xC4xC2")).certificate
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert json.dumps(a, sort_keys=True) == json.dumps(
         dc.ab_nab_split(groups["D8xC4xC2"]).certificate, sort_keys=True

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
@@ -581,3 +583,93 @@ def test_relabeled_table_has_the_same_fingerprint(name, groups):
     assert gens == sorted(gens)
     assert tuple(gens) == gc._reduce_generators(H, H.elements())
     assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()
+
+
+# -- subgroup closure: Dimino's coset walk against the set BFS ---------------
+
+
+def _closure_bfs(G, gens):
+    """BFS under right multiplication by the generators: the oracle for the
+    closure ``_grow`` finds."""
+    seen = {0}
+    frontier = [0]
+    gens = [g for g in gens if g != 0]
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            frontier.append(g)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = int(G.mul[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _reduce_generators_bfs(G, elements):
+    """The greedy witness, closing by BFS again after every generator it
+    adds: the oracle for the generators ``_grow`` picks."""
+    target = len(_closure_bfs(G, elements))
+    gens = []
+    current = {0}
+    for g in elements:
+        if g not in current:
+            gens.append(g)
+            current = set(_closure_bfs(G, gens))
+            if len(current) == target:
+                break
+    return tuple(gens)
+
+
+def _assert_walk_matches_bfs(G, xs):
+    assert gc._closure(G, xs) == _closure_bfs(G, xs)
+    assert gc._reduce_generators(G, xs) == _reduce_generators_bfs(G, xs)
+
+
+CATALOG_NAMES = [e.name for e in cat.builtin_catalog()]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_walk_matches_bfs_on_normal_subgroups(name, groups):
+    G = groups[name]
+    for N in gc.normal_subgroups(G):
+        _assert_walk_matches_bfs(G, N.elements)
+        _assert_walk_matches_bfs(G, N.generators)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_walk_matches_bfs_on_drawn_lists(name, groups, data):
+    """Shuffled prefixes of a normal subgroup (mostly not closed) mixed with
+    drawn elements, 0 and repeats among them."""
+    G = groups[name]
+    N = data.draw(st.sampled_from(gc.normal_subgroups(G)))
+    base = data.draw(st.permutations(N.elements))
+    cut = data.draw(st.integers(0, len(base)))
+    extra = data.draw(st.lists(st.integers(0, G.order - 1), max_size=6))
+    xs = data.draw(st.permutations(base[:cut] + extra + extra[:2]))
+    _assert_walk_matches_bfs(G, xs)
+
+
+def test_subgroup_from_elements_rejects_a_set_that_is_not_closed(groups):
+    D8 = groups["D8"]
+    assert gc._closure(D8, [1]) == (0, 1, 2, 3)
+    with pytest.raises(gc.InternalCheckError) as info:
+        gc.subgroup_from_elements(D8, [0, 1, 2])
+    assert str(info.value) == "3 elements of D8 are not a subgroup: they generate order 4"
+
+
+def test_basis_extension_outside_the_subgroup_is_an_internal_error(groups):
+    D8 = groups["D8"]
+    Z = gc.center(D8)
+    assert 4 not in Z
+    with pytest.raises(gc.InternalCheckError) as info:
+        gc.burnside_basis_extend(Z, (4,))
+    assert str(info.value) == (
+        "extended basis generates a subgroup of order 2 of D8, not the given subgroup of order 2"
+    )
