@@ -8,13 +8,27 @@ derived subgroup, central torsion times such a part, and joins.  The
 fingerprint collects, per catalog expression, the group-theoretic
 invariants its evaluation exposes, in a canonical byte-comparable JSON
 form.
+
+Expressions are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006).  A ``CanonicalExpr`` is one node ``(op, t,
+children)``, and constructing a node that already exists returns the
+existing object.  So equal expressions are one object, equality is
+identity and hashing is O(1).  Each node's key string, depth and
+``contains_derived`` are computed once, at construction; what each
+operator means for normal forms and evaluation is one row of ``_RULES``.
+
+Three pure functions are memoized for the life of the process, each
+filled on first use, never at import: ``normalize`` per (node, tau), the
+catalog per (depth_limit, t_max), and the catalog's distinct normal forms
+that ``fingerprint`` walks, per (depth_limit, t_max, tau).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from . import decomposition as dc
 from . import group_core as gc
@@ -26,225 +40,208 @@ class ContainmentError(ValueError):
     """An expression requiring G' <= N was evaluated where that fails."""
 
 
-@dataclass(frozen=True)
-class WholeGroup:
-    pass
+# Operator names, each also the head of its expressions' key strings.
+WHOLE_OP, DERIVED_OP, TRIVIAL_OP = "G", "G'", "1"
+OM, MHO, OMZ, JOIN = "Om", "Mho", "OmZ", "Join"
+# The operators that require G' <= N; N is always their last child.
+_ABOVE_OPS = (OM, MHO, OMZ)
+
+_INTERNED: dict[tuple, "CanonicalExpr"] = {}
 
 
-@dataclass(frozen=True)
-class DerivedSubgroup:
-    pass
+class CanonicalExpr:
+    """One interned expression node: operator, parameter t, children.
+
+    Nodes are never mutated after construction.  Copying or unpickling a
+    node returns the interned node.
+    """
+
+    __slots__ = ("op", "t", "children", "key", "depth", "contains_derived")
+
+    def __new__(cls, op: str, t: Optional[int] = None, children: tuple = ()):
+        ident = (op, t, children)
+        node = _INTERNED.get(ident)
+        if node is not None:
+            return node
+        node = super().__new__(cls)
+        node.op, node.t, node.children = ident
+        keys = [c.key for c in children]
+        if not children:
+            node.key = op
+        elif op == JOIN:
+            node.key = f"Join({','.join(sorted(keys))})"
+        else:
+            node.key = f"{op}({'s' if t is None else t};{','.join(keys)})"
+        node.depth = 1 + max(c.depth for c in children) if children else 0
+        # structurally sound: true only when every evaluation contains G'
+        if op == JOIN:
+            node.contains_derived = any(c.contains_derived for c in children)
+        elif children:
+            node.contains_derived = children[-1].contains_derived
+        else:
+            node.contains_derived = op != TRIVIAL_OP
+        # one atomic insert, so two threads building one node agree on it
+        return _INTERNED.setdefault(ident, node)
+
+    def __reduce__(self):
+        return CanonicalExpr, (self.op, self.t, self.children)
+
+    def __repr__(self) -> str:
+        return f"CanonicalExpr({self.key})"
 
 
-@dataclass(frozen=True)
-class TrivialSubgroup:
-    pass
+WHOLE = CanonicalExpr(WHOLE_OP)
+DERIVED = CanonicalExpr(DERIVED_OP)
+TRIVIAL = CanonicalExpr(TRIVIAL_OP)
 
 
-@dataclass(frozen=True)
-class TorsionAbove:
+def TorsionAbove(t: int, above: CanonicalExpr) -> CanonicalExpr:
     """Omega_t(G : N): elements with p^t-th power in N; requires G' <= N."""
-
-    t: int
-    above: "CanonicalExpr"
+    return CanonicalExpr(OM, t, (above,))
 
 
-@dataclass(frozen=True)
-class PowerTimes:
+def PowerTimes(t: int, base: CanonicalExpr, above: CanonicalExpr) -> CanonicalExpr:
     """Mho_t(L) N; requires G' <= N."""
-
-    t: int
-    base: "CanonicalExpr"
-    above: "CanonicalExpr"
+    return CanonicalExpr(MHO, t, (base, above))
 
 
-@dataclass(frozen=True)
-class CentralTorsionTimes:
+def CentralTorsionTimes(t: Optional[int], above: CanonicalExpr) -> CanonicalExpr:
     """Omega_t(Z(G)) N; requires G' <= N.  t None means the stabilized
     form Z(G) N."""
-
-    t: Optional[int]
-    above: "CanonicalExpr"
+    return CanonicalExpr(OMZ, t, (above,))
 
 
-@dataclass(frozen=True)
-class Product:
+def Product(parts) -> CanonicalExpr:
     """Join of the evaluations of the parts."""
-
-    parts: tuple["CanonicalExpr", ...]
-
-
-CanonicalExpr = Union[
-    WholeGroup,
-    DerivedSubgroup,
-    TrivialSubgroup,
-    TorsionAbove,
-    PowerTimes,
-    CentralTorsionTimes,
-    Product,
-]
-
-WHOLE = WholeGroup()
-DERIVED = DerivedSubgroup()
-TRIVIAL = TrivialSubgroup()
+    return CanonicalExpr(JOIN, None, tuple(parts))
 
 
 def expr_key(expr: CanonicalExpr) -> str:
-    if isinstance(expr, WholeGroup):
-        return "G"
-    if isinstance(expr, DerivedSubgroup):
-        return "G'"
-    if isinstance(expr, TrivialSubgroup):
-        return "1"
-    if isinstance(expr, TorsionAbove):
-        return f"Om({expr.t};{expr_key(expr.above)})"
-    if isinstance(expr, PowerTimes):
-        return f"Mho({expr.t};{expr_key(expr.base)},{expr_key(expr.above)})"
-    if isinstance(expr, CentralTorsionTimes):
-        ts = "s" if expr.t is None else str(expr.t)
-        return f"OmZ({ts};{expr_key(expr.above)})"
-    if isinstance(expr, Product):
-        return "Join(" + ",".join(sorted(expr_key(p) for p in expr.parts)) + ")"
-    raise TypeError(f"not a canonical expression: {expr!r}")
-
-
-def depth(expr: CanonicalExpr) -> int:
-    if isinstance(expr, (WholeGroup, DerivedSubgroup, TrivialSubgroup)):
-        return 0
-    if isinstance(expr, TorsionAbove):
-        return 1 + depth(expr.above)
-    if isinstance(expr, PowerTimes):
-        return 1 + max(depth(expr.base), depth(expr.above))
-    if isinstance(expr, CentralTorsionTimes):
-        return 1 + depth(expr.above)
-    if isinstance(expr, Product):
-        return 1 + max(depth(p) for p in expr.parts)
-    raise TypeError
-
-
-def contains_derived(expr: CanonicalExpr) -> bool:
-    """Structurally sound test that every evaluation contains G'."""
-    if isinstance(expr, (WholeGroup, DerivedSubgroup)):
-        return True
-    if isinstance(expr, TrivialSubgroup):
-        return False
-    if isinstance(expr, (TorsionAbove, CentralTorsionTimes)):
-        return contains_derived(expr.above)
-    if isinstance(expr, PowerTimes):
-        return contains_derived(expr.above)
-    if isinstance(expr, Product):
-        return any(contains_derived(p) for p in expr.parts)
-    raise TypeError
+    return expr.key
 
 
 def _structural_superset(a: CanonicalExpr, b: CanonicalExpr) -> bool:
     """True only when eval(a) >= eval(b) holds for every group."""
-    if a == b or isinstance(a, WholeGroup) or isinstance(b, TrivialSubgroup):
+    if a is b or a is WHOLE or b is TRIVIAL:
         return True
-    if isinstance(b, DerivedSubgroup):
-        return contains_derived(a)
-    if isinstance(a, (TorsionAbove, CentralTorsionTimes)):
-        return _structural_superset(a.above, b)
-    if isinstance(a, PowerTimes):
-        return _structural_superset(a.above, b)
-    if isinstance(a, Product):
-        return any(_structural_superset(p, b) for p in a.parts)
-    return False
+    if b is DERIVED:
+        return a.contains_derived
+    if a.op == JOIN:
+        return any(_structural_superset(p, b) for p in a.children)
+    return a.op in _ABOVE_OPS and _structural_superset(a.children[-1], b)
 
 
+def _normal_join(parts: tuple) -> CanonicalExpr:
+    flat = set()
+    for part in parts:
+        flat.update(part.children if part.op == JOIN else (part,))
+    flat.discard(TRIVIAL)
+    # drop parts strictly subsumed by another part
+    kept = sorted(
+        (
+            p
+            for p in flat
+            if not any(
+                q is not p and _structural_superset(q, p) and not _structural_superset(p, q)
+                for q in flat
+            )
+        ),
+        key=lambda p: p.key,
+    )
+    if not kept:
+        return TRIVIAL
+    if len(kept) == 1:
+        return kept[0]
+    if WHOLE in kept:
+        return WHOLE
+    return CanonicalExpr(JOIN, None, tuple(kept))
+
+
+class _Rule(NamedTuple):
+    # (t, normalized children, whether t >= tau) -> normal form; None for
+    # the leaves, which are their own normal forms
+    normal: Optional[Callable[[Optional[int], tuple, bool], CanonicalExpr]]
+    # (G, t, the children's evaluations) -> the evaluation
+    value: Callable[[FiniteGroup, Optional[int], list], Subgroup]
+
+
+_RULES = {
+    WHOLE_OP: _Rule(None, lambda G, t, subs: G.full_subgroup()),
+    DERIVED_OP: _Rule(None, lambda G, t, subs: gc.commutator_subgroup(G)),
+    TRIVIAL_OP: _Rule(None, lambda G, t, subs: G.trivial_subgroup()),
+    OM: _Rule(
+        lambda t, kids, stable: WHOLE if stable or kids[0] is WHOLE else TorsionAbove(t, *kids),
+        lambda G, t, subs: gc.omega_relative(G, subs[0], t),
+    ),
+    MHO: _Rule(
+        lambda t, kids, stable: (
+            kids[1] if stable or kids[0] is TRIVIAL or kids[1] is WHOLE else PowerTimes(t, *kids)
+        ),
+        lambda G, t, subs: gc.join(gc.agemo(subs[0], t), subs[1]),
+    ),
+    OMZ: _Rule(
+        lambda t, kids, stable: (
+            WHOLE if kids[0] is WHOLE else CentralTorsionTimes(None if stable else t, *kids)
+        ),
+        lambda G, t, subs: gc.join(
+            gc.center(G) if t is None else gc.omega(gc.center(G), t), subs[0]
+        ),
+    ),
+    JOIN: _Rule(
+        lambda t, kids, stable: _normal_join(kids),
+        lambda G, t, subs: functools.reduce(gc.join, subs, G.trivial_subgroup()),
+    ),
+}
+
+
+@functools.cache
 def normalize(expr: CanonicalExpr, tau: Optional[int] = None) -> CanonicalExpr:
     """Canonical AST form; with ``tau`` the stabilization threshold,
     torsion and power operators at t >= tau collapse to their limits."""
-    if isinstance(expr, (WholeGroup, DerivedSubgroup, TrivialSubgroup)):
+    if not expr.children:
         return expr
-    if isinstance(expr, TorsionAbove):
-        inner = normalize(expr.above, tau)
-        if isinstance(inner, WholeGroup):
-            return WHOLE
-        if tau is not None and expr.t >= tau:
-            return WHOLE
-        return TorsionAbove(expr.t, inner)
-    if isinstance(expr, PowerTimes):
-        base = normalize(expr.base, tau)
-        above = normalize(expr.above, tau)
-        if tau is not None and expr.t >= tau:
-            return above
-        if isinstance(base, TrivialSubgroup):
-            return above
-        if isinstance(above, WholeGroup):
-            return WHOLE
-        return PowerTimes(expr.t, base, above)
-    if isinstance(expr, CentralTorsionTimes):
-        above = normalize(expr.above, tau)
-        if isinstance(above, WholeGroup):
-            return WHOLE
-        t = expr.t
-        if tau is not None and t is not None and t >= tau:
-            t = None
-        return CentralTorsionTimes(t, above)
-    if isinstance(expr, Product):
-        parts: list[CanonicalExpr] = []
-        stack = list(expr.parts)
-        while stack:
-            p = normalize(stack.pop(), tau)
-            if isinstance(p, Product):
-                stack.extend(p.parts)
-            elif not isinstance(p, TrivialSubgroup):
-                parts.append(p)
-        # drop parts strictly subsumed by another part
-        kept = [
-            p
-            for p in parts
-            if not any(
-                expr_key(q) != expr_key(p)
-                and _structural_superset(q, p)
-                and not _structural_superset(p, q)
-                for q in parts
-            )
-        ]
-        dedup = {expr_key(p): p for p in kept}
-        items = [dedup[k] for k in sorted(dedup)]
-        if not items:
-            return TRIVIAL
-        if len(items) == 1:
-            return items[0]
-        if any(isinstance(p, WholeGroup) for p in items):
-            return WHOLE
-        return Product(tuple(items))
-    raise TypeError(f"not a canonical expression: {expr!r}")
+    kids = tuple(normalize(c, tau) for c in expr.children)
+    stable = tau is not None and expr.t is not None and expr.t >= tau
+    return _RULES[expr.op].normal(expr.t, kids, stable)
 
 
 def generate_catalog(depth_limit: int = 2, t_max: int = 2) -> list[CanonicalExpr]:
-    """All normalized expressions of the given nesting depth, t in 1..t_max.
+    """All normalized expressions of the given nesting depth, t in 1..t_max,
+    sorted by depth, then key.
 
     Expression positions that the closure operations require to contain
     the derived subgroup only draw from structurally-sound candidates.
     """
     if depth_limit < 1:
         raise ValueError("depth must be >= 1")
-    pool: dict[str, CanonicalExpr] = {
-        expr_key(e): e for e in (WHOLE, DERIVED, TRIVIAL)
-    }
+    return list(_catalog(depth_limit, t_max))
+
+
+@functools.cache
+def _catalog(depth_limit: int, t_max: int) -> tuple[CanonicalExpr, ...]:
+    pool = dict.fromkeys((WHOLE, DERIVED, TRIVIAL))
     for _level in range(depth_limit):
-        additions: dict[str, CanonicalExpr] = {}
-        exprs = list(pool.values())
-        n_pool = [e for e in exprs if contains_derived(e)]
+        exprs = list(pool)
+        n_pool = [e for e in exprs if e.contains_derived]
+        candidates = [Product((a, b)) for a in exprs for b in exprs]
         for t in range(1, t_max + 1):
             for n in n_pool:
-                for cand in (TorsionAbove(t, n), CentralTorsionTimes(t, n)):
-                    norm = normalize(cand)
-                    additions.setdefault(expr_key(norm), norm)
-            for l in exprs:
-                for n in n_pool:
-                    norm = normalize(PowerTimes(t, l, n))
-                    additions.setdefault(expr_key(norm), norm)
-        for a in exprs:
-            for b in exprs:
-                norm = normalize(Product((a, b)))
-                additions.setdefault(expr_key(norm), norm)
-        pool.update(additions)
-    result = [e for e in pool.values() if depth(e) <= depth_limit]
-    return sorted(result, key=lambda e: (depth(e), expr_key(e)))
+                candidates += [TorsionAbove(t, n), CentralTorsionTimes(t, n)]
+            candidates += [PowerTimes(t, l, n) for l in exprs for n in n_pool]
+        pool.update(dict.fromkeys(normalize(c) for c in candidates))
+    result = [e for e in pool if e.depth <= depth_limit]
+    return tuple(sorted(result, key=lambda e: (e.depth, e.key)))
+
+
+@functools.cache
+def _normal_catalog(
+    depth_limit: int, t_max: int, tau: int
+) -> tuple[tuple[CanonicalExpr, ...], tuple[CanonicalExpr, ...]]:
+    """The catalog's distinct normal forms at ``tau`` in key order, and
+    those of them of depth <= 1 that contain G' (each pair entry's N)."""
+    normal = {normalize(e, tau) for e in generate_catalog(depth_limit, t_max)}
+    exprs = tuple(sorted(normal, key=lambda e: e.key))
+    return exprs, tuple(e for e in exprs if e.depth <= 1 and e.contains_derived)
 
 
 def stabilization_threshold(G: FiniteGroup) -> int:
@@ -262,45 +259,18 @@ def evaluate(expr: CanonicalExpr, G: FiniteGroup, tau: Optional[int] = None) -> 
 @gc._memo
 def _evaluate(G: FiniteGroup, expr: CanonicalExpr, tau: int) -> Subgroup:
     norm = normalize(expr, tau)
-    if norm != expr:
+    if norm is not expr:
         # one evaluation per normalized form, whatever form it was asked in
         return _evaluate(G, norm, tau)
-
-    def require_derived(n_sub: Subgroup, node: CanonicalExpr) -> None:
-        if not n_sub.contains_subgroup(gc.commutator_subgroup(G)):
-            raise ContainmentError(
-                f"{expr_key(node)} needs G' <= N but N does not contain G'"
-            )
-
-    if isinstance(norm, WholeGroup):
-        result = G.full_subgroup()
-    elif isinstance(norm, DerivedSubgroup):
-        result = gc.commutator_subgroup(G)
-    elif isinstance(norm, TrivialSubgroup):
-        result = G.trivial_subgroup()
-    elif isinstance(norm, TorsionAbove):
-        n_sub = evaluate(norm.above, G, tau)
-        require_derived(n_sub, norm)
-        result = gc.omega_relative(G, n_sub, norm.t)
-    elif isinstance(norm, PowerTimes):
-        l_sub = evaluate(norm.base, G, tau)
-        n_sub = evaluate(norm.above, G, tau)
-        require_derived(n_sub, norm)
-        result = gc.join(gc.agemo(l_sub, norm.t), n_sub)
-    elif isinstance(norm, CentralTorsionTimes):
-        n_sub = evaluate(norm.above, G, tau)
-        require_derived(n_sub, norm)
-        z = gc.center(G)
-        part = z if norm.t is None else gc.omega(z, norm.t)
-        result = gc.join(part, n_sub)
-    elif isinstance(norm, Product):
-        result = G.trivial_subgroup()
-        for part in norm.parts:
-            result = gc.join(result, evaluate(part, G, tau))
-    else:
-        raise TypeError(f"not a canonical expression: {norm!r}")
+    subs = [evaluate(c, G, tau) for c in norm.children]
+    if norm.op in _ABOVE_OPS and not subs[-1].contains_subgroup(gc.commutator_subgroup(G)):
+        raise ContainmentError(f"{norm.key} needs G' <= N but N does not contain G'")
+    result = _RULES[norm.op].value(G, norm.t, subs)
     if not result.is_normal():
-        raise InternalCheckError(f"evaluation of {expr_key(norm)} is not normal")
+        raise InternalCheckError(
+            f"evaluation of {norm.key} is not normal in {G.name}: "
+            f"|G| = {G.order}, |subgroup| = {result.order}"
+        )
     return result
 
 
@@ -387,16 +357,7 @@ def fingerprint(
         tau = stabilization_threshold(G)
     if t_max is None:
         t_max = tau + 1
-    exprs = generate_catalog(depth_limit, t_max)
-    normalized: dict[str, CanonicalExpr] = {}
-    for e in exprs:
-        norm = normalize(e, tau)
-        normalized.setdefault(expr_key(norm), norm)
-    n_pool = sorted(
-        key
-        for key, e in normalized.items()
-        if depth(e) <= 1 and contains_derived(e)
-    )
+    exprs, n_pool = _normal_catalog(depth_limit, t_max, tau)
 
     split = dc.ab_nab_split(G)
     formula_type = dc.formula_ab_type(G)
@@ -409,8 +370,7 @@ def fingerprint(
     bundles: dict[tuple, dict] = {}
     pair_cache: dict[tuple, dict] = {}
     catalog: dict[str, dict] = {}
-    for key in sorted(normalized):
-        expr = normalized[key]
+    for expr in exprs:
         try:
             sub = evaluate(expr, G, tau)
         except ContainmentError:
@@ -428,8 +388,8 @@ def fingerprint(
             }
         bundle = dict(bundles[cache_key])
         pairs: dict[str, dict] = {}
-        for n_key in n_pool:
-            n_sub = evaluate(normalized[n_key], G, tau)
+        for n_expr in n_pool:
+            n_sub = evaluate(n_expr, G, tau)
             pkey = (sub.elements, n_sub.elements)
             if pkey not in pair_cache:
                 ln = gc.join(sub, n_sub)
@@ -438,9 +398,9 @@ def fingerprint(
                     "quot_type": gc.abelian_type(q_big).to_list(),
                     "sub_type": _quotient_type(ln, n_sub),
                 }
-            pairs[n_key] = pair_cache[pkey]
+            pairs[n_expr.key] = pair_cache[pkey]
         bundle["pairs"] = pairs
-        catalog[key] = bundle
+        catalog[expr.key] = bundle
 
     series = gc.jennings_series_product_formula(G)
     return Fingerprint(
@@ -526,5 +486,5 @@ def verify_canonical_images(
             continue
         img = iso.apply_subspace(ma.relative_augmentation_ideal(iso.source, lg).space)
         target = ma.relative_augmentation_ideal(iso.target, lh).space
-        out[expr_key(normalize(expr, tau))] = img == target
+        out[normalize(expr, tau).key] = img == target
     return out

@@ -222,6 +222,20 @@ def _cmd_selftest(args) -> dict:
     )
 
 
+class BadOptionValue(Exception):
+    """An option value out of range.  Not a ValueError: argparse handles
+    only ArgumentTypeError, TypeError and ValueError from a type callable,
+    so this one reaches ``main``, which reports it as one JSON parse error."""
+
+
+def positive_int(text: str) -> int:
+    """argparse type for ``--depth`` and ``--tmax``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise BadOptionValue(f"--depth and --tmax must be positive integers, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mipkit",
@@ -232,15 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="fingerprint one group")
     p.add_argument("group")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--tmax", type=int, default=None)
+    p.add_argument("--depth", type=positive_int, default=2)
+    p.add_argument("--tmax", type=positive_int, default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="first distinguishing invariant of two groups")
     p.add_argument("group1")
     p.add_argument("group2")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--tmax", type=int, default=None)
+    p.add_argument("--depth", type=positive_int, default=2)
+    p.add_argument("--tmax", type=positive_int, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("decompose", help="abelian / non-abelian direct factor split")
@@ -261,24 +275,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
+    print(_canonical_json({"error": {"exit_code": exit_code, "kind": kind, "message": str(exc)}}))
+    return exit_code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except BadOptionValue as exc:
+        return _print_error(EXIT_PARSE, "parse", exc)
     except SystemExit as exc:
         # argparse already printed a message; remap its exit code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         report = args.func(args)
     except (CliParseError, PresentationError) as exc:
-        print(_canonical_json({"error": {"exit_code": EXIT_PARSE, "kind": "parse", "message": str(exc)}}))
-        return EXIT_PARSE
+        return _print_error(EXIT_PARSE, "parse", exc)
     except CapExceededError as exc:
-        print(_canonical_json({"error": {"exit_code": EXIT_CAPS, "kind": "caps", "message": str(exc)}}))
-        return EXIT_CAPS
+        return _print_error(EXIT_CAPS, "caps", exc)
     except (InternalCheckError, ci.ContainmentError) as exc:
-        print(_canonical_json({"error": {"exit_code": EXIT_INTERNAL, "kind": "internal", "message": str(exc)}}))
-        return EXIT_INTERNAL
+        return _print_error(EXIT_INTERNAL, "internal", exc)
     print(_canonical_json(report))
     return EXIT_OK
 

@@ -1,14 +1,47 @@
+import hashlib
 import json
 
 import pytest
 
 from mipkit import canonical_invariants as ci
+from mipkit import catalog as cat
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
 
 
 def keys_of(exprs):
     return {ci.expr_key(e) for e in exprs}
+
+
+# every (depth, t_max) the pinned digests cover; the keys are the JSON keys
+# of every ``analyze`` payload, so a change to either digest changes output
+PINNED_CATALOGS = [(d, t) for d in (1, 2) for t in range(1, 6)]
+
+
+def sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_catalog_keys_are_pinned():
+    lines = []
+    for d, t in PINNED_CATALOGS:
+        lines.append(f"# depth {d}, t_max {t}")
+        lines.extend(sorted(ci.expr_key(e) for e in ci.generate_catalog(d, t)))
+    assert sha256_lines(lines) == (
+        "ac78ac88aa156c7516a0dcf6d90e19ceb6b1fe73e12033f75c5b7ee4ffefea61"
+    )
+
+
+def test_normal_forms_are_pinned():
+    lines = [
+        ci.expr_key(ci.normalize(e, tau))
+        for d, t in PINNED_CATALOGS
+        for e in ci.generate_catalog(d, t)
+        for tau in range(1, 5)
+    ]
+    assert sha256_lines(lines) == (
+        "729c5f718d1c12c37734049641fab156d4d4abfd393bb1263795de7382c81506"
+    )
 
 
 def test_depth_one_catalog_contents():
@@ -31,6 +64,32 @@ def test_catalog_contains_named_depth2_subgroups():
     # only after tau-normalization; their literal-t forms are present:
     assert "Mho(1;OmZ(1;G'),G')" in keys
     assert "Om(1;OmZ(1;G'))" in keys
+
+
+def test_equal_constructions_are_one_object():
+    a = ci.PowerTimes(2, ci.Product((ci.DERIVED, ci.TorsionAbove(1, ci.DERIVED))), ci.DERIVED)
+    b = ci.PowerTimes(2, ci.Product([ci.DERIVED, ci.TorsionAbove(1, ci.DERIVED)]), ci.DERIVED)
+    assert a is b
+    assert ci.CentralTorsionTimes(None, ci.DERIVED) is ci.CentralTorsionTimes(None, ci.DERIVED)
+    assert ci.TorsionAbove(1, ci.DERIVED) is not ci.TorsionAbove(2, ci.DERIVED)
+    assert a.key == "Mho(2;Join(G',Om(1;G')),G')" and a.depth == 3 and a.contains_derived
+
+
+def test_normalize_is_idempotent_by_identity():
+    for e in ci.generate_catalog(2, 3):
+        for tau in (None, 1, 2, 3):
+            norm = ci.normalize(e, tau)
+            assert ci.normalize(norm, tau) is norm, (e, tau)
+
+
+def test_catalog_list_is_a_fresh_copy():
+    first = ci.generate_catalog(2, 2)
+    expected = list(first)
+    first.clear()
+    again = ci.generate_catalog(2, 2)
+    assert again == expected and again is not first
+    again.append(ci.WHOLE)
+    assert ci.generate_catalog(2, 2) == expected
 
 
 def test_structural_dedup():
@@ -70,6 +129,13 @@ def test_evaluate_torsion_above_derived_on_dihedral(groups):
 def test_evaluate_rejects_missing_derived_containment(groups):
     with pytest.raises(ci.ContainmentError):
         ci.evaluate(ci.TorsionAbove(1, ci.TRIVIAL), groups["D8"])
+
+
+def test_non_normal_evaluation_names_group_and_orders(monkeypatch):
+    G = cat.build("D8")  # fresh: no evaluation memoized on it yet
+    monkeypatch.setattr(gc.Subgroup, "is_normal", lambda self: False)
+    with pytest.raises(gc.InternalCheckError, match=r"G' is not normal in D8: \|G\| = 8, \|subgroup\| = 2"):
+        ci.evaluate(ci.DERIVED, G)
 
 
 def test_evaluations_are_normal_subgroups(groups):

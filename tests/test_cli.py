@@ -179,6 +179,27 @@ def test_missing_file_is_parse_error(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "C8", "--depth", "0"),
+        ("analyze", "C8", "--depth", "-1"),
+        ("compare", "C8", "C4xC2", "--depth", "0"),
+        ("analyze", "C8", "--tmax", "0"),
+        ("analyze", "C8", "--tmax", "-3"),
+    ],
+)
+def test_depth_and_tmax_below_one_are_one_parse_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.main(["--no-timing", *argv]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)  # raises unless stdout is one JSON value
+    assert report["error"]["kind"] == "parse"
+    assert "must be positive integers" in report["error"]["message"]
+    assert captured.err == ""
+    assert not (tmp_path / "cache").exists()
+
+
 def test_bad_subcommand_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
     assert cli.main(["frobnicate"]) == 2
