@@ -325,20 +325,10 @@ class Fingerprint:
         return hash(self.invariant_bytes())
 
 
-def _jennings_orders(sub: Subgroup) -> list[int]:
-    grp, _ = sub.as_group()
-    return [s.order for s in gc.jennings_series_product_formula(grp)]
-
-
 def _type_or_none(sub: Subgroup) -> Optional[list[int]]:
     if not sub.is_abelian():
         return None
     return gc.abelian_type(sub).to_list()
-
-
-def _quotient_type(m_sub: Subgroup, n_sub: Subgroup) -> list[int]:
-    q = gc.quotient_of_subgroups(m_sub, n_sub)
-    return gc.abelian_type(q).to_list()
 
 
 def fingerprint(
@@ -381,10 +371,10 @@ def fingerprint(
             over = gc.join(z, sub)
             bundles[cache_key] = {
                 "order": sub.order,
-                "jennings": _jennings_orders(sub),
+                "jennings": [s.order for s in gc.jennings_series_product_formula(sub)],
                 "ab_type": _type_or_none(sub),
                 "z_meet_type": gc.abelian_type(meet).to_list(),
-                "z_quot_type": _quotient_type(over, sub),
+                "z_quot_type": gc.abelian_type(over, sub).to_list(),
             }
         bundle = dict(bundles[cache_key])
         pairs: dict[str, dict] = {}
@@ -393,10 +383,9 @@ def fingerprint(
             pkey = (sub.elements, n_sub.elements)
             if pkey not in pair_cache:
                 ln = gc.join(sub, n_sub)
-                q_big, _ = gc.quotient(G, ln)
                 pair_cache[pkey] = {
-                    "quot_type": gc.abelian_type(q_big).to_list(),
-                    "sub_type": _quotient_type(ln, n_sub),
+                    "quot_type": gc.abelian_type(G, ln).to_list(),
+                    "sub_type": gc.abelian_type(ln, n_sub).to_list(),
                 }
             pairs[n_expr.key] = pair_cache[pkey]
         bundle["pairs"] = pairs

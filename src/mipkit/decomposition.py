@@ -217,8 +217,7 @@ def _formula_component_rank(G: FiniteGroup, t: int) -> int:
     Omega_t(Z(G)) Mho_t(G)G' / Mho_t(G)G', by invariant-factor arithmetic."""
     n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
     m_sub = gc.join(gc.omega(gc.center(G), t), n_sub)
-    q = gc.quotient_of_subgroups(m_sub, n_sub)
-    return gc.abelian_type(q).rank_of_exponent(G.p**t)
+    return gc.abelian_type(m_sub, n_sub).rank_of_exponent(G.p**t)
 
 
 def formula_ab_type(G: FiniteGroup) -> AbelianType:
@@ -291,7 +290,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
         "nab": {
             "order": nab.order,
             "generators": list(nab.generators),
-            "abelianization": _abelianization_type(nab).to_list(),
+            "abelianization": gc.abelian_type(nab, gc.commutator_subgroup(nab)).to_list(),
         },
         "ab_type": [],
         "peel_trace": trace,
@@ -300,12 +299,6 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
     decomp = HomocyclicDecomposition(G, tuple(components), nab, certificate)
     certificate["ab_type"] = decomp.ab_type().to_list()
     return decomp
-
-
-def _abelianization_type(sub: Subgroup) -> AbelianType:
-    grp, _ = sub.as_group()
-    q, _ = gc.quotient(grp, gc.commutator_subgroup(grp))
-    return gc.abelian_type(q)
 
 
 def component_checks(G: FiniteGroup, decomp: HomocyclicDecomposition) -> dict:

@@ -4,7 +4,8 @@ Groups are built from power-commutator presentations (or raw tables), hold
 dense n x n multiplication tables with the identity at index 0, and expose
 the subgroup-series toolbox: center, lower central series, Frattini
 subgroup, omega/agemo series and their relative forms, the Jennings series
-via its product formula, Burnside bases, quotients, and direct products.
+via its product formula, Burnside bases, abelian types of sections,
+quotients, and direct products.
 
 Everything is exact and verified at construction: a table must have a
 two-sided identity and inverses, and it is proved associative by Light's
@@ -14,6 +15,11 @@ dense tables to stay cheap.
 Subgroups of a validated table are closed by Dimino's walk over right
 cosets (``_grow``), which also picks the greedy generating witness in the
 same pass; it relies on associativity, so Light's test keeps its BFS.
+
+The abelian type of a section S/N is counted in the parent's table, with no
+quotient or subgroup table built: in an abelian group the elements of order
+dividing p^i form Omega_i, so |Omega_i(S/N)| = #{x in S : x^{p^i} in N}/|N|,
+one mask lookup through the power map x -> x^{p^i}.
 
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
@@ -558,12 +564,7 @@ class Subgroup:
 
     @_memo
     def is_normal(self) -> bool:
-        G = self.parent
-        return all(
-            G.conjugate(s, g) in self._set
-            for s in self.generators or self.elements
-            for g in range(G.order)
-        )
+        return _normalizes(self.parent, self.parent.full_subgroup(), self)
 
     @_memo
     def is_abelian(self) -> bool:
@@ -573,7 +574,19 @@ class Subgroup:
 
     @_memo
     def exponent(self) -> int:
-        return max(self.parent.element_order(g) for g in self.elements)
+        G, idx = self.parent, np.array(self.elements)
+        t = 0
+        while G.power_p_map(t)[idx].any():
+            t += 1
+        return G.p**t
+
+    @_memo
+    def _mask(self) -> np.ndarray:
+        """Membership as a boolean array over the parent's elements."""
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.elements)] = True
+        mask.setflags(write=False)
+        return mask
 
     @_memo
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -662,6 +675,15 @@ def _as_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     if isinstance(g, FiniteGroup):
         return g.full_subgroup()
     return g
+
+
+def _normalizes(G: FiniteGroup, by: Subgroup, n: Subgroup) -> bool:
+    """Whether ``by`` normalizes ``n``: the conjugates of n's generators by
+    by's generators stay in n, so each generator of ``by`` fixes N."""
+    a = np.array(n.generators or n.elements)
+    g = np.array(by.generators or by.elements)
+    conj = G.mul[G.mul[G.inv[g][:, None], a[None, :]], g[:, None]]
+    return bool(n._mask()[conj].all())
 
 
 # ---------------------------------------------------------------------------
@@ -882,20 +904,34 @@ class AbelianType:
 
 
 @_memo
-def abelian_type(g: Union[FiniteGroup, Subgroup]) -> AbelianType:
-    """Invariant factors from the ranks |omega_i| / |omega_{i-1}|."""
+def abelian_type(g: Union[FiniteGroup, Subgroup], modulo: Optional[Subgroup] = None) -> AbelianType:
+    """Type of the abelian section S/N, N = ``modulo`` (trivial if None), from
+    the counted ranks |Omega_i| / |Omega_{i-1}| (see the module docstring).
+    Pass ``modulo`` by position: ``_memo`` takes no keyword arguments."""
     s = _as_subgroup(g)
-    if not s.is_abelian():
-        raise ValueError("abelian_type needs an abelian group")
-    p = s.parent.p
+    G = s.parent
+    n = G.trivial_subgroup() if modulo is None else modulo
+    if n.parent is not G or not s.contains_subgroup(n):
+        raise ValueError("abelian_type needs N <= S in one group")
+    if not _normalizes(G, s, n):
+        raise NotNormalError("abelian_type needs N normal in S")
+    gens = np.array(s.generators or s.elements)
+    in_n = n._mask()
+    if not in_n[G.commutator_table()[np.ix_(gens, gens)]].all():
+        raise ValueError("abelian_type needs an abelian section: S/N is not abelian")
+    p = G.p
+    idx = np.array(s.elements)
+    log_n = log_p(n.order, p)
+    log_index = log_p(s.order, p) - log_n
+    t_top = log_p(s.exponent(), p)
     log_sizes = [0]
-    t = 1
-    while True:
-        om = omega(s, t)
-        log_sizes.append(log_p(om.order, p))
-        if om.order == s.order:
-            break
-        t += 1
+    while log_sizes[-1] < log_index:
+        if len(log_sizes) > t_top:
+            raise InternalCheckError(
+                f"Omega_{t_top}(S/N) has order p^{log_sizes[-1]}, not |S:N| = p^{log_index}"
+            )
+        count = int(in_n[G.power_p_map(len(log_sizes))[idx]].sum())
+        log_sizes.append(log_p(count, p) - log_n)
     # s_i = number of cyclic factors of order >= p^i
     counts = [log_sizes[i] - log_sizes[i - 1] for i in range(1, len(log_sizes))]
     counts.append(0)
@@ -970,17 +1006,6 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     )
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
-
-
-def quotient_of_subgroups(m: Subgroup, n: Subgroup) -> FiniteGroup:
-    """The quotient M/N for N normal in M, as a standalone group."""
-    if not m.contains_subgroup(n):
-        raise ValueError("denominator not contained in numerator")
-    m_grp, m_map = m.as_group()
-    back = {g: i for i, g in enumerate(m_map)}
-    n_inside = subgroup_from_elements(m_grp, [back[g] for g in n.elements])
-    q, _ = quotient(m_grp, n_inside)
-    return q
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:

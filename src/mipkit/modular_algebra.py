@@ -552,22 +552,10 @@ class ElementaryQuotient:
     """
 
     def __init__(self, m_sub: Subgroup, k_sub: Subgroup, rep_pool: Optional[Sequence[int]] = None):
-        if m_sub.parent is not k_sub.parent:
-            raise ValueError("subgroups of different parents")
-        if not m_sub.contains_subgroup(k_sub):
-            raise ValueError("K must be contained in M")
         G = m_sub.parent
         p = G.p
-        for k in k_sub.generators or k_sub.elements:
-            for m in m_sub.generators or m_sub.elements:
-                if G.conjugate(k, m) not in k_sub:
-                    raise NotNormalError("K is not normal in M")
-        for a in m_sub.generators or m_sub.elements:
-            if G.power(a, p) not in k_sub:
-                raise ValueError("M/K is not of exponent p")
-            for b in m_sub.generators or m_sub.elements:
-                if G.commutator(a, b) not in k_sub:
-                    raise ValueError("M/K is not abelian")
+        if any(q != p for q in gc.abelian_type(m_sub, k_sub).orders):
+            raise ValueError("M/K is not of exponent p")
         self.group = G
         self.m_sub = m_sub
         self.k_sub = k_sub

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mipkit import catalog as cat
@@ -165,6 +166,25 @@ def test_mul_file_input(capsys, monkeypatch, tmp_path):
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "decompose", f"@{path}")
     assert code == 0
     assert report["result"]["nab"]["order"] == 8
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "Q8xC2", "Heis27", "M27"])
+def test_relabeled_mul_file_analyzes_like_its_presentation(name, capsys, monkeypatch, tmp_path):
+    # a random relabeling keeping 0 fixed takes the table out of pc order
+    entry = next(e for e in cat.builtin_catalog() if e.name == name)
+    mul = entry.build().mul
+    sigma = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(len(mul) - 1)])
+    relabeled = np.empty_like(mul)
+    relabeled[np.ix_(sigma, sigma)] = sigma[mul]
+    pcp, table = tmp_path / f"{name}.pcp", tmp_path / "relabeled.mul"
+    pcp.write_text(entry.presentation)
+    table.write_text("\n".join(",".join(map(str, row)) for row in relabeled.tolist()))
+    results = []
+    for spec in (pcp, table):
+        code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{spec}")
+        assert code == 0, report
+        results.append({k: v for k, v in report["result"].items() if k != "group"})
+    assert results[0] == results[1]
 
 
 def test_bad_mul_file_is_parse_error(capsys, monkeypatch, tmp_path):

@@ -191,7 +191,10 @@ def test_jennings_head_terms(small_groups):
             assert d.is_normal()
         for a, b in zip(series, series[1:]):
             assert a.contains_subgroup(b)
-            layer = gc.quotient_of_subgroups(a, b)
+            a_grp, a_map = a.as_group()
+            back = {g: i for i, g in enumerate(a_map)}
+            b_inside = gc.subgroup_from_elements(a_grp, [back[g] for g in b.elements])
+            layer, _ = gc.quotient(a_grp, b_inside)
             assert layer.is_abelian and layer.exponent() in (1, G.p)
 
 
@@ -301,6 +304,79 @@ def test_abelian_type_of_quotient(groups):
 def test_abelian_type_rejects_nonabelian(groups):
     with pytest.raises(ValueError):
         gc.abelian_type(groups["D8"])
+
+
+def _section_table(m, n):
+    """M/N as its own table: M's table by ``as_group``, then ``quotient``."""
+    m_grp, m_map = m.as_group()
+    back = {g: i for i, g in enumerate(m_map)}
+    q, _ = gc.quotient(m_grp, gc.subgroup_from_elements(m_grp, [back[g] for g in n.elements]))
+    return q
+
+
+def _type_by_omega_closure(A):
+    """The abelian type of a table from the orders of its Omega_t subgroups."""
+    log_sizes = [0]
+    t = 1
+    while True:
+        om = gc.omega(A, t)
+        log_sizes.append(gc.log_p(om.order, A.p))
+        if om.order == A.order:
+            break
+        t += 1
+    counts = [b - a for a, b in zip(log_sizes, log_sizes[1:])] + [0]
+    orders = []
+    for i in range(1, len(counts)):
+        orders.extend([A.p**i] * (counts[i - 1] - counts[i]))
+    return sorted(orders, reverse=True)
+
+
+def test_section_type_matches_the_quotient_table(small_groups):
+    checked = 0
+    for G in small_groups.values():
+        normals = gc.normal_subgroups(G)
+        for m in normals:
+            derived = gc.commutator_subgroup(m)
+            for n in normals:
+                if m.contains_subgroup(n) and n.contains_subgroup(derived):
+                    expected = _type_by_omega_closure(_section_table(m, n))
+                    assert gc.abelian_type(m, n).to_list() == expected, (G.name, m, n)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_jennings_in_place_matches_the_subgroup_table(small_groups):
+    for G in small_groups.values():
+        for n in gc.normal_subgroups(G):
+            in_place = [s.order for s in gc.jennings_series_product_formula(n)]
+            table = [s.order for s in gc.jennings_series_product_formula(n.as_group()[0])]
+            assert in_place == table, (G.name, n)
+
+
+def test_subgroup_predicates_match_elementwise_oracles(small_groups):
+    for G in small_groups.values():
+        for s in [G.subgroup((g,)) for g in G.elements()] + gc.normal_subgroups(G):
+            assert s.is_normal() == all(
+                G.conjugate(x, g) in s for x in s.elements for g in G.elements()
+            )
+            assert s.exponent() == max(G.element_order(x) for x in s.elements)
+
+
+def test_section_type_rejections(groups):
+    D8 = groups["D8"]
+    z, r = gc.center(D8), D8.subgroup((4,))
+    with pytest.raises(ValueError, match="N <= S") as info:
+        gc.abelian_type(z, D8.full_subgroup())
+    assert info.type is ValueError
+    with pytest.raises(ValueError, match="N <= S"):
+        gc.abelian_type(D8, gc.center(groups["Q8"]))
+    with pytest.raises(gc.NotNormalError):
+        gc.abelian_type(D8, r)
+    with pytest.raises(ValueError, match="not abelian") as info:
+        gc.abelian_type(D8, D8.trivial_subgroup())
+    assert info.type is ValueError
+    assert gc.abelian_type(D8, z).to_list() == [2, 2]
+    assert gc.abelian_type(r, r).to_list() == []
 
 
 def test_centralizer_examples(groups):

@@ -235,6 +235,29 @@ def test_power_quotient_map_examples(groups):
     assert lam.domain.rank == 1 and lam.rank() == 1
 
 
+def test_elementary_quotient_rejects_a_non_normal_k(groups):
+    D8 = groups["D8"]
+    with pytest.raises(gc.NotNormalError):
+        ma.ElementaryQuotient(D8.full_subgroup(), D8.subgroup((4,)))
+
+
+def test_elementary_quotient_rejects_a_non_abelian_section(groups):
+    # Heis27 has exponent 3, so only commutativity fails
+    heis = groups["Heis27"]
+    with pytest.raises(ValueError, match="not abelian") as info:
+        ma.ElementaryQuotient(heis.full_subgroup(), heis.trivial_subgroup())
+    assert info.type is ValueError
+
+
+def test_elementary_quotient_rejects_exponent_above_p(groups):
+    G = groups["C4xC2"]
+    with pytest.raises(ValueError, match="not of exponent p") as info:
+        ma.ElementaryQuotient(G.full_subgroup(), G.trivial_subgroup())
+    assert info.type is ValueError
+    # the same group modulo its squares passes
+    assert ma.ElementaryQuotient(G.full_subgroup(), gc.agemo(G, 1)).rank == 2
+
+
 def test_layer_embedding_injective_and_psi1_bijective(small_groups):
     for name, G in small_groups.items():
         A = ma.GroupAlgebra(G)
