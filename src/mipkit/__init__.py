@@ -30,7 +30,6 @@ from .group_core import (
 )
 from .modular_algebra import (
     AlgebraIso,
-    AlgElement,
     AlgIdeal,
     GroupAlgebra,
     augmentation_ideal,

@@ -8,6 +8,13 @@ so equality and hashing are literal.
 Linear maps follow the row convention throughout the package: a map
 GF(p)^m -> GF(p)^n is an m x n matrix A acting on row vectors by
 ``x |-> x @ A``.
+
+``_rref`` is the one elimination: ``rref``, ``kernel``, ``solve_row``, the
+builder and the subquotient factorization all call it.  Every matrix
+product goes through ``_mm``, which multiplies in float64 and reduces mod
+p; that is exact while inner dimension * (p - 1)^2 < 2^53, and ``_mm``
+raises where it is not.  A subquotient factors its coordinate map once,
+so each coordinate lookup is one product.
 """
 
 from __future__ import annotations
@@ -71,16 +78,44 @@ def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
     return mat
 
 
+def _mm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``(a @ b) % p`` for residue operands, computed exactly in float64.
+
+    Every product term is at most (p - 1)^2, so the float sums are exact
+    integers while inner dimension * (p - 1)^2 < 2^53: inner dimension 243
+    at p = 7 reaches 243 * 36.  Beyond that bound the product raises.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 >= 2**53:
+        raise OverflowError(f"inner dimension {inner} is not exact in float64 over GF({p})")
+    prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    # x - p * (x // p) is x % p without the slower remainder ufunc
+    prod -= p * (prod // p)
+    return prod
+
+
+def _residual(rows: np.ndarray, pivots, basis: np.ndarray, p: int) -> np.ndarray:
+    """``rows`` reduced against the reduced echelon ``basis`` with ``pivots``."""
+    res = rows - _mm(rows[:, pivots], basis, p)
+    res += p * (res < 0)
+    return res
+
+
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    a = mat.copy()
-    nrows, ncols = a.shape
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The package's one elimination.  Zero rows are dropped up front, and
+    only columns nonzero somewhere in ``mat`` are visited: row operations
+    keep a zero column zero, so no pivot is skipped.
+    """
+    a = mat[mat.any(axis=1)]
+    nrows = a.shape[0]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -91,9 +126,9 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             a[r] = (a[r] * inv) % p
         col = a[:, c].copy()
         col[r] = 0
-        nzc = np.nonzero(col)[0]
+        nzc = col.nonzero()[0]
         if nzc.size:
-            a[nzc] = (a[nzc] - np.outer(col[nzc], a[r])) % p
+            a[nzc] = (a[nzc] - col[nzc, None] * a[r]) % p
         pivots.append(c)
         r += 1
     return a[:r], tuple(pivots)
@@ -161,11 +196,7 @@ class Subspace:
 
     def reduce(self, v) -> np.ndarray:
         """Residual of ``v`` after reduction against the echelon basis."""
-        w = as_vector(v, self.p, self.ambient_dim).copy()
-        for i, c in enumerate(self.pivots):
-            if w[c]:
-                w = (w - w[c] * self.basis[i]) % self.p
-        return w
+        return self.reduce_rows(as_vector(v, self.p, self.ambient_dim).reshape(1, -1))[0]
 
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
@@ -175,12 +206,10 @@ class Subspace:
         return not self.reduce_rows(mat).any()
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Vectorized reduction of many rows at once."""
-        w = mat.copy()
-        if self.dim:
-            coeffs = w[:, list(self.pivots)]
-            w = (w - coeffs @ self.basis) % self.p
-        return w
+        """Residuals of many rows (entries in [0, p)) at once."""
+        if not self.dim:
+            return mat.copy()
+        return _residual(mat, list(self.pivots), self.basis, self.p)
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -214,17 +243,15 @@ class Subspace:
         ker = kernel(stacked, self.p)
         if ker.dim == 0:
             return zero_subspace(self.p, self.ambient_dim)
-        vecs = (ker.basis[:, : self.dim] @ self.basis) % self.p
+        vecs = _mm(ker.basis[:, : self.dim], self.basis, self.p)
         return Subspace(self.p, self.ambient_dim, vecs, tuple(self.pivots[c] for c in ker.pivots))
 
     def reduction_matrix(self) -> np.ndarray:
         """Matrix R with v @ R = reduce(v); the projection along self."""
-        n = self.ambient_dim
-        r = np.eye(n, dtype=np.int64)
-        for i, c in enumerate(self.pivots):
-            row = (-self.basis[i]) % self.p
-            row[c] = 0
-            r[c] = row
+        r = np.eye(self.ambient_dim, dtype=np.int64)
+        pivots = list(self.pivots)
+        r[pivots] = (-self.basis) % self.p
+        r[pivots, pivots] = 0
         return r
 
     def complement_rows_in(self, ambient_rows: np.ndarray) -> np.ndarray:
@@ -289,7 +316,7 @@ def preimage(matrix, w: Subspace, p: int) -> Subspace:
     a = _as_matrix(matrix, p)
     if a.shape[1] != w.ambient_dim or w.p != p:
         raise AmbientMismatchError("matrix codomain does not match subspace ambient")
-    reduced_map = (a @ w.reduction_matrix()) % p
+    reduced_map = _mm(a, w.reduction_matrix(), p)
     return kernel(reduced_map, p)
 
 
@@ -310,16 +337,18 @@ def solve_row(matrix: np.ndarray, v, p: int) -> Optional[np.ndarray]:
     if a.shape[0] in pivots:
         return None
     x = np.zeros(a.shape[0], dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, -1]
+    x[list(pivots)] = red[:, -1]
     return x
 
 
 class SubspaceBuilder:
     """Incremental echelon accumulator for large spanning sets.
 
-    Rows are absorbed in blocks and reduced against the running basis; the
-    final ``subspace()`` is identical to a one-shot rref of all rows.
+    Rows are absorbed in blocks: each block is reduced against the running
+    basis with one ``_mm``, its residual is eliminated by ``_rref``, and
+    the new rows are back-substituted into the stored ones with one more
+    ``_mm``.  The final ``subspace()`` is identical to a one-shot rref of
+    all rows.
     """
 
     def __init__(self, p: int, ambient_dim: int):
@@ -345,53 +374,28 @@ class SubspaceBuilder:
 
     def absorb(self, rows) -> int:
         """Add rows to the span; returns the number of new pivots."""
-        block = _as_matrix(rows, self.p, self.ambient_dim).copy()
-        if block.shape[0] == 0:
+        p = self.p
+        block = _as_matrix(rows, p, self.ambient_dim)
+        stored = self._mat[: self._count]
+        if self._count:
+            block = _residual(block, self._pivots, stored, p)
+        new, pivots = _rref(block, p)
+        if not pivots:
             return 0
+        # the residual is zero on the stored pivots; clear the new ones
         if self._count:
-            block = (
-                block - block[:, self._pivots] @ self._mat[: self._count]
-            ) % self.p
-        added = 0
-        while True:
-            nonzero = np.nonzero(block.any(axis=1))[0]
-            if nonzero.size == 0:
-                break
-            block = block[nonzero]
-            row = block[0].copy()
-            c = int(np.nonzero(row)[0][0])
-            inv = pow(int(row[c]), -1, self.p)
-            if inv != 1:
-                row = (row * inv) % self.p
-            # keep stored rows mutually reduced
-            col = self._mat[: self._count, c]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                self._mat[nz] = (self._mat[nz] - np.outer(col[nz], row)) % self.p
-            self._mat[self._count] = row
-            self._count += 1
-            self._pivots.append(c)
-            added += 1
-            block = block[1:]
-            # a single rank-one update clears the new pivot column
-            coeff = block[:, c]
-            nz = np.nonzero(coeff)[0]
-            if nz.size:
-                block[nz] = (block[nz] - np.outer(coeff[nz], row)) % self.p
-        return added
-
-    def contains(self, v) -> bool:
-        w = as_vector(v, self.p, self.ambient_dim).copy()
-        if self._count:
-            w = (w - w[self._pivots] @ self._mat[: self._count]) % self.p
-        return not w.any()
+            stored[:] = _residual(stored, list(pivots), new, p)
+        self._mat[self._count : self._count + len(pivots)] = new
+        self._count += len(pivots)
+        self._pivots.extend(pivots)
+        return len(pivots)
 
     def subspace(self) -> Subspace:
         if not self._count:
             return zero_subspace(self.p, self.ambient_dim)
         order = np.argsort(self._pivots, kind="stable")
         basis = self._mat[: self._count][order].copy()
-        pivots = tuple(self._pivots[i] for i in order)
+        pivots = tuple(sorted(self._pivots))
         return Subspace(self.p, self.ambient_dim, basis, pivots)
 
 
@@ -400,6 +404,12 @@ class Subquotient:
 
     The basis consists of the rows of V's echelon basis that are independent
     modulo W, taken greedily in order, so the choice is canonical.
+
+    Coordinates are factored once.  The rows S = [basis; W's basis] span V,
+    and a vector of V is fixed by its entries on V's pivot columns, so those
+    columns of S form an invertible square T and x @ S = v exactly when
+    x @ T = v[pivots].  One ``_rref([T | I])`` gives T^-1; ``coords`` is
+    then a membership check and one product.
     """
 
     def __init__(self, top: Subspace, bottom: Subspace):
@@ -413,21 +423,23 @@ class Subquotient:
         self.rank = self.basis_rows.shape[0]
         if self.rank + bottom.dim != top.dim:
             raise RuntimeError("subquotient basis construction failed")
-        self._solve_matrix = np.concatenate([self.basis_rows, bottom.basis], axis=0)
+        d = top.dim
+        square = np.concatenate([self.basis_rows, bottom.basis], axis=0)[:, list(top.pivots)]
+        red, _ = _rref(np.concatenate([square, np.eye(d, dtype=np.int64)], axis=1), self.p)
+        self._coord_map = red[:, d : d + self.rank]
 
     def coords(self, v) -> np.ndarray:
         """Coordinates of ``v + bottom`` in the representative basis."""
         vec = as_vector(v, self.p, self.top.ambient_dim)
-        x = solve_row(self._solve_matrix, vec, self.p)
-        if x is None:
+        if not self.top.contains(vec):
             raise NotSubspaceError("vector does not lie in the quotient top space")
-        return x[: self.rank]
+        return _mm(vec[list(self.top.pivots)], self._coord_map, self.p)
 
     def rep(self, coords) -> np.ndarray:
         c = as_vector(coords, self.p, self.rank)
         if self.rank == 0:
             return np.zeros(self.top.ambient_dim, dtype=np.int64)
-        return (c @ self.basis_rows) % self.p
+        return _mm(c, self.basis_rows, self.p)
 
 
 def lex_vectors(p: int, length: int):

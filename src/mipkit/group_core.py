@@ -482,12 +482,15 @@ class FiniteGroup:
 
     @_memo
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        g = np.arange(self.order)
+        # conj[a, g] = g^-1 a g, one gather for the whole table
+        conj = self.mul[self.mul[self.inv, g[:, None]], g]
         seen = [False] * self.order
         classes = []
         for a in self.elements():
             if seen[a]:
                 continue
-            orbit = sorted({self.conjugate(a, g) for g in self.elements()})
+            orbit = np.unique(conj[a]).tolist()
             for x in orbit:
                 seen[x] = True
             classes.append(tuple(orbit))
@@ -1144,9 +1147,10 @@ def from_mul_table(mul: np.ndarray, name: str = "G") -> FiniteGroup:
 
 
 def normal_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    gens = set(elements) - {0}
-    closure_gens = {G.conjugate(x, g) for x in gens for g in G.elements()}
-    return _generated(G, sorted(closure_gens))
+    x = np.array(list(set(elements) - {0}), dtype=np.int64)
+    # conj[g, i] = g^-1 x_i g, one gather as in _normalizes
+    conj = G.mul[G.mul[G.inv[:, None], x], np.arange(G.order)[:, None]]
+    return _generated(G, np.unique(conj).tolist())
 
 
 @_memo

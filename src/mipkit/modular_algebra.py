@@ -53,22 +53,6 @@ class GroupAlgebra:
     def __hash__(self) -> int:
         return hash(id(self.group))
 
-    # -- elements ------------------------------------------------------------
-
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, np.zeros(self.dim, dtype=np.int64))
-
-    def one(self) -> "AlgElement":
-        return self.basis_element(0)
-
-    def basis_element(self, g: int) -> "AlgElement":
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[g] = 1
-        return AlgElement(self, v)
-
-    def element(self, coeffs) -> "AlgElement":
-        return AlgElement(self, fl.as_vector(coeffs, self.p, self.dim))
-
     # -- raw vector arithmetic -------------------------------------------------
 
     @gc._memo
@@ -113,50 +97,6 @@ class GroupAlgebra:
 
     def translate_left(self, rows: np.ndarray, g: int) -> np.ndarray:
         return rows[:, self._left_perm(g)]
-
-
-@dataclass(frozen=True)
-class AlgElement:
-    """An element of a group algebra: a coefficient vector mod p."""
-
-    algebra: GroupAlgebra
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    def _check(self, other: "AlgElement") -> None:
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(self.algebra, (self.coeffs + other.coeffs) % self.algebra.p)
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(self.algebra, (self.coeffs - other.coeffs) % self.algebra.p)
-
-    def __mul__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(
-            self.algebra, self.algebra.multiply_vec(self.coeffs, other.coeffs)
-        )
-
-    def __pow__(self, k: int) -> "AlgElement":
-        return AlgElement(self.algebra, self.algebra.power_vec(self.coeffs, k))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.algebra == other.algebra and np.array_equal(self.coeffs, other.coeffs)
-
-    def augmentation(self) -> int:
-        return self.algebra.augmentation_vec(self.coeffs)
-
-
-def augmentation(x: AlgElement) -> int:
-    return x.augmentation()
 
 
 @dataclass(frozen=True)

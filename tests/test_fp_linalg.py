@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipkit import fp_linalg as fl
+from rref_oracle import oracle_rref
 
 
 def test_rref_full_space_f2():
@@ -225,7 +226,7 @@ def test_fp_vector_validation():
         fl.FpVector(4, (0, 1))
 
 
-# -- differential checks against the elimination oracle ``_rref`` -----------
+# -- differential checks against the elimination oracle ``oracle_rref`` ----
 
 
 def _matrix_of_rank(p, m, n, r, seed):
@@ -252,7 +253,7 @@ def test_sum_matches_rref_of_stacked_bases(p, m, n, r, seed, k):
     v = fl.rref(_matrix_of_rank(p, k, n, k, seed + 1), p, n)
     for a, b in ((u, v), (v, u), (u, u), (u, fl.full_subspace(p, n))):
         s = a.sum(b)
-        oracle_basis, oracle_pivots = fl._rref(np.concatenate([a.basis, b.basis]), p)
+        oracle_basis, oracle_pivots = oracle_rref(np.concatenate([a.basis, b.basis]), p)
         assert s.pivots == oracle_pivots
         assert np.array_equal(s.basis, oracle_basis)
 
@@ -260,14 +261,14 @@ def test_sum_matches_rref_of_stacked_bases(p, m, n, r, seed, k):
 def _two_pass_kernel(a, p):
     """The kernel built from the free columns of rref(A^T), then eliminated again."""
     m = a.shape[0]
-    red, pivots = fl._rref(a.T.copy(), p)
+    red, pivots = oracle_rref(a.T.copy(), p)
     free = [c for c in range(m) if c not in pivots]
     vecs = np.zeros((len(free), m), dtype=np.int64)
     for k, f in enumerate(free):
         vecs[k, f] = 1
         for i, c in enumerate(pivots):
             vecs[k, c] = (-red[i, f]) % p
-    return fl._rref(vecs, p)
+    return oracle_rref(vecs, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,7 +280,7 @@ def test_kernel_matches_two_pass_construction(p, m, n, r, seed):
     assert ker.pivots == pivots
     assert np.array_equal(ker.basis, basis)
     assert not ((ker.basis @ a) % p).any()
-    assert ker.dim == m - len(fl._rref(a, p)[1])
+    assert ker.dim == m - len(oracle_rref(a, p)[1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,7 +297,115 @@ def test_intersect_matches_rref_of_enumerated_common_vectors(p, n, m, k, seed):
     every = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
     for a, b in ((u, v), (v, u), (u, u), (u, fl.full_subspace(p, n))):
         common = ~a.reduce_rows(every).any(axis=1) & ~b.reduce_rows(every).any(axis=1)
-        oracle_basis, oracle_pivots = fl._rref(every[common], p)
+        oracle_basis, oracle_pivots = oracle_rref(every[common], p)
         s = a.intersect(b)
         assert s.pivots == oracle_pivots
         assert np.array_equal(s.basis, oracle_basis)
+
+
+# -- the one elimination and the exact product, against the oracle ---------
+
+# the widest ambient space each prime meets: the order cap of its groups
+_ORDER_CAP = {2: 128, 3: 243, 5: 125, 7: 49}
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(p, A): an m x n matrix over GF(p) of exact rank r, 0 <= r <= min(m, n),
+    narrow or as wide as the prime's order cap, then with some rows and
+    columns zeroed."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.one_of(st.integers(min_value=1, max_value=9), st.just(_ORDER_CAP[p])))
+    m = draw(st.integers(min_value=0, max_value=12))
+    r = draw(st.integers(min_value=0, max_value=min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # [I; X] @ [I | Y] has rank exactly r; permuting rows and columns keeps it
+    left = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(m - r, r))])
+    right = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(r, n - r))], axis=1)
+    a = ((left @ right) % p)[rng.permutation(m)][:, rng.permutation(n)]
+    if m:
+        a[draw(st.lists(st.integers(0, m - 1), max_size=3)), :] = 0
+    a[:, draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0
+    return p, a
+
+
+def _oracle_solve_row(a, v, p):
+    """solve_row as it was, on the oracle elimination."""
+    aug = np.concatenate([a.T % p, v.reshape(-1, 1)], axis=1)
+    red, pivots = oracle_rref(aug, p)
+    if a.shape[0] in pivots:
+        return None
+    x = np.zeros(a.shape[0], dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = red[i, -1]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(pa=_sparse_matrices(), data=st.data())
+def test_elimination_entry_points_match_oracle(pa, data):
+    p, a = pa
+    m, n = a.shape
+    basis, pivots = oracle_rref(a, p)
+    s = fl.rref(a, p, n)
+    assert s.pivots == pivots
+    assert np.array_equal(s.basis, basis)
+
+    ker = fl.kernel(a, p)
+    ker_basis, ker_pivots = _two_pass_kernel(a, p)
+    assert ker.pivots == ker_pivots
+    assert np.array_equal(ker.basis, ker_basis)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for v in ((rng.integers(0, p, size=m) @ a) % p, rng.integers(0, p, size=n)):
+        got, want = fl.solve_row(a, v, p), _oracle_solve_row(a, v, p)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+    # the same rows absorbed in random blocks, possibly on top of a seed space
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=4)))
+    blocks = np.split(a, cuts)
+    builder = fl.SubspaceBuilder(p, n)
+    assert sum(builder.absorb(block) for block in blocks) == len(pivots)
+    assert builder.subspace() == s
+    assert np.array_equal(builder.subspace().basis, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pa=_sparse_matrices(), data=st.data())
+def test_subquotient_coords_match_oracle(pa, data):
+    p, a = pa
+    n = a.shape[1]
+    top = fl.rref(a, p, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(0, top.dim))
+    bottom = fl.rref((rng.integers(0, p, size=(k, top.dim)) @ top.basis) % p, p, n)
+    q = fl.Subquotient(top, bottom)
+    solve_matrix = np.concatenate([q.basis_rows, bottom.basis])
+    for _ in range(4):
+        v = (rng.integers(0, p, size=top.dim) @ top.basis) % p
+        want = _oracle_solve_row(solve_matrix, v, p)
+        assert np.array_equal(q.coords(v), want[: q.rank])
+    outside = [c for c in range(n) if c not in top.pivots]
+    if outside:
+        with pytest.raises(fl.NotSubspaceError):
+            q.coords(np.eye(n, dtype=np.int64)[outside[0]])
+    with pytest.raises(fl.AmbientMismatchError):
+        q.coords(np.zeros(n + 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mm_exact_at_the_widest_inner_dimension(p):
+    k = _ORDER_CAP[p]
+    a = np.full((3, k), p - 1, dtype=np.int64)
+    b = np.full((k, 4), p - 1, dtype=np.int64)
+    assert np.array_equal(fl._mm(a, b, p), (a @ b) % p)
+    assert fl._mm(a, b, p).dtype == np.int64
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mm_rejects_an_inexact_inner_dimension(p):
+    # zero-row and zero-column operands: nothing is allocated
+    with pytest.raises(OverflowError):
+        fl._mm(np.zeros((0, 2**53)), np.zeros((2**53, 0)), p)

@@ -749,3 +749,24 @@ def test_basis_extension_outside_the_subgroup_is_an_internal_error(groups):
     assert str(info.value) == (
         "extended basis generates a subgroup of order 2 of D8, not the given subgroup of order 2"
     )
+
+
+def test_conjugation_gathers_match_scalar_loops(groups):
+    # normal_closure and conjugacy_classes against one G.conjugate call per
+    # (element, conjugator) pair, the loops they replaced
+    for name, G in groups.items():
+        classes, seen = [], set()
+        for a in G.elements():
+            if a not in seen:
+                orbit = sorted({G.conjugate(a, g) for g in G.elements()})
+                seen.update(orbit)
+                classes.append(tuple(orbit))
+        assert G.conjugacy_classes() == classes, name
+        step = max(1, G.order // 16)
+        picks = [[g] for g in range(0, G.order, step)] + [[], [1, G.order - 1]]
+        for elems in picks:
+            gens = set(elems) - {0}
+            conj = {G.conjugate(x, g) for x in gens for g in G.elements()}
+            want = gc._generated(G, sorted(conj))
+            got = gc.normal_closure(G, elems)
+            assert (got.elements, got.generators) == (want.elements, want.generators), name

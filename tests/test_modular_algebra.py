@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mipkit import catalog as cat
 from mipkit import fp_linalg as fl
+from rref_oracle import oracle_rref
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 
@@ -15,23 +16,25 @@ def one_minus(A, g):
     v = np.zeros(A.dim, dtype=np.int64)
     v[g] += 1
     v[0] -= 1
-    return A.element(v % A.p)
+    return v % A.p
 
 
 def test_basis_multiplication_and_inverses(algebras):
     A = algebras["D8"]
     G = A.group
+    eye = np.eye(A.dim, dtype=np.int64)
     for g in range(G.order):
-        prod = A.basis_element(g) * A.basis_element(G.inv_elem(g))
-        assert prod == A.one()
+        prod = A.multiply_vec(eye[g], eye[G.inv_elem(g)])
+        assert np.array_equal(prod, eye[0])
+        assert np.array_equal(A.power_vec(eye[g], G.element_order(g)), eye[0])
 
 
 def test_square_of_generator_minus_one_in_cyclic_4(algebras):
     A = algebras["C4"]
     x = one_minus(A, 1)
-    sq = x * x
     # (a-1)^2 = a^2 - 2a + 1 = a^2 + 1 over F_2
-    assert sq.coeffs.tolist() == [1, 0, 1, 0]
+    assert A.multiply_vec(x, x).tolist() == [1, 0, 1, 0]
+    assert A.power_vec(x, 2).tolist() == [1, 0, 1, 0]
 
 
 def test_augmentation_is_multiplicative(algebras):
@@ -39,9 +42,10 @@ def test_augmentation_is_multiplicative(algebras):
     for name in ("D8", "C9xC3", "M16"):
         A = algebras[name]
         for _ in range(20):
-            x = A.element(rng.integers(0, A.p, size=A.dim))
-            y = A.element(rng.integers(0, A.p, size=A.dim))
-            assert (x * y).augmentation() == (x.augmentation() * y.augmentation()) % A.p
+            x = rng.integers(0, A.p, size=A.dim)
+            y = rng.integers(0, A.p, size=A.dim)
+            prod = A.augmentation_vec(A.multiply_vec(x, y))
+            assert prod == (A.augmentation_vec(x) * A.augmentation_vec(y)) % A.p
 
 
 def test_relative_augmentation_ideal_extremes(algebras):
@@ -75,7 +79,7 @@ def test_relative_ideal_closed_form_matches_elimination(groups, algebras):
                 assert space.dim == 0
                 continue
             blocks = [eye[G.mul[m, :]] - eye for m in N.generators]
-            basis, pivots = fl._rref(np.concatenate(blocks) % G.p, G.p)
+            basis, pivots = oracle_rref(np.concatenate(blocks) % G.p, G.p)
             assert space.pivots == pivots, (name, N.order)
             assert np.array_equal(space.basis, basis), (name, N.order)
 
