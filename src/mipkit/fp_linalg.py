@@ -15,6 +15,13 @@ product goes through ``_mm``, which multiplies in float64 and reduces mod
 p; that is exact while inner dimension * (p - 1)^2 < 2^53, and ``_mm``
 raises where it is not.  A subquotient factors its coordinate map once,
 so each coordinate lookup is one product.
+
+Partition spaces, {x : x sums to 0 on every block} for a partition of the
+coordinates, need no elimination.  ``partition_subspace`` writes their
+echelon basis in closed form from block labels, and the sum of two
+labelled spaces is the space of the join of their partitions.  The meet
+of two partitions does not give their intersection, so ``intersect``
+eliminates as for any other pair.
 """
 
 from __future__ import annotations
@@ -155,18 +162,30 @@ class FpVector:
 
 
 class Subspace:
-    """A subspace of GF(p)^n held as a canonical reduced row-echelon basis."""
+    """A subspace of GF(p)^n held as a canonical reduced row-echelon basis.
 
-    __slots__ = ("p", "ambient_dim", "basis", "pivots", "_hash")
+    ``labels`` is set on partition spaces only (see ``partition_subspace``).
+    It is derived from the basis, so equality and hashing ignore it.
+    """
 
-    def __init__(self, p: int, ambient_dim: int, basis: np.ndarray, pivots: tuple[int, ...]):
+    __slots__ = ("p", "ambient_dim", "basis", "pivots", "labels", "_hash")
+
+    def __init__(
+        self,
+        p: int,
+        ambient_dim: int,
+        basis: np.ndarray,
+        pivots: tuple[int, ...],
+        labels: Optional[np.ndarray] = None,
+    ):
         # Internal constructor: ``basis`` must already be in RREF.
         self.p = p
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.basis.setflags(write=False)
         self.pivots = pivots
-        self._hash = hash((p, ambient_dim, pivots, basis.tobytes()))
+        self.labels = labels
+        self._hash = None
 
     @property
     def dim(self) -> int:
@@ -183,6 +202,8 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.p, self.ambient_dim, self.pivots, self.basis.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -218,10 +239,14 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of the union, canonical.
 
-        The larger echelon basis seeds a builder as it stands; only the
-        smaller basis is reduced against it and eliminated.
+        Two partition spaces sum to the space of the join of their
+        partitions.  Otherwise the larger echelon basis seeds a builder as
+        it stands; only the smaller basis is reduced against it and
+        eliminated.
         """
         self._check_compatible(other)
+        if self.labels is not None and other.labels is not None:
+            return partition_subspace(self.p, _join(self.labels, other.labels))
         big, small = (self, other) if self.dim >= other.dim else (other, self)
         builder = SubspaceBuilder.from_subspace(big)
         if not builder.absorb(small.basis):
@@ -274,6 +299,49 @@ def full_subspace(p: int, ambient_dim: int) -> Subspace:
     return Subspace(
         p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), tuple(range(ambient_dim))
     )
+
+
+def partition_subspace(p: int, labels) -> Subspace:
+    """{x : x sums to 0 on every block}, for the partition given by ``labels``.
+
+    ``labels[g]`` is the least index of g's block.  The space is spanned by
+    the differences e_g - e_h within blocks, and its reduced echelon basis
+    is {e_g - e_last(C)} over g != last(C), with last(C) the highest index
+    of the block C: each row has its pivot at g and its one other entry at
+    a column that is no pivot.
+    """
+    _check_prime(p)
+    labels = np.array(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-d array")
+    n = labels.shape[0]
+    idx = np.arange(n)
+    if (labels < 0).any() or (labels > idx).any() or (labels[labels] != labels).any():
+        raise ValueError("labels must give each index the least index of its block")
+    last = np.zeros(n, dtype=np.int64)
+    np.maximum.at(last, labels, idx)
+    last = last[labels]
+    rows = np.flatnonzero(last != idx)
+    basis = np.zeros((rows.size, n), dtype=np.int64)
+    basis[np.arange(rows.size), rows] = 1
+    basis[np.arange(rows.size), last[rows]] = p - 1
+    labels.setflags(write=False)
+    return Subspace(p, n, basis, tuple(rows.tolist()), labels)
+
+
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-index labels of the finest partition coarser than both ``a``
+    and ``b``: starting from a, block minima over b, then over a, until
+    stable."""
+    label = a
+    while True:
+        prev = label
+        for blocks in (b, a):
+            least = np.full(label.shape[0], label.shape[0], dtype=np.int64)
+            np.minimum.at(least, blocks, label)
+            label = least[blocks]
+        if np.array_equal(label, prev):
+            return label
 
 
 def rref(rows, p: int, ambient_dim: Optional[int] = None) -> Subspace:

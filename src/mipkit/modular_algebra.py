@@ -136,10 +136,10 @@ def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
 
     Over any field, span{e_mg - e_g} for m in the generators of N is the
     set of vectors summing to zero on every orbit C of <gens> acting on G
-    by left multiplication.  Its reduced echelon basis is therefore
-    {e_g - e_last(C)} over g != last(C), with last(C) the highest index in
-    C.  The orbits are derived from the generators, so the check that they
-    are the |G:N| cosets of N re-derives dim I(N)G = n - n/|N|.
+    by left multiplication: the partition space of those orbits, built
+    by ``fl.partition_subspace`` without elimination.  The orbits are
+    derived from the generators, so the check that they are the |G:N|
+    cosets of N re-derives dim I(N)G = n - n/|N|.
     """
     if n_sub.parent is not A.group:
         raise ValueError("subgroup of a different group")
@@ -169,27 +169,21 @@ def _orbit_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
             f"{roots.size} orbits of sizes {sorted(set(sizes.tolist()))} "
             f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
         )
-    last = np.zeros(n, dtype=np.int64)
-    np.maximum.at(last, label, idx)
-    last = last[label]
-    rows = np.nonzero(last != idx)[0]
-    basis = np.zeros((rows.size, n), dtype=np.int64)
-    basis[np.arange(rows.size), rows] = 1
-    basis[np.arange(rows.size), last[rows]] = A.p - 1
-    return AlgIdeal(A, Subspace(A.p, n, basis, tuple(rows.tolist())))
+    return AlgIdeal(A, fl.partition_subspace(A.p, label))
 
 
 def augmentation_span(A: GroupAlgebra, sub: Subgroup) -> Subspace:
     """span{ s - 1 : s in S } inside kG: the augmentation ideal of the
-    embedded subalgebra kS (not the two-sided ideal I(S)G)."""
-    rows = []
-    eye = np.eye(A.dim, dtype=np.int64)
-    for s in sub.elements:
-        if s:
-            rows.append((eye[s] - eye[0]) % A.p)
-    if not rows:
-        return fl.zero_subspace(A.p, A.dim)
-    return fl.rref(np.array(rows), A.p, A.dim)
+    embedded subalgebra kS (not the two-sided ideal I(S)G).
+
+    It is the partition space of one block S and singletons elsewhere,
+    for any subgroup S, normal or not.
+    """
+    if sub.parent is not A.group:
+        raise ValueError("subgroup of a different group")
+    labels = np.arange(A.dim)
+    labels[list(sub.elements)] = 0
+    return fl.partition_subspace(A.p, labels)
 
 
 def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> Subspace:
@@ -198,6 +192,8 @@ def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> S
     Generators of N suffice: (m1 m2 - 1)v = (m1 - 1)(m2 v) + (m2 - 1)v and
     m2 v stays inside the space because it is a left ideal.
     """
+    if n_sub.parent is not A.group:
+        raise ValueError("subgroup of a different group")
     if space.dim == 0 or n_sub.order == 1:
         return fl.zero_subspace(A.p, A.dim)
     builder = fl.SubspaceBuilder(A.p, A.dim)

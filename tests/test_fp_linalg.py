@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,3 +411,149 @@ def test_mm_rejects_an_inexact_inner_dimension(p):
     # zero-row and zero-column operands: nothing is allocated
     with pytest.raises(OverflowError):
         fl._mm(np.zeros((0, 2**53)), np.zeros((2**53, 0)), p)
+
+
+def _is_float_dtype(node) -> bool:
+    """``float``, a numpy float type, or a dtype string of kind 'f'."""
+    if isinstance(node, ast.Name):
+        return node.id == "float"
+    if isinstance(node, ast.Attribute):
+        return (
+            isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and (node.attr.startswith("float") or node.attr in ("double", "single", "half", "longdouble"))
+        )
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return np.dtype(node.value).kind == "f"
+        except TypeError:
+            return False
+    return False
+
+
+def _float_dtype_uses(tree, skip=()):
+    """Line numbers where a float dtype is named, passed as ``dtype=`` or to
+    ``astype``, outside the nodes in ``skip``."""
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and _is_float_dtype(node):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and _is_float_dtype(node.value):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype"
+            and node.args
+            and _is_float_dtype(node.args[0])
+        ):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_float_dtype_outside_the_exact_product():
+    # arithmetic stays exact: only _mm, whose bound makes float64 exact,
+    # may compute in floating point
+    found = []
+    for path in sorted(Path(fl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        if path.name == "fp_linalg.py":
+            mm = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_mm")
+            skip = {id(n) for n in ast.walk(mm)}
+        found += [f"{path.name}:{line}" for line in _float_dtype_uses(tree, skip)]
+    assert not found, found
+
+
+def test_float_dtype_guard_sees_each_form():
+    code = "np.float32\nx.astype(float)\nnp.zeros(3, dtype='f8')\nnp.zeros(3, dtype=np.int64)\n"
+    assert _float_dtype_uses(ast.parse(code)) == [1, 2, 3]
+
+
+# -- partition spaces: closed form and label join, against the oracle ------
+
+
+@st.composite
+def _partitions(draw, n):
+    """Least-index block labels of a partition of range(n): discrete, one
+    block, or a random assignment to at most ``k`` blocks."""
+    kind = draw(st.sampled_from(["discrete", "one block", "random"]))
+    if kind == "discrete":
+        return np.arange(n)
+    if kind == "one block":
+        return np.zeros(n, dtype=np.int64)
+    k = draw(st.integers(min_value=1, max_value=n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    _, first, inverse = np.unique(rng.integers(0, k, size=n), return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _difference_rows(labels, p):
+    """The spanning set {e_g - e_root(g)} of a partition space."""
+    n = labels.shape[0]
+    rows = np.flatnonzero(labels != np.arange(n))
+    diff = np.zeros((rows.size, n), dtype=np.int64)
+    diff[np.arange(rows.size), rows] = 1
+    diff[np.arange(rows.size), labels[rows]] = p - 1
+    return diff
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_partition_subspace_matches_oracle(p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    a = data.draw(_partitions(n))
+    b = data.draw(_partitions(n))
+    u, v = fl.partition_subspace(p, a), fl.partition_subspace(p, b)
+    for labels, space in ((a, u), (b, v)):
+        basis, pivots = oracle_rref(_difference_rows(labels, p), p)
+        assert space.pivots == pivots
+        assert np.array_equal(space.basis, basis)
+        # equality and hashing ignore the labels
+        same = fl.rref(basis, p, n)
+        assert same.labels is None
+        assert space == same and hash(space) == hash(same)
+
+    s = u.sum(v)
+    assert s.labels is not None
+    basis, pivots = oracle_rref(np.concatenate([u.basis, v.basis]), p)
+    assert s.pivots == pivots
+    assert np.array_equal(s.basis, basis)
+    # the sum of a labelled and an unlabelled space is eliminated as before
+    assert fl.rref(u.basis, p, n).sum(v) == s
+
+    # a block labelled by its greatest index, or a label naming a non-root
+    non_roots = np.flatnonzero(a != np.arange(n))
+    if non_roots.size:
+        g = int(non_roots[0])
+        block = a == a[g]
+        above = a.copy()
+        above[block] = np.flatnonzero(block)[-1]
+        assert np.array_equal(above[above], above)
+        with pytest.raises(ValueError):
+            fl.partition_subspace(p, above)
+        if g + 1 < n:
+            chained = a.copy()
+            chained[n - 1] = g
+            with pytest.raises(ValueError):
+                fl.partition_subspace(p, chained)
+
+
+def test_partition_subspace_rejects_malformed_labels():
+    for bad in ([-1, 1], [0, 2], [[0, 1]]):
+        with pytest.raises(ValueError):
+            fl.partition_subspace(2, bad)
+
+
+def test_partition_spaces_intersect_beyond_the_meet_partition():
+    # blocks {0,1},{2,3} and {0,2},{1,3}: the meet partition is discrete,
+    # yet (1, -1, -1, 1) lies in both spaces
+    u = fl.partition_subspace(3, [0, 0, 2, 2])
+    v = fl.partition_subspace(3, [0, 1, 0, 1])
+    common = u.intersect(v)
+    assert common.dim == 1
+    assert common.contains([1, 2, 2, 1])
+    assert fl.partition_subspace(3, [0, 1, 2, 3]).dim == 0
+    assert u.sum(v) == fl.partition_subspace(3, [0, 0, 0, 0])

@@ -67,13 +67,24 @@ def test_relative_ideal_requires_normal(algebras):
         ma.relative_augmentation_ideal(A, A.group.subgroup((4,)))
 
 
-def test_relative_ideal_closed_form_matches_elimination(groups, algebras):
+def _assert_augmentation_span_matches_elimination(A, S):
+    # span(S - 1) against an elimination of {e_s - e_0 : s in S}
+    eye = np.eye(A.dim, dtype=np.int64)
+    rows = (eye[list(S.elements)] - eye[0]) % A.p
+    basis, pivots = oracle_rref(rows, A.p)
+    space = ma.augmentation_span(A, S)
+    assert space.pivots == pivots, (A.group.name, S.elements)
+    assert np.array_equal(space.basis, basis), (A.group.name, S.elements)
+
+
+def test_relative_ideal_closed_form_matches_elimination(groups, algebras, small_groups):
     # the echelon basis {e_g - e_last(C)} against an elimination of the
     # spanning set {e_mg - e_g} over the generators m of N
     for name, G in groups.items():
         A = algebras[name]
         eye = np.eye(G.order, dtype=np.int64)
         for N in gc.normal_subgroups(G):
+            _assert_augmentation_span_matches_elimination(A, N)
             space = ma.relative_augmentation_ideal(A, N).space
             if N.order == 1:
                 assert space.dim == 0
@@ -82,6 +93,11 @@ def test_relative_ideal_closed_form_matches_elimination(groups, algebras):
             basis, pivots = oracle_rref(np.concatenate(blocks) % G.p, G.p)
             assert space.pivots == pivots, (name, N.order)
             assert np.array_equal(space.basis, basis), (name, N.order)
+    # augmentation_span takes any subgroup: the non-normal cyclic ones
+    for name, G in small_groups.items():
+        cyclic = {G.subgroup((g,)) for g in range(1, G.order)}
+        for S in sorted((S for S in cyclic if not S.is_normal()), key=lambda S: S.elements):
+            _assert_augmentation_span_matches_elimination(algebras[name], S)
 
 
 def test_relative_ideal_rejects_generators_of_a_proper_subgroup(groups):
@@ -458,6 +474,22 @@ def test_relative_augmentation_ideal_checks_its_input_on_every_call():
     # same element indices, other parent: a cached answer must not leak out
     with pytest.raises(ValueError, match="different group"):
         ma.relative_augmentation_ideal(A, gc.center(cat.build("Q8")))
+
+
+def test_augmentation_span_rejects_a_foreign_subgroup(groups, algebras):
+    A = algebras["D8"]
+    # same order, other parent; and a subgroup larger than the group
+    for foreign in (gc.center(groups["Q8"]), groups["D8xC4"].full_subgroup()):
+        with pytest.raises(ValueError, match="different group"):
+            ma.augmentation_span(A, foreign)
+
+
+def test_left_multiplier_span_rejects_a_foreign_subgroup(groups, algebras):
+    A = algebras["D8"]
+    ideal = ma.augmentation_ideal(A).space
+    for foreign in (gc.center(groups["Q8"]), groups["D8xC4"].full_subgroup()):
+        with pytest.raises(ValueError, match="different group"):
+            ma.left_multiplier_span(A, foreign, ideal)
 
 
 # -- the product kernel against the per-coefficient loop ---------------------
