@@ -86,13 +86,15 @@ def cache_dir() -> Path:
 
 
 def fingerprint_cached(spec: str, group: FiniteGroup, depth: int, t_max: Optional[int]) -> dict:
-    """Fingerprint payload, content-addressed on presentation bytes,
-    depth, t_max and tool version.  Corrupt entries are recomputed."""
+    """Fingerprint payload, content-addressed on presentation bytes, the
+    group's name (the payload reports it), depth, t_max and tool version.
+    Corrupt entries are recomputed."""
     source = _group_source_bytes(spec)
     tau = ci.stabilization_threshold(group)
     eff_tmax = t_max if t_max is not None else tau + 1
     key = hashlib.sha256(
-        source + f"|depth={depth}|tmax={eff_tmax}|v={__version__}".encode()
+        source
+        + f"|name={group.name}|depth={depth}|tmax={eff_tmax}|v={__version__}".encode()
     ).hexdigest()
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)

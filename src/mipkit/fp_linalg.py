@@ -10,11 +10,18 @@ GF(p)^m -> GF(p)^n is an m x n matrix A acting on row vectors by
 ``x |-> x @ A``.
 
 ``_rref`` is the one elimination: ``rref``, ``kernel``, ``solve_row``, the
-builder and the subquotient factorization all call it.  Every matrix
-product goes through ``_mm``, which multiplies in float64 and reduces mod
-p; that is exact while inner dimension * (p - 1)^2 < 2^53, and ``_mm``
-raises where it is not.  A subquotient factors its coordinate map once,
-so each coordinate lookup is one product.
+builder and the subquotient all call it.  Every matrix product goes
+through ``_mm``, which multiplies in float64 and reduces mod p; that is
+exact while inner dimension * (p - 1)^2 < 2^53, and ``_mm`` raises where
+it is not.
+
+The two greedy bases, "take the next vector outside the span so far",
+are read off echelon pivots in one pass instead of one absorb per
+candidate.  ``lex_complement`` is the unit vectors off the pivots of the
+given space, highest first.  ``Subquotient`` eliminates the bottom space
+once, with its columns reversed as in ``kernel``: the pivots are the rows
+of the top basis the greedy skips, and the same reduced rows give the
+coordinate map, so each coordinate lookup is one product.
 
 Partition spaces, {x : x sums to 0 on every block} for a partition of the
 coordinates, need no elimination.  ``partition_subspace`` writes their
@@ -26,7 +33,6 @@ eliminates as for any other pair.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -279,17 +285,6 @@ class Subspace:
         r[pivots, pivots] = 0
         return r
 
-    def complement_rows_in(self, ambient_rows: np.ndarray) -> np.ndarray:
-        """Greedy subset of ``ambient_rows`` independent modulo self, in order."""
-        builder = SubspaceBuilder.from_subspace(self)
-        picked = []
-        for row in ambient_rows:
-            if builder.absorb(row.reshape(1, -1)):
-                picked.append(row % self.p)
-        if picked:
-            return np.array(picked, dtype=np.int64)
-        return np.zeros((0, self.ambient_dim), dtype=np.int64)
-
 
 def zero_subspace(p: int, ambient_dim: int) -> Subspace:
     return Subspace(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
@@ -473,11 +468,16 @@ class Subquotient:
     The basis consists of the rows of V's echelon basis that are independent
     modulo W, taken greedily in order, so the choice is canonical.
 
-    Coordinates are factored once.  The rows S = [basis; W's basis] span V,
-    and a vector of V is fixed by its entries on V's pivot columns, so those
-    columns of S form an invertible square T and x @ S = v exactly when
-    x @ T = v[pivots].  One ``_rref([T | I])`` gives T^-1; ``coords`` is
-    then a membership check and one product.
+    One elimination gives both the basis and the coordinates.  A vector of
+    V is fixed by its entries on V's pivot columns, and there row i of V's
+    basis is e_i.  The greedy skips row i exactly when it lies in W plus
+    the rows before it, that is, when some vector of W (in these
+    coordinates) has its last nonzero entry at i.  Eliminating W's rows
+    with the columns reversed, as ``kernel`` does, makes those last
+    positions the pivots; every other row is a representative.  In the
+    original order the reduced rows are 1 at their own last position and 0
+    at the others', so x |-> (x - x[last] . red)[keep] sends x + W to its
+    coordinates; ``coords`` is a membership check and one product.
     """
 
     def __init__(self, top: Subspace, bottom: Subspace):
@@ -487,14 +487,18 @@ class Subquotient:
         self.top = top
         self.bottom = bottom
         self.p = top.p
-        self.basis_rows = bottom.complement_rows_in(top.basis)
-        self.rank = self.basis_rows.shape[0]
+        d = top.dim
+        red, rev_pivots = _rref(bottom.basis[:, list(top.pivots)][:, ::-1], self.p)
+        last = [d - 1 - c for c in rev_pivots]
+        keep = sorted(set(range(d)) - set(last))
+        self.basis_rows = top.basis[keep]
+        self.rank = len(keep)
         if self.rank + bottom.dim != top.dim:
             raise RuntimeError("subquotient basis construction failed")
-        d = top.dim
-        square = np.concatenate([self.basis_rows, bottom.basis], axis=0)[:, list(top.pivots)]
-        red, _ = _rref(np.concatenate([square, np.eye(d, dtype=np.int64)], axis=1), self.p)
-        self._coord_map = red[:, d : d + self.rank]
+        coord_map = np.zeros((d, self.rank), dtype=np.int64)
+        coord_map[keep, range(self.rank)] = 1
+        coord_map[last] = (-red[:, ::-1][:, keep]) % self.p
+        self._coord_map = coord_map
 
     def coords(self, v) -> np.ndarray:
         """Coordinates of ``v + bottom`` in the representative basis."""
@@ -510,24 +514,17 @@ class Subquotient:
         return _mm(c, self.basis_rows, self.p)
 
 
-def lex_vectors(p: int, length: int):
-    """All coordinate vectors of GF(p)^length in lexicographic order."""
-    for tup in itertools.product(range(p), repeat=length):
-        yield np.array(tup, dtype=np.int64)
-
-
 def lex_complement(inside: Subspace, p: int, dim: int) -> np.ndarray:
-    """Lexicographically least basis of a complement of ``inside`` in GF(p)^dim."""
-    builder = SubspaceBuilder.from_subspace(inside)
-    picked = []
-    target = dim - inside.dim
-    for vec in lex_vectors(p, dim):
-        if len(picked) == target:
-            break
-        if not vec.any():
-            continue
-        if builder.absorb(vec.reshape(1, -1)):
-            picked.append(vec)
-    if picked:
-        return np.array(picked, dtype=np.int64)
-    return np.zeros((0, dim), dtype=np.int64)
+    """Lexicographically least basis of a complement of ``inside`` in GF(p)^dim.
+
+    The greedy basis takes, again and again, the lexicographically least
+    vector outside the span V built so far.  That vector is e_k for the
+    largest k with e_k outside V: every vector supported above k lies in V,
+    and any other vector outside V is nonzero at some index <= k.  That k
+    is V's highest free column: no free column's unit vector is in V, and
+    an echelon row whose pivot lies above every free column is a unit
+    vector.  Adding e_k makes k a pivot and leaves the other free columns
+    free, so the picks are V's free columns from the highest down.
+    """
+    free = [k for k in reversed(range(dim)) if k not in inside.pivots]
+    return np.eye(dim, dtype=np.int64)[free]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -93,6 +94,8 @@ def _memo(fn):
 
 
 def _is_p_power(n: int, p: int) -> bool:
+    if n < 1:
+        return False
     while n % p == 0:
         n //= p
     return n == 1
@@ -855,21 +858,25 @@ def burnside_basis(g: Union[FiniteGroup, Subgroup]) -> list[int]:
 
 
 def burnside_basis_extend(g: Union[FiniteGroup, Subgroup], seed: Sequence[int]) -> list[int]:
-    """Extend independent-mod-Frattini seed elements to a full Burnside basis."""
+    """Extend independent-mod-Frattini seed elements to a full Burnside basis.
+
+    The greedy takes each element of the subgroup S, in order, that lies
+    outside Phi(S) and the basis so far, which is the greedy witness of one
+    ``_grow`` over Phi's generators, the seed, then S's elements.  With the
+    seed inside S each pick multiplies the order by exactly p, so the
+    log_p|S : Phi(S)| - len(seed) picks allowed are all there are; a seed
+    outside S fails the final check either way.
+    """
     s = _as_subgroup(g)
     G = s.parent
     phi = frattini(s)
-    basis = list(seed)
-    current = join(phi, G.subgroup(tuple(basis)))
-    expected = phi.order * G.p ** len(basis)
-    if current.order != expected:
+    head = list(phi.generators) + list(seed)
+    seen, head_gens = _grow(G, head)
+    if len(seen) != phi.order * G.p ** len(seed):
         raise ValueError("seed elements are not independent modulo Frattini")
-    for x in s.elements:
-        if current.order == s.order:
-            break
-        if x not in current:
-            basis.append(x)
-            current = join(current, G.subgroup((x,)))
+    picks = _grow(G, head + list(s.elements))[1][len(head_gens) :]
+    room = max(log_p(s.order // phi.order, G.p) - len(seed), 0)
+    basis = list(seed) + picks[:room]
     generated = _grow(G, basis)[0]
     if generated != s._set:
         raise InternalCheckError(
@@ -1061,17 +1068,10 @@ def _merge_presentations(a: FiniteGroup, b: FiniteGroup) -> Optional[PcPresentat
 
 
 def _pcp_generator_indices(pres: PcPresentation) -> list[int]:
-    """Element index of each presentation generator in the built table."""
+    """Element index of each presentation generator in the built table: the
+    mixed-radix place value of its digit."""
     radices = pres.rel_orders
-    idxs = []
-    for i in range(len(radices)):
-        tup = [0] * len(radices)
-        tup[i] = 1
-        idx = 0
-        for a, m in zip(tup, radices):
-            idx = idx * m + a
-        idxs.append(idx)
-    return idxs
+    return [math.prod(radices[i + 1 :]) for i in range(len(radices))]
 
 
 def from_pc_presentation(

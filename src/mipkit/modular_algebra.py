@@ -349,17 +349,12 @@ def jennings_poincare_layer_dims(G: FiniteGroup) -> list[int]:
 
 @gc._memo
 def commutator_subspace(A: GroupAlgebra) -> Subspace:
-    """[kG, kG]: spanned by the in-class differences x - rep(class of x)."""
-    n = A.dim
-    rows = []
+    """[kG, kG]: spanned by the in-class differences x - y, so it is the
+    partition space of the conjugacy classes."""
+    labels = np.empty(A.dim, dtype=np.int64)
     for cls in A.group.conjugacy_classes():
-        rep = cls[0]
-        for x in cls[1:]:
-            row = np.zeros(n, dtype=np.int64)
-            row[x] += 1
-            row[rep] -= 1
-            rows.append(row % A.p)
-    return fl.rref(rows, A.p, n)
+        labels[list(cls)] = cls[0]  # classes are sorted orbits
+    return fl.partition_subspace(A.p, labels)
 
 
 @gc._memo
@@ -391,15 +386,7 @@ def center_decomposition(A: GroupAlgebra) -> tuple[Subspace, Subspace, Subspace]
     zc = algebra_center(A)
     aug = augmentation_ideal(A).space
     lhs = zc.intersect(aug)
-    z_sub = gc.center(A.group)
-    rows = []
-    for z in z_sub.elements:
-        if z:
-            row = np.zeros(A.dim, dtype=np.int64)
-            row[z] += 1
-            row[0] -= 1
-            rows.append(row % A.p)
-    part1 = fl.rref(rows, A.p, A.dim) if rows else fl.zero_subspace(A.p, A.dim)
+    part1 = augmentation_span(A, gc.center(A.group))
     part2 = commutator_subspace(A).intersect(zc)
     if part1.intersect(part2).dim != 0:
         raise InternalCheckError("center decomposition is not direct")
@@ -485,6 +472,11 @@ class ElementaryQuotient:
     Fixes a deterministic basis of coset representatives (smallest parent
     index first, drawn from ``rep_pool`` when given) and supports exact
     coordinate lookups for every element of M.
+
+    The representatives are the greedy ones: each pool element of M that
+    lies outside K and the representatives before it.  That is the greedy
+    witness of one Dimino walk (``gc._grow``) over K's generators and then
+    the pool, less the witnesses that lie in K.
     """
 
     def __init__(self, m_sub: Subgroup, k_sub: Subgroup, rep_pool: Optional[Sequence[int]] = None):
@@ -498,15 +490,9 @@ class ElementaryQuotient:
         self.p = p
         rank = gc.log_p(m_sub.order // k_sub.order, p)
         self.rank = rank
-        pool = list(rep_pool) if rep_pool is not None else list(m_sub.elements)
-        basis: list[int] = []
-        current = k_sub
-        for x in pool:
-            if len(basis) == rank:
-                break
-            if x in m_sub and x not in current:
-                basis.append(x)
-                current = gc.join(current, G.subgroup((x,)))
+        pool = m_sub.elements if rep_pool is None else [x for x in rep_pool if x in m_sub]
+        walk = gc._reduce_generators(G, k_sub.generators + tuple(pool))
+        basis = [x for x in walk if x not in k_sub]
         if len(basis) != rank:
             raise ValueError("representative pool does not generate the quotient")
         self.basis = basis
@@ -907,16 +893,10 @@ def iso_search_iter(
                 prev[i] -= 1
                 v = B.multiply_vec(vecs[tuple(prev)], images[i])
             vecs[tup] = v
-        matrix = np.zeros((A.dim, B.dim), dtype=np.int64)
-        for tup in tuples:
-            idx = 0
-            for a, m in zip(tup, radices):
-                idx = idx * m + a
-            matrix[idx] = vecs[tup]
-        if fl.rref(matrix, A.p).dim != A.dim:
-            return None
+        # the k-th tuple in product order is group element k
+        matrix = np.array([vecs[tup] for tup in tuples], dtype=np.int64)
         try:
-            return AlgebraIso(A, B, matrix, tuple(tuple(int(c) for c in u) for u in images))
+            return AlgebraIso(A, B, matrix, tuple(tuple(u.tolist()) for u in images))
         except ValueError:
             return None
 

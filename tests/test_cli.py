@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipkit import catalog as cat
 from mipkit import cli
@@ -268,3 +274,52 @@ def test_interrupted_cache_write_leaves_nothing_behind(monkeypatch, tmp_path, ow
     with pytest.raises(RuntimeError, match="interrupted"):
         cli.fingerprint_cached("C4", cat.build("C4"), 1, None)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("file_first", [False, True])
+def test_cache_hit_reports_the_specs_own_name(file_first, capsys, monkeypatch, tmp_path):
+    # a catalog name and a file holding the same presentation bytes share
+    # everything but the name the report gives
+    entry = next(e for e in cat.builtin_catalog() if e.name == "D8")
+    path = tmp_path / "Foo.pcp"
+    path.write_text(entry.presentation)
+    specs = [("D8", "D8"), (f"@{path}", "Foo")]
+    for spec, name in specs[::-1] if file_first else specs:
+        code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", spec)
+        assert code == 0
+        assert report["result"]["group"] == name
+
+
+_MUL_CELL = st.one_of(st.integers(-2, 9).map(str), st.text(" -0123ab", max_size=2))
+_MUL_TEXT = st.lists(
+    st.one_of(st.just(""), st.lists(_MUL_CELL, min_size=1, max_size=4).map(",".join)),
+    max_size=4,
+).map("\n".join)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("cli.main did not return within 5 s")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_MUL_TEXT, command=st.sampled_from(["analyze", "decompose"]))
+def test_mul_fuzz_ends_in_one_json_line(tmp_path_factory, text, command):
+    # any short .mul text, blank ones included, ends in a known exit code
+    # with one JSON object on stdout, in bounded time
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "fuzz.mul"
+    path.write_text(text)
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(5)
+    try:
+        with mock.patch.dict(os.environ, {"MIPKIT_CACHE_DIR": str(tmp / "cache")}):
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--no-timing", command, f"@{path}"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3, 4), text
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, text
+    assert isinstance(json.loads(lines[0]), dict)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipkit import fp_linalg as fl
+import greedy_oracle
 from rref_oracle import oracle_rref
 
 
@@ -311,6 +312,14 @@ def test_intersect_matches_rref_of_enumerated_common_vectors(p, n, m, k, seed):
 _ORDER_CAP = {2: 128, 3: 243, 5: 125, 7: 49}
 
 
+def _exact_rank(rng, p, m, n, r):
+    """A random m x n matrix over GF(p) of rank exactly r."""
+    # [I; X] @ [I | Y] has rank exactly r; permuting rows and columns keeps it
+    left = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(m - r, r))])
+    right = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(r, n - r))], axis=1)
+    return ((left @ right) % p)[rng.permutation(m)][:, rng.permutation(n)]
+
+
 @st.composite
 def _sparse_matrices(draw):
     """(p, A): an m x n matrix over GF(p) of exact rank r, 0 <= r <= min(m, n),
@@ -321,10 +330,7 @@ def _sparse_matrices(draw):
     m = draw(st.integers(min_value=0, max_value=12))
     r = draw(st.integers(min_value=0, max_value=min(m, n)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    # [I; X] @ [I | Y] has rank exactly r; permuting rows and columns keeps it
-    left = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(m - r, r))])
-    right = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(r, n - r))], axis=1)
-    a = ((left @ right) % p)[rng.permutation(m)][:, rng.permutation(n)]
+    a = _exact_rank(rng, p, m, n, r)
     if m:
         a[draw(st.lists(st.integers(0, m - 1), max_size=3)), :] = 0
     a[:, draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0
@@ -557,3 +563,46 @@ def test_partition_spaces_intersect_beyond_the_meet_partition():
     assert common.contains([1, 2, 2, 1])
     assert fl.partition_subspace(3, [0, 1, 2, 3]).dim == 0
     assert u.sum(v) == fl.partition_subspace(3, [0, 0, 0, 0])
+
+
+# the oracle enumerates GF(p)^n up to e_0, p^(n-1) vectors
+_LEX_DIM_CAP = {2: 10, 3: 6, 5: 4, 7: 4}
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_lex_complement_matches_greedy_oracle(p, data):
+    n = data.draw(st.integers(min_value=0, max_value=_LEX_DIM_CAP[p]))
+    r = data.draw(st.integers(min_value=0, max_value=n))
+    extra = data.draw(st.integers(min_value=0, max_value=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inside = fl.rref(_exact_rank(rng, p, r + extra, n, r), p, n)
+    assert inside.dim == r
+    comp = fl.lex_complement(inside, p, n)
+    want = greedy_oracle.lex_complement(inside, p, n)
+    assert comp.shape == want.shape == (n - r, n)
+    assert comp.dtype == want.dtype
+    assert np.array_equal(comp, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pa=_sparse_matrices(), data=st.data())
+def test_subquotient_matches_greedy_oracle(pa, data):
+    # bottom from rank 0 to all of top, representative rows and coordinates
+    p, a = pa
+    n = a.shape[1]
+    top = fl.rref(a, p, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(min_value=0, max_value=top.dim))
+    extra = data.draw(st.integers(min_value=0, max_value=2))
+    mix = _exact_rank(rng, p, k + extra, top.dim, k)
+    bottom = fl.rref(fl._mm(mix, top.basis, p), p, n)
+    assert bottom.dim == k
+    q = fl.Subquotient(top, bottom)
+    basis_rows, coord_map = greedy_oracle.subquotient(top, bottom)
+    assert q.rank == top.dim - k
+    assert q.basis_rows.shape == basis_rows.shape
+    assert np.array_equal(q.basis_rows, basis_rows)
+    for _ in range(4):
+        v = fl._mm(rng.integers(0, p, size=(1, top.dim)), top.basis, p)[0]
+        assert np.array_equal(q.coords(v), greedy_oracle.subquotient_coords(top, coord_map, v))

@@ -17,6 +17,7 @@ from mipkit import catalog as cat
 from mipkit import cli
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
+import greedy_oracle
 
 
 def census(G):
@@ -770,3 +771,30 @@ def test_conjugation_gathers_match_scalar_loops(groups):
             want = gc._generated(G, sorted(conj))
             got = gc.normal_closure(G, elems)
             assert (got.elements, got.generators) == (want.elements, want.generators), name
+
+
+def _greedy_seed(S):
+    """Elements of S independent modulo Phi(S), greedy from the top index
+    down: a seed unlike the prefix the extension would pick itself."""
+    G = S.parent
+    current, seed = gc.frattini(S), []
+    for x in reversed(S.elements):
+        if x not in current:
+            seed.append(x)
+            current = gc.join(current, G.subgroup((x,)))
+    return seed[: (len(seed) + 1) // 2]
+
+
+def test_burnside_basis_extend_matches_join_loop(groups):
+    # one Dimino walk against one join per pick, on every normal subgroup
+    # of every catalog group, with no seed and with a seed
+    for name, G in groups.items():
+        for N in gc.normal_subgroups(G):
+            for seed in ((), _greedy_seed(N)):
+                want = greedy_oracle.burnside_basis_extend(N, seed)
+                assert gc.burnside_basis_extend(N, seed) == want, (name, N.order, seed)
+            if not gc.frattini(N).is_trivial():
+                dependent = [gc.frattini(N).elements[1]]
+                for extend in (gc.burnside_basis_extend, greedy_oracle.burnside_basis_extend):
+                    with pytest.raises(ValueError, match="not independent modulo Frattini"):
+                        extend(N, dependent)

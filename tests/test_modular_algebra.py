@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mipkit import catalog as cat
 from mipkit import fp_linalg as fl
+import greedy_oracle
 from rref_oracle import oracle_rref
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
@@ -579,3 +580,50 @@ def test_vec_inverse_of_every_unit(algebras, name):
         inv = ma._vec_inverse(B, u)
         assert np.array_equal(B.multiply_vec(inv, u), one)
         assert np.array_equal(B.multiply_vec(u, inv), one)
+
+
+def test_elementary_quotient_basis_matches_join_loop(groups):
+    # every pair K <= M of normal subgroups with Phi(M) <= K, so M/K is
+    # elementary abelian: the default pool, a reversed pool holding
+    # elements outside M, and the pools power_quotient_map passes
+    for name, G in groups.items():
+        normals = gc.normal_subgroups(G)
+        for M in normals:
+            phi = gc.frattini(M)
+            for K in normals:
+                if not (M.contains_subgroup(K) and K.contains_subgroup(phi)):
+                    continue
+                for pool in (None, tuple(reversed(G.elements()))):
+                    want = greedy_oracle.elementary_quotient_basis(M, K, pool)
+                    eq = ma.ElementaryQuotient(M, K, rep_pool=pool)
+                    assert eq.basis == want, (name, M.order, K.order)
+        phi = gc.frattini(G)
+        for t in range(1, 4):
+            otz = gc.omega(gc.center(G), t)
+            top = gc.join(otz, phi)
+            want = greedy_oracle.elementary_quotient_basis(top, phi, otz.elements)
+            assert ma.ElementaryQuotient(top, phi, rep_pool=otz.elements).basis == want
+
+
+def test_elementary_quotient_pool_that_misses_the_quotient(groups):
+    G = groups["D8xC4"]
+    phi = gc.frattini(G)
+    pool = phi.elements + (next(g for g in G.elements() if g not in phi),)
+    for build in (ma.ElementaryQuotient, greedy_oracle.elementary_quotient_basis):
+        with pytest.raises(ValueError, match="pool does not generate the quotient"):
+            build(G.full_subgroup(), phi, pool)
+
+
+def test_class_and_center_spaces_match_elimination(algebras):
+    # [kG, kG] and I(Z(G)) as partition spaces, against an elimination of
+    # the difference rows they were built from
+    for name, A in algebras.items():
+        G = A.group
+        eye = np.eye(A.dim, dtype=np.int64)
+        cases = [
+            (ma.commutator_subspace(A), [eye[x] - eye[c[0]] for c in G.conjugacy_classes() for x in c[1:]]),
+            (ma.center_decomposition(A)[1], [eye[z] - eye[0] for z in gc.center(G).elements if z]),
+        ]
+        for space, rows in cases:
+            basis, pivots = oracle_rref(np.array(rows, dtype=np.int64).reshape(-1, A.dim) % A.p, A.p)
+            assert space.pivots == pivots and np.array_equal(space.basis, basis), name
