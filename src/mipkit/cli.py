@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -43,39 +44,44 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def resolve_group(spec: str) -> FiniteGroup:
-    """A catalog name, @file.pcp (presentation) or @file.mul (CSV table)."""
-    if spec.startswith("@"):
-        path = Path(spec[1:])
-        if not path.exists():
-            raise CliParseError(f"no such file: {path}")
-        if path.suffix == ".pcp":
-            try:
-                return gc.from_pc_presentation(path.read_text(), name=path.stem)
-            except PresentationError as exc:
-                raise CliParseError(f"bad presentation {path}: {exc}") from exc
-        if path.suffix == ".mul":
-            try:
-                with open(path, newline="") as fh:
-                    rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-                table = np.array(rows, dtype=np.int64)
-                return gc.from_mul_table(table, name=path.stem)
-            except (ValueError, PresentationError) as exc:
-                raise CliParseError(f"bad multiplication table {path}: {exc}") from exc
+def _read_spec(spec: str) -> tuple[str, str, bytes]:
+    """(name, kind, source bytes) of a catalog name, @file.pcp or @file.mul;
+    kind is "pcp" or "mul".  Reads nothing but the source."""
+    if not spec.startswith("@"):
+        for entry in cat.builtin_catalog():
+            if entry.name == spec:
+                return spec, "pcp", entry.presentation.encode()
+        # quoted as str(KeyError) quotes it, the message cat.build gives
+        raise CliParseError(repr(f"unknown catalog group {spec!r}"))
+    path = Path(spec[1:])
+    if not path.exists():
+        raise CliParseError(f"no such file: {path}")
+    if path.suffix not in (".pcp", ".mul"):
         raise CliParseError(f"unrecognized group file suffix: {path.suffix}")
     try:
-        return cat.build(spec)
-    except KeyError as exc:
-        raise CliParseError(str(exc)) from exc
+        return path.stem, path.suffix[1:], path.read_bytes()
+    except OSError as exc:
+        raise CliParseError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _group_source_bytes(spec: str) -> bytes:
-    if spec.startswith("@"):
-        return Path(spec[1:]).read_bytes()
-    for entry in cat.builtin_catalog():
-        if entry.name == spec:
-            return entry.presentation.encode()
-    raise CliParseError(f"unknown catalog group {spec!r}")
+def _build(spec: str, name: str, kind: str, source: bytes) -> FiniteGroup:
+    """The group ``_read_spec(spec)`` read as (name, kind, source)."""
+    if kind == "mul":
+        try:
+            text = source.decode()
+            rows = [[int(x) for x in row] for row in csv.reader(io.StringIO(text, newline="")) if row]
+            return gc.from_mul_table(np.array(rows, dtype=np.int64), name=name)
+        except (ValueError, OverflowError) as exc:
+            raise CliParseError(f"bad multiplication table {Path(spec[1:])}: {exc}") from exc
+    try:
+        return gc.from_pc_presentation(source.decode(), name=name)
+    except (UnicodeDecodeError, PresentationError) as exc:
+        raise CliParseError(f"bad presentation {Path(spec[1:])}: {exc}") from exc
+
+
+def resolve_group(spec: str) -> FiniteGroup:
+    """A catalog name, @file.pcp (presentation) or @file.mul (CSV table)."""
+    return _build(spec, *_read_spec(spec))
 
 
 def cache_dir() -> Path:
@@ -85,16 +91,15 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "mipkit"
 
 
-def fingerprint_cached(spec: str, group: FiniteGroup, depth: int, t_max: Optional[int]) -> dict:
-    """Fingerprint payload, content-addressed on presentation bytes, the
-    group's name (the payload reports it), depth, t_max and tool version.
-    Corrupt entries are recomputed."""
-    source = _group_source_bytes(spec)
-    tau = ci.stabilization_threshold(group)
-    eff_tmax = t_max if t_max is not None else tau + 1
+def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> dict:
+    """Fingerprint payload, content-addressed on what the user gave: the
+    source bytes and kind, the name (the payload reports it), depth, t_max
+    as given and tool version.  A hit builds no group.  Corrupt entries are
+    recomputed."""
+    name, kind, source = _read_spec(spec)
     key = hashlib.sha256(
         source
-        + f"|name={group.name}|depth={depth}|tmax={eff_tmax}|v={__version__}".encode()
+        + f"|kind={kind}|name={name}|depth={depth}|tmax={t_max}|v={__version__}".encode()
     ).hexdigest()
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
@@ -107,7 +112,7 @@ def fingerprint_cached(spec: str, group: FiniteGroup, depth: int, t_max: Optiona
             raise ValueError("missing fields")
         except (ValueError, OSError):
             print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
-    payload = ci.fingerprint(group, depth, eff_tmax).payload()
+    payload = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).payload()
     # write aside and rename, so a concurrent reader never sees half an entry
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -119,63 +124,29 @@ def fingerprint_cached(spec: str, group: FiniteGroup, depth: int, t_max: Optiona
     return payload
 
 
-def _report(command: str, inputs: dict, result: dict, started: float, timing: bool) -> dict:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "version": __version__,
-    }
-    if timing:
-        report["timing"] = {"seconds": round(time.time() - started, 6)}
-    return report
+# Each command returns (inputs, result); ``main`` wraps them in the report.
 
 
-def _cmd_analyze(args) -> dict:
-    started = time.time()
-    group = resolve_group(args.group)
-    payload = fingerprint_cached(args.group, group, args.depth, args.tmax)
-    return _report(
-        "analyze",
-        {"group": args.group, "depth": args.depth, "tmax": args.tmax},
-        payload,
-        started,
-        not args.no_timing,
-    )
+def _cmd_analyze(args) -> tuple[dict, dict]:
+    inputs = {"group": args.group, "depth": args.depth, "tmax": args.tmax}
+    return inputs, fingerprint_cached(args.group, args.depth, args.tmax)
 
 
-def _cmd_compare(args) -> dict:
-    started = time.time()
+def _cmd_compare(args) -> tuple[dict, dict]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
-    verdict = ci.compare(g, h, args.depth, args.tmax)
-    return _report(
-        "compare",
-        {"group1": args.group1, "group2": args.group2, "depth": args.depth, "tmax": args.tmax},
-        verdict,
-        started,
-        not args.no_timing,
-    )
+    inputs = {"group1": args.group1, "group2": args.group2, "depth": args.depth, "tmax": args.tmax}
+    return inputs, ci.compare(g, h, args.depth, args.tmax)
 
 
-def _cmd_decompose(args) -> dict:
-    started = time.time()
-    group = resolve_group(args.group)
-    decomp = dc.ab_nab_split(group)
-    result = dict(decomp.certificate)
+def _cmd_decompose(args) -> tuple[dict, dict]:
+    result = dict(dc.ab_nab_split(resolve_group(args.group)).certificate)
     if not args.peel_trace:
         result.pop("peel_trace", None)
-    return _report(
-        "decompose",
-        {"group": args.group, "peel_trace": bool(args.peel_trace)},
-        result,
-        started,
-        not args.no_timing,
-    )
+    return {"group": args.group, "peel_trace": bool(args.peel_trace)}, result
 
 
-def _cmd_iso_search(args) -> dict:
-    started = time.time()
+def _cmd_iso_search(args) -> tuple[dict, dict]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
     witness = ma.iso_search(ma.GroupAlgebra(g), ma.GroupAlgebra(h))
@@ -187,17 +158,10 @@ def _cmd_iso_search(args) -> dict:
             "matrix": witness.matrix.tolist(),
             "generator_images": [list(u) for u in witness.generator_images],
         }
-    return _report(
-        "iso-search",
-        {"group1": args.group1, "group2": args.group2},
-        result,
-        started,
-        not args.no_timing,
-    )
+    return {"group1": args.group1, "group2": args.group2}, result
 
 
-def _cmd_catalog(args) -> dict:
-    started = time.time()
+def _cmd_catalog(args) -> tuple[dict, dict]:
     entries = [
         {
             "name": e.name,
@@ -206,22 +170,15 @@ def _cmd_catalog(args) -> dict:
         }
         for e in cat.builtin_catalog()
     ]
-    return _report("catalog", {}, {"entries": entries}, started, not args.no_timing)
+    return {}, {"entries": entries}
 
 
-def _cmd_selftest(args) -> dict:
-    started = time.time()
-    results = {}
-    ok = True
-    for entry in cat.builtin_catalog():
-        checks = cat.selftest_entry(entry)
-        results[entry.name] = checks
-        ok = ok and all(checks.values())
+def _cmd_selftest(args) -> tuple[dict, dict]:
+    results = {entry.name: cat.selftest_entry(entry) for entry in cat.builtin_catalog()}
+    ok = all(all(checks.values()) for checks in results.values())
     if not ok:
         raise InternalCheckError("catalog selftest failed: " + _canonical_json(results))
-    return _report(
-        "selftest", {}, {"entries": results, "all_pass": ok}, started, not args.no_timing
-    )
+    return {}, {"entries": results, "all_pass": ok}
 
 
 class BadOptionValue(Exception):
@@ -245,18 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-timing", action="store_true", help="omit the timing block (byte-reproducible output)")
     sub = parser.add_subparsers(dest="command", required=True)
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--depth", type=positive_int, default=2)
+    bounds.add_argument("--tmax", type=positive_int, default=None)
 
-    p = sub.add_parser("analyze", help="fingerprint one group")
+    p = sub.add_parser("analyze", parents=[bounds], help="fingerprint one group")
     p.add_argument("group")
-    p.add_argument("--depth", type=positive_int, default=2)
-    p.add_argument("--tmax", type=positive_int, default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("compare", help="first distinguishing invariant of two groups")
+    p = sub.add_parser("compare", parents=[bounds], help="first distinguishing invariant of two groups")
     p.add_argument("group1")
     p.add_argument("group2")
-    p.add_argument("--depth", type=positive_int, default=2)
-    p.add_argument("--tmax", type=positive_int, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("decompose", help="abelian / non-abelian direct factor split")
@@ -269,12 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group2")
     p.set_defaults(func=_cmd_iso_search)
 
-    p = sub.add_parser("catalog", help="list built-in groups")
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("selftest", help="check catalog entries against known facts")
-    p.set_defaults(func=_cmd_selftest)
+    sub.add_parser("catalog", help="list built-in groups").set_defaults(func=_cmd_catalog)
+    sub.add_parser("selftest", help="check catalog entries against known facts").set_defaults(
+        func=_cmd_selftest
+    )
     return parser
+
+
+# built once per process; parse_args leaves it unchanged
+PARSER = build_parser()
 
 
 def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
@@ -283,22 +242,25 @@ def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except BadOptionValue as exc:
         return _print_error(EXIT_PARSE, "parse", exc)
     except SystemExit as exc:
         # argparse already printed a message; remap its exit code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    started = time.time()
     try:
-        report = args.func(args)
+        inputs, result = args.func(args)
     except (CliParseError, PresentationError) as exc:
         return _print_error(EXIT_PARSE, "parse", exc)
     except CapExceededError as exc:
         return _print_error(EXIT_CAPS, "caps", exc)
     except (InternalCheckError, ci.ContainmentError) as exc:
         return _print_error(EXIT_INTERNAL, "internal", exc)
+    report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+    if not args.no_timing:
+        report["timing"] = {"seconds": round(time.time() - started, 6)}
     print(_canonical_json(report))
     return EXIT_OK
 

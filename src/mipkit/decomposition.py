@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fp_linalg as fl
 from . import group_core as gc
 from . import modular_algebra as ma
@@ -46,12 +48,11 @@ def extract_component(G: FiniteGroup, t: int) -> tuple[Subgroup, Subgroup]:
     if rank == 0:
         return G.trivial_subgroup(), G.full_subgroup()
     otz = gc.omega(gc.center(G), t)
-    within = frozenset(otz.elements)
-    comp_rows = fl.lex_complement(ker, p, lam.domain.rank)
-    lifts = []
-    for row in comp_rows:
-        rep = lam.domain.rep(row)
-        lifts.append(lam.domain.coset_min_rep(rep, within=within))
+    # the domain M contains otz, so its coordinates cover every element
+    lifts = [
+        min(x for x in otz.elements if np.array_equal(lam.domain.coords(x), row))
+        for row in fl.lex_complement(ker, p, lam.domain.rank)
+    ]
     T = G.subgroup(tuple(lifts))
     if not all(x in otz for x in T.elements):
         raise InternalCheckError("lifted component is not central p^t-torsion")

@@ -241,7 +241,8 @@ class PcPresentation:
                 commutators[(j, i)] = parse_word(m.group(3))
             else:
                 raise PresentationError(f"unrecognized line {ln!r}")
-        if set(orders) != set(range(d)):
+        # the keys are distinct and in range(d): a count, not a set of d
+        if len(orders) != d:
             raise PresentationError("every generator needs an order line")
         return cls(
             p=p,
@@ -300,10 +301,12 @@ def _collect(word: Sequence[tuple[int, int]], pres: PcPresentation) -> tuple[int
         m = pres.rel_orders[g]
         if e >= m:
             q, r = divmod(e, m)
-            push = []
             w = pres.power_word(g)
-            for _ in range(q):
-                push.extend(reversed(w))
+            # each pushed factor costs a step, so a huge q fails here, not
+            # after a push loop as long as q
+            if q * len(w) > _COLLECT_STEP_CAP:
+                raise PresentationError("collection did not terminate; presentation inconsistent")
+            push = list(reversed(w)) * q
             if r:
                 push.append((g, r))
             stack.extend(push)
@@ -1079,10 +1082,10 @@ def from_pc_presentation(
 ) -> FiniteGroup:
     """Build the multiplication table of a power-commutator presentation.
 
-    Collection rewrites words to the normal form g_1^{a_1}...g_d^{a_d} with
-    memoized generator moves; the resulting table is rejected if it fails
-    validation, whose associativity check is Light's test over a generating
-    set found by BFS.
+    Collection rewrites each (element, generator) word to the normal form
+    g_1^{a_1}...g_d^{a_d}, one generator swap at a time and with no memo;
+    the resulting table is rejected if it fails validation, whose
+    associativity check is Light's test over a generating set found by BFS.
     """
     pres = spec if isinstance(spec, PcPresentation) else PcPresentation.parse(spec)
     n = pres.order

@@ -513,20 +513,6 @@ class ElementaryQuotient:
     def coords(self, x: int) -> np.ndarray:
         return np.array(self._coords[x], dtype=np.int64)
 
-    def rep(self, coords) -> int:
-        c = fl.as_vector(coords, self.p, self.rank)
-        rep = 0
-        for b, e in zip(self.basis, c):
-            rep = self.group.mul_elems(rep, self.group.power(b, int(e)))
-        return rep
-
-    def coset_min_rep(self, x: int, within: Optional[frozenset] = None) -> int:
-        """Smallest element of xK, optionally restricted to a subset."""
-        members = [self.group.mul_elems(x, k) for k in self.k_sub.elements]
-        if within is not None:
-            members = [m for m in members if m in within]
-        return min(members)
-
 
 @dataclass(frozen=True)
 class GradedPowerMap:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
 from mipkit import cli
+from mipkit import group_core as gc
 
 
 def run(capsys, monkeypatch, tmp_path, *argv):
@@ -206,6 +208,28 @@ def test_missing_file_is_parse_error(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, content",
+    [
+        ("big.mul", b"0,1\n1,99999999999999999999\n"),  # a cell beyond int64
+        ("latin1.pcp", b"p 2\ngens 1\norder 1 2 \xff\n"),  # not UTF-8
+        ("folder.pcp", None),  # a directory
+    ],
+    ids=["int64-overflow", "not-utf8", "directory"],
+)
+def test_unreadable_group_file_is_one_parse_error(capsys, monkeypatch, tmp_path, name, content):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.main(["--no-timing", "analyze", f"@{path}"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("analyze", "C8", "--depth", "0"),
@@ -272,8 +296,56 @@ def test_interrupted_cache_write_leaves_nothing_behind(monkeypatch, tmp_path, ow
 
     monkeypatch.setattr(owner, attr, boom)
     with pytest.raises(RuntimeError, match="interrupted"):
-        cli.fingerprint_cached("C4", cat.build("C4"), 1, None)
+        cli.fingerprint_cached("C4", 1, None)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_changed_source_under_the_same_name_is_a_miss(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "G.pcp"
+    jennings = []
+    for name in ("C8", "C4xC2"):
+        path.write_text(next(e for e in cat.builtin_catalog() if e.name == name).presentation)
+        code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{path}")
+        assert code == 0
+        _, direct = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", name)
+        assert report["result"]["jennings"] == direct["result"]["jennings"]
+        jennings.append(report["result"]["jennings"])
+    assert jennings[0] != jennings[1]
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 4
+
+
+def test_same_bytes_and_name_under_another_suffix_is_a_miss(capsys, monkeypatch, tmp_path):
+    # the kind is in the key: presentation text is no multiplication table
+    presentation = next(e for e in cat.builtin_catalog() if e.name == "C4").presentation
+    (tmp_path / "G.pcp").write_text(presentation)
+    (tmp_path / "G.mul").write_text(presentation)
+    code, _ = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{tmp_path / 'G.pcp'}")
+    assert code == 0
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{tmp_path / 'G.mul'}")
+    assert code == 2 and report["error"]["kind"] == "parse"
+
+
+def test_cache_hit_builds_no_group(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+    first = capsys.readouterr().out
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cache hit built a group")
+
+    monkeypatch.setattr(gc, "from_pc_presentation", no_build)
+    assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_omitted_tmax_and_its_default_share_a_result_not_a_key(capsys, monkeypatch, tmp_path):
+    # the key holds --tmax as given; the fingerprint resolves None to tau + 1
+    tau = ci.stabilization_threshold(cat.build("C8"))
+    _, omitted = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "C8")
+    _, given = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "C8", "--tmax", str(tau + 1))
+    assert omitted["result"] == given["result"]
+    assert omitted["inputs"]["tmax"] is None and given["inputs"]["tmax"] == tau + 1
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
 @pytest.mark.parametrize("file_first", [False, True])
@@ -290,7 +362,11 @@ def test_cache_hit_reports_the_specs_own_name(file_first, capsys, monkeypatch, t
         assert report["result"]["group"] == name
 
 
-_MUL_CELL = st.one_of(st.integers(-2, 9).map(str), st.text(" -0123ab", max_size=2))
+_MUL_CELL = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.integers(2**63 - 1, 2**70).map(str),  # past int64, or just inside it
+    st.text(" -0123ab", max_size=2),
+)
 _MUL_TEXT = st.lists(
     st.one_of(st.just(""), st.lists(_MUL_CELL, min_size=1, max_size=4).map(",".join)),
     max_size=4,
@@ -301,14 +377,28 @@ def _raise_timeout(signum, frame):
     raise TimeoutError("cli.main did not return within 5 s")
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=_MUL_TEXT, command=st.sampled_from(["analyze", "decompose"]))
-def test_mul_fuzz_ends_in_one_json_line(tmp_path_factory, text, command):
-    # any short .mul text, blank ones included, ends in a known exit code
-    # with one JSON object on stdout, in bounded time
+# .pcp relation lines: a line head and a few word tokens
+_PCP_LINE = st.tuples(
+    st.sampled_from([b"p ", b"gens ", b"order 2 ", b"order 3 ", b"pow 1 = ", b"pow 2 = ",
+                     b"comm 2 1 = ", b"comm 3 1 = ", b"comm 3 2 = "]),
+    st.lists(st.sampled_from([b"g2", b"g3", b"^", b"*", b" ", b"0", b"1", b"2", b"3", b"9"]),
+             max_size=4).map(b"".join),
+).map(b"".join)
+_PCP_BYTES = st.tuples(
+    # a whole presentation as the head lets cases reach the collector
+    st.sampled_from([b"", b"p 2\ngens 2\norder 1 2\norder 2 2\n",
+                     b"p 3\ngens 3\norder 1 3\norder 2 3\norder 3 3\n"]),
+    st.lists(_PCP_LINE, max_size=4).map(b"\n".join),
+    st.sampled_from([b"", b"\n", b"\xff"]),
+).map(b"".join).filter(lambda data: len(data) <= 80)
+
+
+def _check_fuzz_case(tmp_path_factory, name, data, command):
+    """cli.main on one file ends, within a 5 s alarm, in a known exit code
+    with one JSON object on stdout."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    path = tmp / "fuzz.mul"
-    path.write_text(text)
+    path = tmp / name
+    path.write_bytes(data)
     out = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     signal.alarm(5)
@@ -319,7 +409,22 @@ def test_mul_fuzz_ends_in_one_json_line(tmp_path_factory, text, command):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert code in (0, 2, 3, 4), text
+    assert code in (0, 2, 3, 4), data
     lines = out.getvalue().splitlines()
-    assert len(lines) == 1, text
+    assert len(lines) == 1, data
     assert isinstance(json.loads(lines[0]), dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_MUL_TEXT, command=st.sampled_from(["analyze", "decompose"]))
+def test_mul_fuzz_ends_in_one_json_line(tmp_path_factory, text, command):
+    # any short .mul text, blank ones included, ends in a known exit code
+    # with one JSON object on stdout, in bounded time
+    _check_fuzz_case(tmp_path_factory, "fuzz.mul", text.encode(), command)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_PCP_BYTES, command=st.sampled_from(["analyze", "decompose"]))
+def test_pcp_fuzz_ends_in_one_json_line(tmp_path_factory, data, command):
+    # short .pcp bytes built from its tokens, non-UTF-8 bytes included
+    _check_fuzz_case(tmp_path_factory, "fuzz.pcp", data, command)

@@ -58,6 +58,33 @@ def test_cli_result_matches_golden(op, monkeypatch, tmp_path):
     assert _result_sha256(op) == json.loads(GOLDEN.read_text())[" ".join(op)]
 
 
+# Fixed pins outside the regenerated file: result-block hashes of the other
+# commands, and the exact stdout of an unknown catalog name.
+PINNED = {
+    "catalog": "556feb0e8dbfa212bb767b894dc780f7738566dfdc2c1265ba6264c30fe0db2e",
+    "selftest": "c8e270b3e4c916156800efd7e25806b065e28a9f35ad2b8691047a1a265170fa",
+    "iso-search D8 Q8": "b0a0f72faabb672cae0412196763bee39014731693d988637c16aa82efd4f035",
+    "iso-search C8 C8": "23b952d1701e9730959d667280d191d02ed8d7ce400018214b33e091d441dad8",
+}
+UNKNOWN_NAME_STDOUT = (
+    '{"error":{"exit_code":2,"kind":"parse","message":"\\"unknown catalog group \'E8\'\\""}}\n'
+)
+
+
+@pytest.mark.parametrize("op", sorted(PINNED))
+def test_cli_result_matches_pin(op, monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    assert _result_sha256(op.split()) == PINNED[op]
+
+
+def test_unknown_name_stdout_matches_pin(monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["--no-timing", "analyze", "E8"]) == 2
+    assert out.getvalue() == UNKNOWN_NAME_STDOUT
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["MIPKIT_CACHE_DIR"] = tmp

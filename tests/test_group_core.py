@@ -62,6 +62,27 @@ def test_order_cap_enforced():
         gc.from_pc_presentation("p 2\ngens 1\norder 1 256\n")
 
 
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("p 2\ngens 1000000000000\norder 1 2\n", None),
+        # g2^(10^12 - 1) = g2: q = 5 * 10^11 copies of an empty power word
+        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2^999999999999\n", 4),
+        # the same q copies of g3 would pass the collection step cap
+        ("p 2\ngens 3\norder 1 2\norder 2 2\norder 3 2\npow 1 = g2^999999999999\npow 2 = g3\n", None),
+    ],
+    ids=["gens-1e12", "empty-power-word", "past-the-step-cap"],
+)
+def test_huge_counts_in_a_presentation_finish_at_once(text, order):
+    # a parse that built set(range(d)), or a collection that looped q times
+    # to push a power word, would take hours or all memory on these
+    if order is None:
+        with pytest.raises(gc.PresentationError):
+            gc.from_pc_presentation(text)
+    else:
+        assert gc.from_pc_presentation(text).order == order
+
+
 def test_word_range_validation():
     with pytest.raises(gc.PresentationError):
         # power word may only use higher generators
