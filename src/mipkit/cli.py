@@ -71,6 +71,8 @@ def _build(spec: str, name: str, kind: str, source: bytes) -> FiniteGroup:
             text = source.decode()
             rows = [[int(x) for x in row] for row in csv.reader(io.StringIO(text, newline="")) if row]
             return gc.from_mul_table(np.array(rows, dtype=np.int64), name=name)
+        except CapExceededError:
+            raise  # a caps error, as for the same group given as a .pcp
         except (ValueError, OverflowError) as exc:
             raise CliParseError(f"bad multiplication table {Path(spec[1:])}: {exc}") from exc
     try:
@@ -135,6 +137,8 @@ def _cmd_analyze(args) -> tuple[dict, dict]:
 def _cmd_compare(args) -> tuple[dict, dict]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
+    if g.p != h.p:
+        raise CliParseError(f"compare needs groups over the same prime, got p={g.p} and p={h.p}")
     inputs = {"group1": args.group1, "group2": args.group2, "depth": args.depth, "tmax": args.tmax}
     return inputs, ci.compare(g, h, args.depth, args.tmax)
 

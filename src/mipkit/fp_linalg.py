@@ -25,10 +25,13 @@ coordinate map, so each coordinate lookup is one product.
 
 Partition spaces, {x : x sums to 0 on every block} for a partition of the
 coordinates, need no elimination.  ``partition_subspace`` writes their
-echelon basis in closed form from block labels, and the sum of two
-labelled spaces is the space of the join of their partitions.  The meet
-of two partitions does not give their intersection, so ``intersect``
-eliminates as for any other pair.
+echelon basis in closed form from block labels.  A ``SubspaceBuilder``
+stays labelled while every row it absorbs is a scaled difference
+c(e_a - e_b), joining blocks along those edges, and eliminates only from
+its first other row on; ``Subspace.sum`` seeds one with the larger space,
+so two labelled spaces sum to the space of the join of their partitions.
+The meet of two partitions does not give their intersection, so
+``intersect`` eliminates as for any other pair.
 """
 
 from __future__ import annotations
@@ -245,14 +248,12 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of the union, canonical.
 
-        Two partition spaces sum to the space of the join of their
-        partitions.  Otherwise the larger echelon basis seeds a builder as
-        it stands; only the smaller basis is reduced against it and
-        eliminated.
+        The larger space seeds a builder as it stands and the smaller
+        basis is absorbed into it.  A partition basis is made of
+        differences, so two partition spaces sum to the space of the join
+        of their partitions without elimination.
         """
         self._check_compatible(other)
-        if self.labels is not None and other.labels is not None:
-            return partition_subspace(self.p, _join(self.labels, other.labels))
         big, small = (self, other) if self.dim >= other.dim else (other, self)
         builder = SubspaceBuilder.from_subspace(big)
         if not builder.absorb(small.basis):
@@ -324,19 +325,42 @@ def partition_subspace(p: int, labels) -> Subspace:
     return Subspace(p, n, basis, tuple(rows.tolist()), labels)
 
 
-def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-index labels of the finest partition coarser than both ``a``
-    and ``b``: starting from a, block minima over b, then over a, until
-    stable."""
-    label = a
+def _difference_edges(block: np.ndarray, p: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Endpoints (a, b) of the nonzero rows of ``block`` when each one is a
+    scaled difference c(e_a - e_b), that is, has exactly two nonzero
+    entries and sums to 0 mod p; otherwise None."""
+    nonzero = block != 0
+    counts = nonzero.sum(axis=1)
+    if not ((counts == 0) | (counts == 2)).all() or (block.sum(axis=1) % p).any():
+        return None
+    cols = np.nonzero(nonzero)[1]
+    return cols[0::2], cols[1::2]
+
+
+def _join_edges(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-index labels of the partition ``labels`` with the blocks at
+    the two ends of every edge a[i] -- b[i] merged.
+
+    Hooking and shortcutting (Shiloach and Vishkin, J. Algorithms 3,
+    1982): across each edge the higher root takes the least root on the
+    other side, then every label follows root[root] until it names a
+    root, and this repeats until every edge lies inside one block.  A root
+    only ever points to a lower root, so each merged block ends labelled
+    by its least index.
+    """
+    root = labels.copy()
     while True:
-        prev = label
-        for blocks in (b, a):
-            least = np.full(label.shape[0], label.shape[0], dtype=np.int64)
-            np.minimum.at(least, blocks, label)
-            label = least[blocks]
-        if np.array_equal(label, prev):
-            return label
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            return root
+        ra, rb = ra[cross], rb[cross]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def rref(rows, p: int, ambient_dim: Optional[int] = None) -> Subspace:
@@ -407,29 +431,48 @@ def solve_row(matrix: np.ndarray, v, p: int) -> Optional[np.ndarray]:
 class SubspaceBuilder:
     """Incremental echelon accumulator for large spanning sets.
 
-    Rows are absorbed in blocks: each block is reduced against the running
-    basis with one ``_mm``, its residual is eliminated by ``_rref``, and
-    the new rows are back-substituted into the stored ones with one more
-    ``_mm``.  The final ``subspace()`` is identical to a one-shot rref of
-    all rows.
+    The builder starts labelled: the empty builder holds the discrete
+    partition, and ``from_subspace`` of a partition space holds that
+    space's labels.  It stays labelled while every absorbed block is made
+    of scaled differences c(e_a - e_b); such a block merges the blocks at
+    the ends of its edges, and the span is the partition space of the
+    merged labels.  The first other block stores the partition basis and
+    the builder eliminates from then on: each block is reduced against
+    the running basis with one ``_mm``, its residual is eliminated by
+    ``_rref``, and the new rows are back-substituted into the stored ones
+    with one more ``_mm``.  Either way ``subspace()`` is identical to a
+    one-shot rref of all rows.
     """
 
     def __init__(self, p: int, ambient_dim: int):
         _check_prime(p)
         self.p = p
         self.ambient_dim = ambient_dim
-        self._mat = np.zeros((ambient_dim, ambient_dim), dtype=np.int64)
+        # least-index block labels while the span is a partition space
+        self._labels: Optional[np.ndarray] = np.arange(ambient_dim)
+        self._mat = np.zeros((0, ambient_dim), dtype=np.int64)
         self._count = 0
         self._pivots: list[int] = []
 
     @classmethod
     def from_subspace(cls, space: Subspace) -> "SubspaceBuilder":
-        """A builder whose running basis starts as ``space``'s echelon basis."""
+        """A builder whose running span starts as ``space``: its labels if
+        it has them, else its echelon basis."""
         builder = cls(space.p, space.ambient_dim)
-        builder._mat[: space.dim] = space.basis
-        builder._count = space.dim
-        builder._pivots = list(space.pivots)
+        if space.labels is not None:
+            builder._labels = space.labels
+            builder._count = space.dim
+        elif space.dim:
+            builder._store(space)
         return builder
+
+    def _store(self, space: Subspace) -> None:
+        """Leave the labelled state with ``space``'s basis as the running one."""
+        self._labels = None
+        self._mat = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.int64)
+        self._mat[: space.dim] = space.basis
+        self._count = space.dim
+        self._pivots = list(space.pivots)
 
     @property
     def dim(self) -> int:
@@ -439,6 +482,16 @@ class SubspaceBuilder:
         """Add rows to the span; returns the number of new pivots."""
         p = self.p
         block = _as_matrix(rows, p, self.ambient_dim)
+        if self._labels is not None:
+            edges = _difference_edges(block, p)
+            if edges is not None:
+                self._labels = _join_edges(self._labels, *edges)
+                before = self._count
+                self._count = self.ambient_dim - int(
+                    np.count_nonzero(self._labels == np.arange(self.ambient_dim))
+                )
+                return self._count - before
+            self._store(self.subspace())
         stored = self._mat[: self._count]
         if self._count:
             block = _residual(block, self._pivots, stored, p)
@@ -454,8 +507,8 @@ class SubspaceBuilder:
         return len(pivots)
 
     def subspace(self) -> Subspace:
-        if not self._count:
-            return zero_subspace(self.p, self.ambient_dim)
+        if self._labels is not None:
+            return partition_subspace(self.p, self._labels)
         order = np.argsort(self._pivots, kind="stable")
         basis = self._mat[: self._count][order].copy()
         pivots = tuple(sorted(self._pivots))

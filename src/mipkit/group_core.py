@@ -108,6 +108,16 @@ def _is_p_power(n: int, p: int) -> bool:
 _WORD_FACTOR_RE = re.compile(r"^g(\d+)(?:\^(-?\d+))?$")
 
 
+def _number(digits: str) -> int:
+    """A number in a presentation.  ``int`` rejects a decimal string longer
+    than Python's conversion limit (4300 digits by default) with a plain
+    ValueError; here that is a malformed presentation."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise PresentationError(f"a number of {len(digits)} digits is too long") from exc
+
+
 @dataclass(frozen=True)
 class PcPresentation:
     """A power-commutator presentation.
@@ -181,11 +191,11 @@ class PcPresentation:
         m = re.fullmatch(r"p\s+(\d+)", lines[0])
         if not m:
             raise PresentationError(f"expected 'p <prime>' on line 1, got {lines[0]!r}")
-        p = int(m.group(1))
+        p = _number(m.group(1))
         m = re.fullmatch(r"gens\s+(\d+)", lines[1])
         if not m:
             raise PresentationError(f"expected 'gens <d>' on line 2, got {lines[1]!r}")
-        d = int(m.group(1))
+        d = _number(m.group(1))
         if d < 1:
             raise PresentationError("need at least one generator")
         orders: dict[int, int] = {}
@@ -201,8 +211,8 @@ class PcPresentation:
                 fm = _WORD_FACTOR_RE.fullmatch(part.strip())
                 if not fm:
                     raise PresentationError(f"bad word factor {part.strip()!r}")
-                g = int(fm.group(1))
-                e = int(fm.group(2)) if fm.group(2) else 1
+                g = _number(fm.group(1))
+                e = _number(fm.group(2)) if fm.group(2) else 1
                 if not 1 <= g <= d:
                     raise PresentationError(f"word uses unknown generator g{g}")
                 if e < 1:
@@ -215,17 +225,17 @@ class PcPresentation:
                 m = re.fullmatch(r"order\s+(\d+)\s+(\d+)", ln)
                 if not m:
                     raise PresentationError(f"bad order line {ln!r}")
-                i = int(m.group(1))
+                i = _number(m.group(1))
                 if not 1 <= i <= d:
                     raise PresentationError(f"order line for unknown generator {i}")
                 if i - 1 in orders:
                     raise PresentationError(f"duplicate order line for generator {i}")
-                orders[i - 1] = int(m.group(2))
+                orders[i - 1] = _number(m.group(2))
             elif ln.startswith("pow"):
                 m = re.fullmatch(r"pow\s+(\d+)\s*=\s*(.+)", ln)
                 if not m:
                     raise PresentationError(f"bad pow line {ln!r}")
-                i = int(m.group(1)) - 1
+                i = _number(m.group(1)) - 1
                 if i in powers:
                     raise PresentationError(f"duplicate pow line for generator {i + 1}")
                 powers[i] = parse_word(m.group(2))
@@ -233,7 +243,7 @@ class PcPresentation:
                 m = re.fullmatch(r"comm\s+(\d+)\s+(\d+)\s*=\s*(.+)", ln)
                 if not m:
                     raise PresentationError(f"bad comm line {ln!r}")
-                j, i = int(m.group(1)) - 1, int(m.group(2)) - 1
+                j, i = _number(m.group(1)) - 1, _number(m.group(2)) - 1
                 if not i < j:
                     raise PresentationError("comm lines need j > i")
                 if (j, i) in commutators:

@@ -229,6 +229,50 @@ def test_unreadable_group_file_is_one_parse_error(capsys, monkeypatch, tmp_path,
     assert json.loads(lines[0])["error"]["kind"] == "parse"
 
 
+_LONG = "2" * 5000  # beyond Python's 4300-digit limit on int(str)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("p.pcp", f"p {_LONG}\ngens 1\norder 1 2\n"),
+        ("order.pcp", f"p 2\ngens 1\norder 1 {_LONG}\n"),
+        ("exponent.pcp", f"p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2^{_LONG}\n"),
+        ("comm.pcp", f"p 2\ngens 2\norder 1 2\norder 2 2\ncomm {_LONG} 1 = 1\n"),
+        ("cell.mul", f"0,1\n1,{_LONG}\n"),
+    ],
+    ids=["prime", "order", "exponent", "comm", "mul-cell"],
+)
+def test_overlong_number_is_one_parse_error(capsys, monkeypatch, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{path}")
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+
+
+def test_compare_over_different_primes_is_one_parse_error(capsys, monkeypatch, tmp_path):
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "compare", "C4", "C9")
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert "p=2 and p=3" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("suffix", [".pcp", ".mul"])
+def test_order_over_the_cap_is_a_caps_error_in_either_form(capsys, monkeypatch, tmp_path, suffix):
+    # the elementary abelian group of order 256 = 2 * 128, over p = 2
+    path = tmp_path / f"E256{suffix}"
+    if suffix == ".pcp":
+        path.write_text("p 2\ngens 8\n" + "".join(f"order {i} 2\n" for i in range(1, 9)))
+    else:
+        idx = np.arange(256)
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in idx[:, None] ^ idx))
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{path}")
+    assert code == 3
+    assert report["error"]["kind"] == "caps"
+    assert "exceeds the cap 128 for p=2" in report["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -565,6 +565,97 @@ def test_partition_spaces_intersect_beyond_the_meet_partition():
     assert u.sum(v) == fl.partition_subspace(3, [0, 0, 0, 0])
 
 
+# -- the labelled builder: label joins against the oracle -------------------
+
+
+def _scaled_differences(rng, p, n, k):
+    """k rows c(e_a - e_b) with random ends and scales: a == b gives a zero
+    row, and copies of some rows are appended as they are (a repeated
+    edge) and negated (the same edge with its ends swapped)."""
+    a, b = rng.integers(0, n, size=(2, k))
+    c = rng.integers(1, p, size=k)
+    rows = np.zeros((k, n), dtype=np.int64)
+    rows[np.arange(k), a] += c
+    rows[np.arange(k), b] -= c
+    j = int(rng.integers(0, k + 1))
+    return np.concatenate([rows, rows[:j], -rows[:j]]) % p
+
+
+def _check_builder(p, n, blocks, start=None):
+    """Absorb ``blocks`` into a builder (seeded with ``start``) and compare
+    it with the oracle's elimination of every row; returns the space."""
+    if start is None:
+        builder = fl.SubspaceBuilder(p, n)
+        seed_rows, seed_dim = [], 0
+    else:
+        builder = fl.SubspaceBuilder.from_subspace(start)
+        seed_rows, seed_dim = [start.basis], start.dim
+    gained = [builder.absorb(block) for block in blocks]
+    basis, pivots = oracle_rref(np.concatenate(seed_rows + blocks + [np.zeros((0, n), dtype=np.int64)]), p)
+    space = builder.subspace()
+    assert space.pivots == pivots
+    assert np.array_equal(space.basis, basis)
+    assert seed_dim + sum(gained) == len(pivots) == builder.dim
+    assert all(g >= 0 for g in gained)
+    return space
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_builder_on_difference_and_general_blocks_matches_oracle(p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = data.draw(st.lists(st.sampled_from(["differences", "general"]), max_size=5))
+    blocks = [
+        _scaled_differences(rng, p, n, int(rng.integers(0, 2 * n + 1)))
+        if kind == "differences"
+        else rng.integers(0, p, size=(int(rng.integers(0, 4)), n))
+        for kind in kinds
+    ]
+    start = data.draw(st.one_of(st.none(), _partitions(n)))
+    if start is not None:
+        start = fl.partition_subspace(p, start)
+    space = _check_builder(p, n, blocks, start)
+    if all(kind == "differences" for kind in kinds):
+        assert space.labels is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_builder_joins_a_path_graph_on_243_points(p, order):
+    # the worst case for label propagation: one block, one edge at a time
+    n = 243
+    points = np.arange(n)
+    if order == "decreasing":
+        points = points[::-1]
+    elif order == "shuffled":
+        points = np.random.default_rng(5).permutation(n)
+    rows = np.zeros((n - 1, n), dtype=np.int64)
+    rows[np.arange(n - 1), points[:-1]] = 1
+    rows[np.arange(n - 1), points[1:]] = p - 1
+    space = _check_builder(p, n, [rows])
+    assert space.dim == n - 1
+    assert np.array_equal(space.labels, np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize(
+    "row, difference_over",
+    [
+        ([1, -1, 1, -1, 0, 0], ()),  # e_a - e_b + e_c - e_d: two differences in one row
+        ([0, 1, 0, 0, 1, 0], (2,)),  # e_a + e_b: a difference over GF(2) only
+        ([1, 1, 1, 0, 0, 0], ()),  # three nonzeros summing to 0 over GF(3)
+        ([0, 0, 1, 0, 0, 0], ()),
+    ],
+)
+def test_builder_eliminates_a_row_that_is_not_a_difference(p, row, difference_over):
+    row = np.array([row], dtype=np.int64) % p
+    first = np.array([[0, 0, 0, 0, 1, p - 1]], dtype=np.int64)
+    for start in (None, fl.partition_subspace(p, [0, 0, 2, 3, 4, 5])):
+        space = _check_builder(p, 6, [first, row], start)
+        assert (space.labels is not None) == (p in difference_over)
+
+
 # the oracle enumerates GF(p)^n up to e_0, p^(n-1) vectors
 _LEX_DIM_CAP = {2: 10, 3: 6, 5: 4, 7: 4}
 
