@@ -3,7 +3,7 @@ and constructive extraction of the maximal abelian direct factor."""
 
 __version__ = "0.1.0"
 
-from .fp_linalg import FpVector, Subspace, rref, kernel, image, preimage, quotient_dim
+from .fp_linalg import Subspace, rref, kernel, image, preimage
 from .group_core import (
     AbelianType,
     FiniteGroup,

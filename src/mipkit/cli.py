@@ -153,6 +153,13 @@ def _cmd_decompose(args) -> tuple[dict, dict]:
 def _cmd_iso_search(args) -> tuple[dict, dict]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
+    # the search maps the source's presentation generators; the target
+    # may be a table
+    if "pcp" not in g.provenance:
+        raise CliParseError(
+            f"iso search needs a power-commutator presentation for {args.group1}, "
+            "not a multiplication table"
+        )
     witness = ma.iso_search(ma.GroupAlgebra(g), ma.GroupAlgebra(h))
     if witness is None:
         result = {"found": False, "matrix": None, "generator_images": None}

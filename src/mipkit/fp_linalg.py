@@ -24,19 +24,20 @@ of the top basis the greedy skips, and the same reduced rows give the
 coordinate map, so each coordinate lookup is one product.
 
 Partition spaces, {x : x sums to 0 on every block} for a partition of the
-coordinates, need no elimination.  ``partition_subspace`` writes their
-echelon basis in closed form from block labels.  A ``SubspaceBuilder``
-stays labelled while every row it absorbs is a scaled difference
-c(e_a - e_b), joining blocks along those edges, and eliminates only from
-its first other row on; ``Subspace.sum`` seeds one with the larger space,
-so two labelled spaces sum to the space of the join of their partitions.
-The meet of two partitions does not give their intersection, so
-``intersect`` eliminates as for any other pair.
+coordinates, are held as least-index block labels and need no
+elimination.  Membership of scaled differences c(e_a - e_b) is a label
+comparison, the sum of two partition spaces is the space of the join of
+their partitions, containment is refinement and equality is equal
+labels; the echelon basis is written in closed form only when it is
+first read.  A ``SubspaceBuilder`` stays labelled while every row it
+absorbs is a scaled difference, joining blocks along those edges, and
+eliminates only from its first other row on.  The meet of two partitions
+does not give their intersection, so ``intersect`` eliminates as for any
+other pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,13 +59,8 @@ def _check_prime(p: int) -> None:
 
 
 def as_vector(v, p: int, n: Optional[int] = None) -> np.ndarray:
-    """Normalize ``v`` (FpVector, sequence or array) to a 1-d residue array."""
-    if isinstance(v, FpVector):
-        if v.p != p:
-            raise AmbientMismatchError(f"vector over GF({v.p}), expected GF({p})")
-        arr = v.array
-    else:
-        arr = np.asarray(v, dtype=np.int64) % p
+    """Normalize ``v`` (sequence or array) to a 1-d residue array."""
+    arr = np.asarray(v, dtype=np.int64) % p
     if arr.ndim != 1:
         raise ValueError("expected a 1-d vector")
     if n is not None and arr.shape[0] != n:
@@ -73,8 +69,10 @@ def as_vector(v, p: int, n: Optional[int] = None) -> np.ndarray:
 
 
 def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
+    """``rows`` as a 2-d int64 residue matrix.  An int64 array of residues
+    is returned as it is, not copied: no caller writes to the result."""
     if isinstance(rows, np.ndarray):
-        mat = rows.astype(np.int64) % p
+        mat = rows if rows.dtype == np.int64 else rows.astype(np.int64)
         if mat.ndim != 2:
             raise ValueError("expected a 2-d matrix")
     else:
@@ -86,11 +84,16 @@ def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError(f"inconsistent row lengths {sorted(widths)}")
-        mat = np.array(rows, dtype=np.int64) % p
+        mat = np.array(rows, dtype=np.int64)
     if ambient_dim is not None and mat.shape[1] != ambient_dim:
         raise AmbientMismatchError(
             f"rows of length {mat.shape[1]}, expected {ambient_dim}"
         )
+    # the remainder is the costly part: only when some entry is no residue.
+    # Read as unsigned, a negative entry is at least 2^63, so one maximum
+    # finds entries out of range at either end.
+    if mat.size and mat.view(np.uint64).max() >= p:
+        mat = mat % p
     return mat
 
 
@@ -150,65 +153,66 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return a[:r], tuple(pivots)
 
 
-@dataclass(frozen=True)
-class FpVector:
-    """A vector over GF(p) with all coordinates reduced to [0, p)."""
-
-    p: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if any(c < 0 or c >= self.p for c in self.coords):
-            raise ValueError("coordinates must be reduced mod p")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
 class Subspace:
     """A subspace of GF(p)^n held as a canonical reduced row-echelon basis.
 
-    ``labels`` is set on partition spaces only (see ``partition_subspace``).
-    It is derived from the basis, so equality and hashing ignore it.
+    ``labels`` is set on partition spaces only (see ``partition_subspace``),
+    and None on every other space.  A partition space answers membership
+    of difference rows, sums with another partition space, containment
+    and equality from its labels, and writes ``basis`` and ``pivots`` when
+    they are first read.  The labels determine the space, so equal labels
+    mean equal spaces, and hashing reads the basis: a partition space
+    equals and hashes like its ``rref`` copy.
     """
 
-    __slots__ = ("p", "ambient_dim", "basis", "pivots", "labels", "_hash")
+    __slots__ = ("p", "ambient_dim", "dim", "basis", "pivots", "labels", "_hash")
 
-    def __init__(
-        self,
-        p: int,
-        ambient_dim: int,
-        basis: np.ndarray,
-        pivots: tuple[int, ...],
-        labels: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, p: int, ambient_dim: int, basis: np.ndarray, pivots: tuple[int, ...]):
         # Internal constructor: ``basis`` must already be in RREF.
         self.p = p
         self.ambient_dim = ambient_dim
+        self.dim = basis.shape[0]
         self.basis = basis
         self.basis.setflags(write=False)
         self.pivots = pivots
-        self.labels = labels
+        self.labels = None
         self._hash = None
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def __getattr__(self, name):
+        """The echelon basis and pivots of a partition space, written on
+        first read.  Python calls this only for an unset slot, and only
+        ``_partition`` leaves slots unset, so spaces built with a basis
+        keep plain slot reads.
+
+        The space is spanned by the differences e_g - e_h within blocks,
+        and its reduced echelon basis is {e_g - e_last(C)} over
+        g != last(C), with last(C) the highest index of the block C: each
+        row has its pivot at g and its one other entry at a column that is
+        no pivot.
+        """
+        if name not in ("basis", "pivots"):
+            raise AttributeError(name)
+        labels, n = self.labels, self.ambient_dim
+        idx = np.arange(n)
+        last = np.zeros(n, dtype=np.int64)
+        np.maximum.at(last, labels, idx)
+        last = last[labels]
+        rows = np.flatnonzero(last != idx)
+        basis = np.zeros((rows.size, n), dtype=np.int64)
+        basis[np.arange(rows.size), rows] = 1
+        basis[np.arange(rows.size), last[rows]] = self.p - 1
+        basis.setflags(write=False)
+        self.basis, self.pivots = basis, tuple(rows.tolist())
+        return getattr(self, name)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and np.array_equal(self.basis, other.basis)
-        )
+        if (self.p, self.ambient_dim, self.dim) != (other.p, other.ambient_dim, other.dim):
+            return False
+        if self.labels is not None and other.labels is not None:
+            return np.array_equal(self.labels, other.labels)
+        return self.pivots == other.pivots and np.array_equal(self.basis, other.basis)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -232,7 +236,15 @@ class Subspace:
         return not self.reduce(v).any()
 
     def contains_all(self, rows) -> bool:
+        """Whether every row lies in the space.  On a partition space,
+        scaled differences c(e_a - e_b) lie in it exactly when a and b
+        share a block; any other rows are reduced."""
         mat = _as_matrix(rows, self.p, self.ambient_dim)
+        if self.labels is not None:
+            edges = _difference_edges(mat, self.p)
+            if edges is not None:
+                a, b = edges
+                return np.array_equal(self.labels[a], self.labels[b])
         return not self.reduce_rows(mat).any()
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
@@ -242,19 +254,29 @@ class Subspace:
         return _residual(mat, list(self.pivots), self.basis, self.p)
 
     def contains_space(self, other: "Subspace") -> bool:
+        """Whether ``other`` <= self.  Of two partition spaces, the
+        smaller's partition refines the larger's: g and other.labels[g]
+        share a block of self for every g."""
         self._check_compatible(other)
+        if self.labels is not None and other.labels is not None:
+            return np.array_equal(self.labels[other.labels], self.labels)
         return self.contains_all(other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of the union, canonical.
 
-        The larger space seeds a builder as it stands and the smaller
-        basis is absorbed into it.  A partition basis is made of
-        differences, so two partition spaces sum to the space of the join
-        of their partitions without elimination.
+        Two partition spaces sum to the partition space of the join of
+        their partitions: the larger's labels joined along the edges
+        g -- labels[g] of the smaller, with no basis read.  Otherwise the
+        larger space seeds a builder as it stands and the smaller basis is
+        absorbed into it.
         """
         self._check_compatible(other)
         big, small = (self, other) if self.dim >= other.dim else (other, self)
+        if big.labels is not None and small.labels is not None:
+            idx = np.flatnonzero(small.labels != np.arange(self.ambient_dim))
+            labels = _join_edges(big.labels, idx, small.labels[idx])
+            return big if np.array_equal(labels, big.labels) else _partition(self.p, labels)
         builder = SubspaceBuilder.from_subspace(big)
         if not builder.absorb(small.basis):
             return big
@@ -300,40 +322,52 @@ def full_subspace(p: int, ambient_dim: int) -> Subspace:
 def partition_subspace(p: int, labels) -> Subspace:
     """{x : x sums to 0 on every block}, for the partition given by ``labels``.
 
-    ``labels[g]`` is the least index of g's block.  The space is spanned by
-    the differences e_g - e_h within blocks, and its reduced echelon basis
-    is {e_g - e_last(C)} over g != last(C), with last(C) the highest index
-    of the block C: each row has its pivot at g and its one other entry at
-    a column that is no pivot.
+    ``labels[g]`` must be the least index of g's block; other labels raise
+    ValueError.  The space keeps a copy of the labels and writes its
+    echelon basis only when it is first read (see ``Subspace``).
     """
     _check_prime(p)
     labels = np.array(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-d array")
-    n = labels.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(labels.shape[0])
     if (labels < 0).any() or (labels > idx).any() or (labels[labels] != labels).any():
         raise ValueError("labels must give each index the least index of its block")
-    last = np.zeros(n, dtype=np.int64)
-    np.maximum.at(last, labels, idx)
-    last = last[labels]
-    rows = np.flatnonzero(last != idx)
-    basis = np.zeros((rows.size, n), dtype=np.int64)
-    basis[np.arange(rows.size), rows] = 1
-    basis[np.arange(rows.size), last[rows]] = p - 1
+    return _partition(p, labels)
+
+
+def _partition(p: int, labels: np.ndarray) -> Subspace:
+    """The partition space of ``labels``, trusted to be least-index block
+    labels and made read-only.  Its dimension is n minus the number of
+    blocks; ``basis`` and ``pivots`` stay unset until first read."""
+    space = Subspace.__new__(Subspace)
+    n = labels.shape[0]
+    space.p = p
+    space.ambient_dim = n
+    space.dim = n - int(np.count_nonzero(labels == np.arange(n)))
     labels.setflags(write=False)
-    return Subspace(p, n, basis, tuple(rows.tolist()), labels)
+    space.labels = labels
+    space._hash = None
+    return space
 
 
 def _difference_edges(block: np.ndarray, p: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Endpoints (a, b) of the nonzero rows of ``block`` when each one is a
     scaled difference c(e_a - e_b), that is, has exactly two nonzero
-    entries and sums to 0 mod p; otherwise None."""
-    nonzero = block != 0
-    counts = nonzero.sum(axis=1)
-    if not ((counts == 0) | (counts == 2)).all() or (block.sum(axis=1) % p).any():
+    entries and sums to 0 mod p; otherwise None.
+
+    One scan finds the nonzero entries in row-major order; the rows pass
+    when those entries pair up, two to a row: the row index steps by 0
+    within each pair and by more than 0 from one pair to the next.
+    """
+    flat = (block != 0).ravel().nonzero()[0]
+    rows, cols = np.divmod(flat, block.shape[1])
+    steps = rows[1:] - rows[:-1]
+    if rows.size % 2 or steps[0::2].any() or not steps[1::2].all():
         return None
-    cols = np.nonzero(nonzero)[1]
+    vals = block.ravel()[flat]
+    if ((vals[0::2] + vals[1::2]) % p).any():
+        return None
     return cols[0::2], cols[1::2]
 
 
@@ -405,14 +439,6 @@ def preimage(matrix, w: Subspace, p: int) -> Subspace:
         raise AmbientMismatchError("matrix codomain does not match subspace ambient")
     reduced_map = _mm(a, w.reduction_matrix(), p)
     return kernel(reduced_map, p)
-
-
-def quotient_dim(inner: Subspace, outer: Subspace) -> int:
-    """dim(outer) - dim(inner), requiring inner <= outer."""
-    inner._check_compatible(outer)
-    if not outer.contains_space(inner):
-        raise NotSubspaceError("inner subspace is not contained in outer")
-    return outer.dim - inner.dim
 
 
 def solve_row(matrix: np.ndarray, v, p: int) -> Optional[np.ndarray]:
@@ -508,7 +534,7 @@ class SubspaceBuilder:
 
     def subspace(self) -> Subspace:
         if self._labels is not None:
-            return partition_subspace(self.p, self._labels)
+            return _partition(self.p, self._labels)
         order = np.argsort(self._pivots, kind="stable")
         basis = self._mat[: self._count][order].copy()
         pivots = tuple(sorted(self._pivots))

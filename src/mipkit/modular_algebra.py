@@ -372,8 +372,12 @@ def algebra_center(A: GroupAlgebra) -> Subspace:
         blocks.append((r_mat - l_mat) % A.p)
     stacked = np.concatenate(blocks, axis=1)
     space = fl.kernel(stacked, A.p)
-    if space.dim != len(A.group.conjugacy_classes()):
-        raise InternalCheckError("center dimension != number of conjugacy classes")
+    classes = len(A.group.conjugacy_classes())
+    if space.dim != classes:
+        raise InternalCheckError(
+            f"center of kG has dimension {space.dim} on {A.group.name}, "
+            f"not the number of conjugacy classes {classes}"
+        )
     return space
 
 
@@ -388,10 +392,19 @@ def center_decomposition(A: GroupAlgebra) -> tuple[Subspace, Subspace, Subspace]
     lhs = zc.intersect(aug)
     part1 = augmentation_span(A, gc.center(A.group))
     part2 = commutator_subspace(A).intersect(zc)
-    if part1.intersect(part2).dim != 0:
-        raise InternalCheckError("center decomposition is not direct")
-    if part1.sum(part2) != lhs:
-        raise InternalCheckError("center decomposition does not exhaust Z(kG) n I(G)")
+    meet = part1.intersect(part2)
+    if meet.dim != 0:
+        raise InternalCheckError(
+            f"center decomposition on {A.group.name} is not direct: "
+            f"dim I(Z(G)) = {part1.dim}, dim [kG,kG] n Z(kG) = {part2.dim}, "
+            f"their meet has dim {meet.dim}"
+        )
+    total = part1.sum(part2)
+    if total != lhs:
+        raise InternalCheckError(
+            f"center decomposition on {A.group.name} does not exhaust Z(kG) n I(G): "
+            f"the parts span dim {total.dim} of dim {lhs.dim}"
+        )
     return lhs, part1, part2
 
 
@@ -415,8 +428,12 @@ def natural_projection(A: GroupAlgebra, n_sub: Subgroup) -> AlgebraProjection:
     mat = np.zeros((A.dim, B.dim), dtype=np.int64)
     mat[np.arange(A.dim), hom.images] = 1
     ker = fl.kernel(mat, A.p)
-    if ker != relative_augmentation_ideal(A, n_sub).space:
-        raise InternalCheckError("projection kernel != relative augmentation ideal")
+    rel = relative_augmentation_ideal(A, n_sub).space
+    if ker != rel:
+        raise InternalCheckError(
+            f"projection kernel != relative augmentation ideal on {A.group.name} "
+            f"mod |N| = {n_sub.order}: dim ker = {ker.dim}, dim I(N)G = {rel.dim}"
+        )
     return AlgebraProjection(A, B, mat, hom)
 
 
@@ -612,8 +629,12 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
         rows.append(cod.coords(vec % A.p))
     matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, cod.rank), dtype=np.int64)
     emb = LayerEmbedding(A, n, n_sub, dom, cod, matrix)
-    if fl.image(matrix, A.p).dim != dom.rank:
-        raise InternalCheckError("Jennings layer embedding is not injective")
+    rank = fl.image(matrix, A.p).dim
+    if rank != dom.rank:
+        raise InternalCheckError(
+            f"Jennings layer embedding is not injective on {G.name} at n = {n} "
+            f"mod |N| = {n_sub.order}: rank {rank} of domain rank {dom.rank}"
+        )
     return emb
 
 
@@ -699,7 +720,10 @@ def group_jennings_with_normal(A: GroupAlgebra, n_sub: Subgroup, n: int) -> Subg
     d_n = series[n - 1] if n - 1 < len(series) else G.trivial_subgroup()
     expected = gc.join(d_n, n_sub)
     if set(members) != set(expected.elements):
-        raise InternalCheckError("(1 + I(N)G + I^n) n G != D_n(G)N")
+        raise InternalCheckError(
+            f"(1 + I(N)G + I^n) n G != D_n(G)N on {G.name} at n = {n} "
+            f"mod |N| = {n_sub.order}: {len(members)} elements, |D_n(G)N| = {expected.order}"
+        )
     return expected
 
 

@@ -258,6 +258,20 @@ def test_compare_over_different_primes_is_one_parse_error(capsys, monkeypatch, t
     assert "p=2 and p=3" in report["error"]["message"]
 
 
+def test_iso_search_from_a_table_is_one_parse_error(capsys, monkeypatch, tmp_path):
+    table = tmp_path / "c2.mul"
+    table.write_text("0,1\n1,0\n")
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", f"@{table}", f"@{table}")
+    assert code == 2
+    assert set(report) == {"error"}
+    assert report["error"]["kind"] == "parse"
+    assert "power-commutator presentation" in report["error"]["message"]
+    # a table as the target still searches
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", "C2", f"@{table}")
+    assert code == 0
+    assert report["result"]["found"] is True
+
+
 @pytest.mark.parametrize("suffix", [".pcp", ".mul"])
 def test_order_over_the_cap_is_a_caps_error_in_either_form(capsys, monkeypatch, tmp_path, suffix):
     # the elementary abelian group of order 256 = 2 * 128, over p = 2

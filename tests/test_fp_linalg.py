@@ -1,6 +1,7 @@
 import ast
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,13 +166,13 @@ def test_contains_examples():
 def test_quotient_dim_and_error_kinds():
     full = fl.full_subspace(3, 4)
     zero = fl.zero_subspace(3, 4)
-    assert fl.quotient_dim(zero, full) == 4
+    assert fl.Subquotient(full, zero).rank == 4
     u = fl.rref([[1, 0, 0, 0]], 3, 4)
     v = fl.rref([[0, 1, 0, 0]], 3, 4)
     with pytest.raises(fl.NotSubspaceError):
-        fl.quotient_dim(u, v)
+        fl.Subquotient(v, u)
     with pytest.raises(fl.AmbientMismatchError):
-        fl.quotient_dim(fl.zero_subspace(3, 3), full)
+        fl.Subquotient(full, fl.zero_subspace(3, 3))
 
 
 def test_solve_row():
@@ -221,12 +222,14 @@ def test_lex_complement_is_deterministic_complement():
 
 
 def test_fp_vector_validation():
-    v = fl.FpVector(3, (0, 2, 1))
-    assert len(v) == 3
+    # vectors enter as sequences or arrays, reduced mod p on the way in
+    assert fl.as_vector((0, 5, -2), 3).tolist() == [0, 2, 1]
     with pytest.raises(ValueError):
-        fl.FpVector(3, (0, 3, 1))
+        fl.as_vector([[0, 1]], 3)
+    with pytest.raises(fl.AmbientMismatchError):
+        fl.as_vector((0, 1), 3, 3)
     with pytest.raises(ValueError):
-        fl.FpVector(4, (0, 1))
+        fl.rref([(0, 1)], 4)
 
 
 # -- differential checks against the elimination oracle ``oracle_rref`` ----
@@ -568,11 +571,14 @@ def test_partition_spaces_intersect_beyond_the_meet_partition():
 # -- the labelled builder: label joins against the oracle -------------------
 
 
-def _scaled_differences(rng, p, n, k):
-    """k rows c(e_a - e_b) with random ends and scales: a == b gives a zero
-    row, and copies of some rows are appended as they are (a repeated
-    edge) and negated (the same edge with its ends swapped)."""
+def _scaled_differences(rng, p, n, k, labels=None):
+    """k rows c(e_a - e_b) with random ends and scales, both ends in one
+    block of ``labels`` when given: a == b gives a zero row, and copies of
+    some rows are appended as they are (a repeated edge) and negated (the
+    same edge with its ends swapped)."""
     a, b = rng.integers(0, n, size=(2, k))
+    if labels is not None:
+        b = np.array([rng.choice(np.flatnonzero(labels == labels[x])) for x in a], dtype=np.int64)
     c = rng.integers(1, p, size=k)
     rows = np.zeros((k, n), dtype=np.int64)
     rows[np.arange(k), a] += c
@@ -654,6 +660,154 @@ def test_builder_eliminates_a_row_that_is_not_a_difference(p, row, difference_ov
     for start in (None, fl.partition_subspace(p, [0, 0, 2, 3, 4, 5])):
         space = _check_builder(p, 6, [first, row], start)
         assert (space.labels is not None) == (p in difference_over)
+
+
+# -- partition spaces answer from their labels, against the oracle ---------
+
+
+def _oracle_contains(labels, p, rows):
+    """Whether every row lies in the partition space of ``labels``: the
+    oracle's rank of its spanning set does not grow with the rows."""
+    span = _difference_rows(labels, p)
+    rank = len(oracle_rref(span, p)[1])
+    return len(oracle_rref(np.concatenate([span, rows]), p)[1]) == rank
+
+
+def _contains_all_spied(space, rows):
+    """``space.contains_all(rows)``, and whether it answered without
+    reducing the rows against a basis."""
+    with mock.patch.object(
+        fl.Subspace, "reduce_rows", autospec=True, side_effect=fl.Subspace.reduce_rows
+    ) as spy:
+        answer = space.contains_all(rows)
+    return answer, not spy.called
+
+
+def _basis_written(space):
+    try:
+        fl.Subspace.basis.__get__(space)
+    except AttributeError:
+        return False
+    return True
+
+
+@st.composite
+def _coarsenings(draw, labels):
+    """Least-index labels of a partition whose blocks are unions of the
+    blocks of ``labels``."""
+    k = draw(st.integers(min_value=1, max_value=labels.size))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    key = rng.integers(0, k, size=labels.size)[labels]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_labelled_contains_all_matches_oracle(p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    labels = data.draw(_partitions(n))
+    space = fl.partition_subspace(p, labels)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = data.draw(
+        st.lists(st.sampled_from(["in blocks", "differences", "zero", "general"]), min_size=1, max_size=3)
+    )
+    parts = []
+    for kind in kinds:
+        k = int(rng.integers(0, 6))
+        if kind == "in blocks":
+            parts.append(_scaled_differences(rng, p, n, k, labels))
+        elif kind == "differences":
+            parts.append(_scaled_differences(rng, p, n, k))
+        elif kind == "zero":
+            parts.append(np.zeros((k, n), dtype=np.int64))
+        else:
+            parts.append(rng.integers(0, p, size=(k, n)))
+    rows = np.concatenate(parts)
+    rows = rows[rng.permutation(rows.shape[0])]
+    answer, from_labels = _contains_all_spied(space, rows)
+    assert answer == _oracle_contains(labels, p, rows)
+    if "general" not in kinds:
+        assert from_labels
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("labels", [[0, 1, 1, 0], [0, 0, 2, 2], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 2, 3]])
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1, -1, 1, -1],  # e_a - e_b + e_c - e_d: in the space over blocks {0,3},{1,2}
+        [1, 1, 0, 0],  # e_a + e_b: a difference over GF(2) only
+    ],
+)
+def test_labelled_contains_all_reduces_rows_that_are_not_differences(p, labels, row):
+    labels = np.array(labels, dtype=np.int64)
+    row = np.array([row], dtype=np.int64) % p
+    answer, from_labels = _contains_all_spied(fl.partition_subspace(p, labels), row)
+    assert answer == _oracle_contains(labels, p, row)
+    assert from_labels == (np.count_nonzero(row) == 2 and p == 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_labelled_containment_and_equality_match_oracle(p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    a = data.draw(_partitions(n))
+    b = data.draw(st.one_of(_partitions(n), _coarsenings(a), st.just(a.copy())))
+    u, v = fl.partition_subspace(p, a), fl.partition_subspace(p, b)
+    basis_u, pivots_u = oracle_rref(_difference_rows(a, p), p)
+    basis_v, pivots_v = oracle_rref(_difference_rows(b, p), p)
+    # a space contains the other when the sum is no larger than it
+    rank_sum = len(oracle_rref(np.concatenate([basis_u, basis_v]), p)[1])
+    assert u.contains_space(v) == (rank_sum == len(pivots_u))
+    assert v.contains_space(u) == (rank_sum == len(pivots_v))
+    same = pivots_u == pivots_v and np.array_equal(basis_u, basis_v)
+    assert (u == v) == (v == u) == same
+    # an eagerly built copy compares by its basis
+    copy_v = fl.rref(basis_v, p, n)
+    assert (u == copy_v) == (copy_v == u) == same
+    assert u.contains_space(copy_v) == u.contains_space(v)
+    # a sum that joins no blocks is the larger operand itself
+    if u.contains_space(v):
+        assert u.sum(v) is u
+
+
+@pytest.mark.parametrize("first", ["dim", "pivots", "basis", "hash"])
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_lazy_partition_space_reads_like_its_rref_copy(first, p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    labels = data.draw(_partitions(n))
+    space = fl.partition_subspace(p, labels)
+    assert not _basis_written(space)
+    copy = fl.rref(oracle_rref(_difference_rows(labels, p), p)[0], p, n)
+    reads = {"dim": lambda s: s.dim, "pivots": lambda s: s.pivots, "basis": lambda s: s.basis, "hash": hash}
+    for key in [first] + [k for k in reads if k != first]:
+        if key == "basis":
+            assert np.array_equal(space.basis, copy.basis)
+            assert space.basis.dtype == copy.basis.dtype
+            assert not space.basis.flags.writeable
+        else:
+            assert reads[key](space) == reads[key](copy), key
+    assert _basis_written(space)
+
+
+def test_labelled_operations_write_no_basis():
+    p, n = 3, 9
+    u = fl.partition_subspace(p, [0, 0, 2, 2, 4, 5, 5, 7, 7])
+    v = fl.partition_subspace(p, [0, 1, 1, 3, 3, 5, 6, 7, 8])
+    builder = fl.SubspaceBuilder(p, n)
+    builder.absorb([[0, 0, 0, 0, 0, 1, 2, 0, 0], [0, 0, 0, 0, 0, 0, 0, 2, 1]])
+    built = builder.subspace()
+    total = u.sum(v)
+    assert total.dim == 6 and total.sum(u) is total
+    assert u.contains_all([[1, 2, 0, 0, 0, 0, 0, 0, 0], [0] * 9])
+    assert not u.contains_space(v) and total.contains_space(v) and u != v
+    assert built.dim == 2 and u.contains_space(built)
+    for space in (u, v, built, total):
+        assert not _basis_written(space)
+    # spaces built by elimination hold their basis from the start
+    assert _basis_written(fl.rref(u.basis, p, n))
 
 
 # the oracle enumerates GF(p)^n up to e_0, p^(n-1) vectors

@@ -627,3 +627,69 @@ def test_class_and_center_spaces_match_elimination(algebras):
         for space, rows in cases:
             basis, pivots = oracle_rref(np.array(rows, dtype=np.int64).reshape(-1, A.dim) % A.p, A.p)
             assert space.pivots == pivots and np.array_equal(space.basis, basis), name
+
+
+# -- failed identity checks name the group and the dimensions ---------------
+
+
+def test_failed_projection_check_names_group_and_dimensions(groups, monkeypatch):
+    G = groups["D8"]
+    A = ma.GroupAlgebra(G)
+    wrong = ma.relative_augmentation_ideal(A, G.full_subgroup())
+    monkeypatch.setattr(ma, "relative_augmentation_ideal", lambda A, n_sub: wrong)
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.natural_projection(A, gc.center(G))
+    assert str(info.value) == (
+        "projection kernel != relative augmentation ideal on D8 mod |N| = 2: "
+        "dim ker = 4, dim I(N)G = 7"
+    )
+
+
+def test_failed_center_decomposition_names_group_and_dimensions(groups, monkeypatch):
+    G = groups["D8"]
+    A = ma.GroupAlgebra(G)
+    lhs, _, _ = ma.center_decomposition(A)
+    zero = fl.zero_subspace(A.p, A.dim)
+    monkeypatch.setattr(ma, "augmentation_span", lambda A, sub: zero)
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.center_decomposition(A)
+    assert str(info.value) == (
+        "center decomposition on D8 does not exhaust Z(kG) n I(G): the parts span dim 3 of dim 4"
+    )
+    monkeypatch.setattr(ma, "augmentation_span", lambda A, sub: lhs)
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.center_decomposition(A)
+    assert str(info.value) == (
+        "center decomposition on D8 is not direct: dim I(Z(G)) = 4, "
+        "dim [kG,kG] n Z(kG) = 3, their meet has dim 3"
+    )
+    # the centralizer of one generator is more than the center
+    burnside_basis = gc.burnside_basis
+    monkeypatch.setattr(gc, "burnside_basis", lambda G: burnside_basis(G)[:1])
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.center_decomposition(ma.GroupAlgebra(G))
+    assert str(info.value) == (
+        "center of kG has dimension 6 on D8, not the number of conjugacy classes 5"
+    )
+
+
+def test_failed_layer_embedding_names_group_and_dimensions(groups, monkeypatch):
+    A = ma.GroupAlgebra(groups["D8"])
+    monkeypatch.setattr(fl, "image", lambda matrix, p: fl.zero_subspace(p, matrix.shape[1]))
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.jennings_layer_embedding(A, 1)
+    assert str(info.value) == (
+        "Jennings layer embedding is not injective on D8 at n = 1 mod |N| = 1: rank 0 of domain rank 2"
+    )
+
+
+def test_failed_jennings_membership_names_group_and_orders(groups, monkeypatch):
+    G = groups["D8"]
+    A = ma.GroupAlgebra(G)
+    # every g - 1 reads as a member of I^2
+    monkeypatch.setattr(ma, "_one_minus_rows", lambda A: np.zeros((A.dim, A.dim), dtype=np.int64))
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.group_jennings_with_normal(A, G.trivial_subgroup(), 2)
+    assert str(info.value) == (
+        "(1 + I(N)G + I^n) n G != D_n(G)N on D8 at n = 2 mod |N| = 1: 8 elements, |D_n(G)N| = 2"
+    )
