@@ -34,7 +34,6 @@ from .modular_algebra import (
     GroupAlgebra,
     augmentation_ideal,
     ideal_power,
-    ideal_product,
     iso_search,
     jennings_by_ideal,
     relative_augmentation_ideal,

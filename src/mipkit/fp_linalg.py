@@ -265,14 +265,17 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of the union, canonical.
 
-        Two partition spaces sum to the partition space of the join of
-        their partitions: the larger's labels joined along the edges
+        A sum with the zero space is the other space itself.  Two
+        partition spaces sum to the partition space of the join of their
+        partitions: the larger's labels joined along the edges
         g -- labels[g] of the smaller, with no basis read.  Otherwise the
         larger space seeds a builder as it stands and the smaller basis is
         absorbed into it.
         """
         self._check_compatible(other)
         big, small = (self, other) if self.dim >= other.dim else (other, self)
+        if small.dim == 0:
+            return big
         if big.labels is not None and small.labels is not None:
             idx = np.flatnonzero(small.labels != np.arange(self.ambient_dim))
             labels = _join_edges(big.labels, idx, small.labels[idx])

@@ -10,6 +10,12 @@ exhaustive search for explicit algebra isomorphisms of tiny algebras.
 Products go through one left-translation table per algebra, row g of
 ``mul[inv]``, which maps y to g . y; xy is then a single gather over the
 nonzero coefficients of x.
+
+Each object of the graded theory is made in one place: I(N)G in
+``relative_augmentation_ideal`` (its orbit labels in ``_orbit_ideal``),
+I^n in ``_ideal_chain``, I^n + I(N)G in ``_filtration``, the Jennings
+term D_n(G), trivial past the end of the series, in ``_jennings_term``,
+and the rows e_g - e_0 in ``_one_minus_rows``.
 """
 
 from __future__ import annotations
@@ -151,17 +157,11 @@ def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
 @gc._memo
 def _orbit_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
     n = A.dim
-    gens = n_sub.generators or tuple(g for g in n_sub.elements if g)
-    # min-label propagation: every g ends labelled by its orbit's least index
+    gens = list(n_sub.generators or (g for g in n_sub.elements if g))
+    # the orbits of <gens>: singletons joined along every edge g -- m.g
     idx = np.arange(n)
-    label = idx
-    while True:
-        prev = label
-        for m in gens:
-            label = np.minimum(label, label[A.group.mul[m, :]])
-        if np.array_equal(label, prev):
-            break
-    roots = np.nonzero(label == idx)[0]
+    label = fl._join_edges(idx, np.tile(idx, len(gens)), A.group.mul[gens, :].ravel())
+    roots = np.flatnonzero(label == idx)
     sizes = np.bincount(label)[roots]
     if roots.size != n // n_sub.order or (sizes != n_sub.order).any():
         raise InternalCheckError(
@@ -169,7 +169,7 @@ def _orbit_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
             f"{roots.size} orbits of sizes {sorted(set(sizes.tolist()))} "
             f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
         )
-    return AlgIdeal(A, fl.partition_subspace(A.p, label))
+    return AlgIdeal(A, fl._partition(A.p, label))
 
 
 def augmentation_span(A: GroupAlgebra, sub: Subgroup) -> Subspace:
@@ -228,18 +228,19 @@ def _ideal_chain(A: GroupAlgebra, n: int) -> Subspace:
 
 
 def ideal_power(ideal: AlgIdeal, n: int) -> AlgIdeal:
-    """I^n by iterated products; the augmentation ideal uses a cached chain."""
+    """I(G)^n, read off the cached chain; any other ideal is a ValueError."""
     A = ideal.algebra
     if n < 0:
         raise ValueError("n must be >= 0")
-    if ideal == augmentation_ideal(A):
-        return AlgIdeal(A, _ideal_chain(A, n))
-    if n == 0:
-        return AlgIdeal(A, fl.full_subspace(A.p, A.dim))
-    result = ideal
-    for _ in range(n - 1):
-        result = ideal_product(result, ideal)
-    return result
+    if ideal != augmentation_ideal(A):
+        raise ValueError("ideal_power takes the augmentation ideal only")
+    return AlgIdeal(A, _ideal_chain(A, n))
+
+
+def _filtration(A: GroupAlgebra, n: int, n_sub: Subgroup) -> Subspace:
+    """I(G)^n + I(N)G: the n-th term of the augmentation filtration of kG
+    taken modulo I(N)G."""
+    return _ideal_chain(A, n).sum(relative_augmentation_ideal(A, n_sub).space)
 
 
 def subspace_product(A: GroupAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -258,12 +259,6 @@ def subspace_product(A: GroupAlgebra, u: Subspace, v: Subspace) -> Subspace:
     return builder.subspace()
 
 
-def ideal_product(i: AlgIdeal, j: AlgIdeal) -> AlgIdeal:
-    if i.algebra != j.algebra:
-        raise ValueError("ideals of different algebras")
-    return AlgIdeal(i.algebra, subspace_product(i.algebra, i.space, j.space))
-
-
 @gc._memo
 def nilpotency_index(A: GroupAlgebra) -> int:
     """Least n with I(G)^n = 0."""
@@ -278,40 +273,30 @@ def nilpotency_index(A: GroupAlgebra) -> int:
 
 
 def _one_minus_rows(A: GroupAlgebra) -> np.ndarray:
-    eye = np.eye(A.dim, dtype=np.int64)
-    rows = eye.copy()
+    """Row g is e_g - e_0 mod p, so row 0 is zero."""
+    rows = np.eye(A.dim, dtype=np.int64)
     rows[:, 0] -= 1
     return rows % A.p
 
 
+def _jennings_term(G: FiniteGroup, n: int) -> Subgroup:
+    """D_n(G) from the product formula; trivial past the end of the series."""
+    series = gc.jennings_series_product_formula(G)
+    return series[n - 1] if n <= len(series) else G.trivial_subgroup()
+
+
 @gc._memo
 def jennings_by_ideal(A: GroupAlgebra) -> list[Subgroup]:
-    """Dimension subgroups D_n = { g : g - 1 in I^n }.
+    """Dimension subgroups D_n = { g : g - 1 in I^n }, down to the first
+    trivial one.
 
-    The result is checked, term by term, against the product-formula
-    computation on the group side; disagreement raises loudly.
+    Each term is ``group_jennings_with_normal`` with N = 1, which checks
+    the membership set against the product formula's D_n, so each set is
+    also checked to be a subgroup; disagreement raises loudly.
     """
     G = A.group
-    rows = _one_minus_rows(A)
-    series: list[Subgroup] = []
-    n = 1
-    while True:
-        space = _ideal_chain(A, n)
-        residual = space.reduce_rows(rows)
-        members = [g for g in range(A.dim) if not residual[g].any()]
-        sub = gc._generated(G, members)
-        if set(sub.elements) != set(members):
-            raise InternalCheckError("ideal-membership set is not a subgroup")
-        series.append(sub)
-        if sub.is_trivial():
-            break
-        n += 1
-    formula = gc.jennings_series_product_formula(G)
-    if [s.elements for s in series] != [s.elements for s in formula]:
-        raise InternalCheckError(
-            "ideal-membership Jennings series disagrees with the product formula"
-        )
-    return series
+    depth = len(gc.jennings_series_product_formula(G))
+    return [group_jennings_with_normal(A, G.trivial_subgroup(), n) for n in range(1, depth + 1)]
 
 
 def loewy_layer_dims(A: GroupAlgebra) -> list[int]:
@@ -332,9 +317,8 @@ def jennings_poincare_layer_dims(G: FiniteGroup) -> list[int]:
     p = G.p
     series = gc.jennings_series_product_formula(G)
     poly = [1]
-    for i in range(len(series) - 1):
-        n = i + 1
-        rank = gc.log_p(series[i].order // series[i + 1].order, p)
+    for n, (d_n, d_n1) in enumerate(itertools.pairwise(series), start=1):
+        rank = gc.log_p(d_n.order // d_n1.order, p)
         factor = [0] * ((p - 1) * n + 1)
         for k in range(p):
             factor[k * n] = 1
@@ -613,20 +597,12 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
         n_sub = G.trivial_subgroup()
     if not n_sub.is_normal():
         raise NotNormalError("layer embedding needs a normal subgroup")
-    series = gc.jennings_series_product_formula(G)
-    d_n = series[n - 1] if n - 1 < len(series) else G.trivial_subgroup()
-    d_n1 = series[n] if n < len(series) else G.trivial_subgroup()
-    dom = ElementaryQuotient(gc.join(d_n, n_sub), gc.join(d_n1, n_sub))
-    rel = relative_augmentation_ideal(A, n_sub).space
-    top = _ideal_chain(A, n).sum(rel)
-    bottom = _ideal_chain(A, n + 1).sum(rel)
-    cod = Subquotient(top, bottom)
-    rows = []
-    for b in dom.basis:
-        vec = np.zeros(A.dim, dtype=np.int64)
-        vec[b] += 1
-        vec[0] -= 1
-        rows.append(cod.coords(vec % A.p))
+    dom = ElementaryQuotient(
+        gc.join(_jennings_term(G, n), n_sub), gc.join(_jennings_term(G, n + 1), n_sub)
+    )
+    cod = Subquotient(_filtration(A, n, n_sub), _filtration(A, n + 1, n_sub))
+    one_minus = _one_minus_rows(A)
+    rows = [cod.coords(one_minus[b]) for b in dom.basis]
     matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, cod.rank), dtype=np.int64)
     emb = LayerEmbedding(A, n, n_sub, dom, cod, matrix)
     rank = fl.image(matrix, A.p).dim
@@ -664,9 +640,8 @@ def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
     p = A.p
     q = p ** (t - 1)
     n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
-    rel = relative_augmentation_ideal(A, n_sub).space
     dom = Subquotient(_ideal_chain(A, 1), _ideal_chain(A, 2))
-    cod = Subquotient(_ideal_chain(A, q).sum(rel), _ideal_chain(A, q + 1).sum(rel))
+    cod = Subquotient(_filtration(A, q, n_sub), _filtration(A, q + 1, n_sub))
     rows = []
     shift = _ideal_chain(A, 2)
     for v in dom.basis_rows:
@@ -688,21 +663,14 @@ def power_diagram_commutes(A: GroupAlgebra, t: int) -> bool:
     agree modulo I^{q+1} + I(Mho_t(G)G')G.
     """
     G = A.group
-    p = A.p
-    q = p ** (t - 1)
+    q = A.p ** (t - 1)
     lam = power_quotient_map(G, t)
     n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
-    psi = jennings_layer_embedding(A, q, n_sub)
-    cod = psi.codomain
+    cod = jennings_layer_embedding(A, q, n_sub).codomain
+    one_minus = _one_minus_rows(A)
     for x in lam.domain.m_sub.elements:
-        left = np.zeros(A.dim, dtype=np.int64)
-        left[G.power(x, q)] += 1
-        left[0] -= 1
-        one_minus = np.zeros(A.dim, dtype=np.int64)
-        one_minus[x] += 1
-        one_minus[0] -= 1
-        right = A.power_vec(one_minus % p, q)
-        if not np.array_equal(cod.coords(left % p), cod.coords(right)):
+        right = A.power_vec(one_minus[x], q)
+        if not np.array_equal(cod.coords(one_minus[G.power(x, q)]), cod.coords(right)):
             return False
     return True
 
@@ -712,13 +680,9 @@ def group_jennings_with_normal(A: GroupAlgebra, n_sub: Subgroup, n: int) -> Subg
     G = A.group
     if not n_sub.is_normal():
         raise NotNormalError("needs a normal subgroup")
-    rel = relative_augmentation_ideal(A, n_sub).space
-    space = _ideal_chain(A, n).sum(rel)
-    residual = space.reduce_rows(_one_minus_rows(A))
+    residual = _filtration(A, n, n_sub).reduce_rows(_one_minus_rows(A))
     members = [g for g in range(A.dim) if not residual[g].any()]
-    series = gc.jennings_series_product_formula(G)
-    d_n = series[n - 1] if n - 1 < len(series) else G.trivial_subgroup()
-    expected = gc.join(d_n, n_sub)
+    expected = gc.join(_jennings_term(G, n), n_sub)
     if set(members) != set(expected.elements):
         raise InternalCheckError(
             f"(1 + I(N)G + I^n) n G != D_n(G)N on {G.name} at n = {n} "
@@ -798,10 +762,6 @@ def _inverse_exponent(B: GroupAlgebra) -> int:
     while B.p**k < nil:
         k += 1
     return B.p**k - 1
-
-
-def _vec_inverse(B: GroupAlgebra, u: np.ndarray) -> np.ndarray:
-    return B.power_vec(u, _inverse_exponent(B))
 
 
 def iso_search_iter(
@@ -978,9 +938,7 @@ def check_ideal_complement(
     report["is_direct_product"] = prod_ok
     report["j_is_ideal"] = AlgIdeal(A, j_space).verify_two_sided()
     report["codim_matches"] = A.dim - j_space.dim == l_sub.order
-    i2 = _ideal_chain(A, 2)
-    rel_n = relative_augmentation_ideal(A, n_sub).space
-    report["degree_one_matches"] = j_space.sum(i2) == rel_n.sum(i2)
+    report["degree_one_matches"] = j_space.sum(_ideal_chain(A, 2)) == _filtration(A, 2, n_sub)
     kl_rows = np.eye(A.dim, dtype=np.int64)[list(l_sub.elements)]
     kl = fl.rref(kl_rows, A.p, A.dim)
     report["conclusion_direct_sum"] = (

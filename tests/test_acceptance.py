@@ -152,7 +152,7 @@ def _check_intersection_identity(A, l_sub, n_sub, aug_spans):
         rows = (eye[G.mul[m, n_arr]] - eye[n_arr]) % A.p
         builder.absorb(rows)
     expected = builder.subspace()
-    if not (ideal_l.contains_all(expected.basis) and aug_n.contains_all(expected.basis)):
+    if not (ideal_l.contains_space(expected) and aug_n.contains_space(expected)):
         return False
     inter_dim = ideal_l.dim + aug_n.dim - ideal_l.sum(aug_n).dim
     return inter_dim == expected.dim

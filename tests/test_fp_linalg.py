@@ -86,6 +86,18 @@ def test_sum_identity_and_idempotence():
     assert u.sum(u) == u
 
 
+def test_sum_with_the_zero_space_is_the_other_operand():
+    # on either side, for a labelled and an unlabelled space, with no
+    # builder made; the zero space may itself be the discrete partition
+    spaces = (fl.rref([[1, 0, 1], [0, 1, 0]], 2, 3), fl.partition_subspace(2, [0, 0, 2]))
+    zeros = (fl.zero_subspace(2, 3), fl.partition_subspace(2, [0, 1, 2]))
+    with mock.patch.object(fl.SubspaceBuilder, "from_subspace", side_effect=AssertionError):
+        for v in spaces:
+            for zero in zeros:
+                assert v.sum(zero) is v
+                assert zero.sum(v) is v
+
+
 def test_sum_of_coordinate_lines():
     u = fl.rref([[1, 0, 0]], 2, 3)
     v = fl.rref([[0, 1, 0]], 2, 3)

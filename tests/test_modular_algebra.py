@@ -1,4 +1,6 @@
+import ast
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,11 +137,21 @@ def test_first_power_is_the_ideal(algebras):
 def test_ideal_power_via_products_matches_chain(algebras):
     for name in ("D8", "C8", "Heis27"):
         A = algebras[name]
-        aug = ma.augmentation_ideal(A)
-        sq = ma.ideal_product(aug, aug)
-        assert sq.space == ma._ideal_chain(A, 2)
-        cube = ma.ideal_product(sq, aug)
-        assert cube.space == ma._ideal_chain(A, 3)
+        aug = ma.augmentation_ideal(A).space
+        sq = ma.subspace_product(A, aug, aug)
+        assert sq == ma._ideal_chain(A, 2)
+        assert ma.subspace_product(A, sq, aug) == ma._ideal_chain(A, 3)
+
+
+def test_ideal_power_takes_the_augmentation_ideal_only(algebras):
+    A = algebras["D8"]
+    assert ma.ideal_power(ma.augmentation_ideal(A), 3).space == ma._ideal_chain(A, 3)
+    rel = ma.relative_augmentation_ideal(A, gc.center(A.group))
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="augmentation ideal only"):
+            ma.ideal_power(rel, n)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        ma.ideal_power(ma.augmentation_ideal(A), -1)
 
 
 def test_second_power_separates_cyclic8_from_c4xc2(algebras):
@@ -159,6 +171,21 @@ def test_jennings_by_ideal_examples(algebras):
     assert series[1] == gc.frattini(algebras["D8"].group)
     trivial = ma.jennings_by_ideal(algebras["C2"])
     assert [s.order for s in trivial] == [2, 1]
+
+
+def test_jennings_by_ideal_matches_membership_in_eliminated_powers(small_groups):
+    # D_n as {g : e_g - e_0 in I^n}, with I^n eliminated by the oracle from
+    # the chain's basis and each row reduced against that basis here
+    for name, G in small_groups.items():
+        A = ma.GroupAlgebra(G)
+        p = G.p
+        eye = np.eye(A.dim, dtype=np.int64)
+        rows = (eye - eye[0]) % p
+        for n, term in enumerate(ma.jennings_by_ideal(A), start=1):
+            basis, pivots = oracle_rref(ma._ideal_chain(A, n).basis, p)
+            residual = (rows - rows[:, list(pivots)] @ basis) % p
+            members = np.flatnonzero(~residual.any(axis=1))
+            assert set(term.elements) == set(members.tolist()), (name, n)
 
 
 def test_jennings_by_ideal_abelian_reproduces_type(algebras):
@@ -577,7 +604,7 @@ def test_vec_inverse_of_every_unit(algebras, name):
     one = np.zeros(B.dim, dtype=np.int64)
     one[0] = 1
     for u in ma._unit_candidates(B).astype(np.int64):
-        inv = ma._vec_inverse(B, u)
+        inv = B.power_vec(u, ma._inverse_exponent(B))
         assert np.array_equal(B.multiply_vec(inv, u), one)
         assert np.array_equal(B.multiply_vec(u, inv), one)
 
@@ -693,3 +720,59 @@ def test_failed_jennings_membership_names_group_and_orders(groups, monkeypatch):
     assert str(info.value) == (
         "(1 + I(N)G + I^n) n G != D_n(G)N on D8 at n = 2 mod |N| = 1: 8 elements, |D_n(G)N| = 2"
     )
+
+
+# -- one construction for each graded object ----------------------------------
+
+
+def _graded_constructions(tree):
+    """(function, what) for every I^n + I(N)G sum and every index into the
+    product-formula Jennings series in a module, with names bound to such
+    calls followed through plain assignments inside each function."""
+    makers = {
+        "_ideal_chain": "chain",
+        "relative_augmentation_ideal": "rel",
+        "jennings_series_product_formula": "formula",
+    }
+
+    def kind(node, bound):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                if name in makers:
+                    return makers[name]
+        return None
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name) and kind(node.value, bound):
+                    bound[target.id] = kind(node.value, bound)
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "sum"
+                and node.args
+                and {kind(node.func.value, bound), kind(node.args[0], bound)} == {"chain", "rel"}
+            ):
+                found.append((func.name, "I^n + I(N)G"))
+            if isinstance(node, ast.Subscript) and kind(node.value, bound) == "formula":
+                found.append((func.name, "D_n"))
+    return found
+
+
+def test_graded_objects_are_built_only_by_their_helpers():
+    """I^n + I(N)G is summed only in ``_filtration`` and D_n is read off
+    the product formula only in ``_jennings_term``."""
+    tree = ast.parse(Path(ma.__file__).read_text())
+    found = _graded_constructions(tree)
+    assert ("_filtration", "I^n + I(N)G") in found
+    assert ("_jennings_term", "D_n") in found
+    assert {f for f, _ in found} <= {"_filtration", "_jennings_term"}, found
