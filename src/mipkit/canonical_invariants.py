@@ -347,7 +347,8 @@ def fingerprint(
         tau = stabilization_threshold(G)
     if t_max is None:
         t_max = tau + 1
-    exprs, n_pool = _normal_catalog(depth_limit, t_max, tau)
+    # every t >= tau normalizes to the same stable form
+    exprs, n_pool = _normal_catalog(depth_limit, min(t_max, tau), tau)
 
     split = dc.ab_nab_split(G)
     formula_type = dc.formula_ab_type(G)

@@ -192,22 +192,25 @@ def _cmd_selftest(args) -> tuple[dict, dict]:
     return {}, {"entries": results, "all_pass": ok}
 
 
-class BadOptionValue(Exception):
-    """An option value out of range.  Not a ValueError: argparse handles
-    only ArgumentTypeError, TypeError and ValueError from a type callable,
-    so this one reaches ``main``, which reports it as one JSON parse error."""
-
-
 def positive_int(text: str) -> int:
     """argparse type for ``--depth`` and ``--tmax``: an integer >= 1."""
     value = int(text)
     if value < 1:
-        raise BadOptionValue(f"--depth and --tmax must be positive integers, not {value}")
+        raise argparse.ArgumentTypeError(f"--depth and --tmax must be positive integers, not {value}")
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as CliParseError, which ``main`` reports as
+    one JSON object, instead of printing usage to stderr and exiting.  Its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        raise CliParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mipkit",
         description="invariants of modular group algebras of small p-groups",
     )
@@ -253,16 +256,12 @@ def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    try:
-        args = PARSER.parse_args(argv)
-    except BadOptionValue as exc:
-        return _print_error(EXIT_PARSE, "parse", exc)
-    except SystemExit as exc:
-        # argparse already printed a message; remap its exit code
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     started = time.time()
     try:
+        args = PARSER.parse_args(argv)
         inputs, result = args.func(args)
+    except SystemExit:
+        return EXIT_OK  # --help printed its text
     except (CliParseError, PresentationError) as exc:
         return _print_error(EXIT_PARSE, "parse", exc)
     except CapExceededError as exc:

@@ -12,6 +12,10 @@ two-sided identity and inverses, and it is proved associative by Light's
 test over a generating set found by BFS.  Caps keep orders small enough for
 dense tables to stay cheap.
 
+A presentation's table is built level by level up its pc series
+(``_pc_table``), with no word rewritten, and validation is its only
+consistency check (see ``from_pc_presentation``).
+
 Subgroups of a validated table are closed by Dimino's walk over right
 cosets (``_grow``), which also picks the greedy generating witness in the
 same pass; it relies on associativity, so Light's test keeps its BFS.
@@ -32,7 +36,6 @@ entry.  A cached list is handed out as a fresh copy.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -42,8 +45,6 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 ORDER_CAPS = {2: 128, 3: 243, 5: 125, 7: 49}
-
-_COLLECT_STEP_CAP = 1_000_000
 
 
 class PresentationError(ValueError):
@@ -125,8 +126,9 @@ class PcPresentation:
     Generators g_1..g_d have relative orders p^{e_i}; ``powers[i]`` is the
     word equal to g_i^{p^{e_i}} and ``commutators[(j, i)]`` (j > i) the word
     equal to [g_j, g_i] = g_j^-1 g_i^-1 g_j g_i.  All relation words must be
-    supported on generators of index > i, which makes collection terminate.
-    Omitted relations default to the trivial word.
+    supported on generators of index > i, so each lies in G_{i+1} =
+    <g_{i+1}, ..., g_d>, whose table is built before G_i's.  Omitted
+    relations default to the trivial word.
     """
 
     p: int
@@ -281,54 +283,6 @@ class PcPresentation:
         return "\n".join(lines) + "\n"
 
 
-def _collect(word: Sequence[tuple[int, int]], pres: PcPresentation) -> tuple[int, ...]:
-    """Collect a word into the normal form g_1^{a_1} ... g_d^{a_d}."""
-    d = len(pres.rel_orders)
-    out: list[list[int]] = []  # [gen, exp], gens strictly increasing
-    stack: list[tuple[int, int]] = [(g, e) for g, e in reversed(word) if e]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > _COLLECT_STEP_CAP:
-            raise PresentationError("collection did not terminate; presentation inconsistent")
-        g, e = stack.pop()
-        if out and out[-1][0] == g:
-            e += out[-1][1]
-            out.pop()
-        if out and out[-1][0] > g:
-            k, a = out.pop()
-            # move g past g_k one swap at a time: g_k g = g g_k [g_k, g]
-            push: list[tuple[int, int]] = []
-            if e > 1:
-                push.append((g, e - 1))
-            push.extend(reversed(pres.comm_word(k, g)))
-            push.append((k, 1))
-            push.append((g, 1))
-            if a > 1:
-                push.append((k, a - 1))
-            stack.extend(push)
-            continue
-        m = pres.rel_orders[g]
-        if e >= m:
-            q, r = divmod(e, m)
-            w = pres.power_word(g)
-            # each pushed factor costs a step, so a huge q fails here, not
-            # after a push loop as long as q
-            if q * len(w) > _COLLECT_STEP_CAP:
-                raise PresentationError("collection did not terminate; presentation inconsistent")
-            push = list(reversed(w)) * q
-            if r:
-                push.append((g, r))
-            stack.extend(push)
-            continue
-        if e:
-            out.append([g, e])
-    full = [0] * d
-    for g, e in out:
-        full[g] = e
-    return tuple(full)
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -439,13 +393,7 @@ class FiniteGroup:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv_elem(a), -k
-        result, base = 0, a
-        while k:
-            if k & 1:
-                result = int(self.mul[result, base])
-            base = int(self.mul[base, base])
-            k >>= 1
-        return result
+        return _table_power(self.mul, a, k)
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -1087,15 +1035,67 @@ def _pcp_generator_indices(pres: PcPresentation) -> list[int]:
     return [math.prod(radices[i + 1 :]) for i in range(len(radices))]
 
 
+def _table_power(mul: np.ndarray, a: int, k: int) -> int:
+    """a^k (k >= 0) in a table, by squaring: k costs its bit length."""
+    result = 0
+    while k:
+        if k & 1:
+            result = int(mul[result, a])
+        a = int(mul[a, a])
+        k >>= 1
+    return result
+
+
+def _pc_table(pres: PcPresentation) -> np.ndarray:
+    """The table of G = G_1 > G_2 > ... > G_d > G_{d+1} = 1, one level at a time.
+
+    G_i = <g_i> G_{i+1} holds g_i^a h (h in G_{i+1}) at index a |G_{i+1}| + h,
+    so G_{i+1} is the top-left corner of G_i's table.  With phi(h) =
+    g_i^-1 h g_i and w = g_i^{m_i}, (g_i^a h)(g_i^b k) = g_i^{a+b} phi^b(h) k,
+    with w multiplied in on the left of phi^b(h) when a + b >= m_i.  phi is set
+    on generators by g_j -> g_j [g_j, g_i] and extended digit by digit; each
+    relation word is evaluated in G_{i+1}'s table with powers by squaring.
+    """
+    radices = pres.rel_orders
+    place = _pcp_generator_indices(pres)
+
+    def value(mul: np.ndarray, word) -> int:
+        x = 0
+        for g, e in word:
+            x = int(mul[x, _table_power(mul, place[g], e)])
+        return x
+
+    mul = np.zeros((1, 1), dtype=np.int64)
+    for i in reversed(range(len(radices))):
+        m, n = radices[i], mul.shape[0]
+        phi = np.zeros(1, dtype=np.int64)
+        for j in reversed(range(i + 1, len(radices))):
+            # phi(g_j^c h') = phi(g_j)^c phi(h') for h' in G_{j+1}
+            x = int(mul[place[j], value(mul, pres.comm_word(j, i))])
+            powers = [_table_power(mul, x, c) for c in range(radices[j])]
+            phi = mul[np.array(powers)[:, None], phi].reshape(-1)
+        phi_b = [np.arange(n)]  # phi^b for b < m
+        for _ in range(m - 1):
+            phi_b.append(phi[phi_b[-1]])
+        phi_b = np.array(phi_b)
+        a, b = np.arange(m)[:, None], np.arange(m)[None, :]
+        left = np.where((a + b >= m)[:, :, None], mul[value(mul, pres.power_word(i)), phi_b], phi_b)
+        # [a, b, h, k] -> row a n + h, column b n + k
+        prod = mul[left] + ((a + b) % m * n)[:, :, None, None]
+        mul = prod.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    return mul
+
+
 def from_pc_presentation(
     spec: Union[str, PcPresentation], name: str = "G"
 ) -> FiniteGroup:
     """Build the multiplication table of a power-commutator presentation.
 
-    Collection rewrites each (element, generator) word to the normal form
-    g_1^{a_1}...g_d^{a_d}, one generator swap at a time and with no memo;
-    the resulting table is rejected if it fails validation, whose
-    associativity check is Light's test over a generating set found by BFS.
+    ``_pc_table`` builds it level by level up the pc series; no word is
+    rewritten, so the cost does not depend on the size of an exponent.  The
+    table satisfies every relation, so it passes validation (identity,
+    inverses, Light's test) exactly when the presentation is consistent,
+    and then it is the table of the normal forms g_1^{a_1}...g_d^{a_d}.
     """
     pres = spec if isinstance(spec, PcPresentation) else PcPresentation.parse(spec)
     n = pres.order
@@ -1103,33 +1103,10 @@ def from_pc_presentation(
         raise CapExceededError(
             f"presentation order {n} exceeds the cap {ORDER_CAPS.get(pres.p)} for p={pres.p}"
         )
-    radices = pres.rel_orders
-    d = len(radices)
-    tuples = list(itertools.product(*[range(m) for m in radices]))
-    index_of = {t: i for i, t in enumerate(tuples)}
-
-    # one translation table per generator, built by collection
-    translations = []
-    for i in range(d):
-        tab = np.empty(n, dtype=np.int64)
-        for t, idx in index_of.items():
-            word = [(g, e) for g, e in enumerate(t) if e] + [(i, 1)]
-            tab[idx] = index_of[_collect(word, pres)]
-        translations.append(tab)
-
-    mul = np.empty((n, n), dtype=np.int64)
-    col = np.arange(n)
-    for y, t in enumerate(tuples):
-        cur = col
-        for i, e in enumerate(t):
-            for _ in range(e):
-                cur = translations[i][cur]
-        mul[:, y] = cur
-
     try:
-        G = FiniteGroup(
+        return FiniteGroup(
             pres.p,
-            mul,
+            _pc_table(pres),
             name=name,
             provenance={
                 "kind": "pcp",
@@ -1139,7 +1116,6 @@ def from_pc_presentation(
         )
     except (ValueError, PresentationError) as exc:
         raise PresentationError(f"inconsistent presentation: {exc}") from exc
-    return G
 
 
 def from_mul_table(mul: np.ndarray, name: str = "G") -> FiniteGroup:

@@ -191,6 +191,16 @@ def test_fingerprint_monotone_in_tmax(groups):
         assert ci.fingerprint(G, 2, tau + extra) == base
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_catalog_past_tau_normalizes_as_at_tau(depth):
+    # fingerprint reads the catalog at min(t_max, tau): every t >= tau
+    # normalizes to one stable form, so a t past tau adds no expression
+    for tau in range(1, 6):
+        at_tau = {ci.normalize(e, tau) for e in ci.generate_catalog(depth, tau)}
+        for t in (tau + 1, tau + 3):
+            assert {ci.normalize(e, tau) for e in ci.generate_catalog(depth, t)} == at_tau
+
+
 def test_compare_group_with_itself(groups):
     verdict = ci.compare(groups["M16"], groups["M16"])
     assert verdict["verdict"] == "indistinguishable-at-depth"

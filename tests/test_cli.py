@@ -37,17 +37,19 @@ def test_catalog_command(capsys, monkeypatch, tmp_path):
 
 
 def test_argparse_error_then_a_good_command_in_one_process(capsys, monkeypatch, tmp_path):
-    # exit 2 with argparse's own stderr, and a failed parse leaves the next
-    # command in the same process unaffected
+    # exit 2 with argparse's message in one JSON object and nothing on
+    # stderr, and a failed parse leaves the next command in the same process
+    # unaffected
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
     for _ in range(2):
         assert cli.main(["--no-timing", "analyze"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: mipkit analyze")
-        assert captured.err.endswith(
-            "mipkit analyze: error: the following arguments are required: group\n"
-        )
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"error": {
+            "exit_code": 2,
+            "kind": "parse",
+            "message": "the following arguments are required: group",
+        }}
         assert cli.main(["--no-timing", "catalog"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -308,6 +310,16 @@ def test_depth_and_tmax_below_one_are_one_parse_error(capsys, monkeypatch, tmp_p
     assert not (tmp_path / "cache").exists()
 
 
+def test_huge_tmax_costs_what_tmax_tau_costs(capsys, monkeypatch, tmp_path):
+    # a t_max past the stabilization threshold (3 for C8) adds no expression,
+    # so the catalog is read at tau and the result is the same
+    huge = "99999999999999999999"
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "C8", "--tmax", huge)
+    assert code == 0 and report["inputs"]["tmax"] == int(huge)
+    _, at_tau = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "C8", "--tmax", "3")
+    assert report["result"] == at_tau["result"]
+
+
 def test_bad_subcommand_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
     assert cli.main(["frobnicate"]) == 2
@@ -443,7 +455,7 @@ _PCP_LINE = st.tuples(
              max_size=4).map(b"".join),
 ).map(b"".join)
 _PCP_BYTES = st.tuples(
-    # a whole presentation as the head lets cases reach the collector
+    # a whole presentation as the head lets cases reach the table build
     st.sampled_from([b"", b"p 2\ngens 2\norder 1 2\norder 2 2\n",
                      b"p 3\ngens 3\norder 1 3\norder 2 3\norder 3 3\n"]),
     st.lists(_PCP_LINE, max_size=4).map(b"\n".join),
@@ -486,3 +498,55 @@ def test_mul_fuzz_ends_in_one_json_line(tmp_path_factory, text, command):
 def test_pcp_fuzz_ends_in_one_json_line(tmp_path_factory, data, command):
     # short .pcp bytes built from its tokens, non-UTF-8 bytes included
     _check_fuzz_case(tmp_path_factory, "fuzz.pcp", data, command)
+
+
+_SMALL_GROUPS = [e.name for e in cat.builtin_catalog() if e.expected["order"] <= 9]
+# --depth 4 and up is left out: C2 at depth 4 does not finish in a minute
+_ARGV_OPTION = st.one_of(
+    st.sampled_from(["--peel-trace", "--no-timing", "--bogus"]).map(lambda token: [token]),
+    st.tuples(st.sampled_from(["--depth", "--tmax"]), st.sampled_from(["-1", "0", "1", "2", "x"])).map(list),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand (or none, or an unknown one), up to two groups (as many
+    as it takes in half the draws; a bad name among them) and up to two
+    options, in that order or shuffled."""
+    head = draw(st.lists(st.sampled_from(["--no-timing", "--bogus"]), max_size=1))
+    command = draw(st.sampled_from(
+        ["analyze", "compare", "decompose", "iso-search", "catalog", "selftest", "bogus", None]
+    ))
+    arity = {"analyze": 1, "compare": 2, "decompose": 1, "iso-search": 2}.get(command, 0)
+    count = arity if draw(st.booleans()) else draw(st.integers(0, 2))
+    names = st.sampled_from(_SMALL_GROUPS + ["Nope", "@missing.pcp", ""])
+    groups = draw(st.lists(names, min_size=count, max_size=count))
+    options = [token for chunk in draw(st.lists(_ARGV_OPTION, max_size=2)) for token in chunk]
+    tail = groups + options
+    if draw(st.booleans()):
+        tail = draw(st.permutations(tail))
+    return head + ([command] if command else []) + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_ends_in_one_json_line(tmp_path_factory, argv):
+    # subcommands, flags and values in any order, missing or unknown ones
+    # among them, end in a known exit code with one JSON object on stdout
+    # and nothing on stderr, in bounded time
+    tmp = tmp_path_factory.mktemp("argv")
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(5)
+    try:
+        with mock.patch.dict(os.environ, {"MIPKIT_CACHE_DIR": str(tmp / "cache")}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3, 4), argv
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, argv
+    assert isinstance(json.loads(lines[0]), dict)
+    assert err.getvalue() == "", argv

@@ -63,24 +63,25 @@ def test_order_cap_enforced():
 
 
 @pytest.mark.parametrize(
-    "text, order",
+    "text, order_and_exponent",
     [
         ("p 2\ngens 1000000000000\norder 1 2\n", None),
-        # g2^(10^12 - 1) = g2: q = 5 * 10^11 copies of an empty power word
-        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2^999999999999\n", 4),
-        # the same q copies of g3 would pass the collection step cap
-        ("p 2\ngens 3\norder 1 2\norder 2 2\norder 3 2\npow 1 = g2^999999999999\npow 2 = g3\n", None),
+        # g2^(10^12 - 1) = g2, so g1^2 = g2: C4
+        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2^999999999999\n", (4, 4)),
+        # g2 has order 4, so g1^2 = g2^(10^12 - 1) = g2 g3 has order 4: C8
+        ("p 2\ngens 3\norder 1 2\norder 2 2\norder 3 2\npow 1 = g2^999999999999\npow 2 = g3\n", (8, 8)),
     ],
     ids=["gens-1e12", "empty-power-word", "past-the-step-cap"],
 )
-def test_huge_counts_in_a_presentation_finish_at_once(text, order):
-    # a parse that built set(range(d)), or a collection that looped q times
-    # to push a power word, would take hours or all memory on these
-    if order is None:
+def test_huge_counts_in_a_presentation_finish_at_once(text, order_and_exponent):
+    # a parse that built set(range(d)), or a build that looped as many times
+    # as an exponent's value, would take hours or all memory on these
+    if order_and_exponent is None:
         with pytest.raises(gc.PresentationError):
             gc.from_pc_presentation(text)
     else:
-        assert gc.from_pc_presentation(text).order == order
+        G = gc.from_pc_presentation(text)
+        assert (G.order, G.exponent()) == order_and_exponent
 
 
 def test_word_range_validation():
