@@ -205,12 +205,20 @@ def normalize(expr: CanonicalExpr, tau: Optional[int] = None) -> CanonicalExpr:
     return _RULES[expr.op].normal(expr.t, kids, stable)
 
 
+# Candidates one catalog level may build.  Depth 3 at t_max = 2 builds
+# 183,517 (about 2 s); depth 3 at t_max = 3 would build 1.9M and any depth 4
+# at least 20.8M, minutes each.
+CATALOG_CANDIDATE_CAP = 10**6
+
+
 def generate_catalog(depth_limit: int = 2, t_max: int = 2) -> list[CanonicalExpr]:
     """All normalized expressions of the given nesting depth, t in 1..t_max,
     sorted by depth, then key.
 
     Expression positions that the closure operations require to contain
     the derived subgroup only draw from structurally-sound candidates.
+    A level whose candidate count passes ``CATALOG_CANDIDATE_CAP`` raises
+    ``CapExceededError`` before it is built.
     """
     if depth_limit < 1:
         raise ValueError("depth must be >= 1")
@@ -220,9 +228,15 @@ def generate_catalog(depth_limit: int = 2, t_max: int = 2) -> list[CanonicalExpr
 @functools.cache
 def _catalog(depth_limit: int, t_max: int) -> tuple[CanonicalExpr, ...]:
     pool = dict.fromkeys((WHOLE, DERIVED, TRIVIAL))
-    for _level in range(depth_limit):
+    for level in range(1, depth_limit + 1):
         exprs = list(pool)
         n_pool = [e for e in exprs if e.contains_derived]
+        count = len(exprs) ** 2 + t_max * len(n_pool) * (len(exprs) + 2)
+        if count > CATALOG_CANDIDATE_CAP:
+            raise gc.CapExceededError(
+                f"the depth-{depth_limit} catalog at t_max {t_max} needs {count} candidates "
+                f"at level {level}, over the cap {CATALOG_CANDIDATE_CAP}"
+            )
         candidates = [Product((a, b)) for a in exprs for b in exprs]
         for t in range(1, t_max + 1):
             for n in n_pool:

@@ -155,7 +155,7 @@ def _cmd_iso_search(args) -> tuple[dict, dict]:
     h = resolve_group(args.group2)
     # the search maps the source's presentation generators; the target
     # may be a table
-    if "pcp" not in g.provenance:
+    if g.presentation is None:
         raise CliParseError(
             f"iso search needs a power-commutator presentation for {args.group1}, "
             "not a multiplication table"

@@ -14,7 +14,11 @@ dense tables to stay cheap.
 
 A presentation's table is built level by level up its pc series
 (``_pc_table``), with no word rewritten, and validation is its only
-consistency check (see ``from_pc_presentation``).
+consistency check (see ``from_pc_presentation``).  The group keeps the
+``PcPresentation`` object as ``G.presentation``, and then element k is the
+normal form whose mixed-radix digits are k; a direct product of two such
+groups keeps the two joined.  A raw table, a subgroup's table and a
+quotient have none.
 
 Subgroups of a validated table are closed by Dimino's walk over right
 cosets (``_grow``), which also picks the greedy generating witness in the
@@ -263,25 +267,6 @@ class PcPresentation:
             commutators=commutators,
         )
 
-    def to_text(self) -> str:
-        """Canonical .pcp text; parse(to_text()) round-trips."""
-
-        def word_str(word) -> str:
-            if not word:
-                return "1"
-            return "*".join(f"g{g + 1}^{e}" for g, e in word)
-
-        lines = [f"p {self.p}", f"gens {len(self.rel_orders)}"]
-        for i, m in enumerate(self.rel_orders):
-            lines.append(f"order {i + 1} {m}")
-        for i in sorted(self.powers):
-            if self.powers[i]:
-                lines.append(f"pow {i + 1} = {word_str(self.powers[i])}")
-        for j, i in sorted(self.commutators):
-            if self.commutators[(j, i)]:
-                lines.append(f"comm {j + 1} {i + 1} = {word_str(self.commutators[(j, i)])}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # groups
@@ -320,6 +305,12 @@ class FiniteGroup:
     is validated at construction: entries in range, a two-sided identity,
     consistent inverses, and associativity by Light's test over a
     generating set found by BFS (``_light_generators``).
+
+    ``presentation`` is the pc presentation the table was built from, or
+    None for a table with no presentation (a raw table, a subgroup or a
+    quotient).  When it is set, element k is the normal form
+    g_1^{a_1}...g_d^{a_d} whose mixed-radix digits (a_1, ..., a_d), radices
+    the relative orders, are k; the iso search relies on this.
     """
 
     def __init__(
@@ -327,7 +318,7 @@ class FiniteGroup:
         p: int,
         mul: np.ndarray,
         name: str = "G",
-        provenance: Optional[dict] = None,
+        presentation: Optional[PcPresentation] = None,
         _validated: bool = False,
     ):
         n = mul.shape[0]
@@ -344,7 +335,7 @@ class FiniteGroup:
         self.mul = mul.astype(np.int64)
         self.mul.setflags(write=False)
         self.name = name
-        self.provenance = provenance or {"kind": "table"}
+        self.presentation = presentation
         self.inv = np.argmax(self.mul == 0, axis=1)
         self.inv.setflags(write=False)
         self._cache: dict = {}
@@ -562,16 +553,12 @@ class Subgroup:
         Entry i of the returned map is the parent index of the new element i;
         the identity stays at 0 because elements are sorted.
         """
-        idx = {g: i for i, g in enumerate(self.elements)}
         arr = np.array(self.elements)
-        table = self.parent.mul[np.ix_(arr, arr)]
-        remap = np.vectorize(idx.__getitem__, otypes=[np.int64])(table)
+        # the elements are sorted and the table is closed: each entry's
+        # position in arr is its new index
+        table = np.searchsorted(arr, self.parent.mul[np.ix_(arr, arr)])
         grp = FiniteGroup(
-            self.parent.p,
-            remap,
-            name=f"{self.parent.name}_sub{self.order}",
-            provenance={"kind": "subgroup", "parent": self.parent.name},
-            _validated=True,
+            self.parent.p, table, name=f"{self.parent.name}_sub{self.order}", _validated=True
         )
         return grp, tuple(self.elements)
 
@@ -968,13 +955,7 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     m = len(reps)
     reps_arr = np.array(reps)
     table = coset_of[G.mul[np.ix_(reps_arr, reps_arr)]]
-    Q = FiniteGroup(
-        G.p,
-        table,
-        name=f"{G.name}/N{n.order}",
-        provenance={"kind": "quotient", "parent": G.name, "normal_order": n.order},
-        _validated=True,
-    )
+    Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}", _validated=True)
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
 
@@ -982,7 +963,10 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
     """Componentwise product on pairs (x, y) flattened as x*|B| + y.
 
-    The two canonical embeddings are attached as ``.embeddings``.
+    When both factors have a presentation, the product's is the two joined
+    (``_merge_presentations``): the digits of (x, y) are x's then y's, so
+    x*|B| + y is again the normal form's mixed-radix index.  The two
+    canonical embeddings are attached as ``.embeddings``.
     """
     if a.p != b.p:
         raise ValueError("direct product needs a common prime")
@@ -990,16 +974,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -
     if n * m > ORDER_CAPS.get(a.p, 0):
         raise CapExceededError(f"product order {n * m} exceeds the cap for p={a.p}")
     table = (a.mul[:, None, :, None] * m + b.mul[None, :, None, :]).reshape(n * m, n * m)
-    prov: dict = {"kind": "product", "parts": [a.name, b.name]}
-    pres = _merge_presentations(a, b)
-    if pres is not None:
-        prov["pcp"] = pres.to_text()
-        prov["gen_indices"] = _pcp_generator_indices(pres)
     G = FiniteGroup(
         a.p,
         table,
         name=name or f"{a.name}x{b.name}",
-        provenance=prov,
+        presentation=_merge_presentations(a.presentation, b.presentation),
         _validated=True,
     )
     emb_a = GroupHom(a, G, [x * m for x in range(n)])
@@ -1008,23 +987,22 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -
     return G
 
 
-def _merge_presentations(a: FiniteGroup, b: FiniteGroup) -> Optional[PcPresentation]:
-    pa, pb = a.provenance.get("pcp"), b.provenance.get("pcp")
-    if pa is None or pb is None:
+def _merge_presentations(
+    a: Optional[PcPresentation], b: Optional[PcPresentation]
+) -> Optional[PcPresentation]:
+    """a's generators followed by b's, shifted past them; the two sets
+    commute.  None unless both are given."""
+    if a is None or b is None:
         return None
-    pres_a, pres_b = PcPresentation.parse(pa), PcPresentation.parse(pb)
-    da = len(pres_a.rel_orders)
-    powers = dict(pres_a.powers)
-    comms = dict(pres_a.commutators)
-    for i, w in pres_b.powers.items():
+    da = len(a.rel_orders)
+    powers = dict(a.powers)
+    comms = dict(a.commutators)
+    for i, w in b.powers.items():
         powers[da + i] = tuple((da + g, e) for g, e in w)
-    for (j, i), w in pres_b.commutators.items():
+    for (j, i), w in b.commutators.items():
         comms[(da + j, da + i)] = tuple((da + g, e) for g, e in w)
     return PcPresentation(
-        p=pres_a.p,
-        rel_orders=pres_a.rel_orders + pres_b.rel_orders,
-        powers=powers,
-        commutators=comms,
+        p=a.p, rel_orders=a.rel_orders + b.rel_orders, powers=powers, commutators=comms
     )
 
 
@@ -1104,16 +1082,7 @@ def from_pc_presentation(
             f"presentation order {n} exceeds the cap {ORDER_CAPS.get(pres.p)} for p={pres.p}"
         )
     try:
-        return FiniteGroup(
-            pres.p,
-            _pc_table(pres),
-            name=name,
-            provenance={
-                "kind": "pcp",
-                "pcp": pres.to_text(),
-                "gen_indices": _pcp_generator_indices(pres),
-            },
-        )
+        return FiniteGroup(pres.p, _pc_table(pres), name=name, presentation=pres)
     except (ValueError, PresentationError) as exc:
         raise PresentationError(f"inconsistent presentation: {exc}") from exc
 
@@ -1128,7 +1097,7 @@ def from_mul_table(mul: np.ndarray, name: str = "G") -> FiniteGroup:
             break
     if p is None:
         raise ValueError(f"order {n} is not a power of a supported prime")
-    return FiniteGroup(p, mul, name=name, provenance={"kind": "table"})
+    return FiniteGroup(p, mul, name=name)
 
 
 # ---------------------------------------------------------------------------

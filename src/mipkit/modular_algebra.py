@@ -764,15 +764,11 @@ def _inverse_exponent(B: GroupAlgebra) -> int:
     return B.p**k - 1
 
 
-def iso_search_iter(
-    A: GroupAlgebra,
-    B: GroupAlgebra,
-    presentation: Optional[gc.PcPresentation] = None,
-):
+def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     """All augmentation-preserving isomorphisms kG -> kH, lazily.
 
-    Enumerates tuples of units in 1 + I(B) as images of the presentation
-    generators of G, keeps the tuples satisfying the presentation relations
+    Enumerates tuples of units in 1 + I(B) as images of the generators of
+    ``G.presentation``, keeps the tuples satisfying the presentation relations
     (any unital algebra map out of kG is determined by such images, since
     kG is the free algebra modulo the relation ideal), and yields each
     tuple whose induced basis map is bijective.  Deterministic: candidates
@@ -782,11 +778,9 @@ def iso_search_iter(
         return
     if A.dim > ISO_SEARCH_DIM_CAP:
         raise CapExceededError(f"iso search capped at dimension {ISO_SEARCH_DIM_CAP}")
+    presentation = A.group.presentation
     if presentation is None:
-        text = A.group.provenance.get("pcp")
-        if text is None:
-            raise ValueError("iso search needs a power-commutator presentation")
-        presentation = gc.PcPresentation.parse(text)
+        raise ValueError("iso search needs a power-commutator presentation")
     d = len(presentation.rel_orders)
     if d > ISO_SEARCH_GEN_CAP:
         raise CapExceededError(f"iso search capped at {ISO_SEARCH_GEN_CAP} generators")
@@ -863,7 +857,8 @@ def iso_search_iter(
                 prev[i] -= 1
                 v = B.multiply_vec(vecs[tuple(prev)], images[i])
             vecs[tup] = v
-        # the k-th tuple in product order is group element k
+        # the k-th tuple in product order is group element k: the invariant
+        # of a FiniteGroup built with a presentation
         matrix = np.array([vecs[tup] for tup in tuples], dtype=np.int64)
         try:
             return AlgebraIso(A, B, matrix, tuple(tuple(u.tolist()) for u in images))
@@ -888,14 +883,10 @@ def iso_search_iter(
     yield from extend([])
 
 
-def iso_search(
-    A: GroupAlgebra,
-    B: GroupAlgebra,
-    presentation: Optional[gc.PcPresentation] = None,
-) -> Optional[AlgebraIso]:
+def iso_search(A: GroupAlgebra, B: GroupAlgebra) -> Optional[AlgebraIso]:
     """First isomorphism in the deterministic enumeration, or None on
     exhaustion of the whole candidate space."""
-    return next(iso_search_iter(A, B, presentation), None)
+    return next(iso_search_iter(A, B), None)
 
 
 def extend_by_abelian(

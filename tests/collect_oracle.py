@@ -106,16 +106,7 @@ def oracle_from_pc_presentation(
         mul[:, y] = cur
 
     try:
-        G = gc.FiniteGroup(
-            pres.p,
-            mul,
-            name=name,
-            provenance={
-                "kind": "pcp",
-                "pcp": pres.to_text(),
-                "gen_indices": gc._pcp_generator_indices(pres),
-            },
-        )
+        G = gc.FiniteGroup(pres.p, mul, name=name, presentation=pres)
     except (ValueError, PresentationError) as exc:
         raise PresentationError(f"inconsistent presentation: {exc}") from exc
     return G

@@ -201,6 +201,14 @@ def test_catalog_past_tau_normalizes_as_at_tau(depth):
             assert {ci.normalize(e, tau) for e in ci.generate_catalog(depth, t)} == at_tau
 
 
+def test_catalog_level_past_the_candidate_cap_is_refused():
+    # depth 3 at t_max 3 would build 1.9M candidates at level 3, any depth 4
+    # at least 20.8M at level 4: the levels below are built, that one refused
+    for depth, t, level in ((3, 3, 3), (4, 1, 4), (5, 1, 4)):
+        with pytest.raises(gc.CapExceededError, match=f"at level {level}, over the cap"):
+            ci.generate_catalog(depth, t)
+
+
 def test_compare_group_with_itself(groups):
     verdict = ci.compare(groups["M16"], groups["M16"])
     assert verdict["verdict"] == "indistinguishable-at-depth"

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
+from test_pc_table import presentations
 
 
 def test_homocyclic_rank_examples(groups):
@@ -44,8 +46,9 @@ def test_complement_of_twisted_torsion_factor(groups):
     # must return an order-2 complement
     G = groups["C4xC2"]
     emb_a, emb_b = None, None
-    # catalog C4xC2 is presentation-built: generator indices from provenance
-    g1, g2 = G.provenance["gen_indices"]
+    # catalog C4xC2 is built from its presentation: g1 and g2 sit at their
+    # mixed-radix place values
+    g1, g2 = gc._pcp_generator_indices(G.presentation)
     twisted = G.subgroup((G.mul_elems(g1, g2),))
     assert gc.abelian_type(twisted).to_list() == [4]
     S = dc.complement_construction(G, twisted)
@@ -70,7 +73,7 @@ def test_complement_of_trivial_subgroup(groups):
 
 def test_complement_preconditions_checked(groups):
     G = groups["C4xC2"]
-    g1, _ = G.provenance["gen_indices"]
+    g1, _ = gc._pcp_generator_indices(G.presentation)
     inside_frattini = G.subgroup((G.power(g1, 2),))
     with pytest.raises(ValueError):
         dc.complement_construction(G, inside_frattini)
@@ -117,6 +120,22 @@ def test_component_checks_pass(groups):
         d = dc.ab_nab_split(G)
         report = dc.component_checks(G, d)
         assert report["all_pass"], (name, report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pres=presentations(max_exponent=9))
+def test_drawn_groups_split_as_the_formula_says(pres):
+    # on every consistent drawn presentation the peeled split certifies,
+    # its abelian type is the per-exponent quotient formula's, and each
+    # component passes its structural checks
+    try:
+        G = gc.from_pc_presentation(pres)
+    except gc.PresentationError:
+        return  # inconsistent: validation rejects it
+    d = dc.ab_nab_split(G)
+    assert d.certificate["verified"]
+    assert d.ab_type() == dc.formula_ab_type(G)
+    assert dc.component_checks(G, d)["all_pass"]
 
 
 def test_agemo_derived_match_for_complement(groups):

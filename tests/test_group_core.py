@@ -90,16 +90,22 @@ def test_word_range_validation():
         gc.PcPresentation.parse("p 2\ngens 2\norder 1 2\norder 2 4\npow 2 = g1^1\n")
 
 
-def test_presentation_text_roundtrip(groups):
-    for name in ("D8", "Q16", "Heis27", "M27xC9"):
-        text = groups[name].provenance["pcp"]
-        pres = gc.PcPresentation.parse(text)
-        assert pres.to_text() == gc.PcPresentation.parse(pres.to_text()).to_text()
-
-
 def test_direct_product_c2_c2(groups):
     P = gc.direct_product(groups["C2"], groups["C2"])
     assert P.order == 4 and P.exponent() == 2 and P.is_abelian
+
+
+def test_direct_product_carries_the_merged_presentation(groups):
+    # D8 x C2 joins the two presentations: the catalog's D8xC2, appended
+    # cyclic generator and table alike
+    P = gc.direct_product(groups["D8"], groups["C2"])
+    assert P.presentation == groups["D8xC2"].presentation
+    assert np.array_equal(P.mul, groups["D8xC2"].mul)
+    G = groups["D8"]
+    Q, _ = gc.quotient(G, gc.center(G))
+    for no_presentation in (Q, G.subgroup((1,)).as_group()[0], gc.from_mul_table(G.mul)):
+        assert no_presentation.presentation is None
+        assert gc.direct_product(no_presentation, groups["C2"]).presentation is None
 
 
 def test_direct_product_order_and_center(groups):
@@ -552,6 +558,37 @@ def test_memo_keys_on_arguments_and_keeps_types():
     assert isinstance(gc.abelian_type(G), gc.AbelianType)
     assert isinstance(G.exponent(), int) and isinstance(G.is_abelian, bool)
     assert isinstance(G.full_subgroup().as_group(), tuple)
+
+
+def test_presentations_are_parsed_only_at_the_text_boundary():
+    """``PcPresentation.parse`` runs only where text comes in: building a
+    group from a spec, the catalog's product entries and the catalog
+    listing.  Everything else reads the object ``G.presentation``, and no
+    module keeps a provenance record."""
+    allowed = {
+        ("group_core", "from_pc_presentation"),
+        ("catalog", "_with_cyclics"),
+        ("cli", "_cmd_catalog"),
+    }
+    found = set()
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "provenance" not in text, path.name
+        stack = [(ast.parse(text), None)]
+        while stack:
+            node, func = stack.pop()
+            if func is None and isinstance(node, ast.FunctionDef):
+                func = node.name
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "parse"
+                and "PcPresentation" in ast.unparse(node.func.value)
+            ):
+                found.add((path.stem, func))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert ("group_core", "from_pc_presentation") in found
+    assert found <= allowed, found
 
 
 def test_only_memo_touches_the_per_object_caches():

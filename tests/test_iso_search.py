@@ -200,3 +200,24 @@ def test_self_search_enumeration_is_pinned(algebras, name):
     ]
     digest = hashlib.sha256(json.dumps(images, separators=(",", ":")).encode()).hexdigest()
     assert (len(images), digest) == _SELF_SEARCH_DIGESTS[name]
+
+
+def test_search_over_a_direct_product_reads_its_merged_presentation(groups, algebras):
+    # C2 x C2 built as a product has the catalog C2xC2's presentation and
+    # table, so the search maps the same generators to the same images
+    product = ma.GroupAlgebra(gc.direct_product(groups["C2"], groups["C2"]))
+    target = algebras["C2xC2"]
+    images = [
+        [iso.generator_images for iso in ma.iso_search_iter(source, target)]
+        for source in (product, algebras["C2xC2"])
+    ]
+    assert images[0] and images[0] == images[1]
+
+
+def test_search_from_a_group_without_presentation_raises(groups, algebras):
+    G = groups["D8"]
+    quotient, _ = gc.quotient(G, gc.center(G))  # C2 x C2
+    subgroup, _ = G.subgroup((1,)).as_group()  # <g2> = C4
+    for source, target in ((quotient, "C2xC2"), (subgroup, "C4")):
+        with pytest.raises(ValueError, match="needs a power-commutator presentation"):
+            ma.iso_search(ma.GroupAlgebra(source), algebras[target])
