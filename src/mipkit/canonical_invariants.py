@@ -372,6 +372,8 @@ def fingerprint(
         )
 
     z = gc.center(G)
+    # each pair entry's N, evaluated once for the whole catalog
+    n_subs = [(n_expr.key, evaluate(n_expr, G, tau)) for n_expr in n_pool]
     bundles: dict[tuple, dict] = {}
     pair_cache: dict[tuple, dict] = {}
     catalog: dict[str, dict] = {}
@@ -393,8 +395,7 @@ def fingerprint(
             }
         bundle = dict(bundles[cache_key])
         pairs: dict[str, dict] = {}
-        for n_expr in n_pool:
-            n_sub = evaluate(n_expr, G, tau)
+        for n_key, n_sub in n_subs:
             pkey = (sub.elements, n_sub.elements)
             if pkey not in pair_cache:
                 ln = gc.join(sub, n_sub)
@@ -402,7 +403,7 @@ def fingerprint(
                     "quot_type": gc.abelian_type(G, ln).to_list(),
                     "sub_type": gc.abelian_type(ln, n_sub).to_list(),
                 }
-            pairs[n_expr.key] = pair_cache[pkey]
+            pairs[n_key] = pair_cache[pkey]
         bundle["pairs"] = pairs
         catalog[expr.key] = bundle
 

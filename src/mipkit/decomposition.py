@@ -8,10 +8,15 @@ direct complement through a recursive Burnside-basis adjustment; peeling
 ascending exponents leaves the (unique up to isomorphism) non-abelian
 remainder.  Every step is verified exhaustively; the certificate is the
 point, not a byproduct.
+
+The peel happens inside G's own table: each step takes its ambient group as
+a ``FiniteGroup`` or a ``Subgroup`` of G, and the residual is G's whole
+group and then each complement in turn.  No residual table is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,66 +33,66 @@ from .group_core import (
 )
 
 
-def homocyclic_rank(G: FiniteGroup, t: int) -> int:
+def homocyclic_rank(G: FiniteGroup | Subgroup, t: int) -> int:
     """Rank of the homocyclic direct factor of exponent p^t."""
     lam = ma.power_quotient_map(G, t)
     return lam.domain.rank - lam.kernel().dim
 
 
-def extract_component(G: FiniteGroup, t: int) -> tuple[Subgroup, Subgroup]:
+def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
     """A homocyclic direct factor T of exponent p^t with complement S.
 
     T is generated by lifts of the lexicographically least complement of
     the power-map kernel; lifts are the smallest coset representatives
-    inside the central p^t-torsion.  Returns (trivial, G) at rank zero.
+    inside the central p^t-torsion.  Returns (trivial, ambient) at rank zero.
     """
-    lam = ma.power_quotient_map(G, t)
-    p = G.p
+    A = gc._as_subgroup(G)
+    P = A.parent
+    p = P.p
+    lam = ma.power_quotient_map(A, t)
     ker = lam.kernel()
     rank = lam.domain.rank - ker.dim
     if rank == 0:
-        return G.trivial_subgroup(), G.full_subgroup()
-    otz = gc.omega(gc.center(G), t)
+        return P.trivial_subgroup(), A
+    otz = gc.omega(gc.center(A), t)
     # the domain M contains otz, so its coordinates cover every element
     lifts = [
         min(x for x in otz.elements if np.array_equal(lam.domain.coords(x), row))
         for row in fl.lex_complement(ker, p, lam.domain.rank)
     ]
-    T = G.subgroup(tuple(lifts))
-    if not all(x in otz for x in T.elements):
-        raise InternalCheckError("lifted component is not central p^t-torsion")
+    T = P.subgroup(lifts)
+    if not otz.contains_subgroup(T):
+        raise InternalCheckError(f"{P.name}: lift of order {T.order} is not central p^{t}-torsion")
     if len(gc.burnside_basis(T)) != rank:
-        raise InternalCheckError("lifted component has the wrong rank")
-    S = complement_construction(G, T)
+        raise InternalCheckError(f"{P.name}: lift of order {T.order} does not have rank {rank}")
+    S = complement_construction(A, T)
     ttype = gc.abelian_type(T)
     if ttype.orders != (p**t,) * rank:
-        raise InternalCheckError(f"extracted factor is not homocyclic: {ttype}")
+        raise InternalCheckError(f"{P.name}: factor of order {T.order} is not homocyclic: {ttype}")
     return T, S
 
 
-def _verify_internal_product(G: FiniteGroup, factors: list[Subgroup]) -> None:
-    """G is the internal direct product of the given subgroups."""
-    total = 1
-    for f in factors:
-        total *= f.order
-    if total != G.order:
-        raise InternalCheckError("factor orders do not multiply to |G|")
-    whole = G.trivial_subgroup()
-    for f in factors:
-        whole = gc.join(whole, f)
-    if whole.order != G.order:
-        raise InternalCheckError("factors do not generate the group")
-    for i, f in enumerate(factors):
-        others = G.trivial_subgroup()
-        for j, other in enumerate(factors):
-            if i != j:
-                others = gc.join(others, other)
-        if not gc.intersect_subgroups(f, others).is_trivial():
-            raise InternalCheckError("factor meets the product of the others")
-        for a in f.generators or f.elements:
-            for b in others.generators or others.elements:
-                if G.commutator(a, b) != 0:
-                    raise InternalCheckError("factors do not commute elementwise")
+def _verify_internal_product(G: FiniteGroup | Subgroup, factors: list[Subgroup]) -> None:
+    """The ambient group A is the internal direct product of the factors:
+    they commute elementwise (generator pairs, one commutator-table gather),
+    generate A and have orders multiplying to |A|, so the product map onto A
+    from their direct product is a bijective homomorphism."""
+    A = gc._as_subgroup(G)
+    P = A.parent
+    orders = [f.order for f in factors]
+    if math.prod(orders) != A.order:
+        raise InternalCheckError(f"{P.name}: factor orders {orders} do not multiply to {A.order}")
+    gens = [g for f in factors for g in f.generators]
+    whole = gc._generated(P, gens)
+    if whole != A:
+        raise InternalCheckError(
+            f"{P.name}: factors of orders {orders} generate a subgroup of order {whole.order},"
+            f" not the ambient group of order {A.order}"
+        )
+    owner = np.repeat(np.arange(len(factors)), [len(f.generators) for f in factors])
+    comms = P.commutator_table()[np.ix_(gens, gens)]
+    if comms[owner[:, None] != owner[None, :]].any():
+        raise InternalCheckError(f"{P.name}: factors of orders {orders} do not commute elementwise")
 
 
 def _claim_adjust(
@@ -120,56 +125,57 @@ def _claim_adjust(
             e = t - gc.log_p(inter.order, p)
             sj_n = gc.join(s_j, n_sub)
             y_neg = G.power(y, -(p**e))
-            found = None
-            for s in range(e + 1):
-                for w in range(1, p**t):
-                    if w % p == 0:
-                        continue
-                    if G.mul_elems(G.power(x, w * p**s), y_neg) in sj_n:
-                        found = (w, s)
-                        break
-                if found:
-                    break
+            hits = (
+                (w, s) for s in range(e + 1) for w in range(1, p**t)
+                if w % p and G.mul_elems(G.power(x, w * p**s), y_neg) in sj_n
+            )
+            found = next(hits, None)
             if found is None:
-                raise InternalCheckError("no adjustment exponents found")
+                raise InternalCheckError(
+                    f"{G.name}: no adjustment of x = {x} by y = {y} of order {p**t}"
+                )
             w, s = found
             x_new = G.mul_elems(G.power(x, w), G.power(y, p ** (e - s)))
         adjusted.append(x_new)
         s_j = gc.join(s_j, G.subgroup((x_new,)))
-        if not gc.intersect_subgroups(gc.join(s_j, n_sub), y_cyc).is_trivial():
-            raise InternalCheckError("adjustment loop invariant failed")
-    if not gc.intersect_subgroups(s_j, y_cyc).is_trivial():
-        raise InternalCheckError("adjusted generators still meet <y>")
-    if gc.join(s_j, y_cyc) != ambient:
-        raise InternalCheckError("adjusted generators and y do not span the group")
+        meet = gc.intersect_subgroups(gc.join(s_j, n_sub), y_cyc)
+        if not meet.is_trivial():
+            raise InternalCheckError(f"{G.name}: <S_j, N> meets <y> in order {meet.order}")
+    meet = gc.intersect_subgroups(s_j, y_cyc)
+    if not meet.is_trivial():
+        raise InternalCheckError(f"{G.name}: adjusted generators meet <y> in order {meet.order}")
+    span = gc.join(s_j, y_cyc)
+    if span != ambient:
+        raise InternalCheckError(f"{G.name}: <S_j, y> has order {span.order}, not {ambient.order}")
     return adjusted
 
 
-def complement_construction(G: FiniteGroup, T: Subgroup) -> Subgroup:
-    """A direct complement S with G = S (+) T.
+def complement_construction(G: FiniteGroup | Subgroup, T: Subgroup) -> Subgroup:
+    """A direct complement S with A = S (+) T in the ambient group A.
 
     Preconditions (each checked): T is a central homocyclic subgroup of
     exponent p^t inside the p^t-torsion of the center, of full rank
-    modulo Frattini, meeting Mho_t(G)G' trivially.  The construction
+    modulo Frattini, meeting Mho_t(A)A' trivially.  The construction
     peels one Burnside generator of T at a time through the adjustment
     claim, re-checking the preconditions inside each intermediate group.
     """
+    A = ambient = gc._as_subgroup(G)
+    P = A.parent
     if T.is_trivial():
-        return G.full_subgroup()
-    p = G.p
+        return A
+    p = P.p
     t = gc.log_p(T.exponent(), p)
     ttype = gc.abelian_type(T)
     rank = len(ttype.orders)
     if ttype.orders != (p**t,) * rank:
         raise ValueError(f"T is not homocyclic: {ttype}")
-    ambient = G.full_subgroup()
     t_gens = gc.burnside_basis(T)
     while t_gens:
         otz = gc.omega(gc.center(ambient), t)
         if not all(g in otz for g in t_gens):
             raise ValueError("T is not inside the central p^t-torsion")
         n_sub = gc.join(gc.agemo(ambient, t), gc.commutator_subgroup(ambient))
-        t_cur = ambient.parent.subgroup(tuple(t_gens))
+        t_cur = P.subgroup(t_gens)
         if not gc.intersect_subgroups(t_cur, n_sub).is_trivial():
             raise ValueError("T meets Mho_t(G)G'")
         phi = gc.frattini(ambient)
@@ -182,10 +188,9 @@ def complement_construction(G: FiniteGroup, T: Subgroup) -> Subgroup:
         x_list = list(rest) + list(others)
         adjusted = _claim_adjust(ambient, x_list, y, t)
         t_gens = adjusted[len(rest) :]
-        ambient = G.subgroup(tuple(adjusted)) if adjusted else G.trivial_subgroup()
-    s_sub = ambient
-    _verify_internal_product(G, [s_sub, T])
-    return s_sub
+        ambient = P.subgroup(adjusted)
+    _verify_internal_product(A, [ambient, T])
+    return ambient
 
 
 @dataclass(frozen=True)
@@ -233,46 +238,43 @@ def formula_ab_type(G: FiniteGroup) -> AbelianType:
 def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
     """Peel homocyclic components of ascending exponent off G.
 
-    Each extraction happens in the current residual; component and
-    complement are mapped back to subgroups of G.  The final residual has
-    no abelian direct factor (re-extraction of every exponent returns
-    rank zero), and each extracted rank is cross-checked against the
-    independent abelian-quotient computation.
+    Each extraction happens in the residual, a subgroup of G: the whole
+    group, then each complement.  The final residual has no abelian direct
+    factor (re-extraction of every exponent returns rank zero), and each
+    extracted rank is cross-checked against the independent abelian-quotient
+    computation.  Witnesses are read off each subgroup's sorted elements.
     """
     p = G.p
     components: list[HomocyclicComponent] = []
-    residual = G
-    residual_map = list(range(G.order))
+    residual = G.full_subgroup()
     trace: list[dict] = []
     t = 1
     while residual.order > 1 and p**t <= residual.exponent():
-        T_r, S_r = extract_component(residual, t)
+        T, S = extract_component(residual, t)
         rank = 0
-        if not T_r.is_trivial():
-            rank = len(gc.burnside_basis(T_r))
-            t_in_g = subgroup_from_elements(G, [residual_map[e] for e in T_r.elements])
-            s_in_g = subgroup_from_elements(G, [residual_map[e] for e in S_r.elements])
+        if not T.is_trivial():
+            rank = len(gc.burnside_basis(T))
+            t_in_g, s_in_g = (subgroup_from_elements(G, X.elements) for X in (T, S))
             components.append(HomocyclicComponent(t, rank, t_in_g, s_in_g))
-            new_grp, sub_map = S_r.as_group()
-            residual_map = [residual_map[g] for g in sub_map]
-            residual = new_grp
+            residual = S
             if homocyclic_rank(residual, t) != 0:
-                raise InternalCheckError("residual still has a component at this exponent")
-        if _formula_component_rank(G, t) != rank:
-            raise InternalCheckError(
-                "extracted rank disagrees with the abelian-quotient formula"
-            )
-        trace.append(
-            {"t": t, "rank": rank, "residual_order": residual.order}
-        )
+                raise InternalCheckError(
+                    f"{G.name}: residual of order {residual.order} has a C{p**t} factor"
+                )
+        formula = _formula_component_rank(G, t)
+        if formula != rank:
+            raise InternalCheckError(f"{G.name}: rank {rank} at exponent {p**t}, formula {formula}")
+        trace.append({"t": t, "rank": rank, "residual_order": residual.order})
         t += 1
-    nab = subgroup_from_elements(G, list(residual_map))
+    nab = subgroup_from_elements(G, residual.elements)
     factors = [c.subgroup for c in components] + [nab]
     _verify_internal_product(G, factors)
     for s in range(1, max(2, t)):
         if residual.order > 1 and p**s <= residual.exponent():
             if homocyclic_rank(residual, s) != 0:
-                raise InternalCheckError("non-abelian residual has an abelian factor")
+                raise InternalCheckError(
+                    f"{G.name}: non-abelian residual of order {residual.order} has a C{p**s} factor"
+                )
     certificate = {
         "group": G.name,
         "order": G.order,

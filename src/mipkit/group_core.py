@@ -20,9 +20,12 @@ normal form whose mixed-radix digits are k; a direct product of two such
 groups keeps the two joined.  A raw table, a subgroup's table and a
 quotient have none.
 
-Subgroups of a validated table are closed by Dimino's walk over right
-cosets (``_grow``), which also picks the greedy generating witness in the
-same pass; it relies on associativity, so Light's test keeps its BFS.
+Every subgroup of a validated table is closed one way: Dimino's walk over
+right cosets (``_grow``), which also picks the greedy generating witness in
+the same pass.  ``FiniteGroup.subgroup``, ``join`` and the series go through
+``_generated``, and ``subgroup_from_elements`` checks a given set with the
+same walk.  The witness is empty exactly for the trivial subgroup.  The walk
+relies on associativity, so Light's test keeps its BFS.
 
 The abelian type of a section S/N is counted in the parent's table, with no
 quotient or subgroup table built: in an abelian group the elements of order
@@ -459,7 +462,7 @@ class FiniteGroup:
     @_memo
     def full_subgroup(self) -> "Subgroup":
         elems = tuple(range(self.order))
-        whole = Subgroup(self, elems, _reduce_generators(self, elems))
+        whole = Subgroup(self, elems, tuple(_grow(self, elems)[1]))
         whole._cache = self._cache
         return whole
 
@@ -467,9 +470,7 @@ class FiniteGroup:
         return Subgroup(self, (0,), ())
 
     def subgroup(self, generators: Iterable[int]) -> "Subgroup":
-        gens = tuple(sorted(set(int(g) for g in generators) - {0}))
-        elems = _closure(self, gens)
-        return Subgroup(self, elems, gens)
+        return _generated(self, [int(g) for g in generators])
 
 
 class Subgroup:
@@ -599,18 +600,9 @@ def _grow(G: FiniteGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]
     return seen, gens
 
 
-def _closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(_grow(G, gens)[0]))
-
-
-def _reduce_generators(G: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
-    """Small generating witness: greedy over the elements in given order."""
-    return tuple(_grow(G, elements)[1])
-
-
 def _generated(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """The subgroup generated by ``elements``, witnessed by the greedy
-    generators of ``_reduce_generators`` in increasing order."""
+    """The subgroup generated by ``elements``, witnessed by ``_grow``'s
+    greedy generators in increasing order."""
     seen, gens = _grow(G, elements)
     return Subgroup(G, tuple(sorted(seen)), tuple(sorted(gens)))
 
@@ -634,8 +626,8 @@ def _as_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
 def _normalizes(G: FiniteGroup, by: Subgroup, n: Subgroup) -> bool:
     """Whether ``by`` normalizes ``n``: the conjugates of n's generators by
     by's generators stay in n, so each generator of ``by`` fixes N."""
-    a = np.array(n.generators or n.elements)
-    g = np.array(by.generators or by.elements)
+    a = np.array(n.generators, dtype=np.int64)
+    g = np.array(by.generators, dtype=np.int64)
     conj = G.mul[G.mul[G.inv[g][:, None], a[None, :]], g[:, None]]
     return bool(n._mask()[conj].all())
 
@@ -651,8 +643,7 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
         return a
     if b.contains_subgroup(a):
         return b
-    gens = tuple(sorted(set(a.generators or a.elements) | set(b.generators or b.elements)))
-    return a.parent.subgroup(gens)
+    return _generated(a.parent, a.generators + b.generators)
 
 
 def intersect_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -675,7 +666,7 @@ def center(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
 def centralizer(g: Union[FiniteGroup, Subgroup], of: Subgroup) -> Subgroup:
     s = _as_subgroup(g)
     G = s.parent
-    targets = of.generators or of.elements
+    targets = of.generators
     elems = [
         x
         for x in s.elements
@@ -873,7 +864,7 @@ def abelian_type(g: Union[FiniteGroup, Subgroup], modulo: Optional[Subgroup] = N
         raise ValueError("abelian_type needs N <= S in one group")
     if not _normalizes(G, s, n):
         raise NotNormalError("abelian_type needs N normal in S")
-    gens = np.array(s.generators or s.elements)
+    gens = np.array(s.generators, dtype=np.int64)
     in_n = n._mask()
     if not in_n[G.commutator_table()[np.ix_(gens, gens)]].all():
         raise ValueError("abelian_type needs an abelian section: S/N is not abelian")

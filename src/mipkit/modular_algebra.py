@@ -157,7 +157,7 @@ def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
 @gc._memo
 def _orbit_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
     n = A.dim
-    gens = list(n_sub.generators or (g for g in n_sub.elements if g))
+    gens = np.array(n_sub.generators, dtype=np.int64)
     # the orbits of <gens>: singletons joined along every edge g -- m.g
     idx = np.arange(n)
     label = fl._join_edges(idx, np.tile(idx, len(gens)), A.group.mul[gens, :].ravel())
@@ -197,8 +197,7 @@ def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> S
     if space.dim == 0 or n_sub.order == 1:
         return fl.zero_subspace(A.p, A.dim)
     builder = fl.SubspaceBuilder(A.p, A.dim)
-    gens = n_sub.generators or tuple(g for g in n_sub.elements if g)
-    for m in gens:
+    for m in n_sub.generators:
         shifted = space.basis[:, A._left_perm(m)]
         builder.absorb((shifted - space.basis) % A.p)
     return builder.subspace()
@@ -492,7 +491,7 @@ class ElementaryQuotient:
         rank = gc.log_p(m_sub.order // k_sub.order, p)
         self.rank = rank
         pool = m_sub.elements if rep_pool is None else [x for x in rep_pool if x in m_sub]
-        walk = gc._reduce_generators(G, k_sub.generators + tuple(pool))
+        walk = gc._grow(G, k_sub.generators + tuple(pool))[1]
         basis = [x for x in walk if x not in k_sub]
         if len(basis) != rank:
             raise ValueError("representative pool does not generate the quotient")
@@ -532,9 +531,10 @@ class GradedPowerMap:
 
 
 @gc._memo
-def power_quotient_map(G: FiniteGroup, t: int) -> GradedPowerMap:
+def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedPowerMap:
     """The p^{t-1} power map from the central p^t-torsion modulo Frattini
-    into the graded piece of p^{t-1}-th powers modulo p^t-th powers.
+    into the graded piece of p^{t-1}-th powers modulo p^t-th powers, for G
+    a group or a subgroup (computed in its parent's table).
 
     Domain: Omega_t(Z(G)) Phi(G) / Phi(G), with representatives drawn from
     Omega_t(Z(G)).  Codomain: Mho_{t-1}(G)G' / Mho_t(G)G'.  Well-definedness
@@ -542,9 +542,9 @@ def power_quotient_map(G: FiniteGroup, t: int) -> GradedPowerMap:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    p = G.p
-    z = gc.center(G)
-    otz = gc.omega(z, t)
+    P = gc._as_subgroup(G).parent
+    p = P.p
+    otz = gc.omega(gc.center(G), t)
     phi = gc.frattini(G)
     derived = gc.commutator_subgroup(G)
     dom = ElementaryQuotient(gc.join(otz, phi), phi, rep_pool=otz.elements)
@@ -554,11 +554,11 @@ def power_quotient_map(G: FiniteGroup, t: int) -> GradedPowerMap:
     q = p ** (t - 1)
     rows = []
     for b in dom.basis:
-        rows.append(cod.coords(G.power(b, q)))
+        rows.append(cod.coords(P.power(b, q)))
         if dom.k_sub.order > 1:
             k = dom.k_sub.elements[1]
-            second = G.mul_elems(b, k)
-            if not np.array_equal(cod.coords(G.power(second, q)), rows[-1]):
+            second = P.mul_elems(b, k)
+            if not np.array_equal(cod.coords(P.power(second, q)), rows[-1]):
                 raise InternalCheckError("graded power map is not well defined")
     matrix = (
         np.array(rows, dtype=np.int64)

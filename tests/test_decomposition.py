@@ -3,8 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from mipkit import catalog as cat
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
+import split_oracle
 from test_pc_table import presentations
 
 
@@ -182,3 +184,83 @@ def test_peel_trace_shape(groups):
     assert [step["t"] for step in trace] == [1, 2]
     assert [step["rank"] for step in trace] == [1, 1]
     assert trace[-1]["residual_order"] == 8
+
+
+def _certificate_json(split, G):
+    return json.dumps(split(G).certificate, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.builtin_catalog()])
+def test_split_in_g_matches_the_residual_table_split(name):
+    # the peel inside G's table picks the elements the residual tables
+    # picked: each residual numbered its elements in increasing G order
+    assert _certificate_json(dc.ab_nab_split, cat.build(name)) == _certificate_json(
+        split_oracle.ab_nab_split, cat.build(name)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pres=presentations(max_exponent=9))
+def test_drawn_splits_match_the_residual_table_split(pres):
+    try:
+        G = gc.from_pc_presentation(pres)
+    except gc.PresentationError:
+        return  # inconsistent: validation rejects it
+    expected = _certificate_json(split_oracle.ab_nab_split, gc.from_pc_presentation(pres))
+    assert _certificate_json(dc.ab_nab_split, G) == expected
+
+
+def test_split_builds_no_group_table(groups, monkeypatch):
+    built = []
+    init = gc.FiniteGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gc.FiniteGroup, "__init__", spy)
+    G = groups["D8xC4xC2"]
+    assert [(c.t, c.rank) for c in dc.ab_nab_split(G).components] == [(1, 1), (2, 1)]
+    assert built == []
+    # the spy sees the residual tables the old split built
+    split_oracle.ab_nab_split(cat.build("D8xC4xC2"))
+    assert built == ["D8xC4xC2", "D8xC4xC2_sub32", "D8xC4xC2_sub32_sub8"]
+
+
+def test_extract_component_inside_a_subgroup(groups):
+    # the complement of C2 in D8xC4xC2 is worked on inside G's table and
+    # gives the factor and complement its own table gives
+    G = groups["D8xC4xC2"]
+    _, S = dc.extract_component(G, 1)
+    T, R = dc.extract_component(S, 2)
+    table, back = S.as_group()
+    T_tab, R_tab = dc.extract_component(table, 2)
+    assert T.parent is G and R.parent is G
+    assert T.elements == tuple(back[x] for x in T_tab.elements)
+    assert R.elements == tuple(back[x] for x in R_tab.elements)
+    assert dc.homocyclic_rank(R, 2) == 0 and dc.homocyclic_rank(S, 2) == 1
+
+
+def test_internal_product_check_refuses_bad_factors(groups):
+    G = groups["C4xC2"]
+    g1, _ = gc._pcp_generator_indices(G.presentation)
+    # <a> and <a^2> overlap: orders 4 * 2 = |G|, but they generate <a>
+    with pytest.raises(gc.InternalCheckError) as info:
+        dc._verify_internal_product(G, [G.subgroup([g1]), G.subgroup([G.power(g1, 2)])])
+    assert str(info.value) == (
+        "C4xC2: factors of orders [4, 2] generate a subgroup of order 4,"
+        " not the ambient group of order 8"
+    )
+    # <r> and <s> generate D8, but do not commute
+    D8 = groups["D8"]
+    r = next(x for x in D8.elements() if D8.element_order(x) == 4)
+    rot = D8.subgroup([r])
+    s = next(x for x in D8.elements() if x not in rot)
+    with pytest.raises(gc.InternalCheckError, match="do not commute elementwise"):
+        dc._verify_internal_product(D8, [rot, D8.subgroup([s])])
+    # a true product passes, also inside a subgroup as its ambient group
+    T, S = dc.extract_component(G, 2)
+    dc._verify_internal_product(G, [S, T])
+    dc._verify_internal_product(T, [T, G.trivial_subgroup()])
+    with pytest.raises(gc.InternalCheckError, match="not the ambient group of order 4"):
+        dc._verify_internal_product(T, [S, G.trivial_subgroup(), G.subgroup([G.power(g1, 2)])])

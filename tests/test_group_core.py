@@ -591,6 +591,55 @@ def test_presentations_are_parsed_only_at_the_text_boundary():
     assert found <= allowed, found
 
 
+def test_subgroups_are_built_only_by_the_closure_helpers():
+    """A ``Subgroup`` is built in four places: the whole group, the trivial
+    subgroup, ``_generated`` (every closure) and ``subgroup_from_elements``
+    (a given element set, checked by the same walk).  No module builds a
+    subgroup's own table with ``as_group``."""
+    allowed = {
+        ("group_core", "full_subgroup"),
+        ("group_core", "trivial_subgroup"),
+        ("group_core", "_generated"),
+        ("group_core", "subgroup_from_elements"),
+    }
+    built, tables = set(), set()
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        stack = [(ast.parse(path.read_text()), None)]
+        while stack:
+            node, func = stack.pop()
+            if func is None and isinstance(node, ast.FunctionDef):
+                func = node.name
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func).rsplit(".", 1)[-1]
+                if callee == "Subgroup":
+                    built.add((path.stem, func))
+                if callee == "as_group":
+                    tables.add((path.stem, func))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert built == allowed, built
+    assert not tables, tables
+
+
+def test_trivial_subgroup_has_an_empty_witness(groups):
+    # the witness is empty exactly for the trivial subgroup, and an empty
+    # generator set gives the answers the element set gave
+    G = groups["D8xC2"]
+    whole, triv = G.full_subgroup(), G.trivial_subgroup()
+    center = gc.center(G)
+    assert triv.generators == () and G.subgroup([0, 0]).generators == ()
+    assert all(s.generators for s in gc.normal_subgroups(G) if not s.is_trivial())
+    assert gc._normalizes(G, whole, triv) and gc._normalizes(G, triv, center)
+    assert gc.abelian_type(triv).orders == ()
+    assert gc.abelian_type(center, center).orders == ()
+    assert gc.centralizer(G, triv) == whole
+    assert gc.centralizer(center, triv) == center
+    A = ma.GroupAlgebra(G)
+    assert ma.relative_augmentation_ideal(A, triv).dim == 0
+    assert ma.relative_augmentation_ideal(A, whole).dim == G.order - 1
+    aug = ma.augmentation_ideal(A).space
+    assert ma.left_multiplier_span(A, triv, aug).dim == 0
+
+
 def test_only_memo_touches_the_per_object_caches():
     """Every ``._cache`` access sits in ``_memo``, in the constructors that
     create the dict, in ``full_subgroup`` (which shares its parent's dict) or
@@ -717,7 +766,7 @@ def test_relabeled_table_has_the_same_fingerprint(name, groups):
     H = gc.from_mul_table(table, name=name)
     gens = gc._light_generators(H.mul)
     assert gens == sorted(gens)
-    assert tuple(gens) == gc._reduce_generators(H, H.elements())
+    assert gens == gc._grow(H, H.elements())[1]
     assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()
 
 
@@ -762,8 +811,9 @@ def _reduce_generators_bfs(G, elements):
 
 
 def _assert_walk_matches_bfs(G, xs):
-    assert gc._closure(G, xs) == _closure_bfs(G, xs)
-    assert gc._reduce_generators(G, xs) == _reduce_generators_bfs(G, xs)
+    seen, gens = gc._grow(G, xs)
+    assert tuple(sorted(seen)) == _closure_bfs(G, xs)
+    assert tuple(gens) == _reduce_generators_bfs(G, xs)
 
 
 CATALOG_NAMES = [e.name for e in cat.builtin_catalog()]
@@ -794,7 +844,7 @@ def test_walk_matches_bfs_on_drawn_lists(name, groups, data):
 
 def test_subgroup_from_elements_rejects_a_set_that_is_not_closed(groups):
     D8 = groups["D8"]
-    assert gc._closure(D8, [1]) == (0, 1, 2, 3)
+    assert sorted(gc._grow(D8, [1])[0]) == [0, 1, 2, 3]
     with pytest.raises(gc.InternalCheckError) as info:
         gc.subgroup_from_elements(D8, [0, 1, 2])
     assert str(info.value) == "3 elements of D8 are not a subgroup: they generate order 4"
