@@ -7,7 +7,8 @@ relative torsion, power subgroups times a normal part containing the
 derived subgroup, central torsion times such a part, and joins.  The
 fingerprint collects, per catalog expression, the group-theoretic
 invariants its evaluation exposes, in a canonical byte-comparable JSON
-form.
+form.  It builds one bundle per distinct subgroup, and every catalog key
+whose expression evaluates to that subgroup holds that one object.
 
 Expressions are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006).  A ``CanonicalExpr`` is one node ``(op, t,
@@ -374,38 +375,31 @@ def fingerprint(
     z = gc.center(G)
     # each pair entry's N, evaluated once for the whole catalog
     n_subs = [(n_expr.key, evaluate(n_expr, G, tau)) for n_expr in n_pool]
+    # one bundle per distinct subgroup, shared by every key that evaluates to it
     bundles: dict[tuple, dict] = {}
-    pair_cache: dict[tuple, dict] = {}
     catalog: dict[str, dict] = {}
     for expr in exprs:
         try:
             sub = evaluate(expr, G, tau)
         except ContainmentError:
             continue
-        cache_key = sub.elements
-        if cache_key not in bundles:
-            meet = gc.intersect_subgroups(z, sub)
-            over = gc.join(z, sub)
-            bundles[cache_key] = {
-                "order": sub.order,
-                "jennings": [s.order for s in gc.jennings_series_product_formula(sub)],
-                "ab_type": _type_or_none(sub),
-                "z_meet_type": gc.abelian_type(meet).to_list(),
-                "z_quot_type": gc.abelian_type(over, sub).to_list(),
-            }
-        bundle = dict(bundles[cache_key])
-        pairs: dict[str, dict] = {}
-        for n_key, n_sub in n_subs:
-            pkey = (sub.elements, n_sub.elements)
-            if pkey not in pair_cache:
+        if sub.elements not in bundles:
+            pairs = {}
+            for n_key, n_sub in n_subs:
                 ln = gc.join(sub, n_sub)
-                pair_cache[pkey] = {
+                pairs[n_key] = {
                     "quot_type": gc.abelian_type(G, ln).to_list(),
                     "sub_type": gc.abelian_type(ln, n_sub).to_list(),
                 }
-            pairs[n_key] = pair_cache[pkey]
-        bundle["pairs"] = pairs
-        catalog[expr.key] = bundle
+            bundles[sub.elements] = {
+                "order": sub.order,
+                "jennings": [s.order for s in gc.jennings_series_product_formula(sub)],
+                "ab_type": _type_or_none(sub),
+                "z_meet_type": gc.abelian_type(gc.intersect_subgroups(z, sub)).to_list(),
+                "z_quot_type": gc.abelian_type(gc.join(z, sub), sub).to_list(),
+                "pairs": pairs,
+            }
+        catalog[expr.key] = bundles[sub.elements]
 
     series = gc.jennings_series_product_formula(G)
     return Fingerprint(

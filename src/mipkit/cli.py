@@ -93,11 +93,11 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "mipkit"
 
 
-def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> dict:
-    """Fingerprint payload, content-addressed on what the user gave: the
-    source bytes and kind, the name (the payload reports it), depth, t_max
-    as given and tool version.  A hit builds no group.  Corrupt entries are
-    recomputed."""
+def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
+    """Canonical JSON of the fingerprint payload, content-addressed on what
+    the user gave: the source bytes and kind, the name (the payload reports
+    it), depth, t_max as given and tool version.  A hit builds no group and
+    re-encodes what it parsed.  Corrupt entries are recomputed."""
     name, kind, source = _read_spec(spec)
     key = hashlib.sha256(
         source
@@ -110,7 +110,7 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> dict:
         try:
             payload = json.loads(path.read_text())
             if isinstance(payload, dict) and "catalog" in payload:
-                return payload
+                return _canonical_json(payload)
             raise ValueError("missing fields")
         except (ValueError, OSError):
             print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
@@ -119,38 +119,40 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> dict:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(_canonical_json(payload))
+            text = _canonical_json(payload)
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)
-    return payload
+    return text
 
 
-# Each command returns (inputs, result); ``main`` wraps them in the report.
+# Each command returns (inputs, canonical JSON of its result); ``main``
+# splices the result's text into the report.
 
 
-def _cmd_analyze(args) -> tuple[dict, dict]:
+def _cmd_analyze(args) -> tuple[dict, str]:
     inputs = {"group": args.group, "depth": args.depth, "tmax": args.tmax}
     return inputs, fingerprint_cached(args.group, args.depth, args.tmax)
 
 
-def _cmd_compare(args) -> tuple[dict, dict]:
+def _cmd_compare(args) -> tuple[dict, str]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
     if g.p != h.p:
         raise CliParseError(f"compare needs groups over the same prime, got p={g.p} and p={h.p}")
     inputs = {"group1": args.group1, "group2": args.group2, "depth": args.depth, "tmax": args.tmax}
-    return inputs, ci.compare(g, h, args.depth, args.tmax)
+    return inputs, _canonical_json(ci.compare(g, h, args.depth, args.tmax))
 
 
-def _cmd_decompose(args) -> tuple[dict, dict]:
+def _cmd_decompose(args) -> tuple[dict, str]:
     result = dict(dc.ab_nab_split(resolve_group(args.group)).certificate)
     if not args.peel_trace:
         result.pop("peel_trace", None)
-    return {"group": args.group, "peel_trace": bool(args.peel_trace)}, result
+    return {"group": args.group, "peel_trace": bool(args.peel_trace)}, _canonical_json(result)
 
 
-def _cmd_iso_search(args) -> tuple[dict, dict]:
+def _cmd_iso_search(args) -> tuple[dict, str]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
     # the search maps the source's presentation generators; the target
@@ -169,10 +171,10 @@ def _cmd_iso_search(args) -> tuple[dict, dict]:
             "matrix": witness.matrix.tolist(),
             "generator_images": [list(u) for u in witness.generator_images],
         }
-    return {"group1": args.group1, "group2": args.group2}, result
+    return {"group1": args.group1, "group2": args.group2}, _canonical_json(result)
 
 
-def _cmd_catalog(args) -> tuple[dict, dict]:
+def _cmd_catalog(args) -> tuple[dict, str]:
     entries = [
         {
             "name": e.name,
@@ -181,15 +183,15 @@ def _cmd_catalog(args) -> tuple[dict, dict]:
         }
         for e in cat.builtin_catalog()
     ]
-    return {}, {"entries": entries}
+    return {}, _canonical_json({"entries": entries})
 
 
-def _cmd_selftest(args) -> tuple[dict, dict]:
+def _cmd_selftest(args) -> tuple[dict, str]:
     results = {entry.name: cat.selftest_entry(entry) for entry in cat.builtin_catalog()}
     ok = all(all(checks.values()) for checks in results.values())
     if not ok:
         raise InternalCheckError("catalog selftest failed: " + _canonical_json(results))
-    return {}, {"entries": results, "all_pass": ok}
+    return {}, _canonical_json({"entries": results, "all_pass": ok})
 
 
 def positive_int(text: str) -> int:
@@ -268,10 +270,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _print_error(EXIT_CAPS, "caps", exc)
     except (InternalCheckError, ci.ContainmentError) as exc:
         return _print_error(EXIT_INTERNAL, "internal", exc)
-    report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+    report = {"command": args.command, "inputs": inputs, "version": __version__}
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.time() - started, 6)}
-    print(_canonical_json(report))
+    # the bytes _canonical_json(report) gives, with the result's text spliced in, not encoded again
+    texts = {key: _canonical_json(value) for key, value in report.items()} | {"result": result}
+    print("{" + ",".join(f"{_canonical_json(key)}:{texts[key]}" for key in sorted(texts)) + "}")
     return EXIT_OK
 
 

@@ -101,6 +101,13 @@ def _memo(fn):
     return cached
 
 
+def _distinct(values: np.ndarray, n: int) -> list[int]:
+    """Sorted distinct entries of an index array over range(n): ``np.unique`` without ``numpy.ma``."""
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen).tolist()
+
+
 def _is_p_power(n: int, p: int) -> bool:
     if n < 1:
         return False
@@ -448,7 +455,7 @@ class FiniteGroup:
         for a in self.elements():
             if seen[a]:
                 continue
-            orbit = np.unique(conj[a]).tolist()
+            orbit = _distinct(conj[a], self.order)
             for x in orbit:
                 seen[x] = True
             classes.append(tuple(orbit))
@@ -693,8 +700,7 @@ def lower_central_series(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
     series = [s]
     while True:
         prev = series[-1]
-        comms = np.unique(ctab[np.ix_(np.array(prev.elements), s_idx)])
-        nxt = _generated(G, [int(c) for c in comms])
+        nxt = _generated(G, _distinct(ctab[np.ix_(np.array(prev.elements), s_idx)], G.order))
         if nxt == prev:
             break
         series.append(nxt)
@@ -744,19 +750,6 @@ def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subg
 def frattini(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
     return join(agemo(s, 1), commutator_subgroup(s))
-
-
-def frattini_by_maximals(G: FiniteGroup) -> Subgroup:
-    """Oracle: intersection of all index-p subgroups (enumerated as normal
-    subgroups, which all maximal subgroups of a p-group are)."""
-    target = G.order // G.p
-    maximals = [n for n in normal_subgroups(G) if n.order == target]
-    if not maximals:
-        return G.full_subgroup()
-    elems = frozenset(maximals[0]._set)
-    for m in maximals[1:]:
-        elems &= m._set
-    return subgroup_from_elements(G, elems)
 
 
 @_memo
@@ -1099,7 +1092,7 @@ def normal_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     x = np.array(list(set(elements) - {0}), dtype=np.int64)
     # conj[g, i] = g^-1 x_i g, one gather as in _normalizes
     conj = G.mul[G.mul[G.inv[:, None], x], np.arange(G.order)[:, None]]
-    return _generated(G, np.unique(conj).tolist())
+    return _generated(G, _distinct(conj, G.order))
 
 
 @_memo

@@ -451,14 +451,14 @@ def power_map_commutative(A: GroupAlgebra, t: int) -> CommutativePowerMap:
     mat = np.zeros((A.dim, A.dim), dtype=np.int64)
     mat[np.arange(A.dim), powmap] = 1
     ker = fl.kernel(mat, A.p)
-    expected_ker = relative_augmentation_ideal(A, gc.omega(G, t)).space
-    if ker != expected_ker:
-        raise InternalCheckError("power map kernel != ideal of the torsion subgroup")
+    omega = gc.omega(G, t)
+    if ker != relative_augmentation_ideal(A, omega).space:
+        raise InternalCheckError(f"p^{t}-power map kernel on {G.name} != I(Omega_{t})G, |Omega_{t}| = {omega.order}")
     hull = fl.image(mat, A.p)
     mho = gc.agemo(G, t)
     expected_rows = np.eye(A.dim, dtype=np.int64)[list(mho.elements)]
     if hull != fl.rref(expected_rows, A.p, A.dim):
-        raise InternalCheckError("power map image hull != span of the power subgroup")
+        raise InternalCheckError(f"p^{t}-power map image hull on {G.name} != span of Mho_{t}, |Mho_{t}| = {mho.order}")
     return CommutativePowerMap(A, t, mat, ker, hull)
 
 
@@ -504,10 +504,14 @@ class ElementaryQuotient:
             for k in k_sub.elements:
                 elem = G.mul_elems(rep, k)
                 if elem in coords:
-                    raise InternalCheckError("coset enumeration produced a collision")
+                    raise InternalCheckError(
+                        f"coset enumeration on {G.name} collided: |M| = {m_sub.order}, |K| = {k_sub.order}"
+                    )
                 coords[elem] = tup
         if len(coords) != m_sub.order:
-            raise InternalCheckError("coset enumeration did not cover M")
+            raise InternalCheckError(
+                f"coset enumeration on {G.name} reached {len(coords)} of |M| = {m_sub.order}, |K| = {k_sub.order}"
+            )
         self._coords = coords
 
     def coords(self, x: int) -> np.ndarray:
@@ -559,7 +563,10 @@ def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedPowerMap:
             k = dom.k_sub.elements[1]
             second = P.mul_elems(b, k)
             if not np.array_equal(cod.coords(P.power(second, q)), rows[-1]):
-                raise InternalCheckError("graded power map is not well defined")
+                raise InternalCheckError(
+                    f"graded power map x -> x^{q} on {P.name} is not well defined: "
+                    f"|M| = {dom.m_sub.order}, |K| = {dom.k_sub.order}"
+                )
     matrix = (
         np.array(rows, dtype=np.int64)
         if rows
@@ -650,7 +657,9 @@ def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
         if shift.dim:
             v2 = (v + shift.basis[0]) % p
             if not np.array_equal(cod.coords(A.power_vec(v2, q)), rows[-1]):
-                raise InternalCheckError("ideal power map is not well defined")
+                raise InternalCheckError(
+                    f"ideal power map v -> v^{q} on {G.name} is not well defined mod |N| = {n_sub.order}"
+                )
     matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, cod.rank), dtype=np.int64)
     return IdealPowerMap(A, t, dom, cod, matrix)
 

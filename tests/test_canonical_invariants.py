@@ -171,6 +171,20 @@ def test_fingerprint_json_schema(groups):
     assert set(some_bundle) == {"order", "jennings", "ab_type", "z_meet_type", "z_quot_type", "pairs"}
 
 
+def test_keys_of_one_subgroup_share_one_bundle(groups):
+    G = groups["D8"]
+    fp = ci.fingerprint(G)
+    exprs, _ = ci._normal_catalog(fp.depth, min(fp.t_max, fp.tau), fp.tau)
+    by_subgroup = {}
+    for expr in exprs:
+        if expr.key in fp.catalog:
+            by_subgroup.setdefault(ci.evaluate(expr, G, fp.tau).elements, set()).add(expr.key)
+    assert len(by_subgroup) < len(fp.catalog)  # some subgroup has several keys
+    for keys in by_subgroup.values():
+        assert len({id(fp.catalog[key]) for key in keys}) == 1
+    assert len({id(bundle) for bundle in fp.catalog.values()}) == len(by_subgroup)
+
+
 def test_fingerprint_serialization_is_canonical(groups):
     a = ci.fingerprint(groups["D8"]).to_json()
     b = ci.fingerprint(groups["D8"]).to_json()

@@ -125,6 +125,61 @@ def test_analyze_and_cache_roundtrip(capsys, monkeypatch, tmp_path):
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
+def test_cold_analyze_encodes_its_payload_once(monkeypatch, tmp_path):
+    # the cache write encodes the payload; the report splices that text in
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    encoded = []
+    canonical_json = cli._canonical_json
+
+    def spy(obj):
+        text = canonical_json(obj)
+        encoded.append(len(text))
+        return text
+
+    monkeypatch.setattr(cli, "_canonical_json", spy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+    payload = json.loads(out.getvalue())["result"]
+    assert sum(encoded) < 2 * len(canonical_json(payload))
+
+
+def test_analyze_stdout_is_the_same_bytes_on_miss_hit_and_rewritten_hit(capsys, monkeypatch, tmp_path):
+    # a valid entry in another layout still prints canonical JSON
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    lines = []
+    for rewrite in (False, False, True):
+        if rewrite:
+            (entry,) = tmp_path.glob("*.json")
+            entry.write_text(json.dumps(json.loads(entry.read_text()), indent=2))
+        assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] == lines[2]
+    assert lines[0] == cli._canonical_json(json.loads(lines[0])) + "\n"
+
+
+def test_cli_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use; the CLI path does without it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from mipkit import cli\n"
+        "for argv in (['analyze', 'M27xC9'], ['decompose', 'M27xC9'], ['compare', 'D8', 'Q8'],\n"
+        "             ['iso-search', 'C8', 'C8']):\n"
+        "    assert cli.main(['--no-timing', *argv]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "MIPKIT_CACHE_DIR": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_version_bump_invalidates_cache(capsys, monkeypatch, tmp_path):
     run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "C4")
     assert len(list((tmp_path / "cache").glob("*.json"))) == 1

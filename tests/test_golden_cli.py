@@ -59,8 +59,11 @@ def test_cli_result_matches_golden(op, monkeypatch, tmp_path):
 
 
 # Fixed pins outside the regenerated file: result-block hashes of the other
-# commands, and the exact stdout of an unknown catalog name.
+# commands and of two depth-3 analyses, and the exact stdout of an unknown
+# catalog name.
 PINNED = {
+    "analyze C2 --depth 3": "1ab7e47c542497b1ce57c12e9f4b136294f6ed73e79fe1f560449e5e27ecba14",
+    "analyze D8 --depth 3 --tmax 1": "6ab5855b51aa28e7312e02df3c633f15e395ab991f483946067f25951a287636",
     "catalog": "556feb0e8dbfa212bb767b894dc780f7738566dfdc2c1265ba6264c30fe0db2e",
     "selftest": "c8e270b3e4c916156800efd7e25806b065e28a9f35ad2b8691047a1a265170fa",
     "iso-search D8 Q8": "b0a0f72faabb672cae0412196763bee39014731693d988637c16aa82efd4f035",

@@ -17,7 +17,9 @@ from mipkit import catalog as cat
 from mipkit import cli
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
+import frattini_oracle
 import greedy_oracle
+from test_pc_table import presentations
 
 
 def census(G):
@@ -202,7 +204,18 @@ def test_frattini_examples(groups):
 
 def test_frattini_equals_intersection_of_maximals(small_groups):
     for G in small_groups.values():
-        assert gc.frattini(G) == gc.frattini_by_maximals(G)
+        assert gc.frattini(G) == frattini_oracle.frattini_by_maximals(G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pres=presentations(max_exponent=9, max_log=4))
+def test_drawn_frattini_equals_intersection_of_maximals(pres):
+    # orders up to p^4: the oracle enumerates every normal subgroup
+    try:
+        G = gc.from_pc_presentation(pres)
+    except gc.PresentationError:
+        return  # inconsistent: validation rejects it
+    assert gc.frattini(G) == frattini_oracle.frattini_by_maximals(G)
 
 
 def test_jennings_series_examples(groups):

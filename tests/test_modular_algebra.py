@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -720,6 +721,53 @@ def test_failed_jennings_membership_names_group_and_orders(groups, monkeypatch):
     assert str(info.value) == (
         "(1 + I(N)G + I^n) n G != D_n(G)N on D8 at n = 2 mod |N| = 1: 8 elements, |D_n(G)N| = 2"
     )
+
+
+def _fresh(name):
+    # a group of its own, so a patched check leaves no entry in a shared memo
+    return next(e for e in cat.builtin_catalog() if e.name == name).build()
+
+
+def _new_coords_per_call():
+    # a coordinate map that never answers twice alike: nothing is well defined
+    counter = itertools.count()
+    return lambda self, x: np.array([next(counter)])
+
+
+def test_failed_power_map_checks_name_group_and_orders(monkeypatch):
+    zero = lambda matrix, p: fl.zero_subspace(p, matrix.shape[1])  # noqa: E731
+    with monkeypatch.context() as m:
+        m.setattr(fl, "kernel", zero)
+        with pytest.raises(gc.InternalCheckError) as info:
+            ma.power_map_commutative(ma.GroupAlgebra(_fresh("C4xC2")), 1)
+    assert str(info.value) == "p^1-power map kernel on C4xC2 != I(Omega_1)G, |Omega_1| = 4"
+    with monkeypatch.context() as m:
+        m.setattr(fl, "image", zero)
+        with pytest.raises(gc.InternalCheckError) as info:
+            ma.power_map_commutative(ma.GroupAlgebra(_fresh("C4xC2")), 1)
+    assert str(info.value) == "p^1-power map image hull on C4xC2 != span of Mho_1, |Mho_1| = 2"
+
+
+def test_failed_quotient_checks_name_group_and_orders(monkeypatch):
+    G = _fresh("C4xC2")
+    with monkeypatch.context() as m:
+        # every product is its left factor, so every coset rep is the identity
+        m.setattr(gc.FiniteGroup, "mul_elems", lambda self, a, b: a)
+        with pytest.raises(gc.InternalCheckError) as info:
+            ma.ElementaryQuotient(G.full_subgroup(), gc.frattini(G))
+    assert str(info.value) == "coset enumeration on C4xC2 collided: |M| = 8, |K| = 2"
+    with monkeypatch.context() as m:
+        m.setattr(ma.ElementaryQuotient, "coords", _new_coords_per_call())
+        with pytest.raises(gc.InternalCheckError) as info:
+            ma.power_quotient_map(_fresh("C4xC2"), 1)
+    assert str(info.value) == (
+        "graded power map x -> x^1 on C4xC2 is not well defined: |M| = 4, |K| = 2"
+    )
+    with monkeypatch.context() as m:
+        m.setattr(ma.Subquotient, "coords", _new_coords_per_call())
+        with pytest.raises(gc.InternalCheckError) as info:
+            ma.ideal_power_quotient_map(ma.GroupAlgebra(_fresh("C4xC2")), 1)
+    assert str(info.value) == "ideal power map v -> v^1 on C4xC2 is not well defined mod |N| = 2"
 
 
 # -- one construction for each graded object ----------------------------------
