@@ -373,9 +373,16 @@ def fingerprint(
         )
 
     z = gc.center(G)
-    # each pair entry's N, evaluated once for the whole catalog
-    n_subs = [(n_expr.key, evaluate(n_expr, G, tau)) for n_expr in n_pool]
-    # one bundle per distinct subgroup, shared by every key that evaluates to it
+    # each pair entry's N, evaluated once for the whole catalog, and the N
+    # keys grouped by the subgroup they evaluate to
+    n_keys: list[tuple[str, tuple]] = []
+    n_subs: dict[tuple, Subgroup] = {}
+    for n_expr in n_pool:
+        n_sub = evaluate(n_expr, G, tau)
+        n_keys.append((n_expr.key, n_sub.elements))
+        n_subs.setdefault(n_sub.elements, n_sub)
+    # one bundle per distinct subgroup, shared by every key that evaluates
+    # to it, and one pair entry per distinct N, shared by its keys
     bundles: dict[tuple, dict] = {}
     catalog: dict[str, dict] = {}
     for expr in exprs:
@@ -384,13 +391,14 @@ def fingerprint(
         except ContainmentError:
             continue
         if sub.elements not in bundles:
-            pairs = {}
-            for n_key, n_sub in n_subs:
+            entries = {}
+            for n_elements, n_sub in n_subs.items():
                 ln = gc.join(sub, n_sub)
-                pairs[n_key] = {
+                entries[n_elements] = {
                     "quot_type": gc.abelian_type(G, ln).to_list(),
                     "sub_type": gc.abelian_type(ln, n_sub).to_list(),
                 }
+            pairs = {n_key: entries[n_elements] for n_key, n_elements in n_keys}
             bundles[sub.elements] = {
                 "order": sub.order,
                 "jennings": [s.order for s in gc.jennings_series_product_formula(sub)],

@@ -320,7 +320,8 @@ class FiniteGroup:
     None for a table with no presentation (a raw table, a subgroup or a
     quotient).  When it is set, element k is the normal form
     g_1^{a_1}...g_d^{a_d} whose mixed-radix digits (a_1, ..., a_d), radices
-    the relative orders, are k; the iso search relies on this.
+    the relative orders, are k.  The iso search reads only its generators'
+    indices off this numbering, through ``_pcp_generator_indices``.
     """
 
     def __init__(
@@ -662,24 +663,17 @@ def intersect_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
 @_memo
 def center(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
-    G = s.parent
-    idx = np.array(s.elements)
-    sub = G.mul[np.ix_(idx, idx)]
-    central_mask = (sub == sub.T).all(axis=1)
-    elems = tuple(int(idx[i]) for i in np.nonzero(central_mask)[0])
-    return subgroup_from_elements(G, elems)
+    return centralizer(s, s)
 
 
 def centralizer(g: Union[FiniteGroup, Subgroup], of: Subgroup) -> Subgroup:
+    """The elements of g commuting with every generator of ``of``: one
+    gather of the commutator table, [x, t] = 1 exactly when xt = tx."""
     s = _as_subgroup(g)
     G = s.parent
-    targets = of.generators
-    elems = [
-        x
-        for x in s.elements
-        if all(G.mul[x, t] == G.mul[t, x] for t in targets)
-    ]
-    return subgroup_from_elements(G, elems)
+    idx = np.array(s.elements, dtype=np.int64)
+    comms = G.commutator_table()[np.ix_(idx, np.array(of.generators, dtype=np.int64))]
+    return subgroup_from_elements(G, idx[(comms == 0).all(axis=1)].tolist())
 
 
 @_memo

@@ -508,10 +508,6 @@ class ElementaryQuotient:
                         f"coset enumeration on {G.name} collided: |M| = {m_sub.order}, |K| = {k_sub.order}"
                     )
                 coords[elem] = tup
-        if len(coords) != m_sub.order:
-            raise InternalCheckError(
-                f"coset enumeration on {G.name} reached {len(coords)} of |M| = {m_sub.order}, |K| = {k_sub.order}"
-            )
         self._coords = coords
 
     def coords(self, x: int) -> np.ndarray:
@@ -760,19 +756,6 @@ def _unit_candidates(B: GroupAlgebra) -> np.ndarray:
     return units[np.argsort(units[:, n - 1], kind="stable")]
 
 
-def _inverse_exponent(B: GroupAlgebra) -> int:
-    """An e with u^e = u^-1 for every unit u of augmentation 1.
-
-    Such units have p-power order because I(B) is nilpotent: with
-    p^k >= nilpotency_index(B), (u - 1)^{p^k} = 0, so u^{p^k} = 1.
-    """
-    nil = nilpotency_index(B)
-    k = 1
-    while B.p**k < nil:
-        k += 1
-    return B.p**k - 1
-
-
 def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     """All augmentation-preserving isomorphisms kG -> kH, lazily.
 
@@ -795,10 +778,9 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
         raise CapExceededError(f"iso search capped at {ISO_SEARCH_GEN_CAP} generators")
 
     # Candidates are row indices into one unit table.  Each power u^e a
-    # relation needs, the inverse among them, is computed once per unit and
-    # kept in a table of the same narrow dtype; -1 marks a row not yet filled.
+    # relation needs is computed once per unit and kept in a table of the
+    # same narrow dtype; -1 marks a row not yet filled.
     units = _unit_candidates(B)
-    inverse_e = _inverse_exponent(B)
     radices = presentation.rel_orders
     one = np.zeros(B.dim, dtype=np.int64)
     one[0] = 1
@@ -814,61 +796,51 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
             table[u] = B.power_vec(units[u].astype(np.int64), e)
         return table[u].astype(np.int64)
 
-    def eval_word(word, images: list[int]) -> np.ndarray:
+    def value(word, images: list[int]) -> np.ndarray:
         acc = one
         for g, e in word:
             factor = power(images[g], e)
             acc = factor if acc is one else B.multiply_vec(acc, factor)
         return acc
 
-    def power_holds(im: list[int], i: int, word) -> bool:
-        return np.array_equal(power(im[i], radices[i]), eval_word(word, im))
-
-    def commutator_holds(im: list[int], i: int, j: int, word) -> bool:
-        ui, uj = power(im[i], 1), power(im[j], 1)
-        if word is None:
-            # a commutator the presentation omits is trivial: the images commute
-            return np.array_equal(B.multiply_vec(uj, ui), B.multiply_vec(ui, uj))
-        lhs = B.multiply_vec(
-            B.multiply_vec(power(im[j], inverse_e), power(im[i], inverse_e)),
-            B.multiply_vec(uj, ui),
-        )
-        return np.array_equal(lhs, eval_word(word, im))
-
-    # Each relation is filed under the last generator it involves and
-    # checked when that generator's image is chosen; a prefix of images is
-    # extended only after every relation among it holds.
+    # Every relation is an equation between positive words: g_i^{m_i} = w,
+    # and [g_j, g_i] = w as g_j g_i = g_i g_j w.  Each is filed under the
+    # last generator it involves and checked when that generator's image is
+    # chosen; a prefix of images is extended only after every relation
+    # among it holds.
+    relations = [(((i, radices[i]),), presentation.power_word(i)) for i in range(d)]
+    relations += [
+        (((j, 1), (i, 1)), ((i, 1), (j, 1)) + presentation.comm_word(j, i))
+        for j in range(d)
+        for i in range(j)
+    ]
     checks: list[list] = [[] for _ in range(d)]
-    for i in range(d):
-        word = presentation.power_word(i)
-        checks[max([i] + [g for g, _ in word])].append((power_holds, (i, word)))
-    for j in range(d):
-        for i in range(j):
-            word = presentation.commutators.get((j, i))
-            last = max([j] + [g for g, _ in word or ()])
-            checks[last].append((commutator_holds, (i, j, word)))
+    for lhs, rhs in relations:
+        checks[max(g for g, _ in lhs + rhs)].append((lhs, rhs))
 
     def prefiltered(i: int) -> list[int]:
         if presentation.power_word(i):
             return list(range(len(units)))
         return [u for u in range(len(units)) if np.array_equal(power(u, radices[i]), one)]
 
-    tuples = list(itertools.product(*[range(m) for m in radices]))
+    # One walk of G's table from the identity reaches each element y once,
+    # as y = x g_i with x reached before it: row y of a candidate's matrix
+    # is row x times the image of g_i.
+    mul = A.group.mul
+    gens = gc._pcp_generator_indices(presentation)
+    reached, steps = [0], []
+    for x in reached:  # grows as the walk reaches new elements
+        for i, g in enumerate(gens):
+            y = int(mul[x, g])
+            if y not in reached:
+                reached.append(y)
+                steps.append((y, x, i))
 
     def build_iso(images: list[np.ndarray]) -> Optional[AlgebraIso]:
-        vecs: dict[tuple, np.ndarray] = {}
-        for tup in tuples:
-            if not any(tup):
-                v = one.copy()
-            else:
-                i = max(k for k in range(d) if tup[k])
-                prev = list(tup)
-                prev[i] -= 1
-                v = B.multiply_vec(vecs[tuple(prev)], images[i])
-            vecs[tup] = v
-        # the k-th tuple in product order is group element k: the invariant
-        # of a FiniteGroup built with a presentation
-        matrix = np.array([vecs[tup] for tup in tuples], dtype=np.int64)
+        matrix = np.zeros((A.dim, B.dim), dtype=np.int64)
+        matrix[0] = one
+        for y, x, i in steps:
+            matrix[y] = B.multiply_vec(matrix[x], images[i])
         try:
             return AlgebraIso(A, B, matrix, tuple(tuple(u.tolist()) for u in images))
         except ValueError:
@@ -886,7 +858,7 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
         level = len(images)
         for u in cands[level]:
             trial = images + [u]
-            if all(holds(trial, *args) for holds, args in checks[level]):
+            if all(np.array_equal(value(lhs, trial), value(rhs, trial)) for lhs, rhs in checks[level]):
                 yield from extend(trial)
 
     yield from extend([])

@@ -185,6 +185,18 @@ def test_keys_of_one_subgroup_share_one_bundle(groups):
     assert len({id(bundle) for bundle in fp.catalog.values()}) == len(by_subgroup)
 
 
+def test_keys_of_one_n_share_one_pair_entry(groups):
+    # one entry object per (subgroup, N) pair, whatever the number of keys
+    G = groups["D8"]
+    fp = ci.fingerprint(G)
+    _, n_pool = ci._normal_catalog(fp.depth, min(fp.t_max, fp.tau), fp.tau)
+    n_subgroups = {ci.evaluate(n_expr, G, fp.tau).elements for n_expr in n_pool}
+    assert len(n_subgroups) < len(n_pool)  # some N has several keys
+    bundles = {id(bundle): bundle for bundle in fp.catalog.values()}.values()
+    entries = {id(entry) for bundle in bundles for entry in bundle["pairs"].values()}
+    assert len(entries) == len(bundles) * len(n_subgroups)
+
+
 def test_fingerprint_serialization_is_canonical(groups):
     a = ci.fingerprint(groups["D8"]).to_json()
     b = ci.fingerprint(groups["D8"]).to_json()

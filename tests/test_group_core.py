@@ -428,6 +428,20 @@ def test_centralizer_examples(groups):
     assert gc.centralizer(D8, r).order == 4
 
 
+def test_centralizer_matches_elementwise_commuting(groups):
+    # every normal pair (S, T) of the groups of order <= 16: the elements of
+    # S commuting with all of T, and the center as C_S(S)
+    for G in groups.values():
+        if G.order > 16:
+            continue
+        normals = gc.normal_subgroups(G)
+        for s in normals:
+            for t in normals:
+                want = [x for x in s.elements if all(G.mul[x, y] == G.mul[y, x] for y in t.elements)]
+                assert gc.centralizer(s, t).elements == tuple(want)
+            assert gc.center(s) == gc.centralizer(s, s)
+
+
 def test_group_hom_validation(groups):
     C4 = groups["C4"]
     gc.GroupHom(C4, C4, [0, 3, 2, 1])  # inversion is a homomorphism

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mipkit import canonical_invariants as ci
+from mipkit import catalog as cat
 from mipkit import fp_linalg as fl
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
+from iso_oracle import oracle_iso_search
 
 
 def square_zero_count(A):
@@ -221,3 +223,39 @@ def test_search_from_a_group_without_presentation_raises(groups, algebras):
     for source, target in ((quotient, "C2xC2"), (subgroup, "C4")):
         with pytest.raises(ValueError, match="needs a power-commutator presentation"):
             ma.iso_search(ma.GroupAlgebra(source), algebras[target])
+
+
+# -- against the search that checked relations through inverses --------------
+
+_DIFFERENTIAL = ["C2", "C4", "C8", "C2xC2", "C4xC2", "D8", "Q8", "C3"]
+_ORDERS = {entry.name: entry.expected["order"] for entry in cat.builtin_catalog()}
+
+
+@pytest.mark.parametrize(
+    "source,target",
+    [(a, b) for a in _DIFFERENTIAL for b in _DIFFERENTIAL if _ORDERS[a] == _ORDERS[b]],
+)
+def test_search_matches_the_inverse_oracle(algebras, source, target):
+    got = ma.iso_search(algebras[source], algebras[target])
+    want = oracle_iso_search(algebras[source], algebras[target])
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.generator_images == want.generator_images
+
+
+def test_search_takes_no_inverse_power(algebras, monkeypatch):
+    # relations are equations between positive words: the only powers are
+    # the relative order 2 of g1, 4 of g2, and the word g2^2
+    seen = set()
+    power_vec = ma.GroupAlgebra.power_vec
+
+    def spy(self, x, k):
+        seen.add(k)
+        return power_vec(self, x, k)
+
+    monkeypatch.setattr(ma.GroupAlgebra, "power_vec", spy)
+    assert ma.iso_search(algebras["D8"], algebras["Q8"]) is None
+    assert seen == {2, 4}
