@@ -104,7 +104,8 @@ def _claim_adjust(
     order p^t with <y> meeting the powers-and-commutators subgroup
     trivially.  Recursively maintains S_j N meet <y> = 1, replacing
     x by x^w y^{p^{e-s}} when the invariant would break; the scan takes
-    the first (w, s) with p not dividing w, s <= e.
+    the first (w, s) with p not dividing w, s <= e and x^{w p^s} y^{p^e}
+    in S_j N, so that the new x has its p^s-th power in S_j N.
     """
     G = ambient.parent
     p = G.p
@@ -124,10 +125,10 @@ def _claim_adjust(
         else:
             e = t - gc.log_p(inter.order, p)
             sj_n = gc.join(s_j, n_sub)
-            y_neg = G.power(y, -(p**e))
+            y_pe = G.power(y, p**e)
             hits = (
                 (w, s) for s in range(e + 1) for w in range(1, p**t)
-                if w % p and G.mul_elems(G.power(x, w * p**s), y_neg) in sj_n
+                if w % p and G.mul_elems(G.power(x, w * p**s), y_pe) in sj_n
             )
             found = next(hits, None)
             if found is None:

@@ -756,6 +756,16 @@ def _unit_candidates(B: GroupAlgebra) -> np.ndarray:
     return units[np.argsort(units[:, n - 1], kind="stable")]
 
 
+def _frattini_classes(B: GroupAlgebra) -> np.ndarray:
+    """Row h is the class of e_h - e_1 in J/J^2, J = I(B), as the
+    coordinates of h Phi(H) in H/Phi(H) (Jennings: J/J^2 = H/Phi(H) (x) F_p
+    with h - 1 |-> h Phi(H)).  The class of a unit u of augmentation 1 is
+    then ``u @ classes``, since u - 1 = sum over h of u_h (e_h - e_1)."""
+    H = B.group
+    quotient = ElementaryQuotient(H.full_subgroup(), gc.frattini(H))
+    return np.array([quotient.coords(h) for h in range(B.dim)])
+
+
 def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     """All augmentation-preserving isomorphisms kG -> kH, lazily.
 
@@ -765,6 +775,15 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     kG is the free algebra modulo the relation ideal), and yields each
     tuple whose induced basis map is bijective.  Deterministic: candidates
     are ordered by their little-endian integer encoding.
+
+    Bijectivity is decided in J/J^2, J = I(B).  A tuple satisfying the
+    relations induces a unital map kG -> kH with image k + T, T the
+    non-unital algebra generated by the u_i - 1.  J is nilpotent, so
+    T + J^2 = J forces T = J: the map is onto, hence bijective, exactly
+    when the classes of the u_i - 1 span J/J^2, of dimension d(H).  A
+    prefix of k images whose classes have rank r is extended only while
+    r + (d - k) >= d(H), so every tuple that reaches the end is an
+    isomorphism and only subtrees holding none are cut.
     """
     if A.dim != B.dim:
         return
@@ -776,11 +795,16 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     d = len(presentation.rel_orders)
     if d > ISO_SEARCH_GEN_CAP:
         raise CapExceededError(f"iso search capped at {ISO_SEARCH_GEN_CAP} generators")
+    frattini_classes = _frattini_classes(B)
+    d_h = frattini_classes.shape[1]
+    if d < d_h:
+        return  # d images span at most d dimensions of J/J^2
 
     # Candidates are row indices into one unit table.  Each power u^e a
     # relation needs is computed once per unit and kept in a table of the
     # same narrow dtype; -1 marks a row not yet filled.
     units = _unit_candidates(B)
+    classes = units @ frattini_classes % B.p
     radices = presentation.rel_orders
     one = np.zeros(B.dim, dtype=np.int64)
     one[0] = 1
@@ -836,27 +860,33 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
                 reached.append(y)
                 steps.append((y, x, i))
 
-    def build_iso(images: list[np.ndarray]) -> Optional[AlgebraIso]:
+    def build_iso(images: list[np.ndarray]) -> AlgebraIso:
         matrix = np.zeros((A.dim, B.dim), dtype=np.int64)
         matrix[0] = one
         for y, x, i in steps:
             matrix[y] = B.multiply_vec(matrix[x], images[i])
         try:
             return AlgebraIso(A, B, matrix, tuple(tuple(u.tolist()) for u in images))
-        except ValueError:
-            return None
+        except ValueError as exc:
+            raise InternalCheckError(
+                f"iso search {A.group.name} -> {B.group.name}: images spanning J/J^2 "
+                f"gave no isomorphism ({exc})"
+            ) from exc
 
     cands = [prefiltered(i) for i in range(d)]
 
     def extend(images: list[int]):
         # depth-first over generator positions, candidates in encoding order
         if len(images) == d:
-            iso = build_iso([power(u, 1) for u in images])
-            if iso is not None:
-                yield iso
+            yield build_iso([power(u, 1) for u in images])
             return
         level = len(images)
-        for u in cands[level]:
+        pool = cands[level]
+        span = fl.rref(classes[images], B.p, d_h)
+        if span.dim + d - level == d_h:  # no slack: u must leave the span
+            outside = span.reduce_rows(classes[pool]).any(axis=1)
+            pool = [u for u, out in zip(pool, outside.tolist()) if out]
+        for u in pool:
             trial = images + [u]
             if all(np.array_equal(value(lhs, trial), value(rhs, trial)) for lhs, rhs in checks[level]):
                 yield from extend(trial)

@@ -113,13 +113,13 @@ def _claim_adjust(
         else:
             e = t - gc.log_p(inter.order, p)
             sj_n = gc.join(s_j, n_sub)
-            y_neg = G.power(y, -(p**e))
+            y_pe = G.power(y, p**e)
             found = None
             for s in range(e + 1):
                 for w in range(1, p**t):
                     if w % p == 0:
                         continue
-                    if G.mul_elems(G.power(x, w * p**s), y_neg) in sj_n:
+                    if G.mul_elems(G.power(x, w * p**s), y_pe) in sj_n:
                         found = (w, s)
                         break
                 if found:

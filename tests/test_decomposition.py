@@ -210,6 +210,24 @@ def test_drawn_splits_match_the_residual_table_split(pres):
     assert _certificate_json(dc.ab_nab_split, G) == expected
 
 
+# g1^3 = g2^3 and [g4, g2] = g3: G = <g1> x <g1 g2^-1, g4>, C9 times a
+# non-abelian group of order 27.  Adjusting x by y of order 9 needs
+# x^{w p^s} y^{p^e} in S_j N, not x^{w p^s} y^{-p^e}.
+_ADJUST_BY_ORDER_9 = "p 3\ngens 4\norder 1 3\norder 2 9\norder 3 3\norder 4 3\npow 1 = g2^3\ncomm 4 2 = g3^1\n"
+
+
+def test_split_adjusts_by_a_generator_of_order_9():
+    G = gc.from_pc_presentation(_ADJUST_BY_ORDER_9, name="C9xNab27")
+    d = dc.ab_nab_split(G)
+    assert [(c.t, c.rank) for c in d.components] == [(2, 1)]
+    assert d.nab.order == 27 and not d.nab.is_abelian()
+    assert d.certificate["verified"] is True
+    assert dc.component_checks(G, d)["all_pass"]
+    assert _certificate_json(dc.ab_nab_split, G) == _certificate_json(
+        split_oracle.ab_nab_split, gc.from_pc_presentation(_ADJUST_BY_ORDER_9, name="C9xNab27")
+    )
+
+
 def test_split_builds_no_group_table(groups, monkeypatch):
     built = []
     init = gc.FiniteGroup.__init__

@@ -10,7 +10,7 @@ from mipkit import catalog as cat
 from mipkit import fp_linalg as fl
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
-from iso_oracle import oracle_iso_search
+from iso_oracle import oracle_iso_search, oracle_iso_search_iter
 
 
 def square_zero_count(A):
@@ -259,3 +259,73 @@ def test_search_takes_no_inverse_power(algebras, monkeypatch):
     monkeypatch.setattr(ma.GroupAlgebra, "power_vec", spy)
     assert ma.iso_search(algebras["D8"], algebras["Q8"]) is None
     assert seen == {2, 4}
+
+
+# -- bijectivity decided in J/J^2 --------------------------------------------
+
+_SMALL = [entry.name for entry in cat.builtin_catalog() if entry.expected["order"] <= 16]
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_frattini_classes_are_the_coordinates_of_j_mod_j2(algebras, name):
+    # row h of the classes and the J/J^2 coordinates of e_h - e_1 differ by
+    # one invertible change of basis: both have rank dim J/J^2, and so does
+    # the two side by side
+    B = algebras[name]
+    classes = ma._frattini_classes(B)
+    layer = fl.Subquotient(ma._ideal_chain(B, 1), ma._ideal_chain(B, 2))
+    coords = np.array([layer.coords(row) for row in ma._one_minus_rows(B)])
+    d = layer.rank
+    assert classes.shape == coords.shape == (B.dim, d)
+    for mat in (classes, coords, np.hstack([classes, coords])):
+        assert fl.rref(mat, B.p).dim == d
+
+
+_EXHAUSTING = [("D8", "Q8"), ("Q8", "D8"), ("C8", "C4xC2"), ("C4xC2", "C8"), ("C9", "C3xC3")]
+
+
+@pytest.mark.parametrize(
+    "source,target", [(name, name) for name in ("D8", "Q8", "C4xC2", "C8")] + _EXHAUSTING
+)
+def test_every_witness_matches_the_inverse_oracle(algebras, source, target):
+    # the J/J^2 prune cuts only subtrees holding no isomorphism: the whole
+    # enumeration, not just its first witness, is the oracle's
+    A, B = algebras[source], algebras[target]
+    got = [(iso.matrix, iso.generator_images) for iso in ma.iso_search_iter(A, B)]
+    want = [(iso.matrix, iso.generator_images) for iso in oracle_iso_search_iter(A, B)]
+    assert len(got) == len(want)
+    assert (len(got) == 0) == ((source, target) in _EXHAUSTING)
+    for (got_matrix, got_images), (want_matrix, want_images) in zip(got, want):
+        assert np.array_equal(got_matrix, want_matrix)
+        assert got_images == want_images
+
+
+@pytest.mark.parametrize("source,target", _EXHAUSTING)
+def test_exhausting_search_builds_no_candidate_matrix(algebras, source, target, monkeypatch):
+    # no tuple that satisfies the relations spans J/J^2, so none reaches
+    # the isomorphism check
+    built = []
+    monkeypatch.setattr(ma.AlgebraIso, "__post_init__", lambda self: built.append(self))
+    found = ma.iso_search(algebras[source], algebras[target])
+    assert built == []
+    assert found is None
+
+
+@pytest.mark.parametrize("source,target", [("C9", "C3xC3"), ("C8", "C4xC2")])
+def test_too_few_generators_exhaust_before_any_power(algebras, source, target, monkeypatch):
+    # one generator cannot span a J/J^2 of dimension 2
+    seen = []
+    monkeypatch.setattr(ma.GroupAlgebra, "power_vec", lambda self, x, k: seen.append(k))
+    assert ma.iso_search(algebras[source], algebras[target]) is None
+    assert seen == []
+
+
+def test_a_rejected_spanning_tuple_is_an_internal_error(algebras, monkeypatch):
+    # a tuple spanning J/J^2 that fails the full check contradicts the
+    # argument the prune rests on
+    def reject(self):
+        raise ValueError("isomorphism matrix is not bijective")
+
+    monkeypatch.setattr(ma.AlgebraIso, "__post_init__", reject)
+    with pytest.raises(gc.InternalCheckError, match="D8 -> D8.*not bijective"):
+        ma.iso_search(algebras["D8"], ma.GroupAlgebra(algebras["D8"].group))
