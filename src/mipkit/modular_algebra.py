@@ -8,8 +8,8 @@ membership, power maps between graded quotients, and a bounded
 exhaustive search for explicit algebra isomorphisms of tiny algebras.
 
 Products go through one left-translation table per algebra, row g of
-``mul[inv]``, which maps y to g . y; xy is then a single gather over the
-nonzero coefficients of x.
+``mul[inv]``, which maps y to g . y; xy is then a sum of translates of y,
+one per nonzero coefficient of x, taken row-wise over whole blocks.
 
 Each object of the graded theory is made in one place: I(N)G in
 ``relative_augmentation_ideal`` (its orbit labels in ``_orbit_ideal``),
@@ -49,6 +49,9 @@ class GroupAlgebra:
         self.p = group.p
         self.dim = group.order
         self._cache: dict = {}
+        # the narrowest integer type that holds a sum of dim products of
+        # residues, so a product's sum is exact in it
+        self._sum_dtype = np.min_scalar_type(-self.dim * (self.p - 1) ** 2)
 
     def __repr__(self) -> str:
         return f"GroupAlgebra(F_{self.p}[{self.group.name}], dim={self.dim})"
@@ -76,11 +79,23 @@ class GroupAlgebra:
         return self.group.mul[:, self.group.inv[g]]
 
     def multiply_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # xy = sum over g of x[g] (g . y): one gather of the translated rows
-        nz = np.flatnonzero(x)
-        return (x[nz] @ y[self._left_table()[nz]]) % self.p
+        """Row-wise products of coefficient rows with entries in [0, p).
+        Either factor may be one row or a block of rows; a single row
+        broadcasts against a block.
+
+        xy = sum over g of x[g] (g . y), one left translation of every row
+        of y per column g on which x is nonzero.  The result keeps the
+        operands' dtype, so narrow blocks stay narrow.
+        """
+        left = self._left_table()
+        acc = self._sum_dtype
+        z = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=acc)
+        for g in np.flatnonzero(x.reshape(-1, self.dim).any(axis=0)):
+            z += np.multiply(x[..., g, None], y[..., left[g]], dtype=acc)
+        return (z % self.p).astype(np.result_type(x, y), copy=False)
 
     def power_vec(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x^k for one row or row-wise for a block of rows."""
         result = None
         base = x % self.p
         while k:
@@ -90,8 +105,8 @@ class GroupAlgebra:
             if k:
                 base = self.multiply_vec(base, base)
         if result is None:
-            result = np.zeros(self.dim, dtype=np.int64)
-            result[0] = 1
+            result = np.zeros(x.shape, dtype=np.int64)
+            result[..., 0] = 1
         return result
 
     def augmentation_vec(self, x: np.ndarray) -> int:
@@ -247,14 +262,8 @@ def subspace_product(A: GroupAlgebra, u: Subspace, v: Subspace) -> Subspace:
     if u.dim == 0 or v.dim == 0:
         return fl.zero_subspace(A.p, A.dim)
     builder = fl.SubspaceBuilder(A.p, A.dim)
-    vb = v.basis
-    left = A._left_table()
     for x in u.basis:
-        # x . (every basis row of v) at once
-        acc = np.zeros_like(vb)
-        for g in np.flatnonzero(x):
-            acc += x[g] * vb[:, left[g]]
-        builder.absorb(acc % A.p)
+        builder.absorb(A.multiply_vec(x, v.basis))  # x . every basis row of v
     return builder.subspace()
 
 
@@ -726,10 +735,9 @@ class AlgebraIso:
         if not np.array_equal(M[0], np.eye(A.dim, dtype=np.int64)[0]):
             raise ValueError("isomorphism is not unital")
         for g in range(A.dim):
-            for h in range(A.dim):
-                lhs = B.multiply_vec(M[g], M[h])
-                if not np.array_equal(lhs, M[A.group.mul[g, h]]):
-                    raise ValueError("isomorphism is not multiplicative")
+            # row h: phi(g) phi(h) against phi(gh)
+            if not np.array_equal(B.multiply_vec(M[g], M), M[A.group.mul[g]]):
+                raise ValueError("isomorphism is not multiplicative")
 
     def apply_subspace(self, space: Subspace) -> Subspace:
         if space.dim == 0:
@@ -766,6 +774,14 @@ def _frattini_classes(B: GroupAlgebra) -> np.ndarray:
     return np.array([quotient.coords(h) for h in range(B.dim)])
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row as one opaque byte string, so that two rows of the same
+    dtype compare in one comparison: a block gives one entry per row, a
+    single row a 0-d array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+
+
 def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     """All augmentation-preserving isomorphisms kG -> kH, lazily.
 
@@ -800,38 +816,12 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     if d < d_h:
         return  # d images span at most d dimensions of J/J^2
 
-    # Candidates are row indices into one unit table.  Each power u^e a
-    # relation needs is computed once per unit and kept in a table of the
-    # same narrow dtype; -1 marks a row not yet filled.
-    units = _unit_candidates(B)
-    classes = units @ frattini_classes % B.p
-    radices = presentation.rel_orders
-    one = np.zeros(B.dim, dtype=np.int64)
-    one[0] = 1
-    power_tables: dict[int, np.ndarray] = {}
-
-    def power(u: int, e: int) -> np.ndarray:
-        if e == 1:
-            return units[u].astype(np.int64)
-        table = power_tables.get(e)
-        if table is None:
-            table = power_tables[e] = np.full(units.shape, -1, dtype=np.int8)
-        if table[u, 0] < 0:
-            table[u] = B.power_vec(units[u].astype(np.int64), e)
-        return table[u].astype(np.int64)
-
-    def value(word, images: list[int]) -> np.ndarray:
-        acc = one
-        for g, e in word:
-            factor = power(images[g], e)
-            acc = factor if acc is one else B.multiply_vec(acc, factor)
-        return acc
-
     # Every relation is an equation between positive words: g_i^{m_i} = w,
     # and [g_j, g_i] = w as g_j g_i = g_i g_j w.  Each is filed under the
     # last generator it involves and checked when that generator's image is
-    # chosen; a prefix of images is extended only after every relation
-    # among it holds.
+    # chosen: for a fixed prefix of images it is a row-wise equation in the
+    # new image, checked once over the whole pool of candidates.
+    radices = presentation.rel_orders
     relations = [(((i, radices[i]),), presentation.power_word(i)) for i in range(d)]
     relations += [
         (((j, 1), (i, 1)), ((i, 1), (j, 1)) + presentation.comm_word(j, i))
@@ -842,10 +832,27 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     for lhs, rhs in relations:
         checks[max(g for g, _ in lhs + rhs)].append((lhs, rhs))
 
-    def prefiltered(i: int) -> list[int]:
-        if presentation.power_word(i):
-            return list(range(len(units)))
-        return [u for u in range(len(units)) if np.array_equal(power(u, radices[i]), one)]
+    # Candidates are row indices into one unit table.  Row u of the table
+    # for exponent e is u^e: one block power over every unit for each
+    # exponent the relations use, kept in the unit table's narrow dtype.
+    units = _unit_candidates(B)
+    # row c of ``classes`` is one class in J/J^2, the class of unit u is
+    # row class_of[u]
+    classes, class_of = np.unique(units @ frattini_classes % B.p, axis=0, return_inverse=True)
+    powers = {1: units}
+    for e in sorted({e for lhs, rhs in relations for _, e in lhs + rhs} - {1}):
+        powers[e] = B.power_vec(units, e)
+    one = np.zeros(B.dim, dtype=units.dtype)
+    one[0] = 1
+
+    def value(word, trial: list) -> np.ndarray:
+        # the word's value as row bytes; trial[g] picks the image of g_g: a
+        # unit index gives one row, the pool being checked one row per unit
+        acc = one
+        for g, e in word:
+            factor = np.take(powers[e], trial[g], axis=0)
+            acc = factor if acc is one else B.multiply_vec(acc, factor)
+        return _row_bytes(acc)
 
     # One walk of G's table from the identity reaches each element y once,
     # as y = x g_i with x reached before it: row y of a candidate's matrix
@@ -873,23 +880,32 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
                 f"gave no isomorphism ({exc})"
             ) from exc
 
-    cands = [prefiltered(i) for i in range(d)]
+    # The units that may follow a prefix depend only on the prefix's classes.
+    spanning: dict[tuple[int, ...], np.ndarray] = {}
+
+    def spanning_pool(prefix: tuple[int, ...]) -> np.ndarray:
+        if prefix not in spanning:
+            pool = np.arange(len(units))
+            span = fl.rref(classes[list(prefix)], B.p, d_h)
+            if span.dim + d - len(prefix) == d_h:  # no slack: u must leave the span
+                pool = np.flatnonzero(span.reduce_rows(classes).any(axis=1)[class_of])
+            spanning[prefix] = pool
+        return spanning[prefix]
 
     def extend(images: list[int]):
         # depth-first over generator positions, candidates in encoding order
         if len(images) == d:
-            yield build_iso([power(u, 1) for u in images])
+            yield build_iso([units[u].astype(np.int64) for u in images])
             return
         level = len(images)
-        pool = cands[level]
-        span = fl.rref(classes[images], B.p, d_h)
-        if span.dim + d - level == d_h:  # no slack: u must leave the span
-            outside = span.reduce_rows(classes[pool]).any(axis=1)
-            pool = [u for u, out in zip(pool, outside.tolist()) if out]
-        for u in pool:
-            trial = images + [u]
-            if all(np.array_equal(value(lhs, trial), value(rhs, trial)) for lhs, rhs in checks[level]):
-                yield from extend(trial)
+        pool = spanning_pool(tuple(class_of[images].tolist()))
+        for lhs, rhs in checks[level]:
+            if not pool.size:
+                return
+            trial = images + [pool]
+            pool = pool[value(lhs, trial) == value(rhs, trial)]
+        for u in pool.tolist():
+            yield from extend(images + [u])
 
     yield from extend([])
 

@@ -98,6 +98,12 @@ def test_iso_search_command_exhaustion(capsys, monkeypatch, tmp_path):
     assert report["result"]["found"] is False
 
 
+def test_iso_search_command_exhausts_an_order_16_pair(capsys, monkeypatch, tmp_path):
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", "D16", "Q16")
+    assert code == 0
+    assert report["result"]["found"] is False
+
+
 def test_iso_search_command_caps(capsys, monkeypatch, tmp_path):
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", "D8xC4", "Q8xC4")
     assert code == 3

@@ -261,6 +261,34 @@ def test_search_takes_no_inverse_power(algebras, monkeypatch):
     assert seen == {2, 4}
 
 
+def test_relations_are_checked_on_candidate_blocks(algebras, monkeypatch):
+    # one product per power step builds the tables for exponents 2 and 4
+    # over all 128 units; then each of the 32 nodes whose pool survives
+    # the two power relations checks g2 g1 = g1 g2 g2^2 on that pool in
+    # three block products
+    shapes = []
+    multiply_vec = ma.GroupAlgebra.multiply_vec
+
+    def spy(self, x, y):
+        shapes.append((x.shape, y.shape))
+        return multiply_vec(self, x, y)
+
+    monkeypatch.setattr(ma.GroupAlgebra, "multiply_vec", spy)
+    assert ma.iso_search(algebras["Q8"], algebras["D8"]) is None
+    assert len(shapes) == 99
+    assert shapes[:3] == [((128, 8), (128, 8))] * 3
+
+
+_PASSMAN = [("D16", "Q16"), ("Q16", "D16"), ("SD16", "Q16"), ("Q16", "SD16")]
+
+
+@pytest.mark.parametrize("source,target", _PASSMAN)
+def test_order_16_pairs_exhaust(algebras, source, target):
+    # at order p^4 the group algebra determines the group (D. S. Passman,
+    # Michigan Math. J. 12, 1965), so distinct groups admit no isomorphism
+    assert ma.iso_search(algebras[source], algebras[target]) is None
+
+
 # -- bijectivity decided in J/J^2 --------------------------------------------
 
 _SMALL = [entry.name for entry in cat.builtin_catalog() if entry.expected["order"] <= 16]

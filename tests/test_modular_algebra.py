@@ -579,12 +579,30 @@ def test_kernel_groups_cover_every_prime():
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(_KERNEL_GROUPS), data=st.data())
 def test_multiply_and_power_match_the_loop(name, data):
+    # one row, and blocks of rows: row-wise block x block, a single row
+    # broadcast on either side, and powers of a block, in int64 and int8
     A = _kernel_algebra(name)
     x = data.draw(_vectors(A))
     y = data.draw(_vectors(A))
     assert np.array_equal(A.multiply_vec(x, y), _multiply_loop(A, x, y))
     for k in range(10):
         assert np.array_equal(A.power_vec(x, k), _power_loop(A, x, k)), k
+    m = data.draw(st.integers(1, 4))
+    X = np.array([data.draw(_vectors(A)) for _ in range(m)])
+    Y = np.array([data.draw(_vectors(A)) for _ in range(m)])
+    cases = [
+        (X, Y, [_multiply_loop(A, a, b) for a, b in zip(X, Y)]),
+        (x, Y, [_multiply_loop(A, x, b) for b in Y]),
+        (X, y, [_multiply_loop(A, a, y) for a in X]),
+    ]
+    for left, right, want in cases:
+        for dtype in (np.int64, np.int8):
+            got = A.multiply_vec(left.astype(dtype), right.astype(dtype))
+            assert got.dtype == dtype and np.array_equal(got, want)
+    for k in range(10):
+        want = [_power_loop(A, a, k) for a in X]
+        assert np.array_equal(A.power_vec(X, k), want), k
+        assert np.array_equal(A.power_vec(X.astype(np.int8), k), want), k
 
 
 @settings(max_examples=60, deadline=None)
