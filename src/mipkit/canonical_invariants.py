@@ -293,6 +293,48 @@ def _evaluate(G: FiniteGroup, expr: CanonicalExpr, tau: int) -> Subgroup:
 # fingerprints
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with each
+    distinct dict, list or tuple object encoded once per call.
+
+    A fingerprint's catalog holds one bundle object per distinct subgroup
+    under many keys, so its text costs what the distinct bundles cost: each
+    container's text is kept by ``id()`` while the call holds ``obj``, and
+    a dict's text is one ``"".join`` of a flat list of key and value texts.
+    A dict with a non-str key goes to ``json.dumps`` whole, which sorts such
+    keys by value, not by their text.
+    """
+    return _encode(obj, {})
+
+
+def _encode(value, texts: dict[int, str]) -> str:
+    """``canonical_json(value)``, reusing and filling ``texts``, the text of
+    each container already encoded, by ``id()``.  A module function, not a
+    closure: a closure that calls itself is a reference cycle, which would
+    hold every text until the garbage collector runs."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value)
+    text = texts.get(id(value))
+    if text is not None:
+        return text
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        parts = []
+        for key in sorted(value):
+            parts += (",", json.dumps(key), ":", _encode(value[key], texts))
+        parts[0] = "{"
+        parts.append("}")
+        text = "".join(parts)
+    elif not isinstance(value, dict) and any(isinstance(v, _CONTAINERS) for v in value):
+        text = "[" + ",".join([_encode(v, texts) for v in value]) + "]"
+    else:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    texts[id(value)] = text
+    return text
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """All group-algebra-determined invariants collected for one group.
@@ -324,12 +366,12 @@ class Fingerprint:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.payload())
 
     def invariant_bytes(self) -> bytes:
         payload = self.payload()
         payload.pop("group")
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        return canonical_json(payload).encode()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fingerprint):

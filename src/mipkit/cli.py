@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import io
-import json
 import os
 import sys
 import tempfile
@@ -41,7 +40,7 @@ class CliParseError(ValueError):
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return ci.canonical_json(obj)
 
 
 def _read_spec(spec: str) -> tuple[str, str, bytes]:
@@ -93,11 +92,29 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "mipkit"
 
 
+def _write_aside(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it into
+    place, so a concurrent reader never sees half of it."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
 def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     """Canonical JSON of the fingerprint payload, content-addressed on what
     the user gave: the source bytes and kind, the name (the payload reports
-    it), depth, t_max as given and tool version.  A hit builds no group and
-    re-encodes what it parsed.  Corrupt entries are recomputed."""
+    it), depth, t_max as given and tool version.
+
+    An entry ``<key>.json`` holds the payload's canonical JSON, and its seal
+    ``<key>.sha256`` the SHA-256 of those bytes, renamed into place after
+    the entry.  A hit whose bytes match their seal returns them as they
+    are: it builds no group and neither parses nor encodes.  An entry with
+    no seal, a stale one, changed bytes or an unreadable file is recomputed
+    with a warning, and sealed again."""
     name, kind, source = _read_spec(spec)
     key = hashlib.sha256(
         source
@@ -106,24 +123,20 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{key}.json"
+    seal = directory / f"{key}.sha256"
     if path.exists():
         try:
-            payload = json.loads(path.read_text())
-            if isinstance(payload, dict) and "catalog" in payload:
-                return _canonical_json(payload)
-            raise ValueError("missing fields")
-        except (ValueError, OSError):
-            print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
+            data = path.read_bytes()
+            if seal.read_bytes() == hashlib.sha256(data).hexdigest().encode():
+                return data.decode()
+        except (OSError, UnicodeDecodeError):
+            pass
+        print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
     payload = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).payload()
-    # write aside and rename, so a concurrent reader never sees half an entry
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            text = _canonical_json(payload)
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
+    text = _canonical_json(payload)
+    data = text.encode()
+    _write_aside(path, data)
+    _write_aside(seal, hashlib.sha256(data).hexdigest().encode())
     return text
 
 
@@ -273,9 +286,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = {"command": args.command, "inputs": inputs, "version": __version__}
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.time() - started, 6)}
-    # the bytes _canonical_json(report) gives, with the result's text spliced in, not encoded again
+    # the bytes _canonical_json(report) gives, with the result's text spliced
+    # in, not encoded again; printed piece by piece, not copied into one string
     texts = {key: _canonical_json(value) for key, value in report.items()} | {"result": result}
-    print("{" + ",".join(f"{_canonical_json(key)}:{texts[key]}" for key in sorted(texts)) + "}")
+    parts = []
+    for key in sorted(texts):
+        parts += (",", _canonical_json(key), ":", texts[key])
+    parts[0] = "{"
+    print(*parts, "}", sep="")
     return EXIT_OK
 
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
@@ -201,6 +203,42 @@ def test_fingerprint_serialization_is_canonical(groups):
     a = ci.fingerprint(groups["D8"]).to_json()
     b = ci.fingerprint(groups["D8"]).to_json()
     assert a == b
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.floats(), st.text(max_size=3)
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    # each container draws its items from everything drawn before it, so
+    # sub-objects recur by identity and scalars repeat
+    pool = draw(st.lists(_SCALARS, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 10))):
+        items = draw(st.lists(st.sampled_from(pool), max_size=4))
+        kind = draw(st.sampled_from(["list", "tuple", "str-keys", "int-keys"]))
+        if kind == "list":
+            pool.append(items)
+        elif kind == "tuple":
+            pool.append(tuple(items))
+        else:
+            keys = st.text(max_size=3) if kind == "str-keys" else st.integers(-20, 20)
+            drawn = draw(st.lists(keys, min_size=len(items), max_size=len(items), unique=True))
+            pool.append(dict(zip(drawn, items)))
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_trees())
+def test_canonical_json_matches_json_dumps(obj):
+    assert ci.canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_json_of_payloads_matches_json_dumps(groups):
+    for name in ("C8", "D8", "Q16"):
+        payload = ci.fingerprint(groups[name]).payload()
+        assert ci.canonical_json(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_fingerprint_of_abelian_group_determines_type(groups):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -449,6 +450,105 @@ def test_interrupted_cache_write_leaves_nothing_behind(monkeypatch, tmp_path, ow
     with pytest.raises(RuntimeError, match="interrupted"):
         cli.fingerprint_cached("C4", 1, None)
     assert list(tmp_path.iterdir()) == []
+
+
+def _sealed_entry(directory):
+    (entry,) = directory.glob("*.json")
+    seal = entry.with_suffix(".sha256")
+    return entry, seal
+
+
+def _seal_holds(directory):
+    entry, seal = _sealed_entry(directory)
+    return seal.read_text() == hashlib.sha256(entry.read_bytes()).hexdigest()
+
+
+def test_sealed_hit_neither_parses_nor_encodes(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+    first = capsys.readouterr().out
+    entry, _ = _sealed_entry(tmp_path)
+    assert _seal_holds(tmp_path)
+
+    def spy(name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"a sealed hit called {name}")
+        return forbidden
+
+    canonical_json = cli._canonical_json
+    monkeypatch.setattr(json, "loads", spy("json.loads"))
+    monkeypatch.setattr(cli, "_canonical_json", spy("_canonical_json"))
+    monkeypatch.setattr(gc, "from_pc_presentation", spy("a group build"))
+    assert cli.fingerprint_cached("D8", 2, None) == entry.read_text()
+    # main encodes the report's own small fields, and splices the hit's text
+    monkeypatch.setattr(cli, "_canonical_json", canonical_json)
+    assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == first
+
+
+def _flip_one_byte(entry, seal):
+    data = bytearray(entry.read_bytes())
+    i = data.index(b'"order":8') + len(b'"order":')  # the group's order
+    data[i] = ord("9")
+    entry.write_bytes(bytes(data))
+
+
+def _delete_seal(entry, seal):
+    seal.unlink()
+
+
+def _stale_seal(entry, seal):
+    seal.write_text(hashlib.sha256(entry.read_bytes() + b" ").hexdigest())
+
+
+@pytest.mark.parametrize("damage", [_flip_one_byte, _delete_seal, _stale_seal], ids=["flip", "no-seal", "stale-seal"])
+def test_unsealed_entry_is_recomputed_and_sealed_again(damage, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    assert cli.main(["--no-timing", "analyze", "C8"]) == 0
+    first = capsys.readouterr().out
+    entry, seal = _sealed_entry(tmp_path)
+    size = entry.stat().st_size
+    damage(entry, seal)
+    assert entry.stat().st_size == size
+    built = []
+    build = gc.from_pc_presentation
+    monkeypatch.setattr(gc, "from_pc_presentation", lambda *a, **k: built.append(1) or build(*a, **k))
+    assert cli.main(["--no-timing", "analyze", "C8"]) == 0
+    captured = capsys.readouterr()
+    assert built and captured.err == f"warning: corrupt cache entry {entry}, recomputing\n"
+    assert captured.out == first
+    assert _seal_holds(tmp_path)
+    # and sealed: the next run is a quiet hit
+    built.clear()
+    assert cli.main(["--no-timing", "analyze", "C8"]) == 0
+    captured = capsys.readouterr()
+    assert not built and captured.err == "" and captured.out == first
+
+
+def test_failed_seal_rename_leaves_an_entry_that_is_not_trusted(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    replace = os.replace
+    renames = []
+
+    def second_fails(*args, **kwargs):
+        renames.append(args)
+        if len(renames) == 2:
+            raise RuntimeError("interrupted")
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.fingerprint_cached("C4", 1, None)
+    monkeypatch.setattr(os, "replace", replace)
+    (entry,) = tmp_path.iterdir()  # the entry, with no seal and no temporary file
+    assert entry.suffix == ".json"
+    entry.write_text(entry.read_text().replace('"order":4', '"order":5', 1))
+    assert cli.main(["--no-timing", "analyze", "C4", "--depth", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: corrupt cache entry {entry}, recomputing\n"
+    assert json.loads(captured.out)["result"]["order"] == 4
+    assert _seal_holds(tmp_path)
 
 
 def test_changed_source_under_the_same_name_is_a_miss(capsys, monkeypatch, tmp_path):
