@@ -513,8 +513,8 @@ class Subgroup:
         return self.parent is other.parent and self._set == other._set
 
     def __hash__(self) -> int:
-        # the element set alone: an id() would make set iteration order,
-        # and with it normal_subgroups' generator tuples, vary by process
+        # the element set alone: an id() would make the iteration order of
+        # a set of subgroups vary by process
         return hash(self._set)
 
     def __repr__(self) -> str:
@@ -1082,32 +1082,57 @@ def from_mul_table(mul: np.ndarray, name: str = "G") -> FiniteGroup:
 # normal subgroup enumeration (for property tests and identity sweeps)
 
 
-def normal_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    x = np.array(list(set(elements) - {0}), dtype=np.int64)
-    # conj[g, i] = g^-1 x_i g, one gather as in _normalizes
-    conj = G.mul[G.mul[G.inv[:, None], x], np.arange(G.order)[:, None]]
-    return _generated(G, _distinct(conj, G.order))
-
-
 @_memo
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups: normal closures of cyclic subgroups, closed
-    under pairwise join.  Complete because every normal subgroup is the
-    join of the closures of its elements."""
-    base = {G.trivial_subgroup()}
-    for g in G.elements():
-        if g:
-            base.add(normal_closure(G, [g]))
-    found = {s._set: s for s in base}
-    frontier = list(base)
+    """All normal subgroups, closed breadth-first from a small base.
+
+    The base is the distinct closures of the conjugacy classes other than
+    {1}: the normal closure of g is the subgroup its class generates.  Each
+    subgroup K found is joined with the base members B not inside K.  As K
+    is normal, K v B = KB, read off K's right-coset labels (the least
+    element of each coset Kg, one min over K's rows of the table): g lies in
+    KB exactly when Kg meets B, that is when label[g] is a label of B.  So a
+    join needs no walk; only a product set not seen before is built, by one
+    Dimino walk over K's and B's generators, and the walk must reach exactly
+    that set.
+
+    Complete, by induction on k: the join of k base members is found.  For
+    k = 1 it is a base member.  For k > 1 it is J v B with J a join of k - 1
+    members, found by induction; every found subgroup is joined with every
+    base member once, so J v B is found (it is J when B lies in J).  Every
+    normal subgroup N is the join of the closures of its elements, finitely
+    many base members, so N is found."""
+    trivial = G.trivial_subgroup()
+    found = {trivial._mask().tobytes(): trivial}
+    base = []
+    for cls in G.conjugacy_classes()[1:]:
+        B = _generated(G, cls)
+        key = B._mask().tobytes()
+        if key not in found:
+            found[key] = B
+            base.append(B)
+    rows = np.repeat(np.arange(len(base)), [B.order for B in base])
+    cols = np.array([x for B in base for x in B.elements], dtype=np.int64)
+    frontier = base
     while frontier:
         new = []
-        for a in frontier:
-            for key in list(found):
-                b = found[key]
-                j = join(a, b)
-                if j._set not in found:
-                    found[j._set] = j
-                    new.append(j)
+        for K in frontier:
+            label = G.mul[np.array(K.elements)].min(axis=0)
+            # hit[i, c]: base member i meets the coset labelled c
+            hit = np.zeros((len(base), G.order), dtype=bool)
+            hit[rows, label[cols]] = True
+            products = hit[:, label]
+            for B, mask in zip(base, products):
+                key = mask.tobytes()
+                if key in found:  # B inside K, or a product met before
+                    continue
+                J = _generated(G, K.generators + B.generators)
+                if J._mask().tobytes() != key:
+                    raise InternalCheckError(
+                        f"normal subgroups of {G.name}: the walk reached order {J.order}, "
+                        f"the coset labels order {int(mask.sum())}"
+                    )
+                found[key] = J
+                new.append(J)
         frontier = new
     return sorted(found.values(), key=lambda s: (s.order, s.elements))

@@ -19,6 +19,7 @@ from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 import frattini_oracle
 import greedy_oracle
+import normal_oracle
 from test_pc_table import presentations
 
 
@@ -454,6 +455,9 @@ def test_normal_subgroup_enumeration_counts(groups):
     assert len(gc.normal_subgroups(groups["Q8"])) == 6
     assert len(gc.normal_subgroups(groups["C16"])) == 5
     assert len(gc.normal_subgroups(groups["Heis27"])) == 7
+    assert len(gc.normal_subgroups(groups["D8xC4xC2"])) == 137
+    assert len(gc.normal_subgroups(groups["M27xC9"])) == 57
+    assert len(gc.normal_subgroups(groups["Heis27xC9"])) == 57
     for n in gc.normal_subgroups(groups["D8"]):
         assert n.is_normal()
 
@@ -889,8 +893,8 @@ def test_basis_extension_outside_the_subgroup_is_an_internal_error(groups):
 
 
 def test_conjugation_gathers_match_scalar_loops(groups):
-    # normal_closure and conjugacy_classes against one G.conjugate call per
-    # (element, conjugator) pair, the loops they replaced
+    # the oracle's normal_closure and conjugacy_classes against one
+    # G.conjugate call per (element, conjugator) pair, the loops they replaced
     for name, G in groups.items():
         classes, seen = [], set()
         for a in G.elements():
@@ -905,7 +909,7 @@ def test_conjugation_gathers_match_scalar_loops(groups):
             gens = set(elems) - {0}
             conj = {G.conjugate(x, g) for x in gens for g in G.elements()}
             want = gc._generated(G, sorted(conj))
-            got = gc.normal_closure(G, elems)
+            got = normal_oracle.normal_closure(G, elems)
             assert (got.elements, got.generators) == (want.elements, want.generators), name
 
 
@@ -934,3 +938,87 @@ def test_burnside_basis_extend_matches_join_loop(groups):
                 for extend in (gc.burnside_basis_extend, greedy_oracle.burnside_basis_extend):
                     with pytest.raises(ValueError, match="not independent modulo Frattini"):
                         extend(N, dependent)
+
+
+# -- normal subgroups: class closures joined by coset labels ------------------
+
+
+def _assert_normals_match_the_oracle(G):
+    """The same element sets in the same order as the frontier x found join
+    closure; each one normal, and its witness walks back to it."""
+    subs = gc.normal_subgroups(G)
+    want = normal_oracle.normal_subgroups(G)
+    assert [s.elements for s in subs] == [s.elements for s in want], G.name
+    whole = G.full_subgroup()
+    for s in subs:
+        assert gc._normalizes(G, whole, s), (G.name, s.order)
+        assert tuple(sorted(gc._grow(G, s.generators)[0])) == s.elements, (G.name, s.order)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_normal_subgroups_match_the_oracle(name):
+    _assert_normals_match_the_oracle(cat.build(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pres=presentations(max_exponent=9, max_log=4))
+def test_drawn_normal_subgroups_match_the_oracle(pres):
+    # orders up to p^4: the oracle joins every pair of normal subgroups
+    try:
+        G = gc.from_pc_presentation(pres)
+    except gc.PresentationError:
+        return  # inconsistent: validation rejects it
+    _assert_normals_match_the_oracle(G)
+
+
+@pytest.mark.parametrize("name", ["D8xC4xC2", "M27xC9"])
+def test_relabeled_normal_subgroups_match_the_oracle(name, groups):
+    # a raw table out of pc order: classes and coset labels in another order
+    G = groups[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    table = np.empty_like(G.mul)
+    table[np.ix_(perm, perm)] = perm[G.mul]
+    _assert_normals_match_the_oracle(gc.from_mul_table(table, name=name))
+
+
+def test_normal_subgroups_walk_once_per_subgroup(monkeypatch):
+    # one walk per class and one per new product set; no pairwise join
+    G = cat.build("D8xC4xC2")
+    calls = Counter()
+    join, generated = gc.join, gc._generated
+    monkeypatch.setattr(gc, "join", lambda a, b: calls.update(["join"]) or join(a, b))
+    monkeypatch.setattr(gc, "_generated", lambda H, xs: calls.update(["walk"]) or generated(H, xs))
+    subs = gc.normal_subgroups(G)
+    assert len(subs) == 137
+    assert calls["join"] == 0
+    assert calls["walk"] <= len(G.conjugacy_classes()) - 1 + len(subs)
+
+
+def test_normal_subgroups_recheck_each_product_by_its_walk(monkeypatch):
+    # the first walk after the class closures comes back trivial, so it
+    # disagrees with the coset labels of a product that is not
+    G = cat.build("D8xC4")
+    walks = len(G.conjugacy_classes()) - 1
+    generated = gc._generated
+
+    def lossy(H, xs):
+        nonlocal walks
+        walks -= 1
+        return H.trivial_subgroup() if walks == -1 else generated(H, xs)
+
+    monkeypatch.setattr(gc, "_generated", lossy)
+    with pytest.raises(gc.InternalCheckError, match="D8xC4: the walk reached order 1, "):
+        gc.normal_subgroups(G)
+
+
+def test_group_core_calls_no_np_unique():
+    # np.unique imports numpy.ma on its first call, which costs resident
+    # memory on every path through the group layer; _distinct does without
+    tree = ast.parse(Path(gc.__file__).read_text())
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == "unique"
+    ]
+    assert not calls, calls
