@@ -388,32 +388,34 @@ def _type_or_none(sub: Subgroup) -> Optional[list[int]]:
     return gc.abelian_type(sub).to_list()
 
 
-def fingerprint(
-    G: FiniteGroup,
-    depth_limit: int = 2,
-    t_max: Optional[int] = None,
-    tau: Optional[int] = None,
-) -> Fingerprint:
-    """Assemble the fingerprint of F_pG.
+def _ab_type(G: FiniteGroup) -> tuple[int, ...]:
+    """The abelian-factor type, computed twice - by direct peeling and from
+    the per-exponent central-torsion quotient formula - and the two must
+    agree."""
+    peeled = dc.ab_nab_split(G).ab_type()
+    formula = dc.formula_ab_type(G)
+    if peeled != formula:
+        raise InternalCheckError(f"abelian factor mismatch: peeled {peeled} vs formula {formula}")
+    return peeled.orders
 
-    The abelian-factor entry is computed twice - from the per-exponent
-    central-torsion quotient formula and by direct peeling - and the two
-    must agree.
-    """
-    if tau is None:
-        tau = stabilization_threshold(G)
-    if t_max is None:
-        t_max = tau + 1
-    # every t >= tau normalizes to the same stable form
-    exprs, n_pool = _normal_catalog(depth_limit, min(t_max, tau), tau)
 
-    split = dc.ab_nab_split(G)
-    formula_type = dc.formula_ab_type(G)
-    if split.ab_type() != formula_type:
-        raise InternalCheckError(
-            f"abelian factor mismatch: peeled {split.ab_type()} vs formula {formula_type}"
-        )
+# The group-level keys in the order ``compare`` compares them, each with the
+# function of G that computes it; each looks its callee up when called, so a
+# patched or traced callee is the one that runs.
+_GROUP_KEYS: tuple[tuple[str, Callable[[FiniteGroup], object]], ...] = (
+    ("order", lambda G: G.order),
+    ("jennings", lambda G: tuple(s.order for s in gc.jennings_series_product_formula(G))),
+    ("d", lambda G: gc.min_generators(G)),
+    ("ab_type", _ab_type),
+)
 
+
+def _catalog_entries(
+    G: FiniteGroup, exprs: tuple[CanonicalExpr, ...], n_pool: tuple[CanonicalExpr, ...], tau: int
+) -> dict[str, dict]:
+    """The fingerprint's catalog of G over ``_normal_catalog``'s ``exprs``
+    and ``n_pool``: one bundle per distinct subgroup, held by every key
+    that evaluates to it."""
     z = gc.center(G)
     # each pair entry's N, evaluated once for the whole catalog, and the N
     # keys grouped by the subgroup they evaluate to
@@ -450,16 +452,30 @@ def fingerprint(
                 "pairs": pairs,
             }
         catalog[expr.key] = bundles[sub.elements]
+    return catalog
 
-    series = gc.jennings_series_product_formula(G)
+
+def fingerprint(
+    G: FiniteGroup,
+    depth_limit: int = 2,
+    t_max: Optional[int] = None,
+    tau: Optional[int] = None,
+) -> Fingerprint:
+    """Assemble the fingerprint of F_pG: the keys of ``_GROUP_KEYS``, then
+    the catalog.  The catalog's expressions are generated first, so one
+    past ``CATALOG_CANDIDATE_CAP`` is refused before any key is computed.
+    """
+    if tau is None:
+        tau = stabilization_threshold(G)
+    if t_max is None:
+        t_max = tau + 1
+    # every t >= tau normalizes to the same stable form
+    exprs, n_pool = _normal_catalog(depth_limit, min(t_max, tau), tau)
     return Fingerprint(
         group=G.name,
         p=G.p,
-        order=G.order,
-        d=gc.min_generators(G),
-        jennings=tuple(s.order for s in series),
-        ab_type=tuple(split.ab_type().orders),
-        catalog=catalog,
+        **{name: key(G) for name, key in _GROUP_KEYS},
+        catalog=_catalog_entries(G, exprs, n_pool, tau),
         depth=depth_limit,
         t_max=t_max,
         tau=tau,
@@ -487,29 +503,32 @@ def compare(
 ) -> dict:
     """Verdict: the first differing fingerprint key, or indistinguishability.
 
-    Comparison keys run group-level Jennings series first, then d, the
-    abelian-factor type, then the catalog in sorted key order.  Both
-    fingerprints use the shared stabilization threshold so that exponent
-    alone can never fabricate a verdict.
+    The catalog's expressions are generated first, so one past
+    ``CATALOG_CANDIDATE_CAP`` is refused whatever the groups.  Then each key
+    of ``_GROUP_KEYS`` (order, Jennings series, d, abelian-factor type) is
+    computed for G and H in turn, and the first that differs is the
+    verdict: no later key is computed.  Only when all four agree are both
+    catalogs evaluated and compared in sorted key order.  Both sides use
+    the shared stabilization threshold so that exponent alone can never
+    fabricate a verdict.
     """
     if G.p != H.p:
         raise ValueError("compare needs groups over the same prime")
     tau = max(stabilization_threshold(G), stabilization_threshold(H))
     if t_max is None:
         t_max = tau + 1
-    fg = fingerprint(G, depth_limit, t_max, tau)
-    fh = fingerprint(H, depth_limit, t_max, tau)
-    ordered = ["order", "jennings", "d", "ab_type"]
-    for key in ordered:
-        a, b = getattr(fg, key), getattr(fh, key)
+    exprs, n_pool = _normal_catalog(depth_limit, min(t_max, tau), tau)
+    for name, key in _GROUP_KEYS:
+        a, b = key(G), key(H)
         if a != b:
             return {
                 "verdict": "distinguished-by",
-                "key": key,
+                "key": name,
                 "left": list(a) if isinstance(a, tuple) else a,
                 "right": list(b) if isinstance(b, tuple) else b,
             }
-    diff = next(_walk_differences(fg.catalog, fh.catalog, "catalog"), None)
+    catalogs = [_catalog_entries(X, exprs, n_pool, tau) for X in (G, H)]
+    diff = next(_walk_differences(*catalogs, "catalog"), None)
     if diff is not None:
         return {"verdict": "distinguished-by", "key": diff}
     return {

@@ -384,10 +384,6 @@ class FiniteGroup:
     def inv_elem(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conjugate(self, a: int, g: int) -> int:
-        """g^-1 a g."""
-        return int(self.mul[self.mul[self.inv[g], a], g])
-
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
         return int(self.mul[self.mul[self.mul[self.inv[a], self.inv[b]], a], b])
@@ -829,9 +825,6 @@ class AbelianType:
     def rank_of_exponent(self, q: int) -> int:
         return sum(1 for m in self.orders if m == q)
 
-    def merge(self, other: "AbelianType") -> "AbelianType":
-        return AbelianType(tuple(sorted(self.orders + other.orders, reverse=True)))
-
     def to_list(self) -> list[int]:
         return list(self.orders)
 
@@ -909,9 +902,6 @@ class GroupHom:
     def image_subgroup(self) -> Subgroup:
         elems = sorted(set(int(x) for x in self.images))
         return subgroup_from_elements(self.codomain, elems)
-
-    def is_injective(self) -> bool:
-        return len(set(self.images.tolist())) == self.domain.order
 
 
 def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:

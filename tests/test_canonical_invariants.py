@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,9 @@ from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
+import compare_oracle
+import group_oracle
+from test_pc_table import presentations
 
 
 def keys_of(exprs):
@@ -346,7 +350,7 @@ def test_ab_extraction_through_products(groups):
             if prod.order > 64:
                 continue
             fp = ci.fingerprint(prod)
-            expected = dc.ab_nab_split(g).ab_type().merge(gc.abelian_type(a))
+            expected = group_oracle.merge(dc.ab_nab_split(g).ab_type(), gc.abelian_type(a))
             assert list(fp.ab_type) == expected.to_list(), (g_name, a_name)
 
 
@@ -354,3 +358,45 @@ def test_stabilization_threshold(groups):
     assert ci.stabilization_threshold(groups["D8"]) == 2  # exponent 4
     assert ci.stabilization_threshold(groups["C16"]) == 4
     assert ci.stabilization_threshold(groups["Heis27"]) == 1
+
+
+# -- compare against the oracle that builds both full fingerprints ------------
+
+
+def _same_prime_pairs(groups):
+    return [(a, b) for a in groups for b in groups if groups[a].p == groups[b].p]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_compare_matches_the_oracle_on_catalog_pairs(depth, groups):
+    pairs = _same_prime_pairs(groups)
+    assert len(pairs) == 445
+    for a, b in pairs:
+        got = ci.compare(groups[a], groups[b], depth)
+        assert got == compare_oracle.compare(groups[a], groups[b], depth), (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compare_matches_the_oracle_on_drawn_pairs(data):
+    # H of G's order, so that later keys and the catalogs get compared
+    try:
+        G = gc.from_pc_presentation(data.draw(presentations(max_exponent=9)))
+        log = gc.log_p(G.order, G.p)
+        H = gc.from_pc_presentation(data.draw(presentations(max_exponent=9, p=G.p, log=log)))
+    except gc.PresentationError:
+        return  # inconsistent: validation rejects it
+    assert ci.compare(G, H) == compare_oracle.compare(G, H)
+
+
+def test_compare_of_a_relabeled_table_matches_the_oracle(groups):
+    # D8xC4 against Q8xC4 agree on every key, so both catalogs are read
+    G, H = groups["D8xC4"], groups["Q8xC4"]
+    rng = np.random.default_rng(sum(map(ord, G.name)))
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    table = np.empty_like(G.mul)
+    table[np.ix_(perm, perm)] = perm[G.mul]
+    R = gc.from_mul_table(table, name=G.name)
+    for X, Y in ((R, H), (H, R), (R, G)):
+        assert ci.compare(X, Y) == compare_oracle.compare(X, Y)
+    assert ci.compare(R, H)["verdict"] == "indistinguishable-at-depth"

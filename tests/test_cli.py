@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
 from mipkit import cli
+from mipkit import decomposition as dc
 from mipkit import group_core as gc
 
 
@@ -78,6 +80,43 @@ def test_compare_command(capsys, monkeypatch, tmp_path):
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "compare", "D8", "Q8")
     assert code == 0
     assert report["result"]["verdict"] == "indistinguishable-at-depth"
+
+
+@pytest.mark.parametrize(
+    "pair, key, splits, evaluations",
+    [
+        (("C8", "C4xC2"), "jennings", 0, 0),
+        (("C4xC2", "Q8"), "ab_type", 2, 0),
+        (("D8", "Q8"), None, 2, None),
+    ],
+    ids=["C8-C4xC2", "C4xC2-Q8", "D8-Q8"],
+)
+def test_compare_computes_no_key_past_the_first_difference(capsys, monkeypatch, tmp_path, pair, key, splits, evaluations):
+    # each group is split once at most, and its catalog is evaluated only
+    # when every group-level key agrees
+    calls = Counter()
+    split, evaluate = dc.ab_nab_split, ci._evaluate
+    monkeypatch.setattr(dc, "ab_nab_split", lambda G: calls.update(["split"]) or split(G))
+    monkeypatch.setattr(ci, "_evaluate", lambda *a: calls.update(["evaluate"]) or evaluate(*a))
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "compare", *pair)
+    assert code == 0
+    assert report["result"].get("key") == key
+    assert calls["split"] == splits
+    if evaluations is None:
+        assert calls["evaluate"] > 0
+    else:
+        assert calls["evaluate"] == evaluations
+
+
+@pytest.mark.parametrize("argv", [["compare", "C4xC2", "Q8"], ["analyze", "D8"]])
+def test_abelian_factor_formula_mismatch_is_an_internal_error(capsys, monkeypatch, tmp_path, argv):
+    # a formula that disagrees with the peeled type is caught wherever the
+    # abelian-factor key is computed
+    monkeypatch.setattr(dc, "formula_ab_type", lambda G: gc.AbelianType((G.order,)))
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", *argv)
+    assert code == 4
+    assert report["error"]["kind"] == "internal"
+    assert report["error"]["message"].startswith("abelian factor mismatch: peeled")
 
 
 def test_decompose_command(capsys, monkeypatch, tmp_path):
@@ -400,6 +439,27 @@ def test_catalog_past_the_candidate_cap_is_one_caps_error(capsys, monkeypatch, t
         "kind": "caps",
         "message": f"{message}, over the cap {ci.CATALOG_CANDIDATE_CAP}",
     }})]
+
+
+@pytest.mark.parametrize(
+    "compare_argv, analyze_argv",
+    [
+        (["C8", "C4xC2", "--depth", "3"], ["C8", "--depth", "3"]),
+        (["C2", "C2xC2", "--depth", "4"], ["C2", "--depth", "4"]),
+    ],
+)
+def test_compare_past_the_candidate_cap_is_the_analyze_caps_error(capsys, monkeypatch, tmp_path, compare_argv, analyze_argv):
+    # the catalog is generated before any key is compared, so a pair the
+    # group-level keys already tell apart is refused like analyze
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    outputs = []
+    for argv in (["compare", *compare_argv], ["analyze", *analyze_argv]):
+        assert cli.main(["--no-timing", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(json.loads(captured.out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["error"]["kind"] == "caps"
 
 
 def test_bad_subcommand_exit_code(capsys, monkeypatch, tmp_path):

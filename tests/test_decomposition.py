@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from mipkit import catalog as cat
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
+import group_oracle
 import split_oracle
 from test_pc_table import presentations
 
@@ -159,10 +160,8 @@ def test_split_merges_with_abelian_products(groups):
     for g_name in ("D8", "Q8", "C4"):
         for a_name in ("C2", "C4xC2"):
             G = gc.direct_product(groups[g_name], groups[a_name])
-            expected = (
-                dc.ab_nab_split(groups[g_name])
-                .ab_type()
-                .merge(gc.abelian_type(groups[a_name]))
+            expected = group_oracle.merge(
+                dc.ab_nab_split(groups[g_name]).ab_type(), gc.abelian_type(groups[a_name])
             )
             assert dc.ab_nab_split(G).ab_type() == expected, (g_name, a_name)
 

@@ -19,6 +19,7 @@ from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 import frattini_oracle
 import greedy_oracle
+import group_oracle
 import normal_oracle
 from test_pc_table import presentations
 
@@ -121,7 +122,7 @@ def test_direct_product_order_and_center(groups):
 def test_direct_product_embeddings(groups):
     P = gc.direct_product(groups["D8"], groups["C4"])
     emb_a, emb_b = P.embeddings
-    assert emb_a.is_injective() and emb_b.is_injective()
+    assert group_oracle.is_injective(emb_a) and group_oracle.is_injective(emb_b)
     img_a = emb_a.image_subgroup()
     img_b = emb_b.image_subgroup()
     assert img_a.order == 8 and img_b.order == 4
@@ -290,7 +291,7 @@ def test_jennings_orders_reconstruct_abelian_type(groups):
 def test_quotient_examples(groups):
     D8 = groups["D8"]
     q, proj = gc.quotient(D8, D8.trivial_subgroup())
-    assert q.order == 8 and proj.is_injective()
+    assert q.order == 8 and group_oracle.is_injective(proj)
     q, proj = gc.quotient(D8, gc.center(D8))
     assert q.order == 4 and q.exponent() == 2 and q.is_abelian
     q, _ = gc.quotient(D8, D8.full_subgroup())
@@ -400,7 +401,7 @@ def test_subgroup_predicates_match_elementwise_oracles(small_groups):
     for G in small_groups.values():
         for s in [G.subgroup((g,)) for g in G.elements()] + gc.normal_subgroups(G):
             assert s.is_normal() == all(
-                G.conjugate(x, g) in s for x in s.elements for g in G.elements()
+                group_oracle.conjugate(G, x, g) in s for x in s.elements for g in G.elements()
             )
             assert s.exponent() == max(G.element_order(x) for x in s.elements)
 
@@ -481,7 +482,7 @@ def test_mul_table_input_requires_identity_zero(groups):
 def test_abelian_type_merge():
     a = gc.AbelianType((4, 2))
     b = gc.AbelianType((8, 2))
-    assert a.merge(b).orders == (8, 4, 2, 2)
+    assert group_oracle.merge(a, b).orders == (8, 4, 2, 2)
     assert a.rank_of_exponent(2) == 1
     with pytest.raises(ValueError):
         gc.AbelianType((2, 4))
@@ -894,12 +895,12 @@ def test_basis_extension_outside_the_subgroup_is_an_internal_error(groups):
 
 def test_conjugation_gathers_match_scalar_loops(groups):
     # the oracle's normal_closure and conjugacy_classes against one
-    # G.conjugate call per (element, conjugator) pair, the loops they replaced
+    # conjugation per (element, conjugator) pair, the loops they replaced
     for name, G in groups.items():
         classes, seen = [], set()
         for a in G.elements():
             if a not in seen:
-                orbit = sorted({G.conjugate(a, g) for g in G.elements()})
+                orbit = sorted({group_oracle.conjugate(G, a, g) for g in G.elements()})
                 seen.update(orbit)
                 classes.append(tuple(orbit))
         assert G.conjugacy_classes() == classes, name
@@ -907,7 +908,7 @@ def test_conjugation_gathers_match_scalar_loops(groups):
         picks = [[g] for g in range(0, G.order, step)] + [[], [1, G.order - 1]]
         for elems in picks:
             gens = set(elems) - {0}
-            conj = {G.conjugate(x, g) for x in gens for g in G.elements()}
+            conj = {group_oracle.conjugate(G, x, g) for x in gens for g in G.elements()}
             want = gc._generated(G, sorted(conj))
             got = normal_oracle.normal_closure(G, elems)
             assert (got.elements, got.generators) == (want.elements, want.generators), name

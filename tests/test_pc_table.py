@@ -27,14 +27,16 @@ def test_catalog_tables_equal_the_collectors(entry, groups):
 
 
 @st.composite
-def presentations(draw, max_exponent, max_log=None):
-    """A pc presentation of order up to the cap for its prime (and up to
+def presentations(draw, max_exponent, max_log=None, p=None, log=None):
+    """A pc presentation over the prime ``p`` (drawn when None) of order
+    p^log (drawn when None, up to the cap for its prime and up to
     p^max_log when given), relative orders p or p^2, and relation words,
     half of them empty, of up to two factors, each exponent at most
     ``max_exponent``."""
-    p = draw(st.sampled_from(sorted(gc.ORDER_CAPS)))
+    if p is None:
+        p = draw(st.sampled_from(sorted(gc.ORDER_CAPS)))
     top = gc.log_p(gc.ORDER_CAPS[p], p)
-    left = draw(st.integers(1, top if max_log is None else min(top, max_log)))
+    left = log or draw(st.integers(1, top if max_log is None else min(top, max_log)))
     rel_orders = []
     while left:
         e = draw(st.integers(1, min(left, 2)))
