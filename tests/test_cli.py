@@ -108,7 +108,7 @@ def test_compare_computes_no_key_past_the_first_difference(capsys, monkeypatch, 
         assert calls["evaluate"] == evaluations
 
 
-@pytest.mark.parametrize("argv", [["compare", "C4xC2", "Q8"], ["analyze", "D8"]])
+@pytest.mark.parametrize("argv", [["compare", "C4xC2", "Q8"], ["analyze", "D8"]], ids=["compare", "analyze"])
 def test_abelian_factor_formula_mismatch_is_an_internal_error(capsys, monkeypatch, tmp_path, argv):
     # a formula that disagrees with the peeled type is caught wherever the
     # abelian-factor key is computed
@@ -447,6 +447,7 @@ def test_catalog_past_the_candidate_cap_is_one_caps_error(capsys, monkeypatch, t
         (["C8", "C4xC2", "--depth", "3"], ["C8", "--depth", "3"]),
         (["C2", "C2xC2", "--depth", "4"], ["C2", "--depth", "4"]),
     ],
+    ids=["C8-C4xC2-depth3", "C2-C2xC2-depth4"],
 )
 def test_compare_past_the_candidate_cap_is_the_analyze_caps_error(capsys, monkeypatch, tmp_path, compare_argv, analyze_argv):
     # the catalog is generated before any key is compared, so a pair the
