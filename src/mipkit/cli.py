@@ -39,10 +39,6 @@ class CliParseError(ValueError):
     pass
 
 
-def _canonical_json(obj) -> str:
-    return ci.canonical_json(obj)
-
-
 def _read_spec(spec: str) -> tuple[str, str, bytes]:
     """(name, kind, source bytes) of a catalog name, @file.pcp or @file.mul;
     kind is "pcp" or "mul".  Reads nothing but the source."""
@@ -133,7 +129,7 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
             pass
         print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
     payload = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).payload()
-    text = _canonical_json(payload)
+    text = ci.canonical_json(payload)
     data = text.encode()
     _write_aside(path, data)
     _write_aside(seal, hashlib.sha256(data).hexdigest().encode())
@@ -155,14 +151,14 @@ def _cmd_compare(args) -> tuple[dict, str]:
     if g.p != h.p:
         raise CliParseError(f"compare needs groups over the same prime, got p={g.p} and p={h.p}")
     inputs = {"group1": args.group1, "group2": args.group2, "depth": args.depth, "tmax": args.tmax}
-    return inputs, _canonical_json(ci.compare(g, h, args.depth, args.tmax))
+    return inputs, ci.canonical_json(ci.compare(g, h, args.depth, args.tmax))
 
 
 def _cmd_decompose(args) -> tuple[dict, str]:
     result = dict(dc.ab_nab_split(resolve_group(args.group)).certificate)
     if not args.peel_trace:
         result.pop("peel_trace", None)
-    return {"group": args.group, "peel_trace": bool(args.peel_trace)}, _canonical_json(result)
+    return {"group": args.group, "peel_trace": bool(args.peel_trace)}, ci.canonical_json(result)
 
 
 def _cmd_iso_search(args) -> tuple[dict, str]:
@@ -184,7 +180,7 @@ def _cmd_iso_search(args) -> tuple[dict, str]:
             "matrix": witness.matrix.tolist(),
             "generator_images": [list(u) for u in witness.generator_images],
         }
-    return {"group1": args.group1, "group2": args.group2}, _canonical_json(result)
+    return {"group1": args.group1, "group2": args.group2}, ci.canonical_json(result)
 
 
 def _cmd_catalog(args) -> tuple[dict, str]:
@@ -196,15 +192,15 @@ def _cmd_catalog(args) -> tuple[dict, str]:
         }
         for e in cat.builtin_catalog()
     ]
-    return {}, _canonical_json({"entries": entries})
+    return {}, ci.canonical_json({"entries": entries})
 
 
 def _cmd_selftest(args) -> tuple[dict, str]:
     results = {entry.name: cat.selftest_entry(entry) for entry in cat.builtin_catalog()}
     ok = all(all(checks.values()) for checks in results.values())
     if not ok:
-        raise InternalCheckError("catalog selftest failed: " + _canonical_json(results))
-    return {}, _canonical_json({"entries": results, "all_pass": ok})
+        raise InternalCheckError("catalog selftest failed: " + ci.canonical_json(results))
+    return {}, ci.canonical_json({"entries": results, "all_pass": ok})
 
 
 def positive_int(text: str) -> int:
@@ -266,7 +262,7 @@ PARSER = build_parser()
 
 
 def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
-    print(_canonical_json({"error": {"exit_code": exit_code, "kind": kind, "message": str(exc)}}))
+    print(ci.canonical_json({"error": {"exit_code": exit_code, "kind": kind, "message": str(exc)}}))
     return exit_code
 
 
@@ -286,12 +282,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = {"command": args.command, "inputs": inputs, "version": __version__}
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.time() - started, 6)}
-    # the bytes _canonical_json(report) gives, with the result's text spliced
+    # the bytes ci.canonical_json(report) gives, with the result's text spliced
     # in, not encoded again; printed piece by piece, not copied into one string
-    texts = {key: _canonical_json(value) for key, value in report.items()} | {"result": result}
+    texts = {key: ci.canonical_json(value) for key, value in report.items()} | {"result": result}
     parts = []
     for key in sorted(texts):
-        parts += (",", _canonical_json(key), ":", texts[key])
+        parts += (",", ci.canonical_json(key), ":", texts[key])
     parts[0] = "{"
     print(*parts, "}", sep="")
     return EXIT_OK

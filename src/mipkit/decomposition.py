@@ -109,11 +109,11 @@ def _claim_adjust(
     """
     G = ambient.parent
     p = G.p
-    n_sub = gc.join(gc.agemo(ambient, t), gc.commutator_subgroup(ambient))
+    n_sub = gc.power_commutator(ambient, t)
     y_cyc = G.subgroup((y,))
     if not gc.intersect_subgroups(y_cyc, n_sub).is_trivial():
         raise ValueError("<y> meets the powers-and-commutators subgroup")
-    if G.element_order(y) != p**t:
+    if y_cyc.order != p**t:
         raise ValueError("y does not have order p^t")
     s_j = G.trivial_subgroup()
     adjusted: list[int] = []
@@ -175,7 +175,7 @@ def complement_construction(G: FiniteGroup | Subgroup, T: Subgroup) -> Subgroup:
         otz = gc.omega(gc.center(ambient), t)
         if not all(g in otz for g in t_gens):
             raise ValueError("T is not inside the central p^t-torsion")
-        n_sub = gc.join(gc.agemo(ambient, t), gc.commutator_subgroup(ambient))
+        n_sub = gc.power_commutator(ambient, t)
         t_cur = P.subgroup(t_gens)
         if not gc.intersect_subgroups(t_cur, n_sub).is_trivial():
             raise ValueError("T meets Mho_t(G)G'")
@@ -221,7 +221,7 @@ class HomocyclicDecomposition:
 def _formula_component_rank(G: FiniteGroup, t: int) -> int:
     """Rank of the exponent-p^t homocyclic component of the abelian group
     Omega_t(Z(G)) Mho_t(G)G' / Mho_t(G)G', by invariant-factor arithmetic."""
-    n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
+    n_sub = gc.power_commutator(G, t)
     m_sub = gc.join(gc.omega(gc.center(G), t), n_sub)
     return gc.abelian_type(m_sub, n_sub).rank_of_exponent(G.p**t)
 
@@ -319,8 +319,8 @@ def component_checks(G: FiniteGroup, decomp: HomocyclicDecomposition) -> dict:
         t = comp.t
         otz = gc.omega(gc.center(G), t)
         phi = gc.frattini(G)
-        n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
-        n_of_s = gc.join(gc.agemo(s, t), gc.commutator_subgroup(s))
+        n_sub = gc.power_commutator(G, t)
+        n_of_s = gc.power_commutator(s, t)
         lam = ma.power_quotient_map(G, t)
         coords = [lam.domain.coords(x) for x in h.elements]
         h_mod_phi = fl.rref(coords, p, lam.domain.rank)

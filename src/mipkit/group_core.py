@@ -391,38 +391,31 @@ class FiniteGroup:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv_elem(a), -k
-        return _table_power(self.mul, a, k)
+        return int(_table_power(self.mul, a, k))
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = int(self.mul[x, a])
-            k += 1
-        return k
+        return self.subgroup((a,)).order
 
     def elements(self) -> range:
         return range(self.order)
 
     @property
-    @_memo
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        return self.full_subgroup().is_abelian()
 
-    @_memo
     def exponent(self) -> int:
-        return max(self.element_order(g) for g in self.elements())
+        return self.full_subgroup().exponent()
 
     @_memo
     def power_p_map(self, t: int) -> np.ndarray:
-        """The map g -> g^{p^t} as an index table."""
+        """The map g -> g^{p^t} as an index table: the p-th power table,
+        composed t times."""
         if t == 0:
             tab = np.arange(self.order)
+        elif t == 1:
+            tab = _table_power(self.mul, np.arange(self.order), self.p)
         else:
-            prev = self.power_p_map(t - 1)
-            step = np.array(
-                [self.power(g, self.p) for g in self.elements()], dtype=np.int64
-            )
-            tab = step[prev]
+            tab = self.power_p_map(1)[self.power_p_map(t - 1)]
         tab.setflags(write=False)
         return tab
 
@@ -497,9 +490,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __contains__(self, g: int) -> bool:
         return g in self._set
 
@@ -518,9 +508,6 @@ class Subgroup:
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def is_whole_group(self) -> bool:
-        return self.order == self.parent.order
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return other._set <= self._set
@@ -552,20 +539,12 @@ class Subgroup:
         return mask
 
     @_memo
-    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """Standalone table for this subgroup plus the index map back.
-
-        Entry i of the returned map is the parent index of the new element i;
-        the identity stays at 0 because elements are sorted.
-        """
-        arr = np.array(self.elements)
-        # the elements are sorted and the table is closed: each entry's
-        # position in arr is its new index
-        table = np.searchsorted(arr, self.parent.mul[np.ix_(arr, arr)])
-        grp = FiniteGroup(
-            self.parent.p, table, name=f"{self.parent.name}_sub{self.order}", _validated=True
-        )
-        return grp, tuple(self.elements)
+    def _coset_labels(self) -> np.ndarray:
+        """The least element of each right coset, by element: label[g] is
+        min(Kg), one min over the subgroup's rows of the parent's table."""
+        label = self.parent.mul[np.array(self.elements)].min(axis=0)
+        label.setflags(write=False)
+        return label
 
 
 def _grow(G: FiniteGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]:
@@ -677,8 +656,7 @@ def commutator_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
     G = s.parent
     idx = np.array(s.elements)
-    comms = set(G.commutator_table()[np.ix_(idx, idx)].ravel().tolist())
-    return _generated(G, sorted(comms))
+    return _generated(G, _distinct(G.commutator_table()[np.ix_(idx, idx)], G.order))
 
 
 @_memo
@@ -718,9 +696,7 @@ def agemo(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
         raise ValueError("t must be >= 0")
     s = _as_subgroup(g)
     G = s.parent
-    powmap = G.power_p_map(t)
-    gens = sorted({int(powmap[x]) for x in s.elements})
-    return _generated(G, gens)
+    return _generated(G, _distinct(G.power_p_map(t)[np.array(s.elements)], G.order))
 
 
 def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subgroup:
@@ -737,9 +713,14 @@ def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subg
 
 
 @_memo
-def frattini(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
+def power_commutator(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
+    """Mho_t(S)S': the p^t-th powers and the commutators together."""
     s = _as_subgroup(g)
-    return join(agemo(s, 1), commutator_subgroup(s))
+    return join(agemo(s, t), commutator_subgroup(s))
+
+
+def frattini(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
+    return power_commutator(g, 1)
 
 
 @_memo
@@ -895,14 +876,6 @@ class GroupHom:
     def __call__(self, g: int) -> int:
         return int(self.images[g])
 
-    def kernel(self) -> Subgroup:
-        elems = tuple(int(x) for x in np.nonzero(self.images == 0)[0])
-        return subgroup_from_elements(self.domain, elems)
-
-    def image_subgroup(self) -> Subgroup:
-        elems = sorted(set(int(x) for x in self.images))
-        return subgroup_from_elements(self.codomain, elems)
-
 
 def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Coset table group G/N plus the projection; cosets are labeled by
@@ -911,18 +884,10 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         raise ValueError("subgroup of a different group")
     if not n.is_normal():
         raise NotNormalError("can only quotient by a normal subgroup")
-    n_arr = np.array(n.elements)
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in G.elements():
-        if coset_of[g] >= 0:
-            continue
-        members = G.mul[g, n_arr]
-        coset_of[members] = len(reps)
-        reps.append(g)
-    m = len(reps)
-    reps_arr = np.array(reps)
-    table = coset_of[G.mul[np.ix_(reps_arr, reps_arr)]]
+    label = n._coset_labels()
+    reps = np.array(_distinct(label, G.order))
+    coset_of = np.searchsorted(reps, label)
+    table = coset_of[G.mul[np.ix_(reps, reps)]]
     Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}", _validated=True)
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
@@ -981,13 +946,14 @@ def _pcp_generator_indices(pres: PcPresentation) -> list[int]:
     return [math.prod(radices[i + 1 :]) for i in range(len(radices))]
 
 
-def _table_power(mul: np.ndarray, a: int, k: int) -> int:
-    """a^k (k >= 0) in a table, by squaring: k costs its bit length."""
-    result = 0
+def _table_power(mul: np.ndarray, a, k: int):
+    """a^k (k >= 0) in a table, by squaring: k costs its bit length.  ``a``
+    is one index or an index array, raised entrywise."""
+    result = a * 0
     while k:
         if k & 1:
-            result = int(mul[result, a])
-        a = int(mul[a, a])
+            result = mul[result, a]
+        a = mul[a, a]
         k >>= 1
     return result
 
@@ -1058,11 +1024,7 @@ def from_pc_presentation(
 def from_mul_table(mul: np.ndarray, name: str = "G") -> FiniteGroup:
     """Build a group from a raw multiplication table (identity must be 0)."""
     n = mul.shape[0]
-    p = None
-    for q in (2, 3, 5, 7):
-        if _is_p_power(n, q):
-            p = q
-            break
+    p = next((q for q in ORDER_CAPS if _is_p_power(n, q)), None)
     if p is None:
         raise ValueError(f"order {n} is not a power of a supported prime")
     return FiniteGroup(p, mul, name=name)
@@ -1107,7 +1069,7 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     while frontier:
         new = []
         for K in frontier:
-            label = G.mul[np.array(K.elements)].min(axis=0)
+            label = K._coset_labels()
             # hit[i, c]: base member i meets the coset labelled c
             hit = np.zeros((len(base), G.order), dtype=bool)
             hit[rows, label[cols]] = True

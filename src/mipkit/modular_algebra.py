@@ -218,27 +218,27 @@ def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> S
     return builder.subspace()
 
 
+@gc._memo
 def _ideal_chain(A: GroupAlgebra, n: int) -> Subspace:
-    """The subspace I(G)^n, computed incrementally and cached.
+    """The subspace I(G)^n, one memo entry per n.
 
     Each step uses I^{k+1} = sum of I^k (g_j - 1) over a generating set,
-    which equals I^k I(G) because I^k is a right ideal.
+    which equals I^k I(G) because I^k is a right ideal.  The terms below n
+    are filled bottom-up first, so a cold call recurses one level, not n.
     """
-    chain: list[Subspace] = A._cache.setdefault("ideal_chain", [])
-    if not chain:
-        chain.append(fl.full_subspace(A.p, A.dim))
-        chain.append(augmentation_ideal(A).space)
-    gens = gc.burnside_basis(A.group)
-    while len(chain) <= n:
-        prev = chain[-1]
-        if prev.dim == 0:
-            chain.append(prev)
-            continue
-        builder = fl.SubspaceBuilder(A.p, A.dim)
-        for g in gens:
-            builder.absorb((A.translate_right(prev.basis, g) - prev.basis) % A.p)
-        chain.append(builder.subspace())
-    return chain[n]
+    if n == 0:
+        return fl.full_subspace(A.p, A.dim)
+    if n == 1:
+        return augmentation_ideal(A).space
+    for k in range(2, n - 1):
+        _ideal_chain(A, k)
+    prev = _ideal_chain(A, n - 1)
+    if prev.dim == 0:
+        return prev
+    builder = fl.SubspaceBuilder(A.p, A.dim)
+    for g in gc.burnside_basis(A.group):
+        builder.absorb((A.translate_right(prev.basis, g) - prev.basis) % A.p)
+    return builder.subspace()
 
 
 def ideal_power(ideal: AlgIdeal, n: int) -> AlgIdeal:
@@ -555,11 +555,8 @@ def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedPowerMap:
     p = P.p
     otz = gc.omega(gc.center(G), t)
     phi = gc.frattini(G)
-    derived = gc.commutator_subgroup(G)
     dom = ElementaryQuotient(gc.join(otz, phi), phi, rep_pool=otz.elements)
-    top = gc.join(gc.agemo(G, t - 1), derived)
-    bottom = gc.join(gc.agemo(G, t), derived)
-    cod = ElementaryQuotient(top, bottom)
+    cod = ElementaryQuotient(gc.power_commutator(G, t - 1), gc.power_commutator(G, t))
     q = p ** (t - 1)
     rows = []
     for b in dom.basis:
@@ -651,7 +648,7 @@ def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
     G = A.group
     p = A.p
     q = p ** (t - 1)
-    n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
+    n_sub = gc.power_commutator(G, t)
     dom = Subquotient(_ideal_chain(A, 1), _ideal_chain(A, 2))
     cod = Subquotient(_filtration(A, q, n_sub), _filtration(A, q + 1, n_sub))
     rows = []
@@ -679,7 +676,7 @@ def power_diagram_commutes(A: GroupAlgebra, t: int) -> bool:
     G = A.group
     q = A.p ** (t - 1)
     lam = power_quotient_map(G, t)
-    n_sub = gc.join(gc.agemo(G, t), gc.commutator_subgroup(G))
+    n_sub = gc.power_commutator(G, t)
     cod = jennings_layer_embedding(A, q, n_sub).codomain
     one_minus = _one_minus_rows(A)
     for x in lam.domain.m_sub.elements:

@@ -3,7 +3,7 @@ worked inside G's own table, kept verbatim (as functions) as the oracle for
 the differential tests.
 
 Each peel copies the complement into a new residual ``FiniteGroup``
-(``Subgroup.as_group``) and maps indices back to G through
+(``group_oracle.as_group``) and maps indices back to G through
 ``residual_map``; every step takes a whole group.  The decomposition it
 returns is the library's ``HomocyclicDecomposition``, so certificates
 compare as JSON.
@@ -20,6 +20,7 @@ from mipkit.decomposition import (
     _formula_component_rank,
 )
 from mipkit.group_core import FiniteGroup, InternalCheckError, Subgroup, subgroup_from_elements
+import group_oracle
 
 
 def homocyclic_rank(G: FiniteGroup, t: int) -> int:
@@ -205,7 +206,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
             t_in_g = subgroup_from_elements(G, [residual_map[e] for e in T_r.elements])
             s_in_g = subgroup_from_elements(G, [residual_map[e] for e in S_r.elements])
             components.append(HomocyclicComponent(t, rank, t_in_g, s_in_g))
-            new_grp, sub_map = S_r.as_group()
+            new_grp, sub_map = group_oracle.as_group(S_r)
             residual_map = [residual_map[g] for g in sub_map]
             residual = new_grp
             if homocyclic_rank(residual, t) != 0:

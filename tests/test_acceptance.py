@@ -227,8 +227,8 @@ def test_a5_identity_suite():
         prod = gc.direct_product(groups[a_name], groups[b_name])
         A = ma.GroupAlgebra(prod)
         emb_n, emb_l = prod.embeddings
-        n_sub = emb_n.image_subgroup()
-        l_sub = emb_l.image_subgroup()
+        n_sub = gc.subgroup_from_elements(prod, emb_n.images.tolist())
+        l_sub = gc.subgroup_from_elements(prod, emb_l.images.tolist())
         aug_l = ma.augmentation_span(A, l_sub)
         l_power = aug_l
         n = 1

@@ -175,14 +175,14 @@ def test_cold_analyze_encodes_its_payload_once(monkeypatch, tmp_path):
     # the cache write encodes the payload; the report splices that text in
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
     encoded = []
-    canonical_json = cli._canonical_json
+    canonical_json = ci.canonical_json
 
     def spy(obj):
         text = canonical_json(obj)
         encoded.append(len(text))
         return text
 
-    monkeypatch.setattr(cli, "_canonical_json", spy)
+    monkeypatch.setattr(ci, "canonical_json", spy)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["--no-timing", "analyze", "D8"]) == 0
@@ -201,7 +201,7 @@ def test_analyze_stdout_is_the_same_bytes_on_miss_hit_and_rewritten_hit(capsys, 
         assert cli.main(["--no-timing", "analyze", "D8"]) == 0
         lines.append(capsys.readouterr().out)
     assert lines[0] == lines[1] == lines[2]
-    assert lines[0] == cli._canonical_json(json.loads(lines[0])) + "\n"
+    assert lines[0] == ci.canonical_json(json.loads(lines[0])) + "\n"
 
 
 def test_cli_commands_do_not_import_numpy_ma(tmp_path):
@@ -434,7 +434,7 @@ def test_catalog_past_the_candidate_cap_is_one_caps_error(capsys, monkeypatch, t
     assert cli.main(["--no-timing", "analyze", group, "--depth", depth]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.splitlines() == [cli._canonical_json({"error": {
+    assert captured.out.splitlines() == [ci.canonical_json({"error": {
         "exit_code": 3,
         "kind": "caps",
         "message": f"{message}, over the cap {ci.CATALOG_CANDIDATE_CAP}",
@@ -500,7 +500,7 @@ def test_malformed_pcp_is_one_parse_error(tmp_path, text):
 
 
 # interrupted before the bytes land (serialization) and after (the rename)
-@pytest.mark.parametrize("owner, attr", [(cli, "_canonical_json"), (os, "replace")], ids=["serialize", "rename"])
+@pytest.mark.parametrize("owner, attr", [(ci, "canonical_json"), (os, "replace")], ids=["serialize", "rename"])
 def test_interrupted_cache_write_leaves_nothing_behind(monkeypatch, tmp_path, owner, attr):
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
 
@@ -536,13 +536,13 @@ def test_sealed_hit_neither_parses_nor_encodes(capsys, monkeypatch, tmp_path):
             raise AssertionError(f"a sealed hit called {name}")
         return forbidden
 
-    canonical_json = cli._canonical_json
+    canonical_json = ci.canonical_json
     monkeypatch.setattr(json, "loads", spy("json.loads"))
-    monkeypatch.setattr(cli, "_canonical_json", spy("_canonical_json"))
+    monkeypatch.setattr(ci, "canonical_json", spy("canonical_json"))
     monkeypatch.setattr(gc, "from_pc_presentation", spy("a group build"))
     assert cli.fingerprint_cached("D8", 2, None) == entry.read_text()
     # main encodes the report's own small fields, and splices the hit's text
-    monkeypatch.setattr(cli, "_canonical_json", canonical_json)
+    monkeypatch.setattr(ci, "canonical_json", canonical_json)
     assert cli.main(["--no-timing", "analyze", "D8"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out == first

@@ -8,7 +8,7 @@ from mipkit import decomposition as dc
 from mipkit import group_core as gc
 import group_oracle
 import split_oracle
-from test_pc_table import presentations
+from test_pc_table import consistent_groups
 
 
 def test_homocyclic_rank_examples(groups):
@@ -32,16 +32,16 @@ def test_extract_component_d8xc4(groups):
     assert S.order == 8 and not S.is_abelian()
     # the complement is the dihedral factor up to isomorphism: its
     # abelianization has type [2, 2]
-    s_grp, _ = S.as_group()
+    s_grp, _ = group_oracle.as_group(S)
     q, _ = gc.quotient(s_grp, gc.commutator_subgroup(s_grp))
     assert gc.abelian_type(q).to_list() == [2, 2]
 
 
 def test_extract_component_rank_zero(groups):
     T, S = dc.extract_component(groups["Q8"], 1)
-    assert T.is_trivial() and S.is_whole_group()
+    assert T.is_trivial() and group_oracle.is_whole_group(S)
     T, S = dc.extract_component(groups["Q8"], 2)
-    assert T.is_trivial() and S.is_whole_group()
+    assert T.is_trivial() and group_oracle.is_whole_group(S)
 
 
 def test_complement_of_twisted_torsion_factor(groups):
@@ -71,7 +71,7 @@ def test_complement_of_diagonal_in_c4xc4(groups):
 
 def test_complement_of_trivial_subgroup(groups):
     G = groups["D8"]
-    assert dc.complement_construction(G, G.trivial_subgroup()).is_whole_group()
+    assert group_oracle.is_whole_group(dc.complement_construction(G, G.trivial_subgroup()))
 
 
 def test_complement_preconditions_checked(groups):
@@ -106,15 +106,15 @@ def test_split_of_indecomposables_extracts_nothing(groups):
     for name in ("Q8", "D8", "D16", "Q16", "SD16", "M16", "Heis27", "M27"):
         d = dc.ab_nab_split(groups[name])
         assert d.components == ()
-        assert d.nab.is_whole_group(), name
+        assert group_oracle.is_whole_group(d.nab), name
 
 
 def test_split_idempotent_on_nonabelian_part(groups):
     d = dc.ab_nab_split(groups["D8xC4xC2"])
-    nab_grp, _ = d.nab.as_group()
+    nab_grp, _ = group_oracle.as_group(d.nab)
     again = dc.ab_nab_split(nab_grp)
     assert again.components == ()
-    assert again.nab.is_whole_group()
+    assert group_oracle.is_whole_group(again.nab)
 
 
 def test_component_checks_pass(groups):
@@ -126,15 +126,11 @@ def test_component_checks_pass(groups):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pres=presentations(max_exponent=9))
-def test_drawn_groups_split_as_the_formula_says(pres):
+@given(G=consistent_groups(max_exponent=9))
+def test_drawn_groups_split_as_the_formula_says(G):
     # on every consistent drawn presentation the peeled split certifies,
     # its abelian type is the per-exponent quotient formula's, and each
     # component passes its structural checks
-    try:
-        G = gc.from_pc_presentation(pres)
-    except gc.PresentationError:
-        return  # inconsistent: validation rejects it
     d = dc.ab_nab_split(G)
     assert d.certificate["verified"]
     assert d.ab_type() == dc.formula_ab_type(G)
@@ -199,13 +195,9 @@ def test_split_in_g_matches_the_residual_table_split(name):
 
 
 @settings(max_examples=200, deadline=None)
-@given(pres=presentations(max_exponent=9))
-def test_drawn_splits_match_the_residual_table_split(pres):
-    try:
-        G = gc.from_pc_presentation(pres)
-    except gc.PresentationError:
-        return  # inconsistent: validation rejects it
-    expected = _certificate_json(split_oracle.ab_nab_split, gc.from_pc_presentation(pres))
+@given(G=consistent_groups(max_exponent=9))
+def test_drawn_splits_match_the_residual_table_split(G):
+    expected = _certificate_json(split_oracle.ab_nab_split, gc.from_pc_presentation(G.presentation))
     assert _certificate_json(dc.ab_nab_split, G) == expected
 
 
@@ -250,7 +242,7 @@ def test_extract_component_inside_a_subgroup(groups):
     G = groups["D8xC4xC2"]
     _, S = dc.extract_component(G, 1)
     T, R = dc.extract_component(S, 2)
-    table, back = S.as_group()
+    table, back = group_oracle.as_group(S)
     T_tab, R_tab = dc.extract_component(table, 2)
     assert T.parent is G and R.parent is G
     assert T.elements == tuple(back[x] for x in T_tab.elements)

@@ -21,7 +21,7 @@ import frattini_oracle
 import greedy_oracle
 import group_oracle
 import normal_oracle
-from test_pc_table import presentations
+from test_pc_table import consistent_groups
 
 
 def census(G):
@@ -107,7 +107,7 @@ def test_direct_product_carries_the_merged_presentation(groups):
     assert np.array_equal(P.mul, groups["D8xC2"].mul)
     G = groups["D8"]
     Q, _ = gc.quotient(G, gc.center(G))
-    for no_presentation in (Q, G.subgroup((1,)).as_group()[0], gc.from_mul_table(G.mul)):
+    for no_presentation in (Q, group_oracle.as_group(G.subgroup((1,)))[0], gc.from_mul_table(G.mul)):
         assert no_presentation.presentation is None
         assert gc.direct_product(no_presentation, groups["C2"]).presentation is None
 
@@ -123,8 +123,8 @@ def test_direct_product_embeddings(groups):
     P = gc.direct_product(groups["D8"], groups["C4"])
     emb_a, emb_b = P.embeddings
     assert group_oracle.is_injective(emb_a) and group_oracle.is_injective(emb_b)
-    img_a = emb_a.image_subgroup()
-    img_b = emb_b.image_subgroup()
+    img_a = group_oracle.image_subgroup(emb_a)
+    img_b = group_oracle.image_subgroup(emb_b)
     assert img_a.order == 8 and img_b.order == 4
     assert gc.intersect_subgroups(img_a, img_b).is_trivial()
 
@@ -152,7 +152,7 @@ def test_omega_agemo_cyclic(groups):
     assert gc.omega(C8, 1).order == 2
     assert gc.agemo(C8, 1).order == 4
     assert gc.omega(C8, 0).is_trivial()
-    assert gc.agemo(C8, 0).is_whole_group()
+    assert group_oracle.is_whole_group(gc.agemo(C8, 0))
 
 
 def test_omega_agemo_monotone_and_stable(groups):
@@ -169,15 +169,15 @@ def test_omega_agemo_monotone_and_stable(groups):
                 assert om.contains_subgroup(prev_om)
                 assert prev_ag.contains_subgroup(ag)
             prev_om, prev_ag = om, ag
-        assert gc.omega(G, tmax).is_whole_group()
+        assert group_oracle.is_whole_group(gc.omega(G, tmax))
         assert gc.agemo(G, tmax).is_trivial()
 
 
 def test_omega_relative_examples(groups):
     D8 = groups["D8"]
-    assert gc.omega_relative(D8, D8.full_subgroup(), 3).is_whole_group()
+    assert group_oracle.is_whole_group(gc.omega_relative(D8, D8.full_subgroup(), 3))
     # every element of the dihedral group squares into the derived subgroup
-    assert gc.omega_relative(D8, gc.commutator_subgroup(D8), 1).is_whole_group()
+    assert group_oracle.is_whole_group(gc.omega_relative(D8, gc.commutator_subgroup(D8), 1))
 
 
 def test_omega_relative_matches_quotient_omega(small_groups):
@@ -210,13 +210,9 @@ def test_frattini_equals_intersection_of_maximals(small_groups):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pres=presentations(max_exponent=9, max_log=4))
-def test_drawn_frattini_equals_intersection_of_maximals(pres):
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_frattini_equals_intersection_of_maximals(G):
     # orders up to p^4: the oracle enumerates every normal subgroup
-    try:
-        G = gc.from_pc_presentation(pres)
-    except gc.PresentationError:
-        return  # inconsistent: validation rejects it
     assert gc.frattini(G) == frattini_oracle.frattini_by_maximals(G)
 
 
@@ -228,14 +224,14 @@ def test_jennings_series_examples(groups):
 def test_jennings_head_terms(small_groups):
     for G in small_groups.values():
         series = gc.jennings_series_product_formula(G)
-        assert series[0].is_whole_group()
+        assert group_oracle.is_whole_group(series[0])
         if len(series) > 1:
             assert series[1] == gc.frattini(G)
         for d in series:
             assert d.is_normal()
         for a, b in zip(series, series[1:]):
             assert a.contains_subgroup(b)
-            a_grp, a_map = a.as_group()
+            a_grp, a_map = group_oracle.as_group(a)
             back = {g: i for i, g in enumerate(a_map)}
             b_inside = gc.subgroup_from_elements(a_grp, [back[g] for g in b.elements])
             layer, _ = gc.quotient(a_grp, b_inside)
@@ -314,7 +310,7 @@ def test_burnside_basis_generates_deterministically(small_groups):
     for G in small_groups.values():
         basis = gc.burnside_basis(G)
         assert basis == gc.burnside_basis(G)
-        assert G.subgroup(tuple(basis)).is_whole_group()
+        assert group_oracle.is_whole_group(G.subgroup(tuple(basis)))
 
 
 def test_burnside_basis_extension(groups):
@@ -326,7 +322,7 @@ def test_burnside_basis_extension(groups):
     full = gc.burnside_basis_extend(D8xC4, seed)
     assert full[: len(seed)] == seed
     assert len(full) == gc.min_generators(D8xC4)
-    assert D8xC4.subgroup(tuple(full)).is_whole_group()
+    assert group_oracle.is_whole_group(D8xC4.subgroup(tuple(full)))
 
 
 def test_abelian_type_examples(groups):
@@ -352,7 +348,7 @@ def test_abelian_type_rejects_nonabelian(groups):
 
 def _section_table(m, n):
     """M/N as its own table: M's table by ``as_group``, then ``quotient``."""
-    m_grp, m_map = m.as_group()
+    m_grp, m_map = group_oracle.as_group(m)
     back = {g: i for i, g in enumerate(m_map)}
     q, _ = gc.quotient(m_grp, gc.subgroup_from_elements(m_grp, [back[g] for g in n.elements]))
     return q
@@ -393,7 +389,7 @@ def test_jennings_in_place_matches_the_subgroup_table(small_groups):
     for G in small_groups.values():
         for n in gc.normal_subgroups(G):
             in_place = [s.order for s in gc.jennings_series_product_formula(n)]
-            table = [s.order for s in gc.jennings_series_product_formula(n.as_group()[0])]
+            table = [s.order for s in gc.jennings_series_product_formula(group_oracle.as_group(n)[0])]
             assert in_place == table, (G.name, n)
 
 
@@ -425,7 +421,7 @@ def test_section_type_rejections(groups):
 
 def test_centralizer_examples(groups):
     D8 = groups["D8"]
-    assert gc.centralizer(D8, gc.commutator_subgroup(D8)).is_whole_group()
+    assert group_oracle.is_whole_group(gc.centralizer(D8, gc.commutator_subgroup(D8)))
     r = D8.subgroup((1,))
     assert gc.centralizer(D8, r).order == 4
 
@@ -508,7 +504,7 @@ def test_larger_primes_supported():
 def test_subgroup_as_group_identity_preserved(groups):
     D16 = groups["D16"]
     sub = gc.agemo(D16, 1)
-    grp, back = sub.as_group()
+    grp, back = group_oracle.as_group(sub)
     assert grp.order == sub.order
     assert back[0] == 0
     for i in range(grp.order):
@@ -589,7 +585,7 @@ def test_memo_keys_on_arguments_and_keeps_types():
     assert [gc.agemo(G, t).order for t in range(5)] == [16, 8, 4, 2, 1]
     assert isinstance(gc.abelian_type(G), gc.AbelianType)
     assert isinstance(G.exponent(), int) and isinstance(G.is_abelian, bool)
-    assert isinstance(G.full_subgroup().as_group(), tuple)
+    assert isinstance(group_oracle.as_group(G.full_subgroup()), tuple)
 
 
 def test_presentations_are_parsed_only_at_the_text_boundary():
@@ -674,14 +670,13 @@ def test_trivial_subgroup_has_an_empty_witness(groups):
 
 def test_only_memo_touches_the_per_object_caches():
     """Every ``._cache`` access sits in ``_memo``, in the constructors that
-    create the dict, in ``full_subgroup`` (which shares its parent's dict) or
-    in ``_ideal_chain`` (whose growing chain is not a function value)."""
+    create the dict or in ``full_subgroup`` (which shares its parent's
+    dict).  ``_ideal_chain`` keeps one memo entry per n like any other."""
     allowed = {
         ("group_core", "_memo"),
         ("group_core", "__init__"),
         ("group_core", "full_subgroup"),
         ("modular_algebra", "__init__"),
-        ("modular_algebra", "_ideal_chain"),
     }
     found = set()
     for path in Path(gc.__file__).parent.glob("*.py"):
@@ -962,25 +957,25 @@ def test_normal_subgroups_match_the_oracle(name):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pres=presentations(max_exponent=9, max_log=4))
-def test_drawn_normal_subgroups_match_the_oracle(pres):
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_normal_subgroups_match_the_oracle(G):
     # orders up to p^4: the oracle joins every pair of normal subgroups
-    try:
-        G = gc.from_pc_presentation(pres)
-    except gc.PresentationError:
-        return  # inconsistent: validation rejects it
     _assert_normals_match_the_oracle(G)
+
+
+def _relabeled(G):
+    """A raw ``.mul`` copy of G with its elements other than 1 shuffled,
+    seeded by the name: classes and coset labels come in another order."""
+    rng = np.random.default_rng(sum(map(ord, G.name)))
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    table = np.empty_like(G.mul)
+    table[np.ix_(perm, perm)] = perm[G.mul]
+    return gc.from_mul_table(table, name=G.name)
 
 
 @pytest.mark.parametrize("name", ["D8xC4xC2", "M27xC9"])
 def test_relabeled_normal_subgroups_match_the_oracle(name, groups):
-    # a raw table out of pc order: classes and coset labels in another order
-    G = groups[name]
-    rng = np.random.default_rng(sum(map(ord, name)))
-    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    table = np.empty_like(G.mul)
-    table[np.ix_(perm, perm)] = perm[G.mul]
-    _assert_normals_match_the_oracle(gc.from_mul_table(table, name=name))
+    _assert_normals_match_the_oracle(_relabeled(groups[name]))
 
 
 def test_normal_subgroups_walk_once_per_subgroup(monkeypatch):
@@ -1011,6 +1006,89 @@ def test_normal_subgroups_recheck_each_product_by_its_walk(monkeypatch):
     monkeypatch.setattr(gc, "_generated", lossy)
     with pytest.raises(gc.InternalCheckError, match="D8xC4: the walk reached order 1, "):
         gc.normal_subgroups(G)
+
+
+# -- group quantities off the power table and the coset labels ---------------
+
+
+def _assert_quantities_match_the_oracle(G):
+    """Every p^t-power map up to the exponent, the exponent, commutativity,
+    every element order, and G/N's table and projection for every normal N,
+    against the loops in ``group_oracle``."""
+    tmax = gc.log_p(group_oracle.exponent(G), G.p)
+    for t in range(tmax + 1):
+        assert G.power_p_map(t).tolist() == group_oracle.power_p_map(G, t).tolist(), (G.name, t)
+    assert G.exponent() == group_oracle.exponent(G)
+    assert G.is_abelian == group_oracle.is_abelian(G)
+    orders = [group_oracle.element_order(G, g) for g in G.elements()]
+    assert [G.element_order(g) for g in G.elements()] == orders, G.name
+    for N in gc.normal_subgroups(G):
+        Q, proj = gc.quotient(G, N)
+        want, want_proj = group_oracle.quotient(G, N)
+        assert Q.mul.tolist() == want.mul.tolist(), (G.name, N.elements)
+        assert proj.images.tolist() == want_proj.images.tolist(), (G.name, N.elements)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_group_quantities_match_the_oracle(name, groups):
+    _assert_quantities_match_the_oracle(groups[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_group_quantities_match_the_oracle(G):
+    # orders up to p^4: every normal subgroup gets a quotient
+    _assert_quantities_match_the_oracle(G)
+
+
+@pytest.mark.parametrize("name", ["D8xC4xC2", "M27xC9"])
+def test_relabeled_group_quantities_match_the_oracle(name, groups):
+    _assert_quantities_match_the_oracle(_relabeled(groups[name]))
+
+
+def _agemo_commutator_joins(tree):
+    """The functions that join an ``agemo`` with a ``commutator_subgroup``,
+    each given as a call or as a name bound to one by a plain assignment in
+    the same function."""
+    makers = {"agemo", "commutator_subgroup"}
+
+    def made_by(node, bound):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).rsplit(".", 1)[-1]
+            return name if name in makers else None
+        return None
+
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name) and made_by(node.value, bound):
+                    bound[target.id] = made_by(node.value, bound)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == "join":
+                if makers <= {made_by(arg, bound) for arg in node.args}:
+                    found.add(func.name)
+    return found
+
+
+def test_only_power_commutator_joins_agemo_with_commutator_subgroup():
+    """Mho_t(S)S' is formed in ``group_core.power_commutator`` alone; every
+    other module calls it."""
+    found = {}
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        names = _agemo_commutator_joins(ast.parse(path.read_text()))
+        if names:
+            found[path.stem] = names
+    assert found == {"group_core": {"power_commutator"}}, found
+    # a join through a bound name is found as well
+    bound = "def f(G, t):\n    derived = gc.commutator_subgroup(G)\n    return gc.join(gc.agemo(G, t), derived)\n"
+    assert _agemo_commutator_joins(ast.parse(bound)) == {"f"}
 
 
 def test_group_core_calls_no_np_unique():

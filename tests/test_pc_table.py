@@ -58,6 +58,21 @@ def presentations(draw, max_exponent, max_log=None, p=None, log=None):
     )
 
 
+def _built(pres):
+    try:
+        return gc.from_pc_presentation(pres)
+    except gc.PresentationError:
+        return None
+
+
+def consistent_groups(max_exponent, max_log=None, p=None, log=None):
+    """The groups of drawn consistent presentations: ``presentations``
+    built by ``from_pc_presentation``, with the draws it rejects filtered
+    out, so a test that needs a group runs on every example it is given."""
+    drawn = presentations(max_exponent, max_log=max_log, p=p, log=log)
+    return drawn.map(_built).filter(lambda G: G is not None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(pres=presentations(max_exponent=9))
 def test_drawn_presentations_build_as_the_collector_builds(pres):
