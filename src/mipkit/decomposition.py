@@ -35,8 +35,7 @@ from .group_core import (
 
 def homocyclic_rank(G: FiniteGroup | Subgroup, t: int) -> int:
     """Rank of the homocyclic direct factor of exponent p^t."""
-    lam = ma.power_quotient_map(G, t)
-    return lam.domain.rank - lam.kernel().dim
+    return ma.power_quotient_map(G, t).rank()
 
 
 def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subgroup]:

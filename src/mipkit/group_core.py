@@ -4,8 +4,12 @@ Groups are built from power-commutator presentations (or raw tables), hold
 dense n x n multiplication tables with the identity at index 0, and expose
 the subgroup-series toolbox: center, lower central series, Frattini
 subgroup, omega/agemo series and their relative forms, the Jennings series
-via its product formula, Burnside bases, abelian types of sections,
+by Lazard's recursion, Burnside bases, abelian types of sections,
 quotients, and direct products.
+
+Commutators enter in one step, ``_commutators(H, S)`` = [H, S], one gather
+of the commutator table: G' is [S, S], gamma_{i+1} = [gamma_i, S], and the
+Jennings term D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}) by Lazard's recursion.
 
 Everything is exact and verified at construction: a table must have a
 two-sided identity and inverses, and it is proved associative by Light's
@@ -410,6 +414,8 @@ class FiniteGroup:
     def power_p_map(self, t: int) -> np.ndarray:
         """The map g -> g^{p^t} as an index table: the p-th power table,
         composed t times."""
+        if t < 0:
+            raise ValueError("t must be >= 0")
         if t == 0:
             tab = np.arange(self.order)
         elif t == 1:
@@ -651,49 +657,41 @@ def centralizer(g: Union[FiniteGroup, Subgroup], of: Subgroup) -> Subgroup:
     return subgroup_from_elements(G, idx[(comms == 0).all(axis=1)].tolist())
 
 
+def _commutators(h: Subgroup, s: Subgroup) -> Subgroup:
+    """[H, S], generated by every [x, y] with x in H and y in S: one gather
+    of the commutator table."""
+    G = s.parent
+    tab = G.commutator_table()[np.ix_(np.array(h.elements), np.array(s.elements))]
+    return _generated(G, _distinct(tab, G.order))
+
+
 @_memo
 def commutator_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
-    G = s.parent
-    idx = np.array(s.elements)
-    return _generated(G, _distinct(G.commutator_table()[np.ix_(idx, idx)], G.order))
+    return _commutators(s, s)
 
 
 @_memo
 def lower_central_series(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
+    """gamma_1 = S and gamma_{i+1} = [gamma_i, S], down to the trivial term:
+    a p-group is nilpotent."""
     s = _as_subgroup(g)
-    G = s.parent
-    ctab = G.commutator_table()
-    s_idx = np.array(s.elements)
     series = [s]
-    while True:
-        prev = series[-1]
-        nxt = _generated(G, _distinct(ctab[np.ix_(np.array(prev.elements), s_idx)], G.order))
-        if nxt == prev:
-            break
-        series.append(nxt)
-        if nxt.is_trivial():
-            break
+    while not series[-1].is_trivial():
+        series.append(_commutators(series[-1], s))
     return series
 
 
 @_memo
 def omega(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
     """Subgroup generated by the elements of order dividing p^t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
     s = _as_subgroup(g)
-    G = s.parent
-    powmap = G.power_p_map(t)
-    gens = [x for x in s.elements if powmap[x] == 0]
-    return _generated(G, gens)
+    return omega_relative(s, s.parent.trivial_subgroup(), t)
 
 
 @_memo
 def agemo(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
     """Subgroup generated by the p^t-th powers."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
     s = _as_subgroup(g)
     G = s.parent
     return _generated(G, _distinct(G.power_p_map(t)[np.array(s.elements)], G.order))
@@ -725,31 +723,19 @@ def frattini(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
 
 @_memo
 def jennings_series_product_formula(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
-    """Jennings series D_n = prod over i*p^j >= n of agemo_j(gamma_i).
+    """Jennings series D_1 = S, D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}).
 
-    Returns D_1 (the whole group) down to the first trivial term inclusive.
+    This is Lazard's recursion (M. Lazard, Ann. Sci. ENS 71, 1954) for
+    Jennings' product formula D_n = prod over i p^j >= n of
+    Mho_j(gamma_i(S)) (S. A. Jennings, Trans. AMS 50, 1941).  Returns D_1
+    down to the first trivial term inclusive.
     """
     s = _as_subgroup(g)
-    G = s.parent
-    p = G.p
-    lcs = lower_central_series(s)
-    tmax = log_p(s.exponent(), p)
-    # agemo_j applied to each lower-central term
-    terms: dict[tuple[int, int], Subgroup] = {}
-    for i, gamma in enumerate(lcs, start=1):
-        for j in range(tmax + 1):
-            terms[(i, j)] = agemo(gamma, j)
-    series = []
-    n = 1
-    while True:
-        d_n = G.trivial_subgroup()
-        for (i, j), term in terms.items():
-            if i * p**j >= n and not term.is_trivial():
-                d_n = join(d_n, term)
-        series.append(d_n)
-        if d_n.is_trivial():
-            break
-        n += 1
+    p = s.parent.p
+    series = [s]
+    while not series[-1].is_trivial():
+        n = len(series) + 1
+        series.append(join(_commutators(series[-1], s), agemo(series[-(-n // p) - 1], 1)))
     return series
 
 

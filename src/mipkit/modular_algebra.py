@@ -226,6 +226,8 @@ def _ideal_chain(A: GroupAlgebra, n: int) -> Subspace:
     which equals I^k I(G) because I^k is a right ideal.  The terms below n
     are filled bottom-up first, so a cold call recurses one level, not n.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return fl.full_subspace(A.p, A.dim)
     if n == 1:
@@ -289,6 +291,8 @@ def _one_minus_rows(A: GroupAlgebra) -> np.ndarray:
 
 def _jennings_term(G: FiniteGroup, n: int) -> Subgroup:
     """D_n(G) from the product formula; trivial past the end of the series."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     series = gc.jennings_series_product_formula(G)
     return series[n - 1] if n <= len(series) else G.trivial_subgroup()
 
@@ -309,15 +313,7 @@ def jennings_by_ideal(A: GroupAlgebra) -> list[Subgroup]:
 
 def loewy_layer_dims(A: GroupAlgebra) -> list[int]:
     """Dimensions of I^n / I^{n+1} down to zero."""
-    dims = []
-    n = 0
-    while True:
-        d = _ideal_chain(A, n).dim - _ideal_chain(A, n + 1).dim
-        dims.append(d)
-        if _ideal_chain(A, n + 1).dim == 0:
-            break
-        n += 1
-    return dims
+    return [_ideal_chain(A, n).dim - _ideal_chain(A, n + 1).dim for n in range(nilpotency_index(A))]
 
 
 def jennings_poincare_layer_dims(G: FiniteGroup) -> list[int]:
@@ -569,11 +565,7 @@ def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedPowerMap:
                     f"graded power map x -> x^{q} on {P.name} is not well defined: "
                     f"|M| = {dom.m_sub.order}, |K| = {dom.k_sub.order}"
                 )
-    matrix = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, cod.rank), dtype=np.int64)
-    )
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
     return GradedPowerMap(dom, cod, q, matrix)
 
 
@@ -612,7 +604,7 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
     cod = Subquotient(_filtration(A, n, n_sub), _filtration(A, n + 1, n_sub))
     one_minus = _one_minus_rows(A)
     rows = [cod.coords(one_minus[b]) for b in dom.basis]
-    matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, cod.rank), dtype=np.int64)
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
     emb = LayerEmbedding(A, n, n_sub, dom, cod, matrix)
     rank = fl.image(matrix, A.p).dim
     if rank != dom.rank:
@@ -662,7 +654,7 @@ def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
                 raise InternalCheckError(
                     f"ideal power map v -> v^{q} on {G.name} is not well defined mod |N| = {n_sub.order}"
                 )
-    matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, cod.rank), dtype=np.int64)
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
     return IdealPowerMap(A, t, dom, cod, matrix)
 
 

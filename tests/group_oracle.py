@@ -9,12 +9,18 @@ power table, its coset labels and its subgroups, each kept as the
 reference for a differential test: element orders by repeated
 multiplication, the exponent as their maximum, commutativity as a
 symmetric table, the power maps by a per-element power, and the quotient
-table by a walk over G."""
+table by a walk over G.
+
+Last come the commutator gathers and the series that ``group_core`` now
+builds from its one step [H, S]: G' and the lower central series each
+gathering the commutator table themselves, Omega_t by its own loop over
+the power map, and the Jennings series as Jennings' product formula, a
+join over the grid of Mho_j(gamma_i) with i p^j >= n."""
 
 import numpy as np
 
 from mipkit import group_core as gc
-from mipkit.group_core import AbelianType, FiniteGroup, GroupHom, Subgroup
+from mipkit.group_core import AbelianType, FiniteGroup, GroupHom, Subgroup, join
 
 
 def conjugate(G: FiniteGroup, a: int, g: int) -> int:
@@ -108,3 +114,67 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}", _validated=True)
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
+
+
+def commutator_subgroup(g) -> Subgroup:
+    s = gc._as_subgroup(g)
+    G = s.parent
+    idx = np.array(s.elements)
+    return gc._generated(G, gc._distinct(G.commutator_table()[np.ix_(idx, idx)], G.order))
+
+
+def lower_central_series(g) -> list[Subgroup]:
+    s = gc._as_subgroup(g)
+    G = s.parent
+    ctab = G.commutator_table()
+    s_idx = np.array(s.elements)
+    series = [s]
+    while True:
+        prev = series[-1]
+        nxt = gc._generated(G, gc._distinct(ctab[np.ix_(np.array(prev.elements), s_idx)], G.order))
+        if nxt == prev:
+            break
+        series.append(nxt)
+        if nxt.is_trivial():
+            break
+    return series
+
+
+def omega(g, t: int) -> Subgroup:
+    """Subgroup generated by the elements of order dividing p^t."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    s = gc._as_subgroup(g)
+    G = s.parent
+    powmap = G.power_p_map(t)
+    gens = [x for x in s.elements if powmap[x] == 0]
+    return gc._generated(G, gens)
+
+
+def jennings_series_product_formula(g) -> list[Subgroup]:
+    """Jennings series D_n = prod over i*p^j >= n of agemo_j(gamma_i).
+
+    Returns D_1 (the whole group) down to the first trivial term inclusive.
+    """
+    s = gc._as_subgroup(g)
+    G = s.parent
+    p = G.p
+    lcs = lower_central_series(s)
+    tmax = gc.log_p(s.exponent(), p)
+    # agemo_j applied to each lower-central term
+    terms: dict[tuple[int, int], Subgroup] = {}
+    for i, gamma in enumerate(lcs, start=1):
+        for j in range(tmax + 1):
+            terms[(i, j)] = gc.agemo(gamma, j)
+    series = []
+    n = 1
+    while True:
+        d_n = G.trivial_subgroup()
+        for (i, j), term in terms.items():
+            if i * p**j >= n and not term.is_trivial():
+                d_n = join(d_n, term)
+        series.append(d_n)
+        if d_n.is_trivial():
+            break
+        n += 1
+    return series

@@ -371,18 +371,29 @@ def _type_by_omega_closure(A):
     return sorted(orders, reverse=True)
 
 
-def test_section_type_matches_the_quotient_table(small_groups):
+def _assert_section_types_match_the_quotient_table(G) -> int:
+    """Every abelian section M/N of normal subgroups, counted in place
+    against M/N's own table; returns how many were checked."""
     checked = 0
-    for G in small_groups.values():
-        normals = gc.normal_subgroups(G)
-        for m in normals:
-            derived = gc.commutator_subgroup(m)
-            for n in normals:
-                if m.contains_subgroup(n) and n.contains_subgroup(derived):
-                    expected = _type_by_omega_closure(_section_table(m, n))
-                    assert gc.abelian_type(m, n).to_list() == expected, (G.name, m, n)
-                    checked += 1
-    assert checked > 2000
+    normals = gc.normal_subgroups(G)
+    for m in normals:
+        derived = gc.commutator_subgroup(m)
+        for n in normals:
+            if m.contains_subgroup(n) and n.contains_subgroup(derived):
+                expected = _type_by_omega_closure(_section_table(m, n))
+                assert gc.abelian_type(m, n).to_list() == expected, (G.name, m, n)
+                checked += 1
+    return checked
+
+
+def test_section_type_matches_the_quotient_table(small_groups):
+    assert sum(map(_assert_section_types_match_the_quotient_table, small_groups.values())) > 2000
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_section_types_match_the_quotient_table(G):
+    _assert_section_types_match_the_quotient_table(G)
 
 
 def test_jennings_in_place_matches_the_subgroup_table(small_groups):
@@ -1011,10 +1022,32 @@ def test_normal_subgroups_recheck_each_product_by_its_walk(monkeypatch):
 # -- group quantities off the power table and the coset labels ---------------
 
 
+def _assert_series_match_the_oracle(S):
+    """G', the lower central series and every Omega_t up to the exponent
+    with their generator witnesses, and the Jennings series by Lazard's
+    recursion as element sets, against the loops and the grid of
+    Jennings' product formula in ``group_oracle``."""
+    G = S.parent
+    where = (G.name, S.elements)
+
+    def same(got, want):
+        return (got.elements, got.generators) == (want.elements, want.generators)
+
+    assert same(gc.commutator_subgroup(S), group_oracle.commutator_subgroup(S)), where
+    lcs, want = gc.lower_central_series(S), group_oracle.lower_central_series(S)
+    assert len(lcs) == len(want) and all(map(same, lcs, want)), where
+    for t in range(gc.log_p(S.exponent(), G.p) + 1):
+        assert same(gc.omega(S, t), group_oracle.omega(S, t)), (where, t)
+    jennings = gc.jennings_series_product_formula(S)
+    grid = group_oracle.jennings_series_product_formula(S)
+    assert [d.elements for d in jennings] == [d.elements for d in grid], where
+
+
 def _assert_quantities_match_the_oracle(G):
     """Every p^t-power map up to the exponent, the exponent, commutativity,
-    every element order, and G/N's table and projection for every normal N,
-    against the loops in ``group_oracle``."""
+    every element order, G/N's table and projection for every normal N,
+    and the series of G and of every normal N, against the loops in
+    ``group_oracle``."""
     tmax = gc.log_p(group_oracle.exponent(G), G.p)
     for t in range(tmax + 1):
         assert G.power_p_map(t).tolist() == group_oracle.power_p_map(G, t).tolist(), (G.name, t)
@@ -1022,11 +1055,13 @@ def _assert_quantities_match_the_oracle(G):
     assert G.is_abelian == group_oracle.is_abelian(G)
     orders = [group_oracle.element_order(G, g) for g in G.elements()]
     assert [G.element_order(g) for g in G.elements()] == orders, G.name
+    _assert_series_match_the_oracle(G.full_subgroup())
     for N in gc.normal_subgroups(G):
         Q, proj = gc.quotient(G, N)
         want, want_proj = group_oracle.quotient(G, N)
         assert Q.mul.tolist() == want.mul.tolist(), (G.name, N.elements)
         assert proj.images.tolist() == want_proj.images.tolist(), (G.name, N.elements)
+        _assert_series_match_the_oracle(N)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -1089,6 +1124,93 @@ def test_only_power_commutator_joins_agemo_with_commutator_subgroup():
     # a join through a bound name is found as well
     bound = "def f(G, t):\n    derived = gc.commutator_subgroup(G)\n    return gc.join(gc.agemo(G, t), derived)\n"
     assert _agemo_commutator_joins(ast.parse(bound)) == {"f"}
+
+
+def _commutator_closures(tree):
+    """The functions that close a subgroup (``_generated``, ``_grow`` or
+    ``subgroup``) over values read off ``commutator_table()``, in the call
+    itself or through names bound to them in the same function."""
+    closers = {"_generated", "_grow", "subgroup"}
+
+    def callee(node):
+        return ast.unparse(node.func).rsplit(".", 1)[-1]
+
+    def reads_table(node, tainted):
+        return any(
+            (isinstance(n, ast.Call) and callee(n) == "commutator_table")
+            or (isinstance(n, ast.Name) and n.id in tainted)
+            for n in ast.walk(node)
+        )
+
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        tainted, size = set(), -1
+        while size != len(tainted):  # until no binding adds a name
+            size = len(tainted)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign) and reads_table(node.value, tainted):
+                    tainted.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and callee(node) in closers:
+                if any(reads_table(arg, tainted) for arg in node.args):
+                    found.add(func.name)
+    return found
+
+
+def test_only_commutators_closes_the_commutator_table():
+    """[H, S] is gathered and closed in ``group_core._commutators`` alone;
+    G', the lower central series and the Jennings series call it."""
+    found = {}
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        names = _commutator_closures(ast.parse(path.read_text()))
+        if names:
+            found[path.stem] = names
+    assert found == {"group_core": {"_commutators"}}, found
+    # the inline gathers kept as oracles are found, the bound name included
+    oracle = ast.parse(Path(group_oracle.__file__).read_text())
+    assert _commutator_closures(oracle) == {"commutator_subgroup", "lower_central_series"}
+
+
+def test_jennings_and_omega_take_no_detour(monkeypatch):
+    # Lazard's recursion reads neither the lower central series nor the
+    # exponent, and Omega_t is the relative Omega over the trivial subgroup
+    def refuse(*args):
+        raise AssertionError("not called by Lazard's recursion")
+
+    want = [d.elements for d in group_oracle.jennings_series_product_formula(cat.build("M27xC9"))]
+    monkeypatch.setattr(gc, "lower_central_series", refuse)
+    monkeypatch.setattr(gc.Subgroup, "exponent", refuse)
+    G = cat.build("M27xC9")
+    assert [d.elements for d in gc.jennings_series_product_formula(G)] == want
+    monkeypatch.undo()
+    calls = []
+    relative = gc.omega_relative
+    monkeypatch.setattr(gc, "omega_relative", lambda *a: calls.append(a[2]) or relative(*a))
+    assert gc.omega(G, 1).order == 27 and calls == [1]
+
+
+def test_negative_power_exponents_are_rejected(groups):
+    G = groups["D8"]
+    for call in (
+        lambda: G.power_p_map(-1),
+        lambda: gc.omega_relative(G, gc.center(G), -1),
+        lambda: gc.omega(G, -1),
+        lambda: gc.agemo(G, -1),
+    ):
+        with pytest.raises(ValueError, match=r"^t must be >= 0$"):
+            call()
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_jennings_by_ideal_matches_the_product_formula(G):
+    # the algebra's D_n = {g : g - 1 in I^n} against Jennings' grid, which
+    # checks Lazard's recursion through the algebra as well
+    by_ideal = ma.jennings_by_ideal(ma.GroupAlgebra(G))
+    grid = group_oracle.jennings_series_product_formula(G)
+    assert [d.elements for d in by_ideal] == [d.elements for d in grid]
 
 
 def test_group_core_calls_no_np_unique():

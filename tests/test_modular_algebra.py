@@ -410,6 +410,21 @@ def test_group_jennings_with_normal_sweep(small_groups):
                 ma.group_jennings_with_normal(A, n, k)  # raises on mismatch
 
 
+def test_jennings_terms_reject_n_below_one(algebras):
+    # a term index below 1 is a bad argument, not an index from the end of
+    # the series and not a failed identity
+    A = algebras["D8"]
+    one = A.group.trivial_subgroup()
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        ma.group_jennings_with_normal(A, one, 0)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        ma.group_jennings_with_normal(A, one, -1)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        ma.jennings_layer_embedding(A, -2)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        ma._ideal_chain(A, -2)
+
+
 def test_intersection_identity_on_dihedral_pairs(algebras):
     # I(L)G n kN-augmentation = relative ideal of L n N inside kN
     A = algebras["D8"]
