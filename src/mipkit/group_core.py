@@ -36,6 +36,11 @@ quotient or subgroup table built: in an abelian group the elements of order
 dividing p^i form Omega_i, so |Omega_i(S/N)| = #{x in S : x^{p^i} in N}/|N|,
 one mask lookup through the power map x -> x^{p^i}.
 
+A subgroup's right cosets are labelled once, each by its least element
+(``Subgroup._coset_labels``), and three users read the labels: ``quotient``
+numbers G/N by them, ``normal_subgroups`` reads each product KB off them,
+and the algebra's ``ElementaryQuotient`` reads M/K coordinates off them.
+
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
 *args)``, so arguments are part of the key and a Subgroup argument matches
@@ -413,15 +418,15 @@ class FiniteGroup:
     @_memo
     def power_p_map(self, t: int) -> np.ndarray:
         """The map g -> g^{p^t} as an index table: the p-th power table,
-        composed t times."""
+        composed t times in one loop that stops at the map onto the
+        identity, so any t takes at most log_p(exponent) steps."""
         if t < 0:
             raise ValueError("t must be >= 0")
-        if t == 0:
-            tab = np.arange(self.order)
-        elif t == 1:
-            tab = _table_power(self.mul, np.arange(self.order), self.p)
-        else:
-            tab = self.power_p_map(1)[self.power_p_map(t - 1)]
+        tab = np.arange(self.order)
+        if t:
+            step = self.power_p_map(1) if t > 1 else _table_power(self.mul, tab, self.p)
+            while t and tab.any():
+                tab, t = step[tab], t - 1
         tab.setflags(write=False)
         return tab
 

@@ -13,9 +13,19 @@ one per nonzero coefficient of x, taken row-wise over whole blocks.
 
 Each object of the graded theory is made in one place: I(N)G in
 ``relative_augmentation_ideal`` (its orbit labels in ``_orbit_ideal``),
-I^n in ``_ideal_chain``, I^n + I(N)G in ``_filtration``, the Jennings
-term D_n(G), trivial past the end of the series, in ``_jennings_term``,
-and the rows e_g - e_0 in ``_one_minus_rows``.
+I^n in ``_ideal_chain`` (each term built once, up to the first zero
+term), I^n + I(N)G in ``_filtration``, the Jennings term D_n(G), trivial
+past the end of the series, in ``_jennings_term``, and the rows e_g - e_0
+in ``_one_minus_rows``.
+
+The graded pieces are M/K for normal K <= M with elementary abelian
+quotient (``ElementaryQuotient``, whose coordinates are read off K's coset
+labels in ``group_core``) and V/W for subspaces W <= V (``Subquotient``).
+Every map between them, the group-side p^{t-1}-power map, the Jennings
+layer embedding x |-> x - 1 and the algebra-side power map, is one
+``GradedMap`` whose matrix ``_graded_map`` builds from the images of the
+domain basis; for the two power maps it rechecks well-definedness from
+a second representative of each basis class.
 """
 
 from __future__ import annotations
@@ -219,28 +229,32 @@ def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> S
 
 
 @gc._memo
+def _ideal_terms(A: GroupAlgebra) -> dict[int, Subspace]:
+    """The terms I^0, I^1, ... of the chain filled so far, by exponent;
+    ``_ideal_chain`` extends it in place."""
+    return {0: fl.full_subspace(A.p, A.dim), 1: augmentation_ideal(A).space}
+
+
 def _ideal_chain(A: GroupAlgebra, n: int) -> Subspace:
-    """The subspace I(G)^n, one memo entry per n.
+    """The subspace I(G)^n.
 
     Each step uses I^{k+1} = sum of I^k (g_j - 1) over a generating set,
-    which equals I^k I(G) because I^k is a right ideal.  The terms below n
-    are filled bottom-up first, so a cold call recurses one level, not n.
+    which equals I^k I(G) because I^k is a right ideal.  Each term is built
+    once, from the highest one built so far, and the chain stops at its
+    first zero term, which stands for every n past it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return fl.full_subspace(A.p, A.dim)
-    if n == 1:
-        return augmentation_ideal(A).space
-    for k in range(2, n - 1):
-        _ideal_chain(A, k)
-    prev = _ideal_chain(A, n - 1)
-    if prev.dim == 0:
-        return prev
-    builder = fl.SubspaceBuilder(A.p, A.dim)
-    for g in gc.burnside_basis(A.group):
-        builder.absorb((A.translate_right(prev.basis, g) - prev.basis) % A.p)
-    return builder.subspace()
+    terms = _ideal_terms(A)
+    top = len(terms) - 1
+    while top < n and terms[top].dim:
+        prev = terms[top]
+        builder = fl.SubspaceBuilder(A.p, A.dim)
+        for g in gc.burnside_basis(A.group):
+            builder.absorb((A.translate_right(prev.basis, g) - prev.basis) % A.p)
+        top += 1
+        terms[top] = builder.subspace()
+    return terms[min(n, top)]
 
 
 def ideal_power(ideal: AlgIdeal, n: int) -> AlgIdeal:
@@ -482,6 +496,10 @@ class ElementaryQuotient:
     lies outside K and the representatives before it.  That is the greedy
     witness of one Dimino walk (``gc._grow``) over K's generators and then
     the pool, less the witnesses that lie in K.
+
+    Coordinates are read off K's coset labels (``Subgroup._coset_labels``):
+    x has the digits (a_1, ..., a_r) of the one product b_1^{a_1} ... b_r^{a_r}
+    of basis elements whose coset label is x's.
     """
 
     def __init__(self, m_sub: Subgroup, k_sub: Subgroup, rep_pool: Optional[Sequence[int]] = None):
@@ -501,31 +519,31 @@ class ElementaryQuotient:
         if len(basis) != rank:
             raise ValueError("representative pool does not generate the quotient")
         self.basis = basis
-        coords: dict[int, tuple[int, ...]] = {}
-        for tup in itertools.product(range(p), repeat=rank):
-            rep = 0
-            for b, e in zip(basis, tup):
-                rep = G.mul_elems(rep, G.power(b, e))
-            for k in k_sub.elements:
-                elem = G.mul_elems(rep, k)
-                if elem in coords:
-                    raise InternalCheckError(
-                        f"coset enumeration on {G.name} collided: |M| = {m_sub.order}, |K| = {k_sub.order}"
-                    )
-                coords[elem] = tup
-        self._coords = coords
+        # the products in the order of their digit tuples, last digit fastest
+        reps = np.zeros(1, dtype=np.int64)
+        for b in basis:
+            reps = G.mul[reps[:, None], [G.power(b, e) for e in range(p)]].ravel()
+        self._labels = k_sub._coset_labels()
+        self._digits = dict(zip(self._labels[reps].tolist(), itertools.product(range(p), repeat=rank)))
+        if len(self._digits) != reps.size:
+            raise InternalCheckError(
+                f"coset enumeration on {G.name} collided: |M| = {m_sub.order}, |K| = {k_sub.order}"
+            )
 
     def coords(self, x: int) -> np.ndarray:
-        return np.array(self._coords[x], dtype=np.int64)
+        if x not in self.m_sub:  # the label array would also answer -1
+            raise KeyError(x)
+        return np.array(self._digits[int(self._labels[x])], dtype=np.int64)
 
 
 @dataclass(frozen=True)
-class GradedPowerMap:
-    """A linear map between elementary abelian quotients given by x -> x^q."""
+class GradedMap:
+    """A linear map between graded pieces (``ElementaryQuotient`` or
+    ``Subquotient``): row i of ``matrix`` is the codomain coordinates of
+    the image of the domain's i-th basis element."""
 
-    domain: ElementaryQuotient
-    codomain: ElementaryQuotient
-    q: int
+    domain: ElementaryQuotient | Subquotient
+    codomain: ElementaryQuotient | Subquotient
     matrix: np.ndarray
 
     def kernel(self) -> Subspace:
@@ -534,9 +552,24 @@ class GradedPowerMap:
     def rank(self) -> int:
         return self.domain.rank - self.kernel().dim
 
+    def is_bijective(self) -> bool:
+        return self.domain.rank == self.codomain.rank == self.rank()
+
+
+def _graded_map(dom, cod, images, seconds=(), failure=None) -> GradedMap:
+    """The map sending the domain's i-th basis element to ``images[i]``.
+    ``seconds[i]``, where given, is the image of a second representative of
+    the same class; other coordinates raise ``InternalCheckError(failure())``."""
+    rows = [cod.coords(x) for x in images]
+    for row, x in zip(rows, seconds):
+        if not np.array_equal(cod.coords(x), row):
+            raise InternalCheckError(failure())
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
+    return GradedMap(dom, cod, matrix)
+
 
 @gc._memo
-def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedPowerMap:
+def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedMap:
     """The p^{t-1} power map from the central p^t-torsion modulo Frattini
     into the graded piece of p^{t-1}-th powers modulo p^t-th powers, for G
     a group or a subgroup (computed in its parent's table).
@@ -548,51 +581,27 @@ def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedPowerMap:
     if t < 1:
         raise ValueError("t must be >= 1")
     P = gc._as_subgroup(G).parent
-    p = P.p
     otz = gc.omega(gc.center(G), t)
     phi = gc.frattini(G)
     dom = ElementaryQuotient(gc.join(otz, phi), phi, rep_pool=otz.elements)
     cod = ElementaryQuotient(gc.power_commutator(G, t - 1), gc.power_commutator(G, t))
-    q = p ** (t - 1)
-    rows = []
-    for b in dom.basis:
-        rows.append(cod.coords(P.power(b, q)))
-        if dom.k_sub.order > 1:
-            k = dom.k_sub.elements[1]
-            second = P.mul_elems(b, k)
-            if not np.array_equal(cod.coords(P.power(second, q)), rows[-1]):
-                raise InternalCheckError(
-                    f"graded power map x -> x^{q} on {P.name} is not well defined: "
-                    f"|M| = {dom.m_sub.order}, |K| = {dom.k_sub.order}"
-                )
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
-    return GradedPowerMap(dom, cod, q, matrix)
+    q = P.p ** (t - 1)
+    power = P.power_p_map(t - 1)  # x -> x^q
+    # the second representative of b Phi(G) is b k for one k in Phi(G)
+    seconds = power[P.mul[dom.basis, phi.elements[1]]].tolist() if phi.order > 1 else []
+    return _graded_map(
+        dom, cod, power[dom.basis].tolist(), seconds,
+        lambda: f"graded power map x -> x^{q} on {P.name} is not well defined: |M| = {dom.m_sub.order}, |K| = {phi.order}",
+    )
 
 
 # ---------------------------------------------------------------------------
 # graded maps on the algebra side
 
 
-@dataclass(frozen=True)
-class LayerEmbedding:
-    """x D_{n+1}N |-> (x - 1) from a Jennings layer into a graded quotient."""
-
-    algebra: GroupAlgebra
-    n: int
-    normal: Subgroup
-    domain: ElementaryQuotient
-    codomain: Subquotient
-    matrix: np.ndarray
-
-    def is_bijective(self) -> bool:
-        return (
-            self.domain.rank == self.codomain.rank
-            and fl.image(self.matrix, self.algebra.p).dim == self.domain.rank
-        )
-
-
-def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] = None) -> LayerEmbedding:
-    """The injective map D_n(G)N/D_{n+1}(G)N -> (I^n + I(N)G)/(I^{n+1} + I(N)G)."""
+def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] = None) -> GradedMap:
+    """The injective map D_n(G)N/D_{n+1}(G)N -> (I^n + I(N)G)/(I^{n+1} + I(N)G),
+    x D_{n+1}N |-> (x - 1)."""
     G = A.group
     if n_sub is None:
         n_sub = G.trivial_subgroup()
@@ -602,11 +611,8 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
         gc.join(_jennings_term(G, n), n_sub), gc.join(_jennings_term(G, n + 1), n_sub)
     )
     cod = Subquotient(_filtration(A, n, n_sub), _filtration(A, n + 1, n_sub))
-    one_minus = _one_minus_rows(A)
-    rows = [cod.coords(one_minus[b]) for b in dom.basis]
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
-    emb = LayerEmbedding(A, n, n_sub, dom, cod, matrix)
-    rank = fl.image(matrix, A.p).dim
+    emb = _graded_map(dom, cod, _one_minus_rows(A)[dom.basis])
+    rank = fl.image(emb.matrix, A.p).dim
     if rank != dom.rank:
         raise InternalCheckError(
             f"Jennings layer embedding is not injective on {G.name} at n = {n} "
@@ -615,22 +621,9 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
     return emb
 
 
-@dataclass(frozen=True)
-class IdealPowerMap:
-    """x + I^2 |-> x^q + (I^{q+1} + I(N)G), q = p^{t-1}, N = Mho_t(G)G'."""
-
-    algebra: GroupAlgebra
-    t: int
-    domain: Subquotient
-    codomain: Subquotient
-    matrix: np.ndarray
-
-    def kernel(self) -> Subspace:
-        return fl.kernel(self.matrix, self.algebra.p)
-
-
-def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
-    """The q-th power map I/I^2 -> (I^q + I(N)G)/(I^{q+1} + I(N)G).
+def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> GradedMap:
+    """The q-th power map I/I^2 -> (I^q + I(N)G)/(I^{q+1} + I(N)G),
+    x + I^2 |-> x^q, q = p^{t-1}, N = Mho_t(G)G'.
 
     Additivity holds because the codomain absorbs I(N)G with G' <= N, and
     well-definedness is rechecked from shifted representatives.
@@ -638,24 +631,16 @@ def ideal_power_quotient_map(A: GroupAlgebra, t: int) -> IdealPowerMap:
     if t < 1:
         raise ValueError("t must be >= 1")
     G = A.group
-    p = A.p
-    q = p ** (t - 1)
+    q = A.p ** (t - 1)
     n_sub = gc.power_commutator(G, t)
-    dom = Subquotient(_ideal_chain(A, 1), _ideal_chain(A, 2))
-    cod = Subquotient(_filtration(A, q, n_sub), _filtration(A, q + 1, n_sub))
-    rows = []
     shift = _ideal_chain(A, 2)
-    for v in dom.basis_rows:
-        img = A.power_vec(v, q)
-        rows.append(cod.coords(img))
-        if shift.dim:
-            v2 = (v + shift.basis[0]) % p
-            if not np.array_equal(cod.coords(A.power_vec(v2, q)), rows[-1]):
-                raise InternalCheckError(
-                    f"ideal power map v -> v^{q} on {G.name} is not well defined mod |N| = {n_sub.order}"
-                )
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), cod.rank)
-    return IdealPowerMap(A, t, dom, cod, matrix)
+    dom = Subquotient(_ideal_chain(A, 1), shift)
+    cod = Subquotient(_filtration(A, q, n_sub), _filtration(A, q + 1, n_sub))
+    seconds = A.power_vec((dom.basis_rows + shift.basis[0]) % A.p, q) if shift.dim else []
+    return _graded_map(
+        dom, cod, A.power_vec(dom.basis_rows, q), seconds,
+        lambda: f"ideal power map v -> v^{q} on {G.name} is not well defined mod |N| = {n_sub.order}",
+    )
 
 
 def power_diagram_commutes(A: GroupAlgebra, t: int) -> bool:

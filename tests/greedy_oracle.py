@@ -6,7 +6,8 @@ Vectors: ``lex_complement`` enumerates GF(p)^dim in lexicographic order and
 absorbs one vector at a time; the subquotient basis takes top's echelon rows
 one absorb at a time and inverts [T | I] for its coordinate map.  Groups:
 ``ElementaryQuotient`` and ``burnside_basis_extend`` join one cyclic
-subgroup per pick.
+subgroup per pick, and ``elementary_quotient_coords`` is the coordinate
+enumeration ``ElementaryQuotient`` ran before it read the coset labels.
 """
 
 import itertools
@@ -88,6 +89,27 @@ def elementary_quotient_basis(m_sub, k_sub, rep_pool=None) -> list[int]:
     if len(basis) != rank:
         raise ValueError("representative pool does not generate the quotient")
     return basis
+
+
+def elementary_quotient_coords(m_sub, k_sub, basis) -> dict[int, tuple[int, ...]]:
+    """Coordinates of every element of M in M/K: each of the p^rank x |K|
+    products b_1^{a_1} ... b_r^{a_r} k, the loop of ``ElementaryQuotient``."""
+    G = m_sub.parent
+    p = G.p
+    rank = len(basis)
+    coords: dict[int, tuple[int, ...]] = {}
+    for tup in itertools.product(range(p), repeat=rank):
+        rep = 0
+        for b, e in zip(basis, tup):
+            rep = G.mul_elems(rep, G.power(b, e))
+        for k in k_sub.elements:
+            elem = G.mul_elems(rep, k)
+            if elem in coords:
+                raise gc.InternalCheckError(
+                    f"coset enumeration on {G.name} collided: |M| = {m_sub.order}, |K| = {k_sub.order}"
+                )
+            coords[elem] = tup
+    return coords
 
 
 def burnside_basis_extend(g, seed) -> list[int]:

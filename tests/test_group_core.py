@@ -682,7 +682,8 @@ def test_trivial_subgroup_has_an_empty_witness(groups):
 def test_only_memo_touches_the_per_object_caches():
     """Every ``._cache`` access sits in ``_memo``, in the constructors that
     create the dict or in ``full_subgroup`` (which shares its parent's
-    dict).  ``_ideal_chain`` keeps one memo entry per n like any other."""
+    dict).  ``_ideal_chain`` grows the dict of one memo entry,
+    ``_ideal_terms``, and touches no cache itself."""
     allowed = {
         ("group_core", "_memo"),
         ("group_core", "__init__"),
@@ -1173,6 +1174,71 @@ def test_only_commutators_closes_the_commutator_table():
     assert _commutator_closures(oracle) == {"commutator_subgroup", "lower_central_series"}
 
 
+def _coset_minima(tree):
+    """The functions that take a minimum (``min``, ``minimum.reduce``, or
+    ``amin`` or an array's ``.min`` along an axis) over values read off a
+    multiplication table (``.mul``, ``mul_elems`` or ``_columns``), in the
+    call itself or through names bound to them in the same function."""
+    readers = {"mul", "mul_elems", "_columns"}
+
+    def takes_min(node):
+        name = ast.unparse(node.func)
+        if name == "min" or name.endswith("minimum.reduce"):
+            return True
+        if name.rsplit(".", 1)[-1] not in {"min", "amin"}:
+            return False
+        # an array's min over no axis is one scalar, a range check
+        array_args = 1 if name.startswith(("np.", "numpy.")) else 0
+        return any(k.arg == "axis" for k in node.keywords) or len(node.args) > array_args
+
+    def reads_table(node, tainted):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr in readers)
+            or (isinstance(n, ast.Name) and n.id in tainted)
+            for n in ast.walk(node)
+        )
+
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        tainted, size = set(), -1
+        while size != len(tainted):  # until no binding adds a name
+            size = len(tainted)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign) and reads_table(node.value, tainted):
+                    tainted.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and takes_min(node):
+                operands = node.args + ([node.func.value] if isinstance(node.func, ast.Attribute) else [])
+                if any(reads_table(arg, tainted) for arg in operands):
+                    found.add(func.name)
+    return found
+
+
+def test_only_coset_labels_reduce_the_table_to_coset_minima():
+    """Right cosets are labelled by their least element in
+    ``Subgroup._coset_labels`` alone; ``quotient``, ``normal_subgroups``
+    and the algebra's ``ElementaryQuotient`` read those labels."""
+    found = {}
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        names = _coset_minima(ast.parse(path.read_text()))
+        if names:
+            found[path.stem] = names
+    assert found == {"group_core": {"_coset_labels"}}, found
+    # a method call, a bound name over a scalar loop, a ufunc reduction and
+    # a positional axis are found; the whole table's minimum is not
+    snippets = (
+        "def rows(G, K):\n    return G.mul[list(K.elements)].min(axis=0)\n",
+        "def loop(G, K, x):\n    coset = [G.mul_elems(k, x) for k in K.elements]\n    return min(coset)\n",
+        "def ufunc(G, idx):\n    return np.minimum.reduce(G.mul[idx])\n",
+        "def positional(G, idx):\n    return np.min(G.mul[idx], 0)\n",
+    )
+    for text in snippets:
+        assert len(_coset_minima(ast.parse(text))) == 1, text
+    assert not _coset_minima(ast.parse("def check(G):\n    return G.mul.min() < 0\n"))
+
+
 def test_jennings_and_omega_take_no_detour(monkeypatch):
     # Lazard's recursion reads neither the lower central series nor the
     # exponent, and Omega_t is the relative Omega over the trivial subgroup
@@ -1201,6 +1267,17 @@ def test_negative_power_exponents_are_rejected(groups):
     ):
         with pytest.raises(ValueError, match=r"^t must be >= 0$"):
             call()
+
+
+def test_far_power_maps_stop_at_the_identity():
+    # every t past log_p(exponent) gives the map onto the identity, in a
+    # bounded number of steps (t = 900 once recursed once per t)
+    G = cat.build("D8")
+    assert not G.power_p_map(900).any()
+    assert gc.omega(G, 900) == gc.omega(G, 2)
+    assert gc.agemo(G, 900).is_trivial()
+    assert gc.omega_relative(G, gc.center(G), 900) == G.full_subgroup()
+    assert ma.power_quotient_map(G, 900).rank() == 0
 
 
 @settings(max_examples=100, deadline=None)

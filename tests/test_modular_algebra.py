@@ -18,6 +18,8 @@ import iso_oracle
 from rref_oracle import oracle_rref
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
+from test_group_core import _relabeled
+from test_pc_table import consistent_groups
 
 
 def one_minus(A, g):
@@ -145,6 +147,17 @@ def test_cold_ideal_chain_call_stays_shallow():
         sys.setrecursionlimit(limit)
     assert last.dim == 0
     assert [ma._ideal_chain(A, n).dim for n in range(245)] == [243 - n for n in range(244)] + [0]
+
+
+def test_ideal_chain_stops_at_its_first_zero_term():
+    # a far power builds each nonzero term once and stores nothing past
+    # the first zero term, which stands for every n beyond it
+    A = ma.GroupAlgebra(cat.build("D8"))
+    assert ma.ideal_power(ma.augmentation_ideal(A), 4000).dim == 0
+    # the subspaces the cache holds, as memo entries or inside a memoized dict
+    held = sum(len(v) if isinstance(v, dict) else isinstance(v, fl.Subspace) for v in A._cache.values())
+    assert held <= ma.nilpotency_index(A) + 2
+    assert ma._ideal_chain(A, 10**6).dim == 0
 
 
 def test_first_power_is_the_ideal(algebras):
@@ -662,20 +675,10 @@ def test_vec_inverse_of_every_unit(algebras, name):
 
 
 def test_elementary_quotient_basis_matches_join_loop(groups):
-    # every pair K <= M of normal subgroups with Phi(M) <= K, so M/K is
-    # elementary abelian: the default pool, a reversed pool holding
-    # elements outside M, and the pools power_quotient_map passes
+    # every elementary abelian section of normal subgroups, basis and
+    # coordinates (see below), and the pools power_quotient_map passes
     for name, G in groups.items():
-        normals = gc.normal_subgroups(G)
-        for M in normals:
-            phi = gc.frattini(M)
-            for K in normals:
-                if not (M.contains_subgroup(K) and K.contains_subgroup(phi)):
-                    continue
-                for pool in (None, tuple(reversed(G.elements()))):
-                    want = greedy_oracle.elementary_quotient_basis(M, K, pool)
-                    eq = ma.ElementaryQuotient(M, K, rep_pool=pool)
-                    assert eq.basis == want, (name, M.order, K.order)
+        _assert_quotient_coords_match_the_oracle(G)
         phi = gc.frattini(G)
         for t in range(1, 4):
             otz = gc.omega(gc.center(G), t)
@@ -691,6 +694,49 @@ def test_elementary_quotient_pool_that_misses_the_quotient(groups):
     for build in (ma.ElementaryQuotient, greedy_oracle.elementary_quotient_basis):
         with pytest.raises(ValueError, match="pool does not generate the quotient"):
             build(G.full_subgroup(), phi, pool)
+
+
+def _assert_quotient_coords_match_the_oracle(G):
+    """For every pair K <= M of normal subgroups with M/K elementary
+    abelian and the pools None, Omega_1(Z(G)), M reversed and G reversed
+    (which holds elements outside M): the basis against the join loop and
+    the coordinates of every element of M against the enumeration of all
+    p^rank x |K| products in ``greedy_oracle``, and no coordinates for an
+    element outside M or an index outside G."""
+    normals = gc.normal_subgroups(G)
+    torsion = gc.omega(gc.center(G), 1).elements
+    for M in normals:
+        phi = gc.frattini(M)
+        outside = [-1, G.order] + [g for g in G.elements() if g not in M][:: max(1, (G.order - M.order) // 3)]
+        for K in normals:
+            if not (M.contains_subgroup(K) and K.contains_subgroup(phi)):
+                continue
+            for pool in (None, torsion, tuple(reversed(M.elements)), tuple(reversed(G.elements()))):
+                where = (G.name, M.elements, K.elements, pool)
+                try:
+                    want = greedy_oracle.elementary_quotient_basis(M, K, pool)
+                except ValueError:
+                    with pytest.raises(ValueError, match="pool does not generate the quotient"):
+                        ma.ElementaryQuotient(M, K, rep_pool=pool)
+                    continue
+                eq = ma.ElementaryQuotient(M, K, rep_pool=pool)
+                assert eq.basis == want, where
+                coords = greedy_oracle.elementary_quotient_coords(M, K, want)
+                assert [eq.coords(x).tolist() for x in M.elements] == [list(coords[x]) for x in M.elements], where
+                for x in outside:
+                    with pytest.raises(KeyError):
+                        eq.coords(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_quotient_coords_match_the_oracle(G):
+    _assert_quotient_coords_match_the_oracle(G)
+
+
+@pytest.mark.parametrize("name", ["D8xC4xC2", "M27xC9"])
+def test_relabeled_quotient_coords_match_the_oracle(name, groups):
+    _assert_quotient_coords_match_the_oracle(_relabeled(groups[name]))
 
 
 def test_class_and_center_spaces_match_elimination(algebras):
@@ -801,11 +847,12 @@ def test_failed_power_map_checks_name_group_and_orders(monkeypatch):
 
 def test_failed_quotient_checks_name_group_and_orders(monkeypatch):
     G = _fresh("C4xC2")
+    whole, phi = G.full_subgroup(), gc.frattini(G)
     with monkeypatch.context() as m:
-        # every product is its left factor, so every coset rep is the identity
-        m.setattr(gc.FiniteGroup, "mul_elems", lambda self, a, b: a)
+        # every power is the identity, so every coset rep is the identity
+        m.setattr(gc.FiniteGroup, "power", lambda self, a, k: 0)
         with pytest.raises(gc.InternalCheckError) as info:
-            ma.ElementaryQuotient(G.full_subgroup(), gc.frattini(G))
+            ma.ElementaryQuotient(whole, phi)
     assert str(info.value) == "coset enumeration on C4xC2 collided: |M| = 8, |K| = 2"
     with monkeypatch.context() as m:
         m.setattr(ma.ElementaryQuotient, "coords", _new_coords_per_call())
