@@ -1,10 +1,10 @@
 """Built-in catalog of small p-groups with self-test facts.
 
-Every entry carries a power-commutator presentation (products are encoded
-by appending commuting cyclic generators) plus independently known facts
-used by the ``selftest`` command: order, center order, derived subgroup
-order, exponent, minimal generator count, and the abelian type where
-applicable.
+Every entry carries a power-commutator presentation (a product's merges
+its base with commuting cyclic generators, ``gc.merge_presentations``)
+plus independently known facts used by the ``selftest`` command: order,
+center order, derived subgroup order, exponent, minimal generator count,
+and the abelian type where applicable.
 """
 
 from __future__ import annotations
@@ -25,26 +25,14 @@ class CatalogEntry:
         return gc.from_pc_presentation(self.presentation, name=self.name)
 
 
-def _cyclic(p: int, k: int) -> str:
-    return f"p {p}\ngens 1\norder 1 {p**k}\n"
-
-
 def _abelian(p: int, orders: list[int]) -> str:
-    lines = [f"p {p}", f"gens {len(orders)}"]
-    lines += [f"order {i + 1} {m}" for i, m in enumerate(orders)]
-    return "\n".join(lines) + "\n"
+    return gc.PcPresentation(p, tuple(orders)).text()
 
 
 def _with_cyclics(base: str, orders: list[int]) -> str:
     """Append commuting cyclic generators to a presentation."""
     pres = gc.PcPresentation.parse(base)
-    d = len(pres.rel_orders)
-    lines = base.strip().splitlines()
-    out = [lines[0], f"gens {d + len(orders)}"]
-    out += [ln for ln in lines[2:] if ln.startswith("order")]
-    out += [f"order {d + i + 1} {m}" for i, m in enumerate(orders)]
-    out += [ln for ln in lines[2:] if not ln.startswith("order")]
-    return "\n".join(out) + "\n"
+    return gc.merge_presentations(pres, gc.PcPresentation(pres.p, tuple(orders))).text()
 
 
 _D8 = "p 2\ngens 2\norder 1 2\norder 2 4\ncomm 2 1 = g2^2\n"
@@ -69,10 +57,10 @@ def _facts(order, center, derived, exponent, d, ab=None):
 
 
 _ENTRIES = [
-    CatalogEntry("C2", _cyclic(2, 1), _facts(2, 2, 1, 2, 1, [2])),
-    CatalogEntry("C4", _cyclic(2, 2), _facts(4, 4, 1, 4, 1, [4])),
-    CatalogEntry("C8", _cyclic(2, 3), _facts(8, 8, 1, 8, 1, [8])),
-    CatalogEntry("C16", _cyclic(2, 4), _facts(16, 16, 1, 16, 1, [16])),
+    CatalogEntry("C2", _abelian(2, [2]), _facts(2, 2, 1, 2, 1, [2])),
+    CatalogEntry("C4", _abelian(2, [4]), _facts(4, 4, 1, 4, 1, [4])),
+    CatalogEntry("C8", _abelian(2, [8]), _facts(8, 8, 1, 8, 1, [8])),
+    CatalogEntry("C16", _abelian(2, [16]), _facts(16, 16, 1, 16, 1, [16])),
     CatalogEntry("C2xC2", _abelian(2, [2, 2]), _facts(4, 4, 1, 2, 2, [2, 2])),
     CatalogEntry("C4xC2", _abelian(2, [4, 2]), _facts(8, 8, 1, 4, 2, [4, 2])),
     CatalogEntry("C2xC2xC2", _abelian(2, [2, 2, 2]), _facts(8, 8, 1, 2, 3, [2, 2, 2])),
@@ -87,9 +75,9 @@ _ENTRIES = [
     CatalogEntry("D8xC4", _with_cyclics(_D8, [4]), _facts(32, 8, 2, 4, 3)),
     CatalogEntry("Q8xC4", _with_cyclics(_Q8, [4]), _facts(32, 8, 2, 4, 3)),
     CatalogEntry("D8xC4xC2", _with_cyclics(_D8, [4, 2]), _facts(64, 16, 2, 4, 4)),
-    CatalogEntry("C3", _cyclic(3, 1), _facts(3, 3, 1, 3, 1, [3])),
-    CatalogEntry("C9", _cyclic(3, 2), _facts(9, 9, 1, 9, 1, [9])),
-    CatalogEntry("C27", _cyclic(3, 3), _facts(27, 27, 1, 27, 1, [27])),
+    CatalogEntry("C3", _abelian(3, [3]), _facts(3, 3, 1, 3, 1, [3])),
+    CatalogEntry("C9", _abelian(3, [9]), _facts(9, 9, 1, 9, 1, [9])),
+    CatalogEntry("C27", _abelian(3, [27]), _facts(27, 27, 1, 27, 1, [27])),
     CatalogEntry("C3xC3", _abelian(3, [3, 3]), _facts(9, 9, 1, 3, 2, [3, 3])),
     CatalogEntry("C9xC3", _abelian(3, [9, 3]), _facts(27, 27, 1, 9, 2, [9, 3])),
     CatalogEntry("Heis27", _HEIS27, _facts(27, 3, 3, 3, 2)),
@@ -105,12 +93,17 @@ def builtin_catalog() -> list[CatalogEntry]:
     return list(_ENTRIES)
 
 
-def build(name: str) -> FiniteGroup:
-    """Build a catalog group by name: a fresh group on every call."""
+def lookup(name: str) -> CatalogEntry:
+    """The catalog entry called ``name``; KeyError names an unknown one."""
     for entry in _ENTRIES:
         if entry.name == name:
-            return entry.build()
+            return entry
     raise KeyError(f"unknown catalog group {name!r}")
+
+
+def build(name: str) -> FiniteGroup:
+    """Build a catalog group by name: a fresh group on every call."""
+    return lookup(name).build()
 
 
 def selftest_entry(entry: CatalogEntry) -> dict[str, bool]:

@@ -43,11 +43,10 @@ def _read_spec(spec: str) -> tuple[str, str, bytes]:
     """(name, kind, source bytes) of a catalog name, @file.pcp or @file.mul;
     kind is "pcp" or "mul".  Reads nothing but the source."""
     if not spec.startswith("@"):
-        for entry in cat.builtin_catalog():
-            if entry.name == spec:
-                return spec, "pcp", entry.presentation.encode()
-        # quoted as str(KeyError) quotes it, the message cat.build gives
-        raise CliParseError(repr(f"unknown catalog group {spec!r}"))
+        try:
+            return spec, "pcp", cat.lookup(spec).presentation.encode()
+        except KeyError as exc:
+            raise CliParseError(str(exc)) from exc
     path = Path(spec[1:])
     if not path.exists():
         raise CliParseError(f"no such file: {path}")

@@ -37,9 +37,10 @@ dividing p^i form Omega_i, so |Omega_i(S/N)| = #{x in S : x^{p^i} in N}/|N|,
 one mask lookup through the power map x -> x^{p^i}.
 
 A subgroup's right cosets are labelled once, each by its least element
-(``Subgroup._coset_labels``), and three users read the labels: ``quotient``
+(``Subgroup._coset_labels``), and four users read the labels: ``quotient``
 numbers G/N by them, ``normal_subgroups`` reads each product KB off them,
-and the algebra's ``ElementaryQuotient`` reads M/K coordinates off them.
+the algebra's ``ElementaryQuotient`` reads M/K coordinates off them, and
+its ``relative_augmentation_ideal`` I(N)kG is their partition space.
 
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
@@ -285,6 +286,20 @@ class PcPresentation:
             powers=powers,
             commutators=commutators,
         )
+
+    def text(self) -> str:
+        """The .pcp text that ``parse`` reads back as this presentation:
+        every stored relation, the powers by generator and then the
+        commutators by (j, i), each factor written ``g<i>^<k>``."""
+
+        def word(w: tuple[tuple[int, int], ...]) -> str:
+            return "*".join(f"g{g + 1}^{e}" for g, e in w) or "1"
+
+        lines = [f"p {self.p}", f"gens {len(self.rel_orders)}"]
+        lines += [f"order {i + 1} {m}" for i, m in enumerate(self.rel_orders)]
+        lines += [f"pow {i + 1} = {word(w)}" for i, w in sorted(self.powers.items())]
+        lines += [f"comm {j + 1} {i + 1} = {word(w)}" for (j, i), w in sorted(self.commutators.items())]
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +903,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -
     """Componentwise product on pairs (x, y) flattened as x*|B| + y.
 
     When both factors have a presentation, the product's is the two joined
-    (``_merge_presentations``): the digits of (x, y) are x's then y's, so
+    (``merge_presentations``): the digits of (x, y) are x's then y's, so
     x*|B| + y is again the normal form's mixed-radix index.  The two
     canonical embeddings are attached as ``.embeddings``.
     """
@@ -902,7 +917,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -
         a.p,
         table,
         name=name or f"{a.name}x{b.name}",
-        presentation=_merge_presentations(a.presentation, b.presentation),
+        presentation=merge_presentations(a.presentation, b.presentation),
         _validated=True,
     )
     emb_a = GroupHom(a, G, [x * m for x in range(n)])
@@ -911,7 +926,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -
     return G
 
 
-def _merge_presentations(
+def merge_presentations(
     a: Optional[PcPresentation], b: Optional[PcPresentation]
 ) -> Optional[PcPresentation]:
     """a's generators followed by b's, shifted past them; the two sets

@@ -12,7 +12,7 @@ Products go through one left-translation table per algebra, row g of
 one per nonzero coefficient of x, taken row-wise over whole blocks.
 
 Each object of the graded theory is made in one place: I(N)G in
-``relative_augmentation_ideal`` (its orbit labels in ``_orbit_ideal``),
+``relative_augmentation_ideal`` (from N's coset labels in ``group_core``),
 I^n in ``_ideal_chain`` (each term built once, up to the first zero
 term), I^n + I(N)G in ``_filtration``, the Jennings term D_n(G), trivial
 past the end of the series, in ``_jennings_term``, and the rows e_g - e_0
@@ -162,39 +162,28 @@ def augmentation_ideal(A: GroupAlgebra) -> AlgIdeal:
     return relative_augmentation_ideal(A, A.group.full_subgroup())
 
 
+@gc._memo
 def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
     """I(N)G = span{(m-1)g}: the kernel of the projection onto F_p[G/N].
 
-    Over any field, span{e_mg - e_g} for m in the generators of N is the
-    set of vectors summing to zero on every orbit C of <gens> acting on G
-    by left multiplication: the partition space of those orbits, built
-    by ``fl.partition_subspace`` without elimination.  The orbits are
-    derived from the generators, so the check that they are the |G:N|
-    cosets of N re-derives dim I(N)G = n - n/|N|.
+    Over any field, span{e_mg - e_g} for m in N is the set of vectors
+    summing to zero on every right coset Ng: the partition space of N's
+    coset labels (``Subgroup._coset_labels``), built without elimination.
+    The same span over the generators of N alone is this space only when
+    they generate N, so their closure is walked once and checked.
     """
     if n_sub.parent is not A.group:
         raise ValueError("subgroup of a different group")
     if not n_sub.is_normal():
         raise NotNormalError("relative augmentation ideal needs a normal subgroup")
-    return _orbit_ideal(A, n_sub)
-
-
-@gc._memo
-def _orbit_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
-    n = A.dim
-    gens = np.array(n_sub.generators, dtype=np.int64)
-    # the orbits of <gens>: singletons joined along every edge g -- m.g
-    idx = np.arange(n)
-    label = fl._join_edges(idx, np.tile(idx, len(gens)), A.group.mul[gens, :].ravel())
-    roots = np.flatnonzero(label == idx)
-    sizes = np.bincount(label)[roots]
-    if roots.size != n // n_sub.order or (sizes != n_sub.order).any():
+    n, closed = A.dim, len(gc._grow(A.group, n_sub.generators)[0])
+    if closed != n_sub.order:
         raise InternalCheckError(
             f"generators of a normal subgroup of order {n_sub.order} have "
-            f"{roots.size} orbits of sizes {sorted(set(sizes.tolist()))} "
+            f"{n // closed} orbits of sizes {[closed]} "
             f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
         )
-    return AlgIdeal(A, fl._partition(A.p, label))
+    return AlgIdeal(A, fl.partition_subspace(A.p, n_sub._coset_labels()))
 
 
 def augmentation_span(A: GroupAlgebra, sub: Subgroup) -> Subspace:
@@ -810,9 +799,10 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     # for exponent e is u^e: one block power over every unit for each
     # exponent the relations use, kept in the unit table's narrow dtype.
     units = _unit_candidates(B)
-    # row c of ``classes`` is one class in J/J^2, the class of unit u is
-    # row class_of[u]
-    classes, class_of = np.unique(units @ frattini_classes % B.p, axis=0, return_inverse=True)
+    # row c of ``classes`` is the class in J/J^2 whose coordinates read c
+    # in base p, and the class of unit u is row class_of[u]
+    classes = np.array(list(itertools.product(range(B.p), repeat=d_h)))
+    class_of = units @ frattini_classes % B.p @ B.p ** np.arange(d_h - 1, -1, -1)
     powers = {1: units}
     for e in sorted({e for lhs, rhs in relations for _, e in lhs + rhs} - {1}):
         powers[e] = B.power_vec(units, e)

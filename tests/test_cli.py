@@ -145,9 +145,13 @@ def test_iso_search_command_exhausts_an_order_16_pair(capsys, monkeypatch, tmp_p
 
 
 def test_iso_search_command_caps(capsys, monkeypatch, tmp_path):
-    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", "D8xC4", "Q8xC4")
-    assert code == 3
-    assert report["error"]["kind"] == "caps"
+    for pair, message in (
+        (("D8xC4", "Q8xC4"), "iso search capped at dimension 16"),
+        (("D8xC2", "Q8xC2"), "iso search capped at 2 generators"),
+    ):
+        code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", *pair)
+        assert code == 3
+        assert report["error"] == {"exit_code": 3, "kind": "caps", "message": message}
 
 
 def test_unknown_group_is_a_parse_error(capsys, monkeypatch, tmp_path):

@@ -1218,8 +1218,9 @@ def _coset_minima(tree):
 
 def test_only_coset_labels_reduce_the_table_to_coset_minima():
     """Right cosets are labelled by their least element in
-    ``Subgroup._coset_labels`` alone; ``quotient``, ``normal_subgroups``
-    and the algebra's ``ElementaryQuotient`` read those labels."""
+    ``Subgroup._coset_labels`` alone; ``quotient``, ``normal_subgroups``,
+    the algebra's ``ElementaryQuotient`` and ``relative_augmentation_ideal``
+    read those labels."""
     found = {}
     for path in Path(gc.__file__).parent.glob("*.py"):
         names = _coset_minima(ast.parse(path.read_text()))
@@ -1290,13 +1291,13 @@ def test_drawn_jennings_by_ideal_matches_the_product_formula(G):
     assert [d.elements for d in by_ideal] == [d.elements for d in grid]
 
 
-def test_group_core_calls_no_np_unique():
+def test_no_module_calls_np_unique():
     # np.unique imports numpy.ma on its first call, which costs resident
-    # memory on every path through the group layer; _distinct does without
-    tree = ast.parse(Path(gc.__file__).read_text())
+    # memory on every path through the library; _distinct does without
     calls = [
-        ast.unparse(node.func)
-        for node in ast.walk(tree)
+        (path.stem, ast.unparse(node.func))
+        for path in Path(gc.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == "unique"
     ]
     assert not calls, calls

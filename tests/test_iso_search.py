@@ -76,11 +76,14 @@ def test_witness_is_deterministic(algebras):
 
 
 def test_caps_enforced(algebras):
-    with pytest.raises(gc.CapExceededError):
+    with pytest.raises(gc.CapExceededError, match="^iso search capped at dimension 16$"):
         ma.iso_search(algebras["D8xC4"], algebras["Q8xC4"])  # dim 32 > 16
     heis = algebras["Heis27"]
-    with pytest.raises(gc.CapExceededError):
-        ma.iso_search(heis, heis)  # 3 generators > 2
+    with pytest.raises(gc.CapExceededError, match="^iso search capped at dimension 16$"):
+        ma.iso_search(heis, heis)  # dim 27 > 16, checked before its 3 generators
+    # dim 16 passes, and D8xC2's presentation has 3 generators > 2
+    with pytest.raises(gc.CapExceededError, match="^iso search capped at 2 generators$"):
+        ma.iso_search(algebras["D8xC2"], algebras["Q8xC2"])
 
 
 def test_mismatched_dimensions_exhaust_immediately(algebras):

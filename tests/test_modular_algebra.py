@@ -89,9 +89,11 @@ def _assert_augmentation_span_matches_elimination(A, S):
 
 def test_relative_ideal_closed_form_matches_elimination(groups, algebras, small_groups):
     # the echelon basis {e_g - e_last(C)} against an elimination of the
-    # spanning set {e_mg - e_g} over the generators m of N
-    for name, G in groups.items():
-        A = algebras[name]
+    # spanning set {e_mg - e_g} over the generators m of N; the relabeled
+    # copies number their coset labels in another order
+    relabeled = {f"relabeled {name}": _relabeled(groups[name]) for name in ("D8xC4xC2", "M27xC9")}
+    for name, G in {**groups, **relabeled}.items():
+        A = algebras.get(name) or ma.GroupAlgebra(G)
         eye = np.eye(G.order, dtype=np.int64)
         for N in gc.normal_subgroups(G):
             _assert_augmentation_span_matches_elimination(A, N)
