@@ -12,6 +12,12 @@ point, not a byproduct.
 The peel happens inside G's own table: each step takes its ambient group as
 a ``FiniteGroup`` or a ``Subgroup`` of G, and the residual is G's whole
 group and then each complement in turn.  No residual table is built.
+
+The abelian-factor type is derived twice, by the peel and by the
+per-exponent quotient formula (``formula_ab_type``), and the two are
+compared in one place, ``ab_nab_split``; every caller that needs the type,
+the fingerprint's ``ab_type`` key included, reads the checked split.  Both
+types are assembled by ``AbelianType.from_ranks``.
 """
 
 from __future__ import annotations
@@ -211,10 +217,7 @@ class HomocyclicDecomposition:
     certificate: dict
 
     def ab_type(self) -> AbelianType:
-        orders: list[int] = []
-        for comp in self.components:
-            orders.extend([self.group.p**comp.t] * comp.rank)
-        return AbelianType(tuple(sorted(orders, reverse=True)))
+        return AbelianType.from_ranks(self.group.p, {c.t: c.rank for c in self.components})
 
 
 def _formula_component_rank(G: FiniteGroup, t: int) -> int:
@@ -227,12 +230,8 @@ def _formula_component_rank(G: FiniteGroup, t: int) -> int:
 
 def formula_ab_type(G: FiniteGroup) -> AbelianType:
     """Abelian-factor type assembled from the per-exponent quotient ranks."""
-    p = G.p
-    tau = gc.log_p(G.exponent(), p)
-    orders: list[int] = []
-    for t in range(1, tau + 1):
-        orders.extend([p**t] * _formula_component_rank(G, t))
-    return AbelianType(tuple(sorted(orders, reverse=True)))
+    tau = gc.log_p(G.exponent(), G.p)
+    return AbelianType.from_ranks(G.p, {t: _formula_component_rank(G, t) for t in range(1, tau + 1)})
 
 
 def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
@@ -240,9 +239,10 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
 
     Each extraction happens in the residual, a subgroup of G: the whole
     group, then each complement.  The final residual has no abelian direct
-    factor (re-extraction of every exponent returns rank zero), and each
-    extracted rank is cross-checked against the independent abelian-quotient
-    computation.  Witnesses are read off each subgroup's sorted elements.
+    factor (re-extraction of every exponent returns rank zero), and the
+    peeled type is compared once with ``formula_ab_type``, which covers
+    every exponent up to exp(G); the certificate's ``ab_type`` is that
+    checked type.  Witnesses are read off each subgroup's sorted elements.
     """
     p = G.p
     components: list[HomocyclicComponent] = []
@@ -261,9 +261,6 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
                 raise InternalCheckError(
                     f"{G.name}: residual of order {residual.order} has a C{p**t} factor"
                 )
-        formula = _formula_component_rank(G, t)
-        if formula != rank:
-            raise InternalCheckError(f"{G.name}: rank {rank} at exponent {p**t}, formula {formula}")
         trace.append({"t": t, "rank": rank, "residual_order": residual.order})
         t += 1
     nab = subgroup_from_elements(G, residual.elements)
@@ -275,6 +272,10 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
                 raise InternalCheckError(
                     f"{G.name}: non-abelian residual of order {residual.order} has a C{p**s} factor"
                 )
+    peeled = AbelianType.from_ranks(p, {c.t: c.rank for c in components})
+    formula = formula_ab_type(G)
+    if peeled != formula:
+        raise InternalCheckError(f"abelian factor mismatch: peeled {peeled} vs formula {formula}")
     certificate = {
         "group": G.name,
         "order": G.order,
@@ -294,13 +295,11 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
             "generators": list(nab.generators),
             "abelianization": gc.abelian_type(nab, gc.commutator_subgroup(nab)).to_list(),
         },
-        "ab_type": [],
+        "ab_type": peeled.to_list(),
         "peel_trace": trace,
         "verified": True,
     }
-    decomp = HomocyclicDecomposition(G, tuple(components), nab, certificate)
-    certificate["ab_type"] = decomp.ab_type().to_list()
-    return decomp
+    return HomocyclicDecomposition(G, tuple(components), nab, certificate)
 
 
 def component_checks(G: FiniteGroup, decomp: HomocyclicDecomposition) -> dict:

@@ -11,9 +11,10 @@ Commutators enter in one step, ``_commutators(H, S)`` = [H, S], one gather
 of the commutator table: G' is [S, S], gamma_{i+1} = [gamma_i, S], and the
 Jennings term D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}) by Lazard's recursion.
 
-Everything is exact and verified at construction: a table must have a
-two-sided identity and inverses, and it is proved associative by Light's
-test over a generating set found by BFS.  Caps keep orders small enough for
+Everything is exact and verified at construction: every table, a
+quotient's and a direct product's included, must have a two-sided identity
+and inverses, and it is proved associative by Light's test over a
+generating set found by BFS.  Caps keep orders small enough for
 dense tables to stay cheap.
 
 A presentation's table is built level by level up its pc series
@@ -335,10 +336,10 @@ def _light_generators(mul: np.ndarray) -> list[int]:
 class FiniteGroup:
     """A finite p-group as an explicit multiplication table.
 
-    Elements are the indices 0..order-1 with the identity at 0.  The table
-    is validated at construction: entries in range, a two-sided identity,
-    consistent inverses, and associativity by Light's test over a
-    generating set found by BFS (``_light_generators``).
+    Elements are the indices 0..order-1 with the identity at 0.  Every
+    table is validated at construction, with no way to skip it: entries in
+    range, a two-sided identity, consistent inverses, and associativity by
+    Light's test over a generating set found by BFS (``_light_generators``).
 
     ``presentation`` is the pc presentation the table was built from, or
     None for a table with no presentation (a raw table, a subgroup or a
@@ -354,7 +355,6 @@ class FiniteGroup:
         mul: np.ndarray,
         name: str = "G",
         presentation: Optional[PcPresentation] = None,
-        _validated: bool = False,
     ):
         n = mul.shape[0]
         if mul.shape != (n, n):
@@ -374,8 +374,7 @@ class FiniteGroup:
         self.inv = np.argmax(self.mul == 0, axis=1)
         self.inv.setflags(write=False)
         self._cache: dict = {}
-        if not _validated:
-            self._validate()
+        self._validate()
 
     # -- validation --------------------------------------------------------
 
@@ -809,6 +808,11 @@ class AbelianType:
         if list(self.orders) != sorted(self.orders, reverse=True):
             raise ValueError("orders must be nonincreasing")
 
+    @classmethod
+    def from_ranks(cls, p: int, ranks: dict[int, int]) -> AbelianType:
+        """The type with ``ranks[t]`` cyclic factors of order p^t."""
+        return cls(tuple(p**t for t in sorted(ranks, reverse=True) for _ in range(ranks[t])))
+
     def rank_of_exponent(self, q: int) -> int:
         return sum(1 for m in self.orders if m == q)
 
@@ -851,10 +855,7 @@ def abelian_type(g: Union[FiniteGroup, Subgroup], modulo: Optional[Subgroup] = N
     # s_i = number of cyclic factors of order >= p^i
     counts = [log_sizes[i] - log_sizes[i - 1] for i in range(1, len(log_sizes))]
     counts.append(0)
-    orders = []
-    for i in range(1, len(counts)):
-        orders.extend([p**i] * (counts[i - 1] - counts[i]))
-    return AbelianType(tuple(sorted(orders, reverse=True)))
+    return AbelianType.from_ranks(p, {i: counts[i - 1] - counts[i] for i in range(1, len(counts))})
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +895,7 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     reps = np.array(_distinct(label, G.order))
     coset_of = np.searchsorted(reps, label)
     table = coset_of[G.mul[np.ix_(reps, reps)]]
-    Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}", _validated=True)
+    Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}")
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
 
@@ -918,7 +919,6 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -
         table,
         name=name or f"{a.name}x{b.name}",
         presentation=merge_presentations(a.presentation, b.presentation),
-        _validated=True,
     )
     emb_a = GroupHom(a, G, [x * m for x in range(n)])
     emb_b = GroupHom(b, G, list(range(m)))

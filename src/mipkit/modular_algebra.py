@@ -601,7 +601,7 @@ def jennings_layer_embedding(A: GroupAlgebra, n: int, n_sub: Optional[Subgroup] 
     )
     cod = Subquotient(_filtration(A, n, n_sub), _filtration(A, n + 1, n_sub))
     emb = _graded_map(dom, cod, _one_minus_rows(A)[dom.basis])
-    rank = fl.image(emb.matrix, A.p).dim
+    rank = emb.rank()
     if rank != dom.rank:
         raise InternalCheckError(
             f"Jennings layer embedding is not injective on {G.name} at n = {n} "
@@ -645,9 +645,10 @@ def power_diagram_commutes(A: GroupAlgebra, t: int) -> bool:
     n_sub = gc.power_commutator(G, t)
     cod = jennings_layer_embedding(A, q, n_sub).codomain
     one_minus = _one_minus_rows(A)
+    power = G.power_p_map(t - 1)  # x -> x^q
     for x in lam.domain.m_sub.elements:
         right = A.power_vec(one_minus[x], q)
-        if not np.array_equal(cod.coords(one_minus[G.power(x, q)]), cod.coords(right)):
+        if not np.array_equal(cod.coords(one_minus[power[x]]), cod.coords(right)):
             return False
     return True
 

@@ -47,9 +47,7 @@ def as_group(self: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     # the elements are sorted and the table is closed: each entry's
     # position in arr is its new index
     table = np.searchsorted(arr, self.parent.mul[np.ix_(arr, arr)])
-    grp = FiniteGroup(
-        self.parent.p, table, name=f"{self.parent.name}_sub{self.order}", _validated=True
-    )
+    grp = FiniteGroup(self.parent.p, table, name=f"{self.parent.name}_sub{self.order}")
     return grp, tuple(self.elements)
 
 
@@ -111,7 +109,7 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     m = len(reps)
     reps_arr = np.array(reps)
     table = coset_of[G.mul[np.ix_(reps_arr, reps_arr)]]
-    Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}", _validated=True)
+    Q = FiniteGroup(G.p, table, name=f"{G.name}/N{n.order}")
     proj = GroupHom(G, Q, coset_of)
     return Q, proj
 

@@ -1,5 +1,9 @@
+import ast
+import copy
 import hashlib
 import json
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,15 @@ def test_equal_constructions_are_one_object():
     assert ci.CentralTorsionTimes(None, ci.DERIVED) is ci.CentralTorsionTimes(None, ci.DERIVED)
     assert ci.TorsionAbove(1, ci.DERIVED) is not ci.TorsionAbove(2, ci.DERIVED)
     assert a.key == "Mho(2;Join(G',Om(1;G')),G')" and a.depth == 3 and a.contains_derived
+
+
+def test_copies_and_unpickled_nodes_are_the_interned_node():
+    a = ci.PowerTimes(2, ci.Product((ci.DERIVED, ci.TorsionAbove(1, ci.DERIVED))), ci.DERIVED)
+    for node in (a, ci.WHOLE, ci.DERIVED, ci.TorsionAbove(1, ci.DERIVED)):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert copy.deepcopy([a, a])[1] is a
 
 
 def test_normalize_is_idempotent_by_identity():
@@ -396,3 +409,36 @@ def test_compare_of_a_relabeled_table_matches_the_oracle(groups):
     for X, Y in ((R, H), (H, R), (R, G)):
         assert ci.compare(X, Y) == compare_oracle.compare(X, Y)
     assert ci.compare(R, H)["verdict"] == "indistinguishable-at-depth"
+
+
+def _formula_names(tree):
+    """The abelian-factor formula's names that a module's tree mentions: as
+    a variable, an attribute, an imported name or a string constant."""
+    formula = {"formula_ab_type", "_formula_component_rank"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name.rsplit(".", 1)[-1], node.asname})
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    return named & formula
+
+
+def test_fingerprint_reads_the_abelian_factor_off_the_checked_split():
+    """The ``ab_type`` key is ``ab_nab_split``'s type, which the split has
+    compared with the quotient formula; the fingerprint never reaches the
+    formula itself."""
+    assert _formula_names(ast.parse(Path(ci.__file__).read_text())) == set()
+    # a call, an import, a bound attribute and a getattr string are found
+    snippets = (
+        "def f(G):\n    return dc.formula_ab_type(G)\n",
+        "from .decomposition import _formula_component_rank\n",
+        "rank = dc._formula_component_rank\n",
+        "def g(G):\n    return getattr(dc, 'formula_ab_type')(G)\n",
+    )
+    for text in snippets:
+        assert _formula_names(ast.parse(text)), text

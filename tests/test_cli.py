@@ -108,15 +108,35 @@ def test_compare_computes_no_key_past_the_first_difference(capsys, monkeypatch, 
         assert calls["evaluate"] == evaluations
 
 
-@pytest.mark.parametrize("argv", [["compare", "C4xC2", "Q8"], ["analyze", "D8"]], ids=["compare", "analyze"])
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "C4xC2", "Q8"], ["analyze", "D8"], ["decompose", "D8"]],
+    ids=["compare", "analyze", "decompose"],
+)
 def test_abelian_factor_formula_mismatch_is_an_internal_error(capsys, monkeypatch, tmp_path, argv):
-    # a formula that disagrees with the peeled type is caught wherever the
-    # abelian-factor key is computed
+    # a formula that disagrees with the peeled type is caught by the split,
+    # so by every command that reads the abelian-factor type
     monkeypatch.setattr(dc, "formula_ab_type", lambda G: gc.AbelianType((G.order,)))
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", *argv)
     assert code == 4
     assert report["error"]["kind"] == "internal"
     assert report["error"]["message"].startswith("abelian factor mismatch: peeled")
+
+
+def test_analyze_computes_each_formula_rank_once(capsys, monkeypatch, tmp_path):
+    # the split compares the peeled type with the quotient formula once, and
+    # the fingerprint's abelian-factor key reads the split: every
+    # exponent's formula rank is computed once per group, none twice
+    calls = Counter()
+    rank = dc._formula_component_rank
+    monkeypatch.setattr(dc, "_formula_component_rank", lambda G, t: calls.update([(G.name, t)]) or rank(G, t))
+    expected = Counter()
+    for entry in cat.builtin_catalog():
+        code, _ = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", entry.name)
+        assert code == 0
+        G = entry.build()
+        expected.update((G.name, t) for t in range(1, gc.log_p(G.exponent(), G.p) + 1))
+    assert calls == expected
 
 
 def test_decompose_command(capsys, monkeypatch, tmp_path):

@@ -112,6 +112,36 @@ def test_direct_product_carries_the_merged_presentation(groups):
         assert gc.direct_product(no_presentation, groups["C2"]).presentation is None
 
 
+@pytest.mark.parametrize("a, b", [("C2", "D8"), ("D8", "Q8"), ("C3", "Heis27"), ("C4", "M16")])
+def test_merged_relations_of_the_second_factor_build_the_product(groups, a, b):
+    # the second factor's powers and commutators are shifted past the first
+    # factor's generators, and the merged presentation builds the product's table
+    A, B = groups[a], groups[b]
+    merged = gc.merge_presentations(A.presentation, B.presentation)
+    shift = len(A.presentation.rel_orders)
+    assert any(j >= shift for j, _ in merged.commutators)
+    assert np.array_equal(gc.from_pc_presentation(merged).mul, gc.direct_product(A, B).mul)
+
+
+def test_foreign_subgroups_and_unfit_products_are_refused(groups):
+    G = groups["D8"]
+    foreign = gc.center(cat.build("D8"))  # same table, another group
+    whole = G.full_subgroup()
+    for call in (
+        lambda: gc.join(whole, foreign),
+        lambda: gc.intersect_subgroups(whole, foreign),
+        lambda: gc.omega_relative(G, foreign, 1),
+    ):
+        with pytest.raises(ValueError, match="^subgroups of different parents$"):
+            call()
+    with pytest.raises(ValueError, match="^subgroup of a different group$"):
+        gc.quotient(G, foreign)
+    with pytest.raises(ValueError, match="^direct product needs a common prime$"):
+        gc.direct_product(G, groups["C3"])
+    with pytest.raises(gc.CapExceededError, match="^product order 256 exceeds the cap for p=2$"):
+        gc.direct_product(groups["D8xC4xC2"], groups["C4"])
+
+
 def test_direct_product_order_and_center(groups):
     P = gc.direct_product(groups["D8"], groups["C4"])
     assert P.order == groups["D8"].order * groups["C4"].order
@@ -1289,6 +1319,48 @@ def test_drawn_jennings_by_ideal_matches_the_product_formula(G):
     by_ideal = ma.jennings_by_ideal(ma.GroupAlgebra(G))
     grid = group_oracle.jennings_series_product_formula(G)
     assert [d.elements for d in by_ideal] == [d.elements for d in grid]
+
+
+def _abelian_type_builders(tree):
+    """The functions that build an ``AbelianType``: a call by name or
+    attribute, or inside the class itself a call of ``cls``, ``type(self)``
+    or ``__class__``.  The outermost function names a method's call."""
+    found = set()
+    stack = [(tree, None, None)]
+    while stack:
+        node, cls, func = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif func is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).rsplit(".", 1)[-1]
+            own = cls == "AbelianType" and name in {"cls", "type(self)", "__class__"}
+            if name == "AbelianType" or own:
+                found.add(func)
+        stack.extend((child, cls, func) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_from_ranks_builds_an_abelian_type():
+    """An abelian type is assembled from per-exponent ranks in
+    ``AbelianType.from_ranks`` alone; ``abelian_type``, the split's
+    ``ab_type`` and ``formula_ab_type`` call it."""
+    found = {}
+    for path in Path(gc.__file__).parent.glob("*.py"):
+        names = _abelian_type_builders(ast.parse(path.read_text()))
+        if names:
+            found[path.stem] = names
+    assert found == {"group_core": {"from_ranks"}}, found
+    # a module attribute, a bare name at module level and a method's own
+    # class are found
+    snippets = (
+        "def f(p):\n    return gc.AbelianType((p,))\n",
+        "TRIVIAL = AbelianType(())\n",
+        "class AbelianType:\n    def double(self):\n        return type(self)(self.orders * 2)\n",
+    )
+    for text in snippets:
+        assert len(_abelian_type_builders(ast.parse(text))) == 1, text
 
 
 def test_no_module_calls_np_unique():

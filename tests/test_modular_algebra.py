@@ -802,7 +802,7 @@ def test_failed_center_decomposition_names_group_and_dimensions(groups, monkeypa
 
 def test_failed_layer_embedding_names_group_and_dimensions(groups, monkeypatch):
     A = ma.GroupAlgebra(groups["D8"])
-    monkeypatch.setattr(fl, "image", lambda matrix, p: fl.zero_subspace(p, matrix.shape[1]))
+    monkeypatch.setattr(fl, "kernel", lambda matrix, p: fl.full_subspace(p, matrix.shape[0]))
     with pytest.raises(gc.InternalCheckError) as info:
         ma.jennings_layer_embedding(A, 1)
     assert str(info.value) == (
