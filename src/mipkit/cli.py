@@ -109,14 +109,14 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     the entry.  A hit whose bytes match their seal returns them as they
     are: it builds no group and neither parses nor encodes.  An entry with
     no seal, a stale one, changed bytes or an unreadable file is recomputed
-    with a warning, and sealed again."""
+    with a warning, and sealed again.  Only a miss makes the directory; a
+    miss that cannot write its entry warns and returns the result."""
     name, kind, source = _read_spec(spec)
     key = hashlib.sha256(
         source
         + f"|kind={kind}|name={name}|depth={depth}|tmax={t_max}|v={__version__}".encode()
     ).hexdigest()
     directory = cache_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{key}.json"
     seal = directory / f"{key}.sha256"
     if path.exists():
@@ -130,8 +130,12 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     payload = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).payload()
     text = ci.canonical_json(payload)
     data = text.encode()
-    _write_aside(path, data)
-    _write_aside(seal, hashlib.sha256(data).hexdigest().encode())
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        _write_aside(path, data)
+        _write_aside(seal, hashlib.sha256(data).hexdigest().encode())
+    except OSError as exc:
+        print(f"warning: cannot write cache entry {path}: {exc.strerror or exc}", file=sys.stderr)
     return text
 
 

@@ -10,10 +10,11 @@ GF(p)^m -> GF(p)^n is an m x n matrix A acting on row vectors by
 ``x |-> x @ A``.
 
 ``_rref`` is the one elimination: ``rref``, ``kernel``, ``solve_row``, the
-builder and the subquotient all call it.  Every matrix product goes
-through ``_mm``, which multiplies in float64 and reduces mod p; that is
-exact while inner dimension * (p - 1)^2 < 2^53, and ``_mm`` raises where
-it is not.
+builder and the subquotient all call it.  ``preimage`` is the kernel of
+the residual rows against W, and ``intersect`` the image of a preimage.
+Every matrix product goes through ``_mm``, which multiplies in float64
+and reduces mod p; that is exact while inner dimension * (p - 1)^2 <
+2^53, and ``_mm`` raises where it is not.
 
 The two greedy bases, "take the next vector outside the span so far",
 are read off echelon pivots in one pass instead of one absorb per
@@ -26,14 +27,13 @@ coordinate map, so each coordinate lookup is one product.
 Partition spaces, {x : x sums to 0 on every block} for a partition of the
 coordinates, are held as least-index block labels and need no
 elimination.  Membership of scaled differences c(e_a - e_b) is a label
-comparison, the sum of two partition spaces is the space of the join of
-their partitions, containment is refinement and equality is equal
-labels; the echelon basis is written in closed form only when it is
-first read.  A ``SubspaceBuilder`` stays labelled while every row it
-absorbs is a scaled difference, joining blocks along those edges, and
-eliminates only from its first other row on.  The meet of two partitions
-does not give their intersection, so ``intersect`` eliminates as for any
-other pair.
+comparison and the sum of two partition spaces is the space of the join
+of their partitions; the echelon basis is written in closed form only
+when it is first read.  A ``SubspaceBuilder`` stays labelled while every
+row it absorbs is a scaled difference, joining blocks along those edges,
+and eliminates only from its first other row on.  These are the label
+paths the identity checks take thousands of times a pass; containment,
+equality and ``intersect`` read the basis, as for any other space.
 """
 
 from __future__ import annotations
@@ -158,11 +158,10 @@ class Subspace:
 
     ``labels`` is set on partition spaces only (see ``partition_subspace``),
     and None on every other space.  A partition space answers membership
-    of difference rows, sums with another partition space, containment
-    and equality from its labels, and writes ``basis`` and ``pivots`` when
-    they are first read.  The labels determine the space, so equal labels
-    mean equal spaces, and hashing reads the basis: a partition space
-    equals and hashes like its ``rref`` copy.
+    of difference rows and sums with another partition space from its
+    labels, and writes ``basis`` and ``pivots`` when they are first read.
+    Equality and hashing read the basis, so a partition space equals and
+    hashes like its ``rref`` copy.
     """
 
     __slots__ = ("p", "ambient_dim", "dim", "basis", "pivots", "labels", "_hash")
@@ -210,8 +209,6 @@ class Subspace:
             return NotImplemented
         if (self.p, self.ambient_dim, self.dim) != (other.p, other.ambient_dim, other.dim):
             return False
-        if self.labels is not None and other.labels is not None:
-            return np.array_equal(self.labels, other.labels)
         return self.pivots == other.pivots and np.array_equal(self.basis, other.basis)
 
     def __hash__(self) -> int:
@@ -254,12 +251,8 @@ class Subspace:
         return _residual(mat, list(self.pivots), self.basis, self.p)
 
     def contains_space(self, other: "Subspace") -> bool:
-        """Whether ``other`` <= self.  Of two partition spaces, the
-        smaller's partition refines the larger's: g and other.labels[g]
-        share a block of self for every g."""
+        """Whether ``other`` <= self."""
         self._check_compatible(other)
-        if self.labels is not None and other.labels is not None:
-            return np.array_equal(self.labels[other.labels], self.labels)
         return self.contains_all(other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -286,30 +279,17 @@ class Subspace:
         return builder.subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked-basis map.
+        """The image of ``preimage(B_self, other)`` under x |-> x @ B_self.
 
-        Row vectors (x, y) with x @ B_self + y @ B_other = 0 parameterize the
-        intersection as x @ B_self.  The product is already reduced echelon:
-        every kernel pivot lies in an x column (x = 0 forces y = 0), so the
-        x parts are in RREF, and B_self is in RREF with pivots self.pivots.
+        The product is already reduced echelon: on column self.pivots[c]
+        the row x @ B_self reads x[c], because B_self is e_c there, so the
+        preimage's reduced echelon rows map to reduced echelon rows with
+        pivots self.pivots[c] for c in the preimage's pivots.
         """
         self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return zero_subspace(self.p, self.ambient_dim)
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        ker = kernel(stacked, self.p)
-        if ker.dim == 0:
-            return zero_subspace(self.p, self.ambient_dim)
-        vecs = _mm(ker.basis[:, : self.dim], self.basis, self.p)
+        ker = preimage(self.basis, other, self.p)
+        vecs = _mm(ker.basis, self.basis, self.p)
         return Subspace(self.p, self.ambient_dim, vecs, tuple(self.pivots[c] for c in ker.pivots))
-
-    def reduction_matrix(self) -> np.ndarray:
-        """Matrix R with v @ R = reduce(v); the projection along self."""
-        r = np.eye(self.ambient_dim, dtype=np.int64)
-        pivots = list(self.pivots)
-        r[pivots] = (-self.basis) % self.p
-        r[pivots, pivots] = 0
-        return r
 
 
 def zero_subspace(p: int, ambient_dim: int) -> Subspace:
@@ -421,7 +401,7 @@ def kernel(matrix, p: int) -> Subspace:
     red, pivots = _rref(a.T[:, ::-1], p)
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
-    if not free:
+    if not free:  # injective, as is every power map the split checks
         return zero_subspace(p, m)
     vecs = np.zeros((len(free), m), dtype=np.int64)
     vecs[range(len(free)), free] = 1
@@ -436,12 +416,16 @@ def image(matrix, p: int) -> Subspace:
 
 
 def preimage(matrix, w: Subspace, p: int) -> Subspace:
-    """Full preimage { x : x @ A in W } of the subspace W."""
+    """Full preimage { x : x @ A in W } of the subspace W.
+
+    x @ A lies in W exactly when its residual against W is zero, and the
+    residual is linear: it is x @ R for R the residual rows of A.  So the
+    preimage is the kernel of R.
+    """
     a = _as_matrix(matrix, p)
     if a.shape[1] != w.ambient_dim or w.p != p:
         raise AmbientMismatchError("matrix codomain does not match subspace ambient")
-    reduced_map = _mm(a, w.reduction_matrix(), p)
-    return kernel(reduced_map, p)
+    return kernel(w.reduce_rows(a), p)
 
 
 def solve_row(matrix: np.ndarray, v, p: int) -> Optional[np.ndarray]:
@@ -591,8 +575,6 @@ class Subquotient:
 
     def rep(self, coords) -> np.ndarray:
         c = as_vector(coords, self.p, self.rank)
-        if self.rank == 0:
-            return np.zeros(self.top.ambient_dim, dtype=np.int64)
         return _mm(c, self.basis_rows, self.p)
 
 

@@ -208,8 +208,6 @@ def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> S
     """
     if n_sub.parent is not A.group:
         raise ValueError("subgroup of a different group")
-    if space.dim == 0 or n_sub.order == 1:
-        return fl.zero_subspace(A.p, A.dim)
     builder = fl.SubspaceBuilder(A.p, A.dim)
     for m in n_sub.generators:
         shifted = space.basis[:, A._left_perm(m)]
@@ -264,8 +262,6 @@ def _filtration(A: GroupAlgebra, n: int, n_sub: Subgroup) -> Subspace:
 
 def subspace_product(A: GroupAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors of u and v."""
-    if u.dim == 0 or v.dim == 0:
-        return fl.zero_subspace(A.p, A.dim)
     builder = fl.SubspaceBuilder(A.p, A.dim)
     for x in u.basis:
         builder.absorb(A.multiply_vec(x, v.basis))  # x . every basis row of v
@@ -704,8 +700,6 @@ class AlgebraIso:
                 raise ValueError("isomorphism is not multiplicative")
 
     def apply_subspace(self, space: Subspace) -> Subspace:
-        if space.dim == 0:
-            return fl.zero_subspace(self.target.p, self.target.dim)
         return fl.rref((space.basis @ self.matrix) % self.source.p, self.source.p)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -634,6 +635,59 @@ def test_failed_seal_rename_leaves_an_entry_that_is_not_trusted(capsys, monkeypa
     assert captured.err == f"warning: corrupt cache entry {entry}, recomputing\n"
     assert json.loads(captured.out)["result"]["order"] == 4
     assert _seal_holds(tmp_path)
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_unusable_cache_directory_warns_and_prints_the_result(below, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.main(["--no-timing", "analyze", "C4"]) == 0
+    miss = capsys.readouterr().out
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    directory = blocker / "cache" if below else blocker
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(directory))
+    assert cli.main(["--no-timing", "analyze", "C4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == miss
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    reason = os.strerror(errno.ENOTDIR if below else errno.EEXIST)
+    assert captured.err == f"warning: cannot write cache entry {directory / entry.name}: {reason}\n"
+    assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p 11\ngens 1\norder 1 11\n", "p = 11 is not a supported prime (2, 3, 5, 7)"),
+        ("p 2\ngens 1\norder 1 6\n", "relative order 6 is not a power of 2"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 3 = 1\n", "power relation for unknown generator 3"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\ncomm 3 1 = 1\n", "commutator relation for invalid pair (3,1)"),
+        ("p 2\ngenes 1\norder 1 2\n", "expected 'gens <d>' on line 2, got 'genes 1'"),
+        ("p 2\ngens 0\n", "need at least one generator"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2^0\n", "word exponents must be positive"),
+        ("p 2\ngens 1\norder 2 2\n", "order line for unknown generator 2"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2\npow 1 = 1\n", "duplicate pow line for generator 1"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\ncomm 1 2 = 1\n", "comm lines need j > i"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\ncomm 2 1 = 1\ncomm 2 1 = g2\n", "duplicate comm line for (2,1)"),
+    ],
+    ids=["prime", "relative-order", "pow-generator", "comm-pair", "gens-line", "no-generators",
+         "zero-exponent", "order-generator", "duplicate-pow", "comm-order", "duplicate-comm"],
+)
+def test_each_pcp_rejection_names_its_reason(text, message, capsys, monkeypatch, tmp_path):
+    with pytest.raises(gc.PresentationError) as info:
+        gc.PcPresentation.parse(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.pcp"
+    path.write_text(text)
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.main(["--no-timing", "analyze", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [ci.canonical_json({"error": {
+        "exit_code": 2,
+        "kind": "parse",
+        "message": f"bad presentation {path}: {message}",
+    }})]
 
 
 def test_changed_source_under_the_same_name_is_a_miss(capsys, monkeypatch, tmp_path):

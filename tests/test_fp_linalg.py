@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mipkit import fp_linalg as fl
 import greedy_oracle
-from rref_oracle import oracle_rref
+from rref_oracle import oracle_intersect, oracle_preimage, oracle_rref
 
 
 def test_rref_full_space_f2():
@@ -805,6 +805,7 @@ def test_lazy_partition_space_reads_like_its_rref_copy(first, p, data):
 
 
 def test_labelled_operations_write_no_basis():
+    # containment of a space and equality read the basis, labelled or not
     p, n = 3, 9
     u = fl.partition_subspace(p, [0, 0, 2, 2, 4, 5, 5, 7, 7])
     v = fl.partition_subspace(p, [0, 1, 1, 3, 3, 5, 6, 7, 8])
@@ -814,12 +815,95 @@ def test_labelled_operations_write_no_basis():
     total = u.sum(v)
     assert total.dim == 6 and total.sum(u) is total
     assert u.contains_all([[1, 2, 0, 0, 0, 0, 0, 0, 0], [0] * 9])
-    assert not u.contains_space(v) and total.contains_space(v) and u != v
-    assert built.dim == 2 and u.contains_space(built)
+    assert built.dim == 2
     for space in (u, v, built, total):
         assert not _basis_written(space)
     # spaces built by elimination hold their basis from the start
     assert _basis_written(fl.rref(u.basis, p, n))
+
+
+# -- intersect and preimage against the stacked-basis oracles --------------
+
+
+@st.composite
+def _operand_specs(draw, p, n):
+    """How to build one subspace of GF(p)^n: zero, full, a partition space
+    (labelled) or the span of random rows."""
+    kind = draw(st.sampled_from(["zero", "full", "partition", "random"]))
+    if kind == "partition":
+        return kind, draw(_partitions(n))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        m = draw(st.integers(min_value=0, max_value=min(n, 9) + 2))
+        return kind, _exact_rank(rng, p, m, n, draw(st.integers(min_value=0, max_value=min(m, n))))
+    return kind, None
+
+
+def _build_operand(p, n, spec):
+    kind, data = spec
+    if kind == "zero":
+        return fl.zero_subspace(p, n)
+    if kind == "full":
+        return fl.full_subspace(p, n)
+    if kind == "partition":
+        return fl.partition_subspace(p, data)
+    return fl.rref(data, p, n)
+
+
+def _assert_same_space(got, want):
+    assert got.pivots == want.pivots
+    assert np.array_equal(got.basis, want.basis)
+    assert got == want and want == got and hash(got) == hash(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_intersect_and_preimage_match_the_stacked_oracles(p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    specs = [data.draw(_operand_specs(p, n)) for _ in range(2)]
+    # the library and the oracle each get their own operands, so the library
+    # meets partition spaces whose basis no read has written yet
+    u, v = (_build_operand(p, n, spec) for spec in specs)
+    ou, ov = (_build_operand(p, n, spec) for spec in specs)
+    _assert_same_space(u.intersect(v), oracle_intersect(ou, ov))
+    _assert_same_space(v.intersect(u), oracle_intersect(ov, ou))
+    _assert_same_space(u.intersect(u), oracle_intersect(ou, ou))
+    # a map with some rows inside the target space and some drawn at random
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    inside = (rng.integers(0, p, size=(data.draw(st.integers(0, 4)), ov.dim)) @ ov.basis) % p
+    anywhere = rng.integers(0, p, size=(data.draw(st.integers(0, 4)), n))
+    mat = np.concatenate([inside, anywhere])[rng.permutation(inside.shape[0] + anywhere.shape[0])]
+    _assert_same_space(fl.preimage(mat, v, p), oracle_preimage(mat, ov, p))
+    _assert_same_space(fl.preimage(u.basis, v, p), oracle_preimage(ou.basis, ov, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 4), (3, 3), (2, 5)])
+def test_kernel_with_no_free_column_is_the_zero_space(p, m, n):
+    # a matrix of full row rank m, including one with no rows
+    a = _exact_rank(np.random.default_rng(10 * m + n), p, m, n, m)
+    ker = fl.kernel(a, p)
+    zero = fl.zero_subspace(p, m)
+    _assert_same_space(ker, zero)
+    assert ker.basis.shape == (0, m) and ker.basis.dtype == np.int64
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subquotient_of_rank_zero_represents_by_the_zero_vector(p):
+    n = 5
+    tops = [
+        fl.zero_subspace(p, n),
+        fl.full_subspace(p, n),
+        fl.partition_subspace(p, [0, 0, 2, 2, 4]),
+        fl.rref([[1, 2, 0, 1, 1]], p, n),
+    ]
+    for top in tops:
+        q = fl.Subquotient(top, fl.rref(top.basis, p, n))
+        assert q.rank == 0
+        rep = q.rep([])
+        assert rep.dtype == np.int64 and np.array_equal(rep, np.zeros(n, dtype=np.int64))
+        for row in top.basis:
+            assert q.coords(row).shape == (0,)
 
 
 # the oracle enumerates GF(p)^n up to e_0, p^(n-1) vectors

@@ -158,6 +158,37 @@ def test_complement_criterion_through_extended_witness(algebras, d8_exotic):
     assert all(report.values()), report
 
 
+def _swap_rows(m, g, h):
+    m[[g, h]] = m[[h, g]]
+    return m
+
+
+def _add_row_zero(m, g):
+    # an elementary row operation: bijective, but the augmentation of phi(g) drops by 1
+    m[g] = (m[g] + m[0]) % 2
+    return m
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda m: m[:, :-1].copy(), "isomorphism matrix has the wrong shape"),
+        (lambda m: _add_row_zero(m, 3), "isomorphism does not preserve the augmentation"),
+        (lambda m: _swap_rows(m, 0, 3), "isomorphism is not unital"),
+        (lambda m: _swap_rows(m, 1, 2), "isomorphism is not multiplicative"),
+    ],
+    ids=["shape", "augmentation", "unital", "multiplicative"],
+)
+def test_algebra_iso_rejects_a_damaged_witness(algebras, damage, message):
+    A = algebras["D8"]
+    B = ma.GroupAlgebra(A.group)
+    witness = ma.iso_search(A, B)
+    bad = damage(witness.matrix.copy())
+    assert fl.rref(bad, A.p).dim == min(bad.shape)  # full rank: no damage trips the bijectivity check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ma.AlgebraIso(A, B, bad, witness.generator_images)
+
+
 # -- the search order --------------------------------------------------------
 
 

@@ -569,6 +569,30 @@ def test_left_multiplier_span_rejects_a_foreign_subgroup(groups, algebras):
             ma.left_multiplier_span(A, foreign, ideal)
 
 
+@pytest.mark.parametrize("name", ["D8", "C9", "C2"])
+def test_zero_operands_give_the_zero_space(algebras, name):
+    A = algebras[name]
+    G = A.group
+    zero = fl.zero_subspace(A.p, A.dim)
+    aug = ma.augmentation_ideal(A).space
+    # the zero space eliminated, and as the partition space of singletons
+    zeros = [zero, fl.partition_subspace(A.p, np.arange(A.dim))]
+    iso = ma.iso_search(A, ma.GroupAlgebra(G))
+    results = [ma.left_multiplier_span(A, G.trivial_subgroup(), aug)]
+    for z in zeros:
+        results += [
+            ma.subspace_product(A, z, aug),
+            ma.subspace_product(A, aug, z),
+            ma.subspace_product(A, z, z),
+            ma.left_multiplier_span(A, G.full_subgroup(), z),
+            ma.left_multiplier_span(A, G.trivial_subgroup(), z),
+            iso.apply_subspace(z),
+        ]
+    for got in results:
+        assert got == zero and zero == got and hash(got) == hash(zero)
+        assert got.pivots == () and got.basis.shape == (0, A.dim)
+
+
 # -- the product kernel against the per-coefficient loop ---------------------
 
 
