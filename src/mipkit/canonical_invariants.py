@@ -4,11 +4,11 @@ A canonical-subgroup expression is an AST over the closure operations
 whose evaluations are respected, ideal-for-ideal, by every augmentation
 preserving isomorphism of modular group algebras: the derived subgroup,
 relative torsion, power subgroups times a normal part containing the
-derived subgroup, central torsion times such a part, and joins.  The
-fingerprint collects, per catalog expression, the group-theoretic
-invariants its evaluation exposes, in a canonical byte-comparable JSON
-form.  It builds one bundle per distinct subgroup, and every catalog key
-whose expression evaluates to that subgroup holds that one object.
+derived subgroup, central torsion times such a part, and joins.  A
+fingerprint is one dict, serialized as canonical byte-comparable JSON: the
+group-level invariants named in ``_GROUP_KEYS``, then a catalog of what
+each catalog expression's evaluation exposes, with one bundle per distinct
+subgroup held by every key whose expression evaluates to that subgroup.
 
 Expressions are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006).  A ``CanonicalExpr`` is one node ``(op, t,
@@ -115,10 +115,6 @@ def CentralTorsionTimes(t: Optional[int], above: CanonicalExpr) -> CanonicalExpr
 def Product(parts) -> CanonicalExpr:
     """Join of the evaluations of the parts."""
     return CanonicalExpr(JOIN, None, tuple(parts))
-
-
-def expr_key(expr: CanonicalExpr) -> str:
-    return expr.key
 
 
 def _structural_superset(a: CanonicalExpr, b: CanonicalExpr) -> bool:
@@ -339,37 +335,19 @@ def _encode(value, texts: dict[int, str]) -> str:
 class Fingerprint:
     """All group-algebra-determined invariants collected for one group.
 
-    Equality is byte equality of the canonical serialization with the
+    ``payload`` is the dict that is serialized: ``group`` (the display
+    name), ``p``, one entry per ``_GROUP_KEYS`` name, then ``catalog``.
+    Equality is byte equality of its canonical serialization with the
     display name stripped.
     """
 
-    group: str
-    p: int
-    order: int
-    d: int
-    jennings: tuple[int, ...]
-    ab_type: tuple[int, ...]
-    catalog: dict
-    depth: int
-    t_max: int
-    tau: int
-
-    def payload(self) -> dict:
-        return {
-            "group": self.group,
-            "p": self.p,
-            "order": self.order,
-            "d": self.d,
-            "jennings": list(self.jennings),
-            "ab_type": list(self.ab_type),
-            "catalog": self.catalog,
-        }
+    payload: dict
 
     def to_json(self) -> str:
-        return canonical_json(self.payload())
+        return canonical_json(self.payload)
 
     def invariant_bytes(self) -> bytes:
-        payload = self.payload()
+        payload = dict(self.payload)
         payload.pop("group")
         return canonical_json(payload).encode()
 
@@ -388,16 +366,17 @@ def _type_or_none(sub: Subgroup) -> Optional[list[int]]:
     return gc.abelian_type(sub).to_list()
 
 
-# The group-level keys in the order ``compare`` compares them, each with the
-# function of G that computes it; each looks its callee up when called, so a
-# patched or traced callee is the one that runs.  The abelian-factor type is
-# the split's, which ``ab_nab_split`` has already checked against the
-# per-exponent quotient formula.
+# The group-level keys, the only place they are named: the order
+# ``compare`` compares them in, each with the function of G that computes
+# the JSON value the payload stores.  Each looks its callee up when called,
+# so a patched or traced callee is the one that runs.  The abelian-factor
+# type is the split's, which ``ab_nab_split`` has already checked against
+# the per-exponent quotient formula.
 _GROUP_KEYS: tuple[tuple[str, Callable[[FiniteGroup], object]], ...] = (
     ("order", lambda G: G.order),
-    ("jennings", lambda G: tuple(s.order for s in gc.jennings_series_product_formula(G))),
+    ("jennings", lambda G: [s.order for s in gc.jennings_series_product_formula(G)]),
     ("d", lambda G: gc.min_generators(G)),
-    ("ab_type", lambda G: dc.ab_nab_split(G).ab_type().orders),
+    ("ab_type", lambda G: dc.ab_nab_split(G).ab_type().to_list()),
 )
 
 
@@ -421,10 +400,7 @@ def _catalog_entries(
     bundles: dict[tuple, dict] = {}
     catalog: dict[str, dict] = {}
     for expr in exprs:
-        try:
-            sub = evaluate(expr, G, tau)
-        except ContainmentError:
-            continue
+        sub = evaluate(expr, G, tau)
         if sub.elements not in bundles:
             entries = {}
             for n_elements, n_sub in n_subs.items():
@@ -452,24 +428,23 @@ def fingerprint(
     t_max: Optional[int] = None,
     tau: Optional[int] = None,
 ) -> Fingerprint:
-    """Assemble the fingerprint of F_pG: the keys of ``_GROUP_KEYS``, then
-    the catalog.  The catalog's expressions are generated first, so one
-    past ``CATALOG_CANDIDATE_CAP`` is refused before any key is computed.
+    """Assemble the fingerprint of F_pG: its payload holds the group's
+    name and prime, the keys of ``_GROUP_KEYS``, then the catalog.  The
+    catalog's expressions are generated first, so one past
+    ``CATALOG_CANDIDATE_CAP`` is refused before any key is computed.
     """
     if tau is None:
         tau = stabilization_threshold(G)
-    if t_max is None:
-        t_max = tau + 1
     # every t >= tau normalizes to the same stable form
-    exprs, n_pool = _normal_catalog(depth_limit, min(t_max, tau), tau)
+    t_max = tau if t_max is None else min(t_max, tau)
+    exprs, n_pool = _normal_catalog(depth_limit, t_max, tau)
     return Fingerprint(
-        group=G.name,
-        p=G.p,
-        **{name: key(G) for name, key in _GROUP_KEYS},
-        catalog=_catalog_entries(G, exprs, n_pool, tau),
-        depth=depth_limit,
-        t_max=t_max,
-        tau=tau,
+        {
+            "group": G.name,
+            "p": G.p,
+            **{name: key(G) for name, key in _GROUP_KEYS},
+            "catalog": _catalog_entries(G, exprs, n_pool, tau),
+        }
     )
 
 
@@ -496,10 +471,10 @@ def compare(
 
     The catalog's expressions are generated first, so one past
     ``CATALOG_CANDIDATE_CAP`` is refused whatever the groups.  Then each key
-    of ``_GROUP_KEYS`` (order, Jennings series, d, abelian-factor type) is
-    computed for G and H in turn, and the first that differs is the
-    verdict: no later key is computed.  Only when all four agree are both
-    catalogs evaluated and compared in sorted key order.  Both sides use
+    of ``_GROUP_KEYS`` is computed for G and H in turn, and the first that
+    differs is the verdict, its two values as the payload stores them: no
+    later key is computed.  Only when all agree are both catalogs
+    evaluated and compared in sorted key order.  Both sides use
     the shared stabilization threshold so that exponent alone can never
     fabricate a verdict.
     """
@@ -512,12 +487,7 @@ def compare(
     for name, key in _GROUP_KEYS:
         a, b = key(G), key(H)
         if a != b:
-            return {
-                "verdict": "distinguished-by",
-                "key": name,
-                "left": list(a) if isinstance(a, tuple) else a,
-                "right": list(b) if isinstance(b, tuple) else b,
-            }
+            return {"verdict": "distinguished-by", "key": name, "left": a, "right": b}
     catalogs = [_catalog_entries(X, exprs, n_pool, tau) for X in (G, H)]
     diff = next(_walk_differences(*catalogs, "catalog"), None)
     if diff is not None:

@@ -127,8 +127,7 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
         except (OSError, UnicodeDecodeError):
             pass
         print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
-    payload = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).payload()
-    text = ci.canonical_json(payload)
+    text = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).to_json()
     data = text.encode()
     try:
         directory.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ def compare(
     fh = fingerprint(H, depth_limit, t_max, tau)
     ordered = ["order", "jennings", "d", "ab_type"]
     for key in ordered:
-        a, b = getattr(fg, key), getattr(fh, key)
+        a, b = fg.payload[key], fh.payload[key]
         if a != b:
             return {
                 "verdict": "distinguished-by",
@@ -39,7 +39,7 @@ def compare(
                 "left": list(a) if isinstance(a, tuple) else a,
                 "right": list(b) if isinstance(b, tuple) else b,
             }
-    diff = next(_walk_differences(fg.catalog, fh.catalog, "catalog"), None)
+    diff = next(_walk_differences(fg.payload["catalog"], fh.payload["catalog"], "catalog"), None)
     if diff is not None:
         return {"verdict": "distinguished-by", "key": diff}
     return {

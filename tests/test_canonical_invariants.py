@@ -20,7 +20,7 @@ from test_pc_table import consistent_groups
 
 
 def keys_of(exprs):
-    return {ci.expr_key(e) for e in exprs}
+    return {e.key for e in exprs}
 
 
 # every (depth, t_max) the pinned digests cover; the keys are the JSON keys
@@ -36,7 +36,7 @@ def test_catalog_keys_are_pinned():
     lines = []
     for d, t in PINNED_CATALOGS:
         lines.append(f"# depth {d}, t_max {t}")
-        lines.extend(sorted(ci.expr_key(e) for e in ci.generate_catalog(d, t)))
+        lines.extend(sorted(e.key for e in ci.generate_catalog(d, t)))
     assert sha256_lines(lines) == (
         "ac78ac88aa156c7516a0dcf6d90e19ceb6b1fe73e12033f75c5b7ee4ffefea61"
     )
@@ -44,7 +44,7 @@ def test_catalog_keys_are_pinned():
 
 def test_normal_forms_are_pinned():
     lines = [
-        ci.expr_key(ci.normalize(e, tau))
+        ci.normalize(e, tau).key
         for d, t in PINNED_CATALOGS
         for e in ci.generate_catalog(d, t)
         for tau in range(1, 5)
@@ -113,10 +113,10 @@ def test_catalog_list_is_a_fresh_copy():
 
 def test_structural_dedup():
     joined = ci.normalize(ci.Product((ci.DERIVED, ci.DERIVED)))
-    assert ci.expr_key(joined) == "G'"
+    assert joined.key == "G'"
     collapsed = ci.normalize(ci.Product((ci.DERIVED, ci.TorsionAbove(1, ci.DERIVED))))
-    assert ci.expr_key(collapsed) == "Om(1;G')"
-    assert ci.expr_key(ci.normalize(ci.TorsionAbove(2, ci.WHOLE))) == "G"
+    assert collapsed.key == "Om(1;G')"
+    assert ci.normalize(ci.TorsionAbove(2, ci.WHOLE)).key == "G"
 
 
 def test_normalize_with_stabilization_threshold():
@@ -124,7 +124,7 @@ def test_normalize_with_stabilization_threshold():
     assert ci.normalize(ci.TorsionAbove(2, ci.DERIVED), tau) == ci.WHOLE
     assert ci.normalize(ci.PowerTimes(2, ci.WHOLE, ci.DERIVED), tau) == ci.DERIVED
     stab = ci.normalize(ci.CentralTorsionTimes(3, ci.DERIVED), tau)
-    assert ci.expr_key(stab) == "OmZ(s;G')"
+    assert stab.key == "OmZ(s;G')"
 
 
 def test_evaluate_frattini_expression(groups):
@@ -177,7 +177,7 @@ def test_fingerprint_separates_cyclic8_from_c4xc2(groups):
     fp_a = ci.fingerprint(groups["C8"], tau=tau)
     fp_b = ci.fingerprint(groups["C4xC2"], tau=tau)
     assert fp_a != fp_b
-    assert fp_a.jennings != fp_b.jennings
+    assert fp_a.payload["jennings"] != fp_b.payload["jennings"]
 
 
 def test_fingerprint_json_schema(groups):
@@ -190,28 +190,68 @@ def test_fingerprint_json_schema(groups):
     assert set(some_bundle) == {"order", "jennings", "ab_type", "z_meet_type", "z_quot_type", "pairs"}
 
 
+def test_payload_keys_are_named_by_group_keys(groups):
+    payload = ci.fingerprint(groups["D8"]).payload
+    assert set(payload) == {"group", "p"} | {name for name, _ in ci._GROUP_KEYS} | {"catalog"}
+
+
+def _nodes(expr):
+    yield expr
+    for child in expr.children:
+        yield from _nodes(child)
+
+
+def _structurally_sound(expr):
+    # every node that requires G' <= N takes an N that contains G' in every group
+    return all(n.children[-1].contains_derived for n in _nodes(expr) if n.op in ci._ABOVE_OPS)
+
+
+def test_fingerprint_catalogs_are_structurally_sound(groups):
+    # so no fingerprint evaluation can raise ContainmentError
+    taus = {ci.stabilization_threshold(G) for G in groups.values()}
+    for depth in (1, 2):
+        for tau in taus:
+            for t_max in (1, 2, tau + 1):
+                exprs, _ = ci._normal_catalog(depth, min(t_max, tau), tau)
+                assert all(_structurally_sound(e) for e in exprs), (depth, t_max, tau)
+    for depth, t_max in ((2, 3), (3, 1)):
+        for expr in ci.generate_catalog(depth, t_max):
+            for tau in (1, 2, 3):
+                assert _structurally_sound(ci.normalize(expr, tau)), (expr.key, tau)
+
+
+def test_fingerprint_has_one_catalog_key_per_normal_form(groups):
+    assert len(groups) == 29
+    for name, G in groups.items():
+        tau = ci.stabilization_threshold(G)
+        exprs, _ = ci._normal_catalog(2, tau, tau)
+        assert list(ci.fingerprint(G).payload["catalog"]) == [e.key for e in exprs], name
+
+
 def test_keys_of_one_subgroup_share_one_bundle(groups):
     G = groups["D8"]
-    fp = ci.fingerprint(G)
-    exprs, _ = ci._normal_catalog(fp.depth, min(fp.t_max, fp.tau), fp.tau)
+    catalog = ci.fingerprint(G).payload["catalog"]
+    tau = ci.stabilization_threshold(G)
+    exprs, _ = ci._normal_catalog(2, tau, tau)
     by_subgroup = {}
     for expr in exprs:
-        if expr.key in fp.catalog:
-            by_subgroup.setdefault(ci.evaluate(expr, G, fp.tau).elements, set()).add(expr.key)
-    assert len(by_subgroup) < len(fp.catalog)  # some subgroup has several keys
+        if expr.key in catalog:
+            by_subgroup.setdefault(ci.evaluate(expr, G, tau).elements, set()).add(expr.key)
+    assert len(by_subgroup) < len(catalog)  # some subgroup has several keys
     for keys in by_subgroup.values():
-        assert len({id(fp.catalog[key]) for key in keys}) == 1
-    assert len({id(bundle) for bundle in fp.catalog.values()}) == len(by_subgroup)
+        assert len({id(catalog[key]) for key in keys}) == 1
+    assert len({id(bundle) for bundle in catalog.values()}) == len(by_subgroup)
 
 
 def test_keys_of_one_n_share_one_pair_entry(groups):
     # one entry object per (subgroup, N) pair, whatever the number of keys
     G = groups["D8"]
-    fp = ci.fingerprint(G)
-    _, n_pool = ci._normal_catalog(fp.depth, min(fp.t_max, fp.tau), fp.tau)
-    n_subgroups = {ci.evaluate(n_expr, G, fp.tau).elements for n_expr in n_pool}
+    catalog = ci.fingerprint(G).payload["catalog"]
+    tau = ci.stabilization_threshold(G)
+    _, n_pool = ci._normal_catalog(2, tau, tau)
+    n_subgroups = {ci.evaluate(n_expr, G, tau).elements for n_expr in n_pool}
     assert len(n_subgroups) < len(n_pool)  # some N has several keys
-    bundles = {id(bundle): bundle for bundle in fp.catalog.values()}.values()
+    bundles = {id(bundle): bundle for bundle in catalog.values()}.values()
     entries = {id(entry) for bundle in bundles for entry in bundle["pairs"].values()}
     assert len(entries) == len(bundles) * len(n_subgroups)
 
@@ -254,14 +294,14 @@ def test_canonical_json_matches_json_dumps(obj):
 
 def test_canonical_json_of_payloads_matches_json_dumps(groups):
     for name in ("C8", "D8", "Q16"):
-        payload = ci.fingerprint(groups[name]).payload()
+        payload = ci.fingerprint(groups[name]).payload
         assert ci.canonical_json(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_fingerprint_of_abelian_group_determines_type(groups):
     for name in ("C8", "C4xC2", "C2xC2xC2", "C9xC3"):
         fp = ci.fingerprint(groups[name])
-        assert list(fp.ab_type) == gc.abelian_type(groups[name]).to_list()
+        assert fp.payload["ab_type"] == gc.abelian_type(groups[name]).to_list()
 
 
 def test_fingerprint_monotone_in_tmax(groups):
@@ -364,7 +404,7 @@ def test_ab_extraction_through_products(groups):
                 continue
             fp = ci.fingerprint(prod)
             expected = group_oracle.merge(dc.ab_nab_split(g).ab_type(), gc.abelian_type(a))
-            assert list(fp.ab_type) == expected.to_list(), (g_name, a_name)
+            assert fp.payload["ab_type"] == expected.to_list(), (g_name, a_name)
 
 
 def test_stabilization_threshold(groups):

@@ -124,6 +124,17 @@ def test_abelian_factor_formula_mismatch_is_an_internal_error(capsys, monkeypatc
     assert report["error"]["message"].startswith("abelian factor mismatch: peeled")
 
 
+def test_unsound_catalog_expression_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # the fingerprint skips no catalog expression: one whose N may miss G'
+    # stops the command instead of leaving its key out
+    unsound = ci.TorsionAbove(1, ci.TRIVIAL)
+    monkeypatch.setattr(ci, "_normal_catalog", lambda depth, t_max, tau: ((unsound,), ()))
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8")
+    assert code == 4
+    assert report["error"]["kind"] == "internal"
+    assert report["error"]["message"].startswith("Om(1;1) needs G' <= N")
+
+
 def test_analyze_computes_each_formula_rank_once(capsys, monkeypatch, tmp_path):
     # the split compares the peeled type with the quotient formula once, and
     # the fingerprint's abelian-factor key reads the split: every

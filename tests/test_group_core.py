@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
 from mipkit import cli
+from mipkit import decomposition as dc
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 import frattini_oracle
@@ -822,21 +823,30 @@ def test_non_associative_mul_file_is_one_parse_error(capsys, monkeypatch, tmp_pa
     assert report["error"]["message"].endswith("multiplication table is not associative")
 
 
-@pytest.mark.parametrize("name", ["D8xC2", "Q8xC2", "Heis27", "M27"])
+def _split_invariants(G):
+    """The parts of G's split certificate that do not depend on the
+    numbering of its elements."""
+    cert = dc.ab_nab_split(G).certificate
+    return (
+        cert["ab_type"],
+        [(c["t"], c["rank"], c["order"]) for c in cert["components"]],
+        cert["nab"]["order"],
+        cert["nab"]["abelianization"],
+    )
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "Q8xC2", "Heis27", "M27", "M27xC9", "Heis27xC9"])
 def test_relabeled_table_has_the_same_fingerprint(name, groups):
     """A random relabeling fixing 0, fed as a raw table, is accepted with
     generators chosen greedily in its own index order and gives the
-    fingerprint of the presentation build."""
+    fingerprint and the split invariants of the presentation build."""
     G = groups[name]
-    rng = np.random.default_rng(sum(map(ord, name)))
-    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    table = np.empty_like(G.mul)
-    table[np.ix_(perm, perm)] = perm[G.mul]
-    H = gc.from_mul_table(table, name=name)
+    H = _relabeled(G)
     gens = gc._light_generators(H.mul)
     assert gens == sorted(gens)
     assert gens == gc._grow(H, H.elements())[1]
     assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()
+    assert _split_invariants(H) == _split_invariants(G)
 
 
 # -- subgroup closure: Dimino's coset walk against the set BFS ---------------
