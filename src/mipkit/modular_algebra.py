@@ -694,10 +694,9 @@ class AlgebraIso:
             raise ValueError("isomorphism does not preserve the augmentation")
         if not np.array_equal(M[0], np.eye(A.dim, dtype=np.int64)[0]):
             raise ValueError("isomorphism is not unital")
-        for g in range(A.dim):
-            # row h: phi(g) phi(h) against phi(gh)
-            if not np.array_equal(B.multiply_vec(M[g], M), M[A.group.mul[g]]):
-                raise ValueError("isomorphism is not multiplicative")
+        # entry (g, h): phi(g) phi(h) against phi(gh), in one block product
+        if not np.array_equal(B.multiply_vec(M[:, None], M[None]), M[A.group.mul]):
+            raise ValueError("isomorphism is not multiplicative")
 
     def apply_subspace(self, space: Subspace) -> Subspace:
         return fl.rref((space.basis @ self.matrix) % self.source.p, self.source.p)
@@ -748,7 +747,8 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     (any unital algebra map out of kG is determined by such images, since
     kG is the free algebra modulo the relation ideal), and yields each
     tuple whose induced basis map is bijective.  Deterministic: candidates
-    are ordered by their little-endian integer encoding.
+    are ordered by their little-endian integer encoding, so the tuples come
+    in lexicographic order of their images' encodings.
 
     Bijectivity is decided in J/J^2, J = I(B).  A tuple satisfying the
     relations induces a unital map kG -> kH with image k + T, T the
@@ -759,6 +759,34 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     r + (d - k) >= d(H), so every tuple that reaches the end is an
     isomorphism and only subtrees holding none are cut.
     """
+    yield from _iso_walk(A, B, least_conjugates=False)
+
+
+def iso_search(A: GroupAlgebra, B: GroupAlgebra) -> Optional[AlgebraIso]:
+    """The first isomorphism ``iso_search_iter`` yields, or None when there
+    is none; the walk tries one image per conjugacy orbit of H.
+
+    Conjugation c_h(x) = h x h^-1 by h in H is an augmentation-preserving
+    automorphism of kH, and it fixes every class of J/J^2 (h x h^-1 - x =
+    (h - 1) x h^-1 + x (h^-1 - 1) lies in J^2 for x in J).  So it sends a
+    tuple satisfying the relations to another one, and a tuple spanning
+    J/J^2 to another one: c_h maps isomorphisms to isomorphisms.  The
+    first isomorphism W = (w_1, ..., w_d) is the lexicographically least,
+    so each w_k is least in encoding order among its conjugates c_h(w_k)
+    by the h fixing w_1, ..., w_{k-1}: otherwise c_h(W) would be a smaller
+    isomorphism.  The walk therefore keeps only candidates with that
+    property, for the non-central h (the central ones act trivially).  It
+    visits some of ``iso_search_iter``'s tuples, in the same order, W
+    among them whenever an isomorphism exists: the verdict and the
+    witness are the same.
+    """
+    return next(_iso_walk(A, B, least_conjugates=True), None)
+
+
+def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, least_conjugates: bool):
+    # the depth-first walk of ``iso_search_iter``; with ``least_conjugates``
+    # a candidate is kept only if it is least among its conjugates under
+    # the prefix's stabilizer, as ``iso_search`` argues
     if A.dim != B.dim:
         return
     if A.dim > ISO_SEARCH_DIM_CAP:
@@ -839,6 +867,35 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
                 f"gave no isomorphism ({exc})"
             ) from exc
 
+    if least_conjugates:
+        # Conjugation by h moves the coefficient of x to h x h^-1: a row of
+        # ``conj`` is that permutation, one row per inner automorphism (h
+        # and hz, z central, share it), the identity's first.  The encoding
+        # of h u h^-1 is u @ weights[row], computed for every unit at once
+        # when some row first needs it, in the narrowest unsigned type that
+        # holds an encoding.
+        H = B.group
+        moves = H.mul[H.mul, H.inv[:, None]]  # row h: x -> h x h^-1
+        conj = np.array(list(dict.fromkeys(map(tuple, moves.tolist()))))
+        weights = B.p ** np.arange(B.dim, dtype=np.min_scalar_type(B.p**B.dim - 1))
+        codes: dict[int, np.ndarray] = {}
+        least_conjugates = len(conj) > 1  # an abelian H moves nothing
+
+    def code(h: int) -> np.ndarray:
+        if h not in codes:
+            codes[h] = units.view(np.uint8) @ weights[conj[h]]
+        return codes[h]
+
+    def least(pool: np.ndarray, images: list[int]) -> np.ndarray:
+        # the candidates least in encoding order among their conjugates by
+        # the rows other than the identity's that fix every chosen image
+        if not pool.size:
+            return pool
+        chosen = units[images]
+        for h in np.flatnonzero((chosen[:, conj] == chosen[:, None]).all(axis=(0, 2)))[1:]:
+            pool = pool[code(0)[pool] <= code(h)[pool]]
+        return pool
+
     # The units that may follow a prefix depend only on the prefix's classes.
     spanning: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -857,22 +914,23 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
             yield build_iso([units[u].astype(np.int64) for u in images])
             return
         level = len(images)
+        last = level == d - 1
         pool = spanning_pool(tuple(class_of[images].tolist()))
+        # the orbit test thins the block the last level's checks, most of
+        # the work, run over, and on earlier levels the pool they leave
+        if least_conjugates and last:
+            pool = least(pool, images)
         for lhs, rhs in checks[level]:
             if not pool.size:
                 return
             trial = images + [pool]
             pool = pool[value(lhs, trial) == value(rhs, trial)]
+        if least_conjugates and not last:
+            pool = least(pool, images)
         for u in pool.tolist():
             yield from extend(images + [u])
 
     yield from extend([])
-
-
-def iso_search(A: GroupAlgebra, B: GroupAlgebra) -> Optional[AlgebraIso]:
-    """First isomorphism in the deterministic enumeration, or None on
-    exhaustion of the whole candidate space."""
-    return next(iso_search_iter(A, B), None)
 
 
 def extend_by_abelian(

@@ -296,11 +296,8 @@ def test_search_takes_no_inverse_power(algebras, monkeypatch):
     assert seen == {2, 4}
 
 
-def test_relations_are_checked_on_candidate_blocks(algebras, monkeypatch):
-    # one product per power step builds the tables for exponents 2 and 4
-    # over all 128 units; then each of the 32 nodes whose pool survives
-    # the two power relations checks g2 g1 = g1 g2 g2^2 on that pool in
-    # three block products
+def _product_shapes(monkeypatch, search):
+    """The operand shapes of every ``multiply_vec`` call ``search()`` makes."""
     shapes = []
     multiply_vec = ma.GroupAlgebra.multiply_vec
 
@@ -309,12 +306,38 @@ def test_relations_are_checked_on_candidate_blocks(algebras, monkeypatch):
         return multiply_vec(self, x, y)
 
     monkeypatch.setattr(ma.GroupAlgebra, "multiply_vec", spy)
-    assert ma.iso_search(algebras["Q8"], algebras["D8"]) is None
+    assert search() is None
+    return shapes
+
+
+def test_relations_are_checked_on_candidate_blocks(algebras, monkeypatch):
+    # one product per power step builds the tables for exponents 2 and 4
+    # over all 128 units; then each of the 32 nodes whose pool survives
+    # the two power relations checks g2 g1 = g1 g2 g2^2 on that pool in
+    # three block products
+    shapes = _product_shapes(
+        monkeypatch, lambda: next(ma.iso_search_iter(algebras["Q8"], algebras["D8"]), None)
+    )
     assert len(shapes) == 99
     assert shapes[:3] == [((128, 8), (128, 8))] * 3
 
 
-_PASSMAN = [("D16", "Q16"), ("Q16", "D16"), ("SD16", "Q16"), ("Q16", "SD16")]
+def test_one_image_per_conjugacy_orbit_halves_the_checked_nodes(algebras, monkeypatch):
+    # the same three table products, then 16 of those 32 nodes: the first
+    # image is tried once per orbit of D8 acting by conjugation
+    shapes = _product_shapes(monkeypatch, lambda: ma.iso_search(algebras["Q8"], algebras["D8"]))
+    assert len(shapes) == 3 + 16 * 3
+    assert shapes[:3] == [((128, 8), (128, 8))] * 3
+
+
+_PASSMAN = [
+    ("D16", "Q16"),
+    ("Q16", "D16"),
+    ("SD16", "Q16"),
+    ("Q16", "SD16"),
+    ("D16", "SD16"),
+    ("SD16", "D16"),
+]
 
 
 @pytest.mark.parametrize("source,target", _PASSMAN)
@@ -322,6 +345,51 @@ def test_order_16_pairs_exhaust(algebras, source, target):
     # at order p^4 the group algebra determines the group (D. S. Passman,
     # Michigan Math. J. 12, 1965), so distinct groups admit no isomorphism
     assert ma.iso_search(algebras[source], algebras[target]) is None
+
+
+# -- one image per conjugacy orbit --------------------------------------------
+
+_SEARCHABLE = [
+    entry.name
+    for entry in cat.builtin_catalog()
+    if len(gc.PcPresentation.parse(entry.presentation).rel_orders) <= ma.ISO_SEARCH_GEN_CAP
+]
+_ORBIT_PAIRS = [
+    (a, b) for a in _SEARCHABLE for b in _SEARCHABLE if _ORDERS[a] == _ORDERS[b] <= 9
+] + [(name, name) for name in _SEARCHABLE if _ORDERS[name] == 16]
+
+
+def _encoding(u, p):
+    return sum(int(c) * p**i for i, c in enumerate(u))
+
+
+def _conjugate(H, h, u):
+    """h u h^-1 on the group basis: the coefficient of x moves to h x h^-1."""
+    v = [0] * H.order
+    for x, c in enumerate(u):
+        v[int(H.mul[H.mul[h, x], H.inv[h]])] = c
+    return tuple(v)
+
+
+@pytest.mark.parametrize("source,target", _ORBIT_PAIRS)
+def test_orbit_search_finds_the_first_witness(algebras, source, target):
+    # conjugation by H maps isomorphisms to isomorphisms, so trying one
+    # image per orbit keeps the verdict and the first witness, and each of
+    # its images is least among its conjugates by the h fixing the earlier
+    # images
+    A, B = algebras[source], algebras[target]
+    got = ma.iso_search(A, B)
+    want = next(ma.iso_search_iter(A, B), None)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.generator_images == want.generator_images
+    H, images = B.group, got.generator_images
+    for k, u in enumerate(images):
+        for h in range(H.order):
+            if all(_conjugate(H, h, w) == w for w in images[:k]):
+                assert _encoding(_conjugate(H, h, u), B.p) >= _encoding(u, B.p), (k, h)
 
 
 # -- bijectivity decided in J/J^2 --------------------------------------------
