@@ -3,7 +3,7 @@ and constructive extraction of the maximal abelian direct factor."""
 
 __version__ = "0.1.0"
 
-from .fp_linalg import Subspace, rref, kernel, image, preimage
+from .fp_linalg import Subspace, rref, kernel, preimage
 from .group_core import (
     AbelianType,
     FiniteGroup,
@@ -21,7 +21,6 @@ from .group_core import (
     from_mul_table,
     from_pc_presentation,
     jennings_series_product_formula,
-    lower_central_series,
     min_generators,
     normal_subgroups,
     omega,
@@ -33,7 +32,6 @@ from .modular_algebra import (
     AlgIdeal,
     GroupAlgebra,
     augmentation_ideal,
-    ideal_power,
     iso_search,
     jennings_by_ideal,
     relative_augmentation_ideal,

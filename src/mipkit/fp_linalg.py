@@ -410,11 +410,6 @@ def kernel(matrix, p: int) -> Subspace:
     return Subspace(p, m, basis, tuple(m - 1 - f for f in reversed(free)))
 
 
-def image(matrix, p: int) -> Subspace:
-    """Row space of ``A``: the image of x |-> x @ A."""
-    return rref(_as_matrix(matrix, p), p)
-
-
 def preimage(matrix, w: Subspace, p: int) -> Subspace:
     """Full preimage { x : x @ A in W } of the subspace W.
 
@@ -572,10 +567,6 @@ class Subquotient:
         if not self.top.contains(vec):
             raise NotSubspaceError("vector does not lie in the quotient top space")
         return _mm(vec[list(self.top.pivots)], self._coord_map, self.p)
-
-    def rep(self, coords) -> np.ndarray:
-        c = as_vector(coords, self.p, self.rank)
-        return _mm(c, self.basis_rows, self.p)
 
 
 def lex_complement(inside: Subspace, p: int, dim: int) -> np.ndarray:

@@ -2,14 +2,14 @@
 
 Groups are built from power-commutator presentations (or raw tables), hold
 dense n x n multiplication tables with the identity at index 0, and expose
-the subgroup-series toolbox: center, lower central series, Frattini
+the subgroup-series toolbox: center, commutator subgroup, Frattini
 subgroup, omega/agemo series and their relative forms, the Jennings series
 by Lazard's recursion, Burnside bases, abelian types of sections,
 quotients, and direct products.
 
 Commutators enter in one step, ``_commutators(H, S)`` = [H, S], one gather
-of the commutator table: G' is [S, S], gamma_{i+1} = [gamma_i, S], and the
-Jennings term D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}) by Lazard's recursion.
+of the commutator table: G' is [S, S], and the Jennings term
+D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}) by Lazard's recursion.
 
 Everything is exact and verified at construction: every table, a
 quotient's and a direct product's included, must have a two-sided identity
@@ -688,17 +688,6 @@ def _commutators(h: Subgroup, s: Subgroup) -> Subgroup:
 def commutator_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
     s = _as_subgroup(g)
     return _commutators(s, s)
-
-
-@_memo
-def lower_central_series(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
-    """gamma_1 = S and gamma_{i+1} = [gamma_i, S], down to the trivial term:
-    a p-group is nilpotent."""
-    s = _as_subgroup(g)
-    series = [s]
-    while not series[-1].is_trivial():
-        series.append(_commutators(series[-1], s))
-    return series
 
 
 @_memo

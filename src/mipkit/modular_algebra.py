@@ -66,12 +66,6 @@ class GroupAlgebra:
     def __repr__(self) -> str:
         return f"GroupAlgebra(F_{self.p}[{self.group.name}], dim={self.dim})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupAlgebra) and self.group is other.group
-
-    def __hash__(self) -> int:
-        return hash(id(self.group))
-
     # -- raw vector arithmetic -------------------------------------------------
 
     @gc._memo
@@ -80,13 +74,6 @@ class GroupAlgebra:
         table = self.group.mul[self.group.inv]
         table.setflags(write=False)
         return table
-
-    def _left_perm(self, g: int) -> np.ndarray:
-        return self._left_table()[g]
-
-    def _right_perm(self, g: int) -> np.ndarray:
-        # (x . g) = x[mul[:, g^-1]]
-        return self.group.mul[:, self.group.inv[g]]
 
     def multiply_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row-wise products of coefficient rows with entries in [0, p).
@@ -105,7 +92,10 @@ class GroupAlgebra:
         return (z % self.p).astype(np.result_type(x, y), copy=False)
 
     def power_vec(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x^k for one row or row-wise for a block of rows."""
+        """x^k for one row or row-wise for a block of rows, k >= 0; x^0 is
+        the identity in x's dtype."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         result = None
         base = x % self.p
         while k:
@@ -115,19 +105,14 @@ class GroupAlgebra:
             if k:
                 base = self.multiply_vec(base, base)
         if result is None:
-            result = np.zeros(x.shape, dtype=np.int64)
+            result = np.zeros(x.shape, dtype=x.dtype)
             result[..., 0] = 1
         return result
 
-    def augmentation_vec(self, x: np.ndarray) -> int:
-        return int(x.sum() % self.p)
-
     def translate_right(self, rows: np.ndarray, g: int) -> np.ndarray:
-        """rows . g for a whole block of coefficient rows."""
-        return rows[:, self._right_perm(g)]
-
-    def translate_left(self, rows: np.ndarray, g: int) -> np.ndarray:
-        return rows[:, self._left_perm(g)]
+        """rows . g for a whole block of coefficient rows: (x . g) =
+        x[mul[:, g^-1]]."""
+        return rows[:, self.group.mul[:, self.group.inv[g]]]
 
 
 @dataclass(frozen=True)
@@ -137,10 +122,6 @@ class AlgIdeal:
     algebra: GroupAlgebra
     space: Subspace
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
     def verify_two_sided(self) -> bool:
         """Exhaustive closure check under left/right basis translations."""
         A = self.algebra
@@ -148,7 +129,7 @@ class AlgIdeal:
         for g in range(A.dim):
             if not self.space.contains_all(A.translate_right(rows, g)):
                 return False
-            if not self.space.contains_all(A.translate_left(rows, g)):
+            if not self.space.contains_all(rows[:, A._left_table()[g]]):
                 return False
         return True
 
@@ -210,7 +191,7 @@ def left_multiplier_span(A: GroupAlgebra, n_sub: Subgroup, space: Subspace) -> S
         raise ValueError("subgroup of a different group")
     builder = fl.SubspaceBuilder(A.p, A.dim)
     for m in n_sub.generators:
-        shifted = space.basis[:, A._left_perm(m)]
+        shifted = space.basis[:, A._left_table()[m]]
         builder.absorb((shifted - space.basis) % A.p)
     return builder.subspace()
 
@@ -242,16 +223,6 @@ def _ideal_chain(A: GroupAlgebra, n: int) -> Subspace:
         top += 1
         terms[top] = builder.subspace()
     return terms[min(n, top)]
-
-
-def ideal_power(ideal: AlgIdeal, n: int) -> AlgIdeal:
-    """I(G)^n, read off the cached chain; any other ideal is a ValueError."""
-    A = ideal.algebra
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if ideal != augmentation_ideal(A):
-        raise ValueError("ideal_power takes the augmentation ideal only")
-    return AlgIdeal(A, _ideal_chain(A, n))
 
 
 def _filtration(A: GroupAlgebra, n: int, n_sub: Subgroup) -> Subspace:
@@ -404,9 +375,6 @@ class AlgebraProjection:
     matrix: np.ndarray
     hom: gc.GroupHom
 
-    def apply_vec(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.matrix) % self.source.p
-
 
 def natural_projection(A: GroupAlgebra, n_sub: Subgroup) -> AlgebraProjection:
     """kG -> k(G/N), linear extension of g -> gN; kernel is I(N)G."""
@@ -458,7 +426,7 @@ def power_map_commutative(A: GroupAlgebra, t: int) -> CommutativePowerMap:
     omega = gc.omega(G, t)
     if ker != relative_augmentation_ideal(A, omega).space:
         raise InternalCheckError(f"p^{t}-power map kernel on {G.name} != I(Omega_{t})G, |Omega_{t}| = {omega.order}")
-    hull = fl.image(mat, A.p)
+    hull = fl.rref(mat, A.p)
     mho = gc.agemo(G, t)
     expected_rows = np.eye(A.dim, dtype=np.int64)[list(mho.elements)]
     if hull != fl.rref(expected_rows, A.p, A.dim):
@@ -759,34 +727,37 @@ def iso_search_iter(A: GroupAlgebra, B: GroupAlgebra):
     r + (d - k) >= d(H), so every tuple that reaches the end is an
     isomorphism and only subtrees holding none are cut.
     """
-    yield from _iso_walk(A, B, least_conjugates=False)
+    yield from _iso_walk(A, B, np.arange(B.dim)[None])
 
 
 def iso_search(A: GroupAlgebra, B: GroupAlgebra) -> Optional[AlgebraIso]:
     """The first isomorphism ``iso_search_iter`` yields, or None when there
-    is none; the walk tries one image per conjugacy orbit of H.
+    is none, from a walk that tries one image per orbit of the inner
+    automorphisms x |-> h x h^-1 of H: one row per distinct map (h and hz,
+    z central, share one), so an abelian H has the identity's row alone."""
+    H = B.group
+    moves = H.mul[H.mul, H.inv[:, None]]  # row h: x -> h x h^-1
+    inner = np.array(list(dict.fromkeys(map(tuple, moves.tolist()))))
+    return next(_iso_walk(A, B, inner), None)
 
-    Conjugation c_h(x) = h x h^-1 by h in H is an augmentation-preserving
-    automorphism of kH, and it fixes every class of J/J^2 (h x h^-1 - x =
-    (h - 1) x h^-1 + x (h^-1 - 1) lies in J^2 for x in J).  So it sends a
-    tuple satisfying the relations to another one, and a tuple spanning
-    J/J^2 to another one: c_h maps isomorphisms to isomorphisms.  The
-    first isomorphism W = (w_1, ..., w_d) is the lexicographically least,
-    so each w_k is least in encoding order among its conjugates c_h(w_k)
-    by the h fixing w_1, ..., w_{k-1}: otherwise c_h(W) would be a smaller
-    isomorphism.  The walk therefore keeps only candidates with that
-    property, for the non-central h (the central ones act trivially).  It
-    visits some of ``iso_search_iter``'s tuples, in the same order, W
-    among them whenever an isomorphism exists: the verdict and the
-    witness are the same.
+
+def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
+    """The depth-first walk of ``iso_search_iter``, trying one image per
+    orbit of the prefix's stabilizer in a table of automorphisms of H.
+
+    Row a of ``automorphisms`` is a permutation of H's basis induced by an
+    automorphism of H, the identity's row first: it moves the coefficient
+    of x to a(x), an augmentation-preserving automorphism of kH.  It maps
+    J to J and J^2 to J^2, so it sends a tuple satisfying the relations to
+    another one and a tuple spanning J/J^2 to another one: it maps
+    isomorphisms to isomorphisms.  The first isomorphism W = (w_1, ...,
+    w_d) is the lexicographically least, so each w_k is least in encoding
+    order among its images a(w_k) by the rows a that fix w_1, ...,
+    w_{k-1}: otherwise a(W) would be a smaller isomorphism.  The walk keeps
+    only candidates with that property.  It visits some of the tuples the
+    identity's row alone visits, in the same order, W among them whenever
+    an isomorphism exists: the verdict and the first witness are the same.
     """
-    return next(_iso_walk(A, B, least_conjugates=True), None)
-
-
-def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, least_conjugates: bool):
-    # the depth-first walk of ``iso_search_iter``; with ``least_conjugates``
-    # a candidate is kept only if it is least among its conjugates under
-    # the prefix's stabilizer, as ``iso_search`` argues
     if A.dim != B.dim:
         return
     if A.dim > ISO_SEARCH_DIM_CAP:
@@ -867,33 +838,25 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, least_conjugates: bool):
                 f"gave no isomorphism ({exc})"
             ) from exc
 
-    if least_conjugates:
-        # Conjugation by h moves the coefficient of x to h x h^-1: a row of
-        # ``conj`` is that permutation, one row per inner automorphism (h
-        # and hz, z central, share it), the identity's first.  The encoding
-        # of h u h^-1 is u @ weights[row], computed for every unit at once
-        # when some row first needs it, in the narrowest unsigned type that
-        # holds an encoding.
-        H = B.group
-        moves = H.mul[H.mul, H.inv[:, None]]  # row h: x -> h x h^-1
-        conj = np.array(list(dict.fromkeys(map(tuple, moves.tolist()))))
-        weights = B.p ** np.arange(B.dim, dtype=np.min_scalar_type(B.p**B.dim - 1))
-        codes: dict[int, np.ndarray] = {}
-        least_conjugates = len(conj) > 1  # an abelian H moves nothing
+    # The encoding of a(u) is u @ weights[a], computed for every unit at
+    # once when some row first needs it, in the narrowest unsigned type
+    # that holds an encoding.
+    weights = B.p ** np.arange(B.dim, dtype=np.min_scalar_type(B.p**B.dim - 1))
+    codes: dict[int, np.ndarray] = {}
 
-    def code(h: int) -> np.ndarray:
-        if h not in codes:
-            codes[h] = units.view(np.uint8) @ weights[conj[h]]
-        return codes[h]
+    def code(a: int) -> np.ndarray:
+        if a not in codes:
+            codes[a] = units.view(np.uint8) @ weights[automorphisms[a]]
+        return codes[a]
 
     def least(pool: np.ndarray, images: list[int]) -> np.ndarray:
-        # the candidates least in encoding order among their conjugates by
-        # the rows other than the identity's that fix every chosen image
-        if not pool.size:
+        # the candidates least in encoding order among their images by the
+        # rows other than the identity's that fix every chosen image
+        if not pool.size or len(automorphisms) == 1:
             return pool
         chosen = units[images]
-        for h in np.flatnonzero((chosen[:, conj] == chosen[:, None]).all(axis=(0, 2)))[1:]:
-            pool = pool[code(0)[pool] <= code(h)[pool]]
+        for a in np.flatnonzero((chosen[:, automorphisms] == chosen[:, None]).all(axis=(0, 2)))[1:]:
+            pool = pool[code(0)[pool] <= code(a)[pool]]
         return pool
 
     # The units that may follow a prefix depend only on the prefix's classes.
@@ -918,14 +881,14 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, least_conjugates: bool):
         pool = spanning_pool(tuple(class_of[images].tolist()))
         # the orbit test thins the block the last level's checks, most of
         # the work, run over, and on earlier levels the pool they leave
-        if least_conjugates and last:
+        if last:
             pool = least(pool, images)
         for lhs, rhs in checks[level]:
             if not pool.size:
                 return
             trial = images + [pool]
             pool = pool[value(lhs, trial) == value(rhs, trial)]
-        if least_conjugates and not last:
+        if not last:
             pool = least(pool, images)
         for u in pool.tolist():
             yield from extend(images + [u])

@@ -129,7 +129,7 @@ def test_preimage_of_image_is_full_domain():
     rng = np.random.default_rng(3)
     for p in (2, 3):
         m = rng.integers(0, p, size=(4, 6))
-        w = fl.image(m, p)
+        w = fl.rref(m, p)
         assert fl.preimage(m, w, p).dim == 4
 
 
@@ -141,7 +141,7 @@ def test_image_of_preimage_lands_inside():
             w = _random_subspace(rng, p, 5)
             pre = fl.preimage(m, w, p)
             if pre.dim:
-                img = fl.image((pre.basis @ m) % p, p)
+                img = fl.rref((pre.basis @ m) % p, p)
                 assert w.contains_space(img)
 
 
@@ -218,10 +218,10 @@ def test_subquotient_coords_roundtrip():
     q = fl.Subquotient(top, bottom)
     assert q.rank == 2
     for coords in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        rep = q.rep(coords)
+        rep = np.array(coords) @ q.basis_rows % p
         assert np.array_equal(q.coords(rep), np.array(coords))
     # shifting by the bottom space does not change coordinates
-    shifted = (q.rep([1, 1]) + bottom.basis[0]) % p
+    shifted = (q.basis_rows.sum(axis=0) + bottom.basis[0]) % p
     assert q.coords(shifted).tolist() == [1, 1]
 
 
@@ -900,8 +900,7 @@ def test_subquotient_of_rank_zero_represents_by_the_zero_vector(p):
     for top in tops:
         q = fl.Subquotient(top, fl.rref(top.basis, p, n))
         assert q.rank == 0
-        rep = q.rep([])
-        assert rep.dtype == np.int64 and np.array_equal(rep, np.zeros(n, dtype=np.int64))
+        assert q.basis_rows.shape == (0, n)  # the empty sum, zero, represents the one class
         for row in top.basis:
             assert q.coords(row).shape == (0,)
 

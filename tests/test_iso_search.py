@@ -392,6 +392,48 @@ def test_orbit_search_finds_the_first_witness(algebras, source, target):
                 assert _encoding(_conjugate(H, h, u), B.p) >= _encoding(u, B.p), (k, h)
 
 
+def _automorphisms(H):
+    """Aut(H) by brute force, one row x -> a(x) each, sorted, so the
+    identity's row comes first: every choice of images of the presentation's
+    generators is spread over H by one walk of its table, and kept when the
+    map is onto and a homomorphism on the whole table."""
+    gens = gc._pcp_generator_indices(H.presentation)
+    rows = []
+    for images in itertools.product(range(H.order), repeat=len(gens)):
+        a = np.full(H.order, -1)
+        a[0] = 0
+        reached = [0]
+        for x in reached:  # grows as the walk reaches new elements
+            for g, image in zip(gens, images):
+                y = int(H.mul[x, g])
+                if a[y] < 0:
+                    a[y] = H.mul[a[x], image]
+                    reached.append(y)
+        if len(set(a.tolist())) == H.order and np.array_equal(a[H.mul], H.mul[a[:, None], a]):
+            rows.append(a.tolist())
+    return np.array(sorted(rows))
+
+
+@pytest.mark.parametrize(
+    "name,order",
+    [("C2xC2", 6), ("Q8", 24), ("C3xC3", 48), ("D8", 8), ("C4xC2", 8), ("C8", 4), ("C4", 2)],
+)
+def test_orbit_rule_under_aut_h_keeps_the_first_witness(algebras, name, order):
+    # every automorphism of H maps isomorphisms to isomorphisms, so the
+    # walk may thin by all of Aut(H), but only by the automorphisms that
+    # fix the images already chosen: on C2xC2, Q8 and C3xC3 a rule that
+    # ignored the earlier images cut the first witness
+    A = algebras[name]
+    B = ma.GroupAlgebra(A.group)
+    table = _automorphisms(B.group)
+    assert len(table) == order
+    assert np.array_equal(table[0], np.arange(B.dim))
+    got = next(ma._iso_walk(A, B, table))
+    want = oracle_iso_search(A, B)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.generator_images == want.generator_images
+
+
 # -- bijectivity decided in J/J^2 --------------------------------------------
 
 _SMALL = [entry.name for entry in cat.builtin_catalog() if entry.expected["order"] <= 16]
