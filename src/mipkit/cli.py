@@ -99,6 +99,18 @@ def _write_aside(path: Path, data: bytes) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
+def _sealed_text(path: Path) -> Optional[str]:
+    """The text of the cache entry at ``path`` when its bytes hash to its
+    seal, else None."""
+    try:
+        data = path.read_bytes()
+        if path.with_suffix(".sha256").read_bytes() == hashlib.sha256(data).hexdigest().encode():
+            return data.decode()
+    except (OSError, UnicodeDecodeError):
+        pass
+    return None
+
+
 def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     """Canonical JSON of the fingerprint payload, content-addressed on what
     the user gave: the source bytes and kind, the name (the payload reports
@@ -109,30 +121,36 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     the entry.  A hit whose bytes match their seal returns them as they
     are: it builds no group and neither parses nor encodes.  An entry with
     no seal, a stale one, changed bytes or an unreadable file is recomputed
-    with a warning, and sealed again.  Only a miss makes the directory; a
-    miss that cannot write its entry warns and returns the result."""
+    with a warning, and sealed again.  A miss whose t_max is at or past the
+    group's threshold tau has the payload of t_max omitted, so it copies
+    that entry's bytes when they are sealed, and computes nothing.  Only a
+    miss makes the directory; a miss that cannot write its entry warns and
+    returns the result."""
     name, kind, source = _read_spec(spec)
-    key = hashlib.sha256(
-        source
-        + f"|kind={kind}|name={name}|depth={depth}|tmax={t_max}|v={__version__}".encode()
-    ).hexdigest()
+
+    def key(t: Optional[int]) -> str:
+        return hashlib.sha256(
+            source + f"|kind={kind}|name={name}|depth={depth}|tmax={t}|v={__version__}".encode()
+        ).hexdigest()
+
     directory = cache_dir()
-    path = directory / f"{key}.json"
-    seal = directory / f"{key}.sha256"
+    path = directory / f"{key(t_max)}.json"
+    text = _sealed_text(path)
+    if text is not None:
+        return text
     if path.exists():
-        try:
-            data = path.read_bytes()
-            if seal.read_bytes() == hashlib.sha256(data).hexdigest().encode():
-                return data.decode()
-        except (OSError, UnicodeDecodeError):
-            pass
         print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
-    text = ci.fingerprint(_build(spec, name, kind, source), depth, t_max).to_json()
+    G = _build(spec, name, kind, source)
+    tau = ci.stabilization_threshold(G)
+    if t_max is not None and t_max >= tau:
+        text = _sealed_text(directory / f"{key(None)}.json")
+    if text is None:
+        text = ci.fingerprint(G, depth, t_max, tau).to_json()
     data = text.encode()
     try:
         directory.mkdir(parents=True, exist_ok=True)
         _write_aside(path, data)
-        _write_aside(seal, hashlib.sha256(data).hexdigest().encode())
+        _write_aside(path.with_suffix(".sha256"), hashlib.sha256(data).hexdigest().encode())
     except OSError as exc:
         print(f"warning: cannot write cache entry {path}: {exc.strerror or exc}", file=sys.stderr)
     return text

@@ -14,8 +14,8 @@ D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}) by Lazard's recursion.
 Everything is exact and verified at construction: every table, a
 quotient's and a direct product's included, must have a two-sided identity
 and inverses, and it is proved associative by Light's test over a
-generating set found by BFS.  Caps keep orders small enough for
-dense tables to stay cheap.
+generating set taken greedily by one walk of the table.  Caps keep orders
+small enough for dense tables to stay cheap.
 
 A presentation's table is built level by level up its pc series
 (``_pc_table``), with no word rewritten, and validation is its only
@@ -30,7 +30,8 @@ right cosets (``_grow``), which also picks the greedy generating witness in
 the same pass.  ``FiniteGroup.subgroup``, ``join`` and the series go through
 ``_generated``, and ``subgroup_from_elements`` checks a given set with the
 same walk.  The witness is empty exactly for the trivial subgroup.  The walk
-relies on associativity, so Light's test keeps its BFS.
+relies on associativity, so Light's test takes its generators by a walk of
+its own, ``_light_generators``.
 
 The abelian type of a section S/N is counted in the parent's table, with no
 quotient or subgroup table built: in an abelian group the elements of order
@@ -310,26 +311,30 @@ class PcPresentation:
 def _light_generators(mul: np.ndarray) -> list[int]:
     """Generators of a table with identity 0, taken greedily in index order.
 
-    An index not yet reached becomes a generator; a BFS under right
-    multiplication from the identity then extends the reached set.  The
-    walk ends when every index is reached, which proves that they generate.
+    The least index not yet reached becomes a generator; the reached set,
+    the identity's at first, is then closed under right multiplication by
+    every generator so far.  The walk ends when every index is reached,
+    which proves that they generate.
 
     Not ``_grow``: this runs before the table is known to be associative,
-    and the BFS reaches every element as a left-nested product
-    (..(g_1 g_2)..) g_k, which is what Light's test needs.
+    and the walk reaches every element as a left-nested product
+    (..(g_1 g_2)..) g_k, which is what Light's test needs.  Each closure is
+    one plain walk over the generators' columns, read once as lists.
     """
     n = mul.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
+    reached = [True] + [False] * (n - 1)
+    order = [0]
     gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = np.zeros(n, dtype=bool)
-            step[mul[frontier][:, gens]] = True
-            frontier = np.flatnonzero(step & ~reached)
-            reached[frontier] = True
+    columns: list[list[int]] = []
+    while len(order) < n:
+        gens.append(reached.index(False))
+        columns.append(mul[:, gens[-1]].tolist())
+        for x in order:  # grows as the walk reaches new elements
+            for column in columns:
+                y = column[x]
+                if not reached[y]:
+                    reached[y] = True
+                    order.append(y)
     return gens
 
 
@@ -339,7 +344,8 @@ class FiniteGroup:
     Elements are the indices 0..order-1 with the identity at 0.  Every
     table is validated at construction, with no way to skip it: entries in
     range, a two-sided identity, consistent inverses, and associativity by
-    Light's test over a generating set found by BFS (``_light_generators``).
+    Light's test over a generating set taken greedily by one walk of the
+    table (``_light_generators``).
 
     ``presentation`` is the pc presentation the table was built from, or
     None for a table with no presentation (a raw table, a subgroup or a

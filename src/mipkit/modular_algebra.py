@@ -9,7 +9,8 @@ exhaustive search for explicit algebra isomorphisms of tiny algebras.
 
 Products go through one left-translation table per algebra, row g of
 ``mul[inv]``, which maps y to g . y; xy is then a sum of translates of y,
-one per nonzero coefficient of x, taken row-wise over whole blocks.
+one per nonzero coefficient of x: one integer matrix product with the
+translates when y is one row, and row-wise over whole blocks otherwise.
 
 Each object of the graded theory is made in one place: I(N)G in
 ``relative_augmentation_ideal`` (from N's coset labels in ``group_core``),
@@ -80,15 +81,20 @@ class GroupAlgebra:
         Either factor may be one row or a block of rows; a single row
         broadcasts against a block.
 
-        xy = sum over g of x[g] (g . y), one left translation of every row
-        of y per column g on which x is nonzero.  The result keeps the
-        operands' dtype, so narrow blocks stay narrow.
+        xy = sum over g of x[g] (g . y).  When y is one row that is x times
+        the matrix of y's left translates, y[left], in one exact integer
+        product; otherwise one left translation of every row of y per
+        column g on which x is nonzero.  The result keeps the operands'
+        dtype, so narrow blocks stay narrow.
         """
         left = self._left_table()
         acc = self._sum_dtype
-        z = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=acc)
-        for g in np.flatnonzero(x.reshape(-1, self.dim).any(axis=0)):
-            z += np.multiply(x[..., g, None], y[..., left[g]], dtype=acc)
+        if y.ndim == 1:
+            z = np.matmul(x, y[left], dtype=acc)
+        else:
+            z = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=acc)
+            for g in np.flatnonzero(x.reshape(-1, self.dim).any(axis=0)):
+                z += np.multiply(x[..., g, None], y[..., left[g]], dtype=acc)
         return (z % self.p).astype(np.result_type(x, y), copy=False)
 
     def power_vec(self, x: np.ndarray, k: int) -> np.ndarray:

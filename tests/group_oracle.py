@@ -4,6 +4,10 @@ lookups, the type of a direct product of abelian groups, injectivity of a
 homomorphism by its image count, a subgroup's own table, the whole-group
 test and a homomorphism's image.
 
+Light's generating set as the numpy BFS it first was, one mask, gather
+and ``flatnonzero`` round per level, is the reference for the plain walk
+that ``group_core._light_generators`` makes.
+
 The rest are the loops that ``group_core`` replaced with reads of its one
 power table, its coset labels and its subgroups, each kept as the
 reference for a differential test: element orders by repeated
@@ -21,6 +25,26 @@ import numpy as np
 
 from mipkit import group_core as gc
 from mipkit.group_core import AbelianType, FiniteGroup, GroupHom, Subgroup, join
+
+
+def light_generators(mul: np.ndarray) -> list[int]:
+    """The least index not yet reached becomes a generator, and a BFS under
+    right multiplication by every generator so far, one numpy round per
+    level, extends the reached set from all of it; until every index is
+    reached."""
+    n = mul.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.zeros(n, dtype=bool)
+            step[mul[frontier][:, gens]] = True
+            frontier = np.flatnonzero(step & ~reached)
+            reached[frontier] = True
+    return gens
 
 
 def conjugate(G: FiniteGroup, a: int, g: int) -> int:

@@ -207,6 +207,28 @@ def test_analyze_and_cache_roundtrip(capsys, monkeypatch, tmp_path):
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
+def test_a_tmax_past_tau_copies_the_sealed_entry_of_tmax_omitted(capsys, monkeypatch, tmp_path):
+    # D8 has tau = 2, and every t_max >= tau has the payload of t_max
+    # omitted: a miss there copies that entry's bytes and computes nothing
+    code, first = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8")
+    calls = []
+    fingerprint = ci.fingerprint
+    monkeypatch.setattr(ci, "fingerprint", lambda G, *a: calls.append(a[:2]) or fingerprint(G, *a))
+    for tmax in ("9", "2"):
+        code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8", "--tmax", tmax)
+        assert code == 0 and report["result"] == first["result"]
+    assert calls == []
+    entries = list((tmp_path / "cache").glob("*.json"))
+    assert len(entries) == 3 and len({entry.read_bytes() for entry in entries}) == 1
+    # below tau, and past it once the entry of t_max omitted has lost its seal
+    run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8", "--tmax", "1")
+    for seal in (tmp_path / "cache").glob("*.sha256"):
+        seal.unlink()
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8", "--tmax", "3")
+    assert code == 0 and report["result"] == first["result"]
+    assert calls == [(2, 1), (2, 3)]
+
+
 def test_cold_analyze_encodes_its_payload_once(monkeypatch, tmp_path):
     # the cache write encodes the payload; the report splices that text in
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))

@@ -793,6 +793,9 @@ def test_light_test_rejects_exactly_what_the_n3_oracle_rejects(name, groups):
         switches = [switches[i] for i in rng.choice(len(switches), SWITCH_SAMPLE, replace=False)]
     for a, c, cycle in switches:
         table = _switched(G.mul, a, c, cycle)
+        # the walk picks what the BFS picks on tables that are not
+        # associative too: Light's test runs on its picks
+        assert gc._light_generators(table) == group_oracle.light_generators(table)
         if _associative_n3(table):
             gc.from_mul_table(table)
         else:
@@ -800,6 +803,11 @@ def test_light_test_rejects_exactly_what_the_n3_oracle_rejects(name, groups):
                 gc.from_mul_table(table)
             assert type(info.value) is gc.PresentationError
             assert str(info.value) == "multiplication table is not associative"
+
+
+def test_light_generators_match_the_bfs_oracle(groups):
+    for name, G in groups.items():
+        assert gc._light_generators(G.mul) == group_oracle.light_generators(G.mul), name
 
 
 def test_non_associative_mul_file_is_one_parse_error(capsys, monkeypatch, tmp_path):
@@ -837,6 +845,7 @@ def test_relabeled_table_has_the_same_fingerprint(name, groups):
     G = groups[name]
     H = _relabeled(G)
     gens = gc._light_generators(H.mul)
+    assert gens == group_oracle.light_generators(H.mul)
     assert gens == sorted(gens)
     assert gens == gc._grow(H, H.elements())[1]
     assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()

@@ -659,6 +659,28 @@ def test_multiply_and_power_match_the_loop(name, data):
         assert np.array_equal(A.power_vec(X.astype(np.int8), k), want), k
 
 
+@pytest.mark.parametrize("name", ["D8xC4", "M27xC9"])
+def test_dense_products_match_the_loop_past_order_27(name, algebras):
+    # n = 32 and 243, past the kernel groups: rows of every coefficient p-1
+    # (the largest sums) and random dense rows; one row times one row and
+    # a block times one row take the matrix product, and the (n,1,n) x
+    # (1,n,n) block product of AlgebraIso's check the translation loop
+    # (at n = 32 only: the loop oracle makes n^3 steps)
+    A = algebras[name]
+    rng = np.random.default_rng(A.dim)
+    X = np.vstack([np.full(A.dim, A.p - 1), rng.integers(0, A.p, size=(3, A.dim))])
+    Y = np.vstack([np.full(A.dim, A.p - 1), rng.integers(0, A.p, size=(3, A.dim))])
+    cases = [(x, y, _multiply_loop(A, x, y)) for x in X for y in Y]
+    cases += [(X, y, [_multiply_loop(A, x, y) for x in X]) for y in Y]
+    if A.dim == 32:
+        M = rng.integers(0, A.p, size=(A.dim, A.dim))
+        cases.append((M[:, None], M[None], [[_multiply_loop(A, a, b) for b in M] for a in M]))
+    for left, right, want in cases:
+        for dtype in (np.int64, np.int8):
+            got = A.multiply_vec(left.astype(dtype), right.astype(dtype))
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+
 def test_power_vec_refuses_a_negative_exponent_and_keeps_the_dtype_at_zero(algebras):
     # a negative k never reached 0 under k >>= 1; x^0 is the identity in the
     # operand's dtype, one row or a block
