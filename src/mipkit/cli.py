@@ -87,24 +87,25 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "mipkit"
 
 
-def _write_aside(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path`` and rename it into
-    place, so a concurrent reader never sees half of it."""
+def _write_aside(path: Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to a temporary file beside ``path`` and rename it into
+    place, so a concurrent reader never sees part of it."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)
 
 
 def _sealed_text(path: Path) -> Optional[str]:
-    """The text of the cache entry at ``path`` when its bytes hash to its
-    seal, else None."""
+    """The body of the cache entry at ``path`` when its first line is the
+    body's SHA-256, else None."""
     try:
-        data = path.read_bytes()
-        if path.with_suffix(".sha256").read_bytes() == hashlib.sha256(data).hexdigest().encode():
+        with path.open("rb", buffering=0) as fh:  # unbuffered: read() returns the body unjoined
+            seal, data = fh.read(65), fh.read()
+        if seal == hashlib.sha256(data).hexdigest().encode() + b"\n":
             return data.decode()
     except (OSError, UnicodeDecodeError):
         pass
@@ -116,16 +117,15 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     the user gave: the source bytes and kind, the name (the payload reports
     it), depth, t_max as given and tool version.
 
-    An entry ``<key>.json`` holds the payload's canonical JSON, and its seal
-    ``<key>.sha256`` the SHA-256 of those bytes, renamed into place after
-    the entry.  A hit whose bytes match their seal returns them as they
-    are: it builds no group and neither parses nor encodes.  An entry with
-    no seal, a stale one, changed bytes or an unreadable file is recomputed
-    with a warning, and sealed again.  A miss whose t_max is at or past the
-    group's threshold tau has the payload of t_max omitted, so it copies
-    that entry's bytes when they are sealed, and computes nothing.  Only a
-    miss makes the directory; a miss that cannot write its entry warns and
-    returns the result."""
+    An entry ``<key>.json`` is one file renamed into place: its first line
+    is the SHA-256 hex of the rest, the payload's canonical JSON.  A hit
+    whose body matches that line returns the body as it is: it builds no
+    group and neither parses nor encodes.  Any other entry, or an
+    unreadable file, is recomputed with a warning and written again.  A
+    miss whose t_max is at or past the group's threshold tau has the
+    payload of t_max omitted, so it copies that entry's body when it is
+    sealed, and computes nothing.  Only a miss makes the directory; a miss
+    that cannot write its entry warns and returns the result."""
     name, kind, source = _read_spec(spec)
 
     def key(t: Optional[int]) -> str:
@@ -135,10 +135,11 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
 
     directory = cache_dir()
     path = directory / f"{key(t_max)}.json"
-    text = _sealed_text(path)
-    if text is not None:
-        return text
-    if path.exists():
+    text = None
+    if path.exists():  # before the read, so a concurrent miss's rename never looks corrupt
+        text = _sealed_text(path)
+        if text is not None:
+            return text
         print(f"warning: corrupt cache entry {path}, recomputing", file=sys.stderr)
     G = _build(spec, name, kind, source)
     tau = ci.stabilization_threshold(G)
@@ -149,8 +150,7 @@ def fingerprint_cached(spec: str, depth: int, t_max: Optional[int]) -> str:
     data = text.encode()
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        _write_aside(path, data)
-        _write_aside(path.with_suffix(".sha256"), hashlib.sha256(data).hexdigest().encode())
+        _write_aside(path, hashlib.sha256(data).hexdigest().encode() + b"\n", data)
     except OSError as exc:
         print(f"warning: cannot write cache entry {path}: {exc.strerror or exc}", file=sys.stderr)
     return text
@@ -184,13 +184,6 @@ def _cmd_decompose(args) -> tuple[dict, str]:
 def _cmd_iso_search(args) -> tuple[dict, str]:
     g = resolve_group(args.group1)
     h = resolve_group(args.group2)
-    # the search maps the source's presentation generators; the target
-    # may be a table
-    if g.presentation is None:
-        raise CliParseError(
-            f"iso search needs a power-commutator presentation for {args.group1}, "
-            "not a multiplication table"
-        )
     witness = ma.iso_search(ma.GroupAlgebra(g), ma.GroupAlgebra(h))
     if witness is None:
         result = {"found": False, "matrix": None, "generator_images": None}

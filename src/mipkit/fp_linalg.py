@@ -164,7 +164,7 @@ class Subspace:
     hashes like its ``rref`` copy.
     """
 
-    __slots__ = ("p", "ambient_dim", "dim", "basis", "pivots", "labels", "_hash")
+    __slots__ = ("p", "ambient_dim", "dim", "basis", "pivots", "labels")
 
     def __init__(self, p: int, ambient_dim: int, basis: np.ndarray, pivots: tuple[int, ...]):
         # Internal constructor: ``basis`` must already be in RREF.
@@ -175,7 +175,6 @@ class Subspace:
         self.basis.setflags(write=False)
         self.pivots = pivots
         self.labels = None
-        self._hash = None
 
     def __getattr__(self, name):
         """The echelon basis and pivots of a partition space, written on
@@ -212,9 +211,7 @@ class Subspace:
         return self.pivots == other.pivots and np.array_equal(self.basis, other.basis)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.p, self.ambient_dim, self.pivots, self.basis.tobytes()))
-        return self._hash
+        return hash((self.p, self.ambient_dim, self.pivots, self.basis.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
@@ -330,7 +327,6 @@ def _partition(p: int, labels: np.ndarray) -> Subspace:
     space.dim = n - int(np.count_nonzero(labels == np.arange(n)))
     labels.setflags(write=False)
     space.labels = labels
-    space._hash = None
     return space
 
 

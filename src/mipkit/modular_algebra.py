@@ -764,13 +764,15 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
     identity's row alone visits, in the same order, W among them whenever
     an isomorphism exists: the verdict and the first witness are the same.
     """
+    presentation = A.group.presentation
+    if presentation is None:
+        raise gc.PresentationError(
+            f"iso search needs a power-commutator presentation for {A.group.name}, not a multiplication table"
+        )
     if A.dim != B.dim:
         return
     if A.dim > ISO_SEARCH_DIM_CAP:
         raise CapExceededError(f"iso search capped at dimension {ISO_SEARCH_DIM_CAP}")
-    presentation = A.group.presentation
-    if presentation is None:
-        raise ValueError("iso search needs a power-commutator presentation")
     d = len(presentation.rel_orders)
     if d > ISO_SEARCH_GEN_CAP:
         raise CapExceededError(f"iso search capped at {ISO_SEARCH_GEN_CAP} generators")

@@ -222,8 +222,8 @@ def test_a_tmax_past_tau_copies_the_sealed_entry_of_tmax_omitted(capsys, monkeyp
     assert len(entries) == 3 and len({entry.read_bytes() for entry in entries}) == 1
     # below tau, and past it once the entry of t_max omitted has lost its seal
     run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8", "--tmax", "1")
-    for seal in (tmp_path / "cache").glob("*.sha256"):
-        seal.unlink()
+    for entry in (tmp_path / "cache").glob("*.json"):
+        entry.write_bytes(_split_entry(entry)[1])
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "D8", "--tmax", "3")
     assert code == 0 and report["result"] == first["result"]
     assert calls == [(2, 1), (2, 3)]
@@ -255,7 +255,8 @@ def test_analyze_stdout_is_the_same_bytes_on_miss_hit_and_rewritten_hit(capsys, 
     for rewrite in (False, False, True):
         if rewrite:
             (entry,) = tmp_path.glob("*.json")
-            entry.write_text(json.dumps(json.loads(entry.read_text()), indent=2))
+            seal, body = _split_entry(entry)
+            entry.write_bytes(seal + json.dumps(json.loads(body), indent=2).encode())
         assert cli.main(["--no-timing", "analyze", "D8"]) == 0
         lines.append(capsys.readouterr().out)
     assert lines[0] == lines[1] == lines[2]
@@ -300,7 +301,7 @@ def test_corrupt_cache_recovers(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert report1 == report2
     # the cache entry was rewritten with valid content
-    assert json.loads(cache_file.read_text()) == report2["result"]
+    assert json.loads(_split_entry(cache_file)[1]) == report2["result"]
 
 
 def test_byte_determinism_without_timing(capsys, monkeypatch, tmp_path):
@@ -426,7 +427,16 @@ def test_iso_search_from_a_table_is_one_parse_error(capsys, monkeypatch, tmp_pat
     assert code == 2
     assert set(report) == {"error"}
     assert report["error"]["kind"] == "parse"
-    assert "power-commutator presentation" in report["error"]["message"]
+    assert report["error"]["message"] == (
+        "iso search needs a power-commutator presentation for c2, not a multiplication table"
+    )
+    # nor before the orders are compared or the caps applied
+    big = tmp_path / "c32.mul"
+    big.write_text("".join(",".join(str((i + j) % 32) for j in range(32)) + "\n" for i in range(32)))
+    for source, target in ((table, "C4"), (big, f"@{big}")):
+        code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", f"@{source}", target)
+        assert (code, report["error"]["kind"]) == (2, "parse")
+        assert f"presentation for {source.stem}," in report["error"]["message"]
     # a table as the target still searches
     code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", "C2", f"@{table}")
     assert code == 0
@@ -571,22 +581,23 @@ def test_interrupted_cache_write_leaves_nothing_behind(monkeypatch, tmp_path, ow
     assert list(tmp_path.iterdir()) == []
 
 
-def _sealed_entry(directory):
-    (entry,) = directory.glob("*.json")
-    seal = entry.with_suffix(".sha256")
-    return entry, seal
+def _split_entry(entry):
+    """(first line with its newline, the rest) of a cache entry's bytes."""
+    seal, newline, body = entry.read_bytes().partition(b"\n")
+    return seal + newline, body
 
 
 def _seal_holds(directory):
-    entry, seal = _sealed_entry(directory)
-    return seal.read_text() == hashlib.sha256(entry.read_bytes()).hexdigest()
+    (entry,) = directory.glob("*.json")
+    seal, body = _split_entry(entry)
+    return seal == hashlib.sha256(body).hexdigest().encode() + b"\n"
 
 
 def test_sealed_hit_neither_parses_nor_encodes(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
     assert cli.main(["--no-timing", "analyze", "D8"]) == 0
     first = capsys.readouterr().out
-    entry, _ = _sealed_entry(tmp_path)
+    (entry,) = tmp_path.glob("*.json")
     assert _seal_holds(tmp_path)
 
     def spy(name):
@@ -598,7 +609,7 @@ def test_sealed_hit_neither_parses_nor_encodes(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(json, "loads", spy("json.loads"))
     monkeypatch.setattr(ci, "canonical_json", spy("canonical_json"))
     monkeypatch.setattr(gc, "from_pc_presentation", spy("a group build"))
-    assert cli.fingerprint_cached("D8", 2, None) == entry.read_text()
+    assert cli.fingerprint_cached("D8", 2, None) == _split_entry(entry)[1].decode()
     # main encodes the report's own small fields, and splices the hit's text
     monkeypatch.setattr(ci, "canonical_json", canonical_json)
     assert cli.main(["--no-timing", "analyze", "D8"]) == 0
@@ -606,30 +617,33 @@ def test_sealed_hit_neither_parses_nor_encodes(capsys, monkeypatch, tmp_path):
     assert captured.err == "" and captured.out == first
 
 
-def _flip_one_byte(entry, seal):
-    data = bytearray(entry.read_bytes())
-    i = data.index(b'"order":8') + len(b'"order":')  # the group's order
-    data[i] = ord("9")
-    entry.write_bytes(bytes(data))
+def _flip_one_byte(seal, body):
+    i = body.index(b'"order":8') + len(b'"order":')  # the group's order
+    return seal, body[:i] + b"9" + body[i + 1:]
 
 
-def _delete_seal(entry, seal):
-    seal.unlink()
+def _delete_seal(seal, body):
+    return b"", body
 
 
-def _stale_seal(entry, seal):
-    seal.write_text(hashlib.sha256(entry.read_bytes() + b" ").hexdigest())
+def _stale_seal(seal, body):
+    return hashlib.sha256(body + b" ").hexdigest().encode() + b"\n", body
 
 
-@pytest.mark.parametrize("damage", [_flip_one_byte, _delete_seal, _stale_seal], ids=["flip", "no-seal", "stale-seal"])
+_DAMAGES = pytest.mark.parametrize(
+    "damage", [_flip_one_byte, _delete_seal, _stale_seal], ids=["flip", "no-seal", "stale-seal"]
+)
+
+
+@_DAMAGES
 def test_unsealed_entry_is_recomputed_and_sealed_again(damage, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
     assert cli.main(["--no-timing", "analyze", "C8"]) == 0
     first = capsys.readouterr().out
-    entry, seal = _sealed_entry(tmp_path)
-    size = entry.stat().st_size
-    damage(entry, seal)
-    assert entry.stat().st_size == size
+    (entry,) = tmp_path.glob("*.json")
+    seal, body = damage(*_split_entry(entry))
+    assert len(body) == len(_split_entry(entry)[1])
+    entry.write_bytes(seal + body)
     built = []
     build = gc.from_pc_presentation
     monkeypatch.setattr(gc, "from_pc_presentation", lambda *a, **k: built.append(1) or build(*a, **k))
@@ -645,29 +659,68 @@ def test_unsealed_entry_is_recomputed_and_sealed_again(damage, capsys, monkeypat
     assert not built and captured.err == "" and captured.out == first
 
 
-def test_failed_seal_rename_leaves_an_entry_that_is_not_trusted(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+def test_a_miss_writes_one_file_through_one_rename(monkeypatch, tmp_path):
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
     replace = os.replace
     renames = []
+    monkeypatch.setattr(os, "replace", lambda *a, **k: renames.append(a[1]) or replace(*a, **k))
+    cli.fingerprint_cached("C4", 1, None)
+    assert renames == list((tmp_path / "cache").iterdir())
+    assert len(renames) == 1 and _seal_holds(tmp_path / "cache")
 
-    def second_fails(*args, **kwargs):
-        renames.append(args)
-        if len(renames) == 2:
-            raise RuntimeError("interrupted")
-        return replace(*args, **kwargs)
 
-    monkeypatch.setattr(os, "replace", second_fails)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        cli.fingerprint_cached("C4", 1, None)
-    monkeypatch.setattr(os, "replace", replace)
-    (entry,) = tmp_path.iterdir()  # the entry, with no seal and no temporary file
-    assert entry.suffix == ".json"
-    entry.write_text(entry.read_text().replace('"order":4', '"order":5', 1))
-    assert cli.main(["--no-timing", "analyze", "C4", "--depth", "1"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == f"warning: corrupt cache entry {entry}, recomputing\n"
-    assert json.loads(captured.out)["result"]["order"] == 4
-    assert _seal_holds(tmp_path)
+@_DAMAGES
+def test_a_repair_reads_back_as_a_sealed_hit_right_after_its_rename(damage, capsys, monkeypatch, tmp_path):
+    # a reader that lands just after the repair's rename gets the result
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    assert cli.main(["--no-timing", "analyze", "C8"]) == 0
+    (entry,) = tmp_path.glob("*.json")
+    seal, body = _split_entry(entry)
+    entry.write_bytes(b"".join(damage(seal, body)))
+    replace = os.replace
+    reads = []
+
+    def spy(*args, **kwargs):
+        replace(*args, **kwargs)
+        reads.append(cli._sealed_text(entry))
+
+    monkeypatch.setattr(os, "replace", spy)
+    assert cli.main(["--no-timing", "analyze", "C8"]) == 0
+    assert reads and all(text == body.decode() for text in reads)
+
+
+def test_an_entry_of_the_two_file_layout_is_recomputed_once(capsys, monkeypatch, tmp_path):
+    # entries once held the bare body, and a <key>.sha256 beside them its hash
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path))
+    assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+    first = capsys.readouterr().out
+    (entry,) = tmp_path.glob("*.json")
+    _, body = _split_entry(entry)
+    entry.write_bytes(body)
+    old_seal = entry.with_suffix(".sha256")
+    old_seal.write_text(hashlib.sha256(body).hexdigest())
+    for err in (f"warning: corrupt cache entry {entry}, recomputing\n", ""):
+        assert cli.main(["--no-timing", "analyze", "D8"]) == 0
+        assert capsys.readouterr() == (first, err)
+    assert _seal_holds(tmp_path) and _split_entry(entry)[1] == body
+    assert old_seal.read_text() == hashlib.sha256(body).hexdigest()  # never read, left as it was
+
+
+def test_two_runs_at_once_on_a_fresh_cache_agree_and_leave_one_entry(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MIPKIT_CACHE_DIR": str(tmp_path / "cache")}
+    argv = [sys.executable, "-m", "mipkit.cli", "--no-timing", "analyze", "D8"]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+             for _ in range(2)]
+    try:
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outputs[0] == outputs[1] and outputs[0][1] == ""
+    assert json.loads(outputs[0][0])["result"]["jennings"] == [8, 2, 1]
+    assert [entry.suffix for entry in (tmp_path / "cache").iterdir()] == [".json"]
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
