@@ -280,7 +280,7 @@ def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         args = PARSER.parse_args(argv)
         inputs, result = args.func(args)
@@ -294,7 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _print_error(EXIT_INTERNAL, "internal", exc)
     report = {"command": args.command, "inputs": inputs, "version": __version__}
     if not args.no_timing:
-        report["timing"] = {"seconds": round(time.time() - started, 6)}
+        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     # the bytes ci.canonical_json(report) gives, with the result's text spliced
     # in, not encoded again; printed piece by piece, not copied into one string
     texts = {key: ci.canonical_json(value) for key, value in report.items()} | {"result": result}

@@ -47,9 +47,14 @@ its ``relative_augmentation_ideal`` I(N)kG is their partition space.
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
 *args)``, so arguments are part of the key and a Subgroup argument matches
-only a subgroup of the same parent.  The whole-group subgroup shares its
-parent's dict, so ``center(G)`` and ``center(G.full_subgroup())`` are one
-entry.  A cached list is handed out as a fresh copy.
+only a subgroup of the same parent.  A group keeps one cache per element
+set of its subgroups (``FiniteGroup._caches``, the whole set mapped to the
+group's own), and every ``Subgroup`` with that set takes it: subgroups with
+the same elements, however they were built, share their memoized values,
+and ``center(G)`` and ``center(G.full_subgroup())`` are one entry.  Every
+memoized value depends only on the element set, except the first term of
+``jennings_series_product_formula``, which is the subgroup that asked
+first.  A cached list is handed out as a fresh copy.
 """
 
 from __future__ import annotations
@@ -380,6 +385,8 @@ class FiniteGroup:
         self.inv = np.argmax(self.mul == 0, axis=1)
         self.inv.setflags(write=False)
         self._cache: dict = {}
+        # one memo cache per subgroup element set; see the module docstring
+        self._caches = {frozenset(range(n)): self._cache}
         self._validate()
 
     # -- validation --------------------------------------------------------
@@ -490,9 +497,7 @@ class FiniteGroup:
     @_memo
     def full_subgroup(self) -> "Subgroup":
         elems = tuple(range(self.order))
-        whole = Subgroup(self, elems, tuple(_grow(self, elems)[1]))
-        whole._cache = self._cache
-        return whole
+        return Subgroup(self, elems, tuple(_grow(self, elems)[1]))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), ())
@@ -511,11 +516,11 @@ class Subgroup:
         self.elements = tuple(elements)
         self.generators = tuple(generators)
         self._set = frozenset(elements)
-        self._cache: dict = {}
         if 0 not in self._set:
             raise ValueError("subgroup must contain the identity")
         if parent.order % len(self.elements) != 0:
             raise ValueError("subgroup order does not divide the group order")
+        self._cache = parent._caches.setdefault(self._set, {})
 
     @property
     def order(self) -> int:
@@ -746,6 +751,8 @@ def jennings_series_product_formula(g: Union[FiniteGroup, Subgroup]) -> list[Sub
     """
     s = _as_subgroup(g)
     p = s.parent.p
+    # D_1 is S itself; the memo is shared per element set, so D_1 is the
+    # first subgroup with S's elements to ask
     series = [s]
     while not series[-1].is_trivial():
         n = len(series) + 1

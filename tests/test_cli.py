@@ -319,6 +319,16 @@ def test_timing_block_present_by_default(capsys, monkeypatch, tmp_path):
     assert "timing" in report and isinstance(report["timing"]["seconds"], float)
 
 
+def test_timing_ignores_a_wall_clock_step(capsys, monkeypatch, tmp_path):
+    # the wall clock steps back an hour at every read; the timing block
+    # reads a monotonic clock, so it never goes negative
+    clock = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+    code, report = run(capsys, monkeypatch, tmp_path, "compare", "C4", "C4")
+    assert code == 0
+    assert 0 <= report["timing"]["seconds"] < 3600
+
+
 def test_pcp_file_roundtrip(capsys, monkeypatch, tmp_path):
     # a presentation exported from a catalog entry analyzes identically
     entry = next(e for e in cat.builtin_catalog() if e.name == "Q8")

@@ -613,6 +613,122 @@ def test_center_of_group_and_of_full_subgroup_share_one_entry(groups):
     G = groups["Q8"]
     assert gc.center(G) is gc.center(G.full_subgroup())
     assert gc.jennings_series_product_formula(G) == gc.jennings_series_product_formula(G.full_subgroup())
+    # two subgroups with the same elements, built by different walks
+    G = cat.lookup("D8xC2").build()
+    a = G.subgroup([G.order - 1, G.order - 2, G.order - 4])
+    b = gc.subgroup_from_elements(G, a.elements)
+    assert a is not b and a.elements == b.elements and a.generators != b.generators
+    assert gc.center(a) is gc.center(b)
+
+
+# -- one memo cache per subgroup element set ---------------------------------
+
+
+def _subgroup_memo_probes():
+    """One call of each memoized ``group_core`` function that a Subgroup
+    reaches, made on the subgroup ``s``."""
+    return {
+        "Subgroup.is_normal": lambda s: s.is_normal(),
+        "Subgroup.is_abelian": lambda s: s.is_abelian(),
+        "Subgroup.exponent": lambda s: s.exponent(),
+        "Subgroup._mask": lambda s: s._mask(),
+        "Subgroup._coset_labels": lambda s: s._coset_labels(),
+        "center": gc.center,
+        "commutator_subgroup": gc.commutator_subgroup,
+        "omega": lambda s: [gc.omega(s, t) for t in (1, 2)],
+        "agemo": lambda s: [gc.agemo(s, t) for t in (1, 2)],
+        "power_commutator": lambda s: [gc.power_commutator(s, t) for t in (1, 2)],
+        "jennings_series_product_formula": gc.jennings_series_product_formula,
+        "burnside_basis": gc.burnside_basis,
+        # S/S' is abelian; the unmemoized walk keeps the modulus out of the cache
+        "abelian_type": lambda s: gc.abelian_type(s, gc._commutators(s, s)),
+    }
+
+
+# memoized on a FiniteGroup alone: no Subgroup owner reaches them
+_GROUP_ONLY_MEMOS = {
+    "FiniteGroup.power_p_map",
+    "FiniteGroup._columns",
+    "FiniteGroup.commutator_table",
+    "FiniteGroup.conjugacy_classes",
+    "FiniteGroup.full_subgroup",
+    "normal_subgroups",
+}
+
+
+def _plain(value):
+    """A memo value as plain data: a subgroup as its elements and witness."""
+    if isinstance(value, gc.Subgroup):
+        return value.elements, value.generators
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def test_every_memo_has_a_shared_cache_probe():
+    memos = {
+        f.__qualname__
+        for space in (vars(gc), vars(gc.FiniteGroup), vars(gc.Subgroup))
+        for f in space.values()
+        if getattr(f, "__wrapped__", None) is not None and f.__module__ == gc.__name__
+    }
+    assert memos == set(_subgroup_memo_probes()) | _GROUP_ONLY_MEMOS
+
+
+def _probe_subgroups(pres):
+    """Element sets to probe in the group of ``pres``: the whole group, a
+    maximal subgroup and the cyclic subgroup of the last Burnside basis
+    element, found on a group of their own so the probed ones start cold."""
+    G = gc.from_pc_presentation(pres)
+    basis = gc.burnside_basis(G)
+    sets = {G.full_subgroup().elements}
+    if basis:
+        sets.add(G.subgroup(basis[:-1] + list(gc.frattini(G).generators)).elements)
+        sets.add(G.subgroup(basis[-1:]).elements)
+    return sorted(sets)
+
+
+def _check_shared_memos(pres, elements):
+    """A subgroup built by a walk from its elements in descending order and
+    the same subgroup checked from its sorted elements share one cache, and
+    mostly carry different witnesses (66 of the 80 catalog cases).  Each
+    memo gives either object, whichever asks first, what that object gets
+    in a group of its own.
+
+    The one value that holds its owner: D_1 of the Jennings series is the
+    subgroup that asked first, so only its elements are compared."""
+    ways = {
+        "walk": lambda G: G.subgroup(elements[::-1]),
+        "set": lambda G: gc.subgroup_from_elements(G, elements),
+    }
+    for name, probe in _subgroup_memo_probes().items():
+        alone = {way: probe(build(gc.from_pc_presentation(pres))) for way, build in ways.items()}
+        for first, second in (("walk", "set"), ("set", "walk")):
+            G = gc.from_pc_presentation(pres)
+            owners = {way: ways[way](G) for way in (first, second)}
+            assert owners[first]._cache is owners[second]._cache
+            values = [probe(owners[first]), probe(owners[second]), *alone.values()]
+            if name == "jennings_series_product_formula":
+                assert values[0][0] is values[1][0] is owners[first]
+                assert len({v[0].elements for v in values}) == 1
+                values = [v[1:] for v in values]
+            assert all(_plain(v) == _plain(values[0]) for v in values), name
+
+
+@pytest.mark.parametrize("entry", cat.builtin_catalog(), ids=lambda e: e.name)
+def test_subgroups_with_one_element_set_share_memoized_values(entry):
+    pres = gc.PcPresentation.parse(entry.presentation)
+    for elements in _probe_subgroups(pres):
+        _check_shared_memos(pres, elements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_subgroups_with_one_element_set_share_memoized_values(G):
+    for elements in _probe_subgroups(G.presentation):
+        _check_shared_memos(G.presentation, elements)
 
 
 def test_memo_keys_on_arguments_and_keeps_types():
@@ -705,14 +821,13 @@ def test_trivial_subgroup_has_an_empty_witness(groups):
 
 
 def test_only_memo_touches_the_per_object_caches():
-    """Every ``._cache`` access sits in ``_memo``, in the constructors that
-    create the dict or in ``full_subgroup`` (which shares its parent's
-    dict).  ``_ideal_chain`` grows the dict of one memo entry,
-    ``_ideal_terms``, and touches no cache itself."""
+    """Every ``._cache`` access sits in ``_memo`` or in the constructors
+    that create the dict or take their parent's dict for their element set.
+    ``_ideal_chain`` grows the dict of one memo entry, ``_ideal_terms``, and
+    touches no cache itself."""
     allowed = {
         ("group_core", "_memo"),
         ("group_core", "__init__"),
-        ("group_core", "full_subgroup"),
         ("modular_algebra", "__init__"),
     }
     found = set()
