@@ -3,11 +3,12 @@
 A homocyclic component of exponent p^t is detected through the p^{t-1}
 power map between elementary abelian quotients: its rank is the
 codimension of the kernel in the central-torsion quotient.  A component
-is extracted by lifting a complement of that kernel and building a
-direct complement through a recursive Burnside-basis adjustment; peeling
-ascending exponents leaves the (unique up to isomorphism) non-abelian
-remainder.  Every step is verified exhaustively; the certificate is the
-point, not a byproduct.
+is extracted by lifting a complement of that kernel, read off the power
+map's domain basis (the basis elements off the kernel's pivots), and
+building a direct complement through a recursive Burnside-basis
+adjustment; peeling ascending exponents leaves the (unique up to
+isomorphism) non-abelian remainder.  Every step is verified
+exhaustively; the certificate is the point, not a byproduct.
 
 The peel happens inside G's own table: each step takes its ambient group as
 a ``FiniteGroup`` or a ``Subgroup`` of G, and the residual is G's whole
@@ -47,9 +48,16 @@ def homocyclic_rank(G: FiniteGroup | Subgroup, t: int) -> int:
 def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
     """A homocyclic direct factor T of exponent p^t with complement S.
 
-    T is generated by lifts of the lexicographically least complement of
-    the power-map kernel; lifts are the smallest coset representatives
-    inside the central p^t-torsion.  Returns (trivial, ambient) at rank zero.
+    T is generated by the lifts of the lexicographically least complement
+    of the power map's kernel: the unit vectors e_k off the kernel's
+    pivots, each lifted to the least element of Omega_t(Z(A)) with
+    coordinates e_k.  That least element is the domain's basis element
+    b_k.  The basis is greedy over Omega_t(Z(A)) in increasing order, so
+    b_k is the least element of Omega_t(Z(A)) outside Phi(A)<b_1..b_{k-1}>;
+    every smaller x lies in that subgroup and has zero digits k..r, and
+    b_k itself has coordinates e_k, whatever the kernel is.  The lifts are
+    independent modulo Phi(A), so T's witness is the sorted lifts.
+    Returns (trivial, ambient) at rank zero.
     """
     A = gc._as_subgroup(G)
     P = A.parent
@@ -60,12 +68,7 @@ def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subg
     if rank == 0:
         return P.trivial_subgroup(), A
     otz = gc.omega(gc.center(A), t)
-    # the domain M contains otz, so its coordinates cover every element
-    lifts = [
-        min(x for x in otz.elements if np.array_equal(lam.domain.coords(x), row))
-        for row in fl.lex_complement(ker, p, lam.domain.rank)
-    ]
-    T = P.subgroup(lifts)
+    T = P.subgroup(b for k, b in enumerate(lam.domain.basis) if k not in ker.pivots)
     if not otz.contains_subgroup(T):
         raise InternalCheckError(f"{P.name}: lift of order {T.order} is not central p^{t}-torsion")
     if len(gc.burnside_basis(T)) != rank:

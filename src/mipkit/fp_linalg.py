@@ -16,10 +16,9 @@ Every matrix product goes through ``_mm``, which multiplies in float64
 and reduces mod p; that is exact while inner dimension * (p - 1)^2 <
 2^53, and ``_mm`` raises where it is not.
 
-The two greedy bases, "take the next vector outside the span so far",
-are read off echelon pivots in one pass instead of one absorb per
-candidate.  ``lex_complement`` is the unit vectors off the pivots of the
-given space, highest first.  ``Subquotient`` eliminates the bottom space
+The subquotient's greedy basis, "take the next row of the top basis
+outside the span so far", is read off echelon pivots in one pass instead
+of one absorb per candidate.  ``Subquotient`` eliminates the bottom space
 once, with its columns reversed as in ``kernel``: the pivots are the rows
 of the top basis the greedy skips, and the same reduced rows give the
 coordinate map, so each coordinate lookup is one product.
@@ -397,7 +396,9 @@ def kernel(matrix, p: int) -> Subspace:
     red, pivots = _rref(a.T[:, ::-1], p)
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
-    if not free:  # injective, as is every power map the split checks
+    # injective: the common case, as for every power map split on the
+    # catalog, though not for all (Q8oC4's at t = 2 has a kernel of dimension 1)
+    if not free:
         return zero_subspace(p, m)
     vecs = np.zeros((len(free), m), dtype=np.int64)
     vecs[range(len(free)), free] = 1
@@ -563,19 +564,3 @@ class Subquotient:
         if not self.top.contains(vec):
             raise NotSubspaceError("vector does not lie in the quotient top space")
         return _mm(vec[list(self.top.pivots)], self._coord_map, self.p)
-
-
-def lex_complement(inside: Subspace, p: int, dim: int) -> np.ndarray:
-    """Lexicographically least basis of a complement of ``inside`` in GF(p)^dim.
-
-    The greedy basis takes, again and again, the lexicographically least
-    vector outside the span V built so far.  That vector is e_k for the
-    largest k with e_k outside V: every vector supported above k lies in V,
-    and any other vector outside V is nonzero at some index <= k.  That k
-    is V's highest free column: no free column's unit vector is in V, and
-    an echelon row whose pivot lies above every free column is a unit
-    vector.  Adding e_k makes k a pivot and leaves the other free columns
-    free, so the picks are V's free columns from the highest down.
-    """
-    free = [k for k in reversed(range(dim)) if k not in inside.pivots]
-    return np.eye(dim, dtype=np.int64)[free]

@@ -163,12 +163,11 @@ def relative_augmentation_ideal(A: GroupAlgebra, n_sub: Subgroup) -> AlgIdeal:
         raise ValueError("subgroup of a different group")
     if not n_sub.is_normal():
         raise NotNormalError("relative augmentation ideal needs a normal subgroup")
-    n, closed = A.dim, len(gc._grow(A.group, n_sub.generators)[0])
+    closed = len(gc._grow(A.group, n_sub.generators)[0])
     if closed != n_sub.order:
         raise InternalCheckError(
-            f"generators of a normal subgroup of order {n_sub.order} have "
-            f"{n // closed} orbits of sizes {[closed]} "
-            f"on {A.group.name}, expected {n // n_sub.order} of size {n_sub.order}"
+            f"{A.group.name}: generators of a normal subgroup of order {n_sub.order}"
+            f" close to a subgroup of order {closed}"
         )
     return AlgIdeal(A, fl.partition_subspace(A.p, n_sub._coset_labels()))
 

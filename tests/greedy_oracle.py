@@ -2,9 +2,13 @@
 a single pass, kept verbatim (as functions) as the oracles for the
 differential tests.
 
-Vectors: ``lex_complement`` enumerates GF(p)^dim in lexicographic order and
-absorbs one vector at a time; the subquotient basis takes top's echelon rows
-one absorb at a time and inverts [T | I] for its coordinate map.  Groups:
+Vectors: the subquotient basis takes top's echelon rows one absorb at a
+time and inverts [T | I] for its coordinate map.  ``lex_complement``, the
+lexicographically least complement of a subspace, found by enumerating
+GF(p)^dim in lexicographic order and absorbing one vector at a time, is no
+copy of library code: the library reads a split's lifts off the power
+map's domain basis, and ``split_oracle`` searches for them through this
+complement as the split once did.  Groups:
 ``ElementaryQuotient`` and ``burnside_basis_extend`` join one cyclic
 subgroup per pick, and ``elementary_quotient_coords`` is the coordinate
 enumeration ``ElementaryQuotient`` ran before it read the coset labels.

@@ -7,11 +7,16 @@ Each peel copies the complement into a new residual ``FiniteGroup``
 ``residual_map``; every step takes a whole group.  The decomposition it
 returns is the library's ``HomocyclicDecomposition``, so certificates
 compare as JSON.
+
+Each component's lifts are searched for as the split once found them: for
+each vector of the lexicographically least complement of the power map's
+kernel (``greedy_oracle.lex_complement``), the least element of the central
+p^t-torsion with those coordinates.  The library reads the same lifts off
+the power map's domain basis.
 """
 
 import numpy as np
 
-from mipkit import fp_linalg as fl
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 from mipkit.decomposition import (
@@ -20,6 +25,7 @@ from mipkit.decomposition import (
     _formula_component_rank,
 )
 from mipkit.group_core import FiniteGroup, InternalCheckError, Subgroup, subgroup_from_elements
+import greedy_oracle
 import group_oracle
 
 
@@ -46,7 +52,7 @@ def extract_component(G: FiniteGroup, t: int) -> tuple[Subgroup, Subgroup]:
     # the domain M contains otz, so its coordinates cover every element
     lifts = [
         min(x for x in otz.elements if np.array_equal(lam.domain.coords(x), row))
-        for row in fl.lex_complement(ker, p, lam.domain.rank)
+        for row in greedy_oracle.lex_complement(ker, p, lam.domain.rank)
     ]
     T = G.subgroup(tuple(lifts))
     if not all(x in otz for x in T.elements):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from mipkit import catalog as cat
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
+from mipkit import modular_algebra as ma
 import group_oracle
 import split_oracle
+from test_group_core import _relabeled, _split_invariants
 from test_pc_table import consistent_groups
 
 
@@ -217,6 +219,30 @@ def test_split_adjusts_by_a_generator_of_order_9():
     assert _certificate_json(dc.ab_nab_split, G) == _certificate_json(
         split_oracle.ab_nab_split, gc.from_pc_presentation(_ADJUST_BY_ORDER_9, name="C9xNab27")
     )
+
+
+# g1^2 = g2^2 = [g2, g1] = g3^2 with g3 of order 4: G = Q8oC4 x <g4>.  At
+# t = 2 the power map x -> x^2 on Omega_2(Z)Phi/Phi has a kernel, so the
+# lift is read off the domain basis element that is not a kernel pivot;
+# on every catalog group the kernels the split reads are zero.
+_Q8_CENTRAL_C4_BY_C4 = (
+    "p 2\ngens 4\norder 1 2\norder 2 2\norder 3 4\norder 4 4\n"
+    "pow 1 = g3^2\npow 2 = g3^2\ncomm 2 1 = g3^2\n"
+)
+
+
+def test_split_lifts_skip_the_kernel_pivot():
+    G = gc.from_pc_presentation(_Q8_CENTRAL_C4_BY_C4, name="Q8oC4xC4")
+    lam = ma.power_quotient_map(G, 2)
+    assert (lam.domain.rank, lam.kernel().dim, lam.rank()) == (2, 1, 1)
+    d = dc.ab_nab_split(G)
+    assert [(c.t, c.rank) for c in d.components] == [(2, 1)]
+    assert d.nab.order == 16 and not d.nab.is_abelian()
+    assert dc.component_checks(G, d)["all_pass"]
+    assert _certificate_json(dc.ab_nab_split, G) == _certificate_json(
+        split_oracle.ab_nab_split, gc.from_pc_presentation(_Q8_CENTRAL_C4_BY_C4, name="Q8oC4xC4")
+    )
+    assert _split_invariants(_relabeled(G)) == _split_invariants(G)
 
 
 def test_split_builds_no_group_table(groups, monkeypatch):

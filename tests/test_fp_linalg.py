@@ -225,14 +225,6 @@ def test_subquotient_coords_roundtrip():
     assert q.coords(shifted).tolist() == [1, 1]
 
 
-def test_lex_complement_is_deterministic_complement():
-    ker = fl.rref([[1, 1]], 2, 2)
-    comp = fl.lex_complement(ker, 2, 2)
-    assert comp.tolist() == [[0, 1]]  # the lexicographically least choice
-    joined = fl.rref(np.concatenate([ker.basis, comp]), 2, 2)
-    assert joined.dim == 2
-
-
 def test_fp_vector_validation():
     # vectors enter as sequences or arrays, reduced mod p on the way in
     assert fl.as_vector((0, 5, -2), 3).tolist() == [0, 2, 1]
@@ -903,26 +895,6 @@ def test_subquotient_of_rank_zero_represents_by_the_zero_vector(p):
         assert q.basis_rows.shape == (0, n)  # the empty sum, zero, represents the one class
         for row in top.basis:
             assert q.coords(row).shape == (0,)
-
-
-# the oracle enumerates GF(p)^n up to e_0, p^(n-1) vectors
-_LEX_DIM_CAP = {2: 10, 3: 6, 5: 4, 7: 4}
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
-def test_lex_complement_matches_greedy_oracle(p, data):
-    n = data.draw(st.integers(min_value=0, max_value=_LEX_DIM_CAP[p]))
-    r = data.draw(st.integers(min_value=0, max_value=n))
-    extra = data.draw(st.integers(min_value=0, max_value=3))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    inside = fl.rref(_exact_rank(rng, p, r + extra, n, r), p, n)
-    assert inside.dim == r
-    comp = fl.lex_complement(inside, p, n)
-    want = greedy_oracle.lex_complement(inside, p, n)
-    assert comp.shape == want.shape == (n - r, n)
-    assert comp.dtype == want.dtype
-    assert np.array_equal(comp, want)
 
 
 @settings(max_examples=200, deadline=None)

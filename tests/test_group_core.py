@@ -967,6 +967,25 @@ def test_relabeled_table_has_the_same_fingerprint(name, groups):
     assert _split_invariants(H) == _split_invariants(G)
 
 
+# orders p^3 to p^5 for p = 2 and 3
+_DRAWN_ORDERS = [(p, log) for p in (2, 3) for log in (3, 4, 5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    G=st.sampled_from(_DRAWN_ORDERS).flatmap(
+        lambda pl: consistent_groups(max_exponent=9, p=pl[0], log=pl[1])
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drawn_relabeled_table_has_the_same_fingerprint(G, seed):
+    """The fingerprint and the split invariants are invariants of the
+    group, not of the numbering of its table."""
+    H = _relabeled(G, seed)
+    assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()
+    assert _split_invariants(H) == _split_invariants(G)
+
+
 # -- subgroup closure: Dimino's coset walk against the set BFS ---------------
 
 
@@ -1133,10 +1152,11 @@ def test_drawn_normal_subgroups_match_the_oracle(G):
     _assert_normals_match_the_oracle(G)
 
 
-def _relabeled(G):
+def _relabeled(G, seed=None):
     """A raw ``.mul`` copy of G with its elements other than 1 shuffled,
-    seeded by the name: classes and coset labels come in another order."""
-    rng = np.random.default_rng(sum(map(ord, G.name)))
+    seeded by ``seed``, or by the name when it is None: classes and coset
+    labels come in another order."""
+    rng = np.random.default_rng(sum(map(ord, G.name)) if seed is None else seed)
     perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
     table = np.empty_like(G.mul)
     table[np.ix_(perm, perm)] = perm[G.mul]

@@ -123,6 +123,18 @@ def test_relative_ideal_rejects_generators_of_a_proper_subgroup(groups):
         ma.relative_augmentation_ideal(ma.GroupAlgebra(G), fake)
 
 
+def test_relative_ideal_names_the_order_the_generators_close_to(groups):
+    G = groups["D8xC2"]
+    Z = gc.center(G)
+    fake = gc.Subgroup(G, Z.elements, Z.generators[:1])
+    # a fresh algebra: no ideal of Z's element set is cached on it yet
+    with pytest.raises(gc.InternalCheckError) as info:
+        ma.relative_augmentation_ideal(ma.GroupAlgebra(G), fake)
+    assert str(info.value) == (
+        "D8xC2: generators of a normal subgroup of order 4 close to a subgroup of order 2"
+    )
+
+
 def test_ideal_two_sidedness(algebras):
     for name in ("D8", "Q8", "Heis27"):
         A = algebras[name]
