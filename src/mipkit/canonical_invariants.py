@@ -149,8 +149,6 @@ def _normal_join(parts: tuple) -> CanonicalExpr:
         return TRIVIAL
     if len(kept) == 1:
         return kept[0]
-    if WHOLE in kept:
-        return WHOLE
     return CanonicalExpr(JOIN, None, tuple(kept))
 
 

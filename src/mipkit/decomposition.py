@@ -170,8 +170,6 @@ def complement_construction(G: FiniteGroup | Subgroup, T: Subgroup) -> Subgroup:
     """
     A = ambient = gc._as_subgroup(G)
     P = A.parent
-    if T.is_trivial():
-        return A
     p = P.p
     t = gc.log_p(T.exponent(), p)
     ttype = gc.abelian_type(T)
@@ -269,7 +267,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
     nab = subgroup_from_elements(G, residual.elements)
     factors = [c.subgroup for c in components] + [nab]
     _verify_internal_product(G, factors)
-    for s in range(1, max(2, t)):
+    for s in range(1, t):
         if residual.order > 1 and p**s <= residual.exponent():
             if homocyclic_rank(residual, s) != 0:
                 raise InternalCheckError(

@@ -242,8 +242,6 @@ class Subspace:
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
         """Residuals of many rows (entries in [0, p)) at once."""
-        if not self.dim:
-            return mat.copy()
         return _residual(mat, list(self.pivots), self.basis, self.p)
 
     def contains_space(self, other: "Subspace") -> bool:
@@ -396,10 +394,6 @@ def kernel(matrix, p: int) -> Subspace:
     red, pivots = _rref(a.T[:, ::-1], p)
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
-    # injective: the common case, as for every power map split on the
-    # catalog, though not for all (Q8oC4's at t = 2 has a kernel of dimension 1)
-    if not free:
-        return zero_subspace(p, m)
     vecs = np.zeros((len(free), m), dtype=np.int64)
     vecs[range(len(free)), free] = 1
     vecs[:, list(pivots)] = (-red[:, free].T) % p
@@ -498,14 +492,12 @@ class SubspaceBuilder:
                 return self._count - before
             self._store(self.subspace())
         stored = self._mat[: self._count]
-        if self._count:
-            block = _residual(block, self._pivots, stored, p)
+        block = _residual(block, self._pivots, stored, p)
         new, pivots = _rref(block, p)
         if not pivots:
             return 0
         # the residual is zero on the stored pivots; clear the new ones
-        if self._count:
-            stored[:] = _residual(stored, list(pivots), new, p)
+        stored[:] = _residual(stored, list(pivots), new, p)
         self._mat[self._count : self._count + len(pivots)] = new
         self._count += len(pivots)
         self._pivots.extend(pivots)

@@ -845,25 +845,17 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
                 f"gave no isomorphism ({exc})"
             ) from exc
 
-    # The encoding of a(u) is u @ weights[a], computed for every unit at
-    # once when some row first needs it, in the narrowest unsigned type
-    # that holds an encoding.
+    # codes[u, a] is the encoding of a(u), u @ weights[a], in the narrowest
+    # unsigned type that holds an encoding.
     weights = B.p ** np.arange(B.dim, dtype=np.min_scalar_type(B.p**B.dim - 1))
-    codes: dict[int, np.ndarray] = {}
-
-    def code(a: int) -> np.ndarray:
-        if a not in codes:
-            codes[a] = units.view(np.uint8) @ weights[automorphisms[a]]
-        return codes[a]
+    codes = units.view(np.uint8) @ weights[automorphisms].T
 
     def least(pool: np.ndarray, images: list[int]) -> np.ndarray:
         # the candidates least in encoding order among their images by the
         # rows other than the identity's that fix every chosen image
-        if not pool.size or len(automorphisms) == 1:
-            return pool
         chosen = units[images]
         for a in np.flatnonzero((chosen[:, automorphisms] == chosen[:, None]).all(axis=(0, 2)))[1:]:
-            pool = pool[code(0)[pool] <= code(a)[pool]]
+            pool = pool[codes[pool, 0] <= codes[pool, a]]
         return pool
 
     # The units that may follow a prefix depend only on the prefix's classes.
@@ -884,19 +876,12 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
             yield build_iso([units[u].astype(np.int64) for u in images])
             return
         level = len(images)
-        last = level == d - 1
-        pool = spanning_pool(tuple(class_of[images].tolist()))
-        # the orbit test thins the block the last level's checks, most of
-        # the work, run over, and on earlier levels the pool they leave
-        if last:
-            pool = least(pool, images)
+        pool = least(spanning_pool(tuple(class_of[images].tolist())), images)
         for lhs, rhs in checks[level]:
             if not pool.size:
                 return
             trial = images + [pool]
             pool = pool[value(lhs, trial) == value(rhs, trial)]
-        if not last:
-            pool = least(pool, images)
         for u in pool.tolist():
             yield from extend(images + [u])
 

@@ -367,6 +367,24 @@ def test_relabeled_mul_file_analyzes_like_its_presentation(name, capsys, monkeyp
     assert results[0] == results[1]
 
 
+def test_order_one_table(capsys, monkeypatch, tmp_path):
+    # the 1x1 table: the split peels no exponent and splits off nothing
+    path = tmp_path / "one.mul"
+    path.write_text("0\n")
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "decompose", f"@{path}")
+    assert code == 0
+    cert = report["result"]
+    assert (cert["order"], cert["components"], cert["nab"]["order"], cert["ab_type"]) == (1, [], 1, [])
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", f"@{path}")
+    assert code == 0
+    assert (report["result"]["order"], report["result"]["ab_type"]) == (1, [])
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "compare", f"@{path}", f"@{path}")
+    assert code == 0
+    assert report["result"]["verdict"] == "indistinguishable-at-depth"
+    code, report = run(capsys, monkeypatch, tmp_path, "--no-timing", "iso-search", f"@{path}", f"@{path}")
+    assert (code, report["error"]["kind"]) == (2, "parse")
+
+
 def test_bad_mul_file_is_parse_error(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bad.mul"
     path.write_text("0,1\n1,1\n")

@@ -1,7 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from mipkit import catalog as cat
 from mipkit import decomposition as dc
@@ -74,6 +75,9 @@ def test_complement_of_diagonal_in_c4xc4(groups):
 def test_complement_of_trivial_subgroup(groups):
     G = groups["D8"]
     assert group_oracle.is_whole_group(dc.complement_construction(G, G.trivial_subgroup()))
+    # inside a subgroup A the complement of the trivial subgroup is A
+    _, A = dc.extract_component(groups["D8xC4xC2"], 1)
+    assert dc.complement_construction(A, A.parent.trivial_subgroup()) is A
 
 
 def test_complement_preconditions_checked(groups):
@@ -221,14 +225,35 @@ def test_split_adjusts_by_a_generator_of_order_9():
     )
 
 
-# g1^2 = g2^2 = [g2, g1] = g3^2 with g3 of order 4: G = Q8oC4 x <g4>.  At
-# t = 2 the power map x -> x^2 on Omega_2(Z)Phi/Phi has a kernel, so the
-# lift is read off the domain basis element that is not a kernel pivot;
-# on every catalog group the kernels the split reads are zero.
-_Q8_CENTRAL_C4_BY_C4 = (
-    "p 2\ngens 4\norder 1 2\norder 2 2\norder 3 4\norder 4 4\n"
-    "pow 1 = g3^2\npow 2 = g3^2\ncomm 2 1 = g3^2\n"
-)
+def _q8_central_c4_by(m):
+    """Q8oC4 x C_{2^m}: g1^2 = g2^2 = [g2, g1] = g3^2 with g3 of order 4,
+    and g4 of order 2^m when m > 0."""
+    orders = [2, 2, 4] + [2**m] * (m > 0)
+    return (
+        f"p 2\ngens {len(orders)}\n"
+        + "".join(f"order {i} {q}\n" for i, q in enumerate(orders, 1))
+        + "pow 1 = g3^2\npow 2 = g3^2\ncomm 2 1 = g3^2\n"
+    )
+
+
+# G = Q8oC4 x <g4> with g4 of order 4.  At t = 2 the power map x -> x^2 on
+# Omega_2(Z)Phi/Phi has a kernel, so the lift is read off the domain basis
+# element that is not a kernel pivot; on every catalog group the kernels
+# the split reads are zero.
+_Q8_CENTRAL_C4_BY_C4 = _q8_central_c4_by(2)
+# [g2, g1] = g3^3 with g3 of order 9: Heis27oC9 x <g4>, g4 of order 3
+_HEIS27_CENTRAL_C9_BY_C3 = "p 3\ngens 4\norder 1 3\norder 2 3\norder 3 9\norder 4 3\ncomm 2 1 = g3^3\n"
+
+
+@st.composite
+def central_products(draw):
+    """Q8oC4 x C_{2^m} (m <= 3) or Heis27oC9 x C3, as built from the
+    presentation or as a table with its elements relabelled by a drawn
+    seed, which moves the kernel pivots among the domain's basis."""
+    text = draw(st.sampled_from([_q8_central_c4_by(m) for m in range(4)] + [_HEIS27_CENTRAL_C9_BY_C3]))
+    G = gc.from_pc_presentation(text, name="central")
+    seed = draw(st.none() | st.integers(min_value=0, max_value=2**32 - 1))
+    return G if seed is None else _relabeled(G, seed)
 
 
 def test_split_lifts_skip_the_kernel_pivot():
@@ -243,6 +268,34 @@ def test_split_lifts_skip_the_kernel_pivot():
         split_oracle.ab_nab_split, gc.from_pc_presentation(_Q8_CENTRAL_C4_BY_C4, name="Q8oC4xC4")
     )
     assert _split_invariants(_relabeled(G)) == _split_invariants(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=central_products())
+def test_drawn_central_products_split_as_the_oracle_splits(G):
+    fresh = gc.from_mul_table(G.mul, name=G.name)
+    assert _certificate_json(dc.ab_nab_split, G) == _certificate_json(split_oracle.ab_nab_split, fresh)
+
+
+def test_central_products_reach_a_lift_past_a_kernel_pivot(monkeypatch):
+    # the strategy draws a split whose extraction at positive rank reads
+    # its lifts off a power map with a nonzero kernel
+    calls = []
+    extract = dc.extract_component
+
+    def spy(A, t):
+        T, S = extract(A, t)
+        calls.append((T.is_trivial(), ma.power_quotient_map(A, t).kernel().dim))
+        return T, S
+
+    monkeypatch.setattr(dc, "extract_component", spy)
+
+    def skips_a_kernel_pivot(G):
+        calls.clear()
+        dc.ab_nab_split(G)
+        return any(not trivial and kernel_dim for trivial, kernel_dim in calls)
+
+    find(central_products(), skips_a_kernel_pivot, settings=settings(deadline=None))
 
 
 def test_split_builds_no_group_table(groups, monkeypatch):

@@ -122,7 +122,7 @@ def test_ambient_mismatch_reported():
 
 
 def test_kernel_of_identity_is_zero():
-    assert fl.kernel(np.eye(5, dtype=np.int64), 2).dim == 0
+    assert fl.kernel(np.eye(5, dtype=np.int64), 2) == fl.zero_subspace(2, 5)
 
 
 def test_preimage_of_image_is_full_domain():
@@ -170,6 +170,10 @@ def test_kernel_of_multiplication_by_generator_minus_one_on_cyclic_8():
 def test_contains_examples():
     zero = fl.zero_subspace(2, 3)
     assert zero.contains([0, 0, 0])
+    # the zero space leaves rows as they are, in a fresh array
+    rows = np.array([[1, 0, 1], [0, 1, 1]])
+    residual = zero.reduce_rows(rows)
+    assert np.array_equal(residual, rows) and not np.shares_memory(residual, rows)
     diag = fl.rref([[1, 1]], 2, 2)
     assert not diag.contains([1, 0])
     assert diag.contains([1, 1])
