@@ -161,7 +161,7 @@ class _Rule(NamedTuple):
 
 
 _RULES = {
-    WHOLE_OP: _Rule(None, lambda G, t, subs: G.full_subgroup()),
+    WHOLE_OP: _Rule(None, lambda G, t, subs: G),
     DERIVED_OP: _Rule(None, lambda G, t, subs: gc.commutator_subgroup(G)),
     TRIVIAL_OP: _Rule(None, lambda G, t, subs: G.trivial_subgroup()),
     OM: _Rule(
@@ -359,7 +359,7 @@ class Fingerprint:
 
 
 def _type_or_none(sub: Subgroup) -> Optional[list[int]]:
-    if not sub.is_abelian():
+    if not sub.is_abelian:
         return None
     return gc.abelian_type(sub).to_list()
 

@@ -2,8 +2,9 @@
 catalog, selftest.
 
 Every command prints one canonical JSON report to stdout (sorted keys, no
-floats outside the timing block).  Exit codes: 0 success, 2 parse errors,
-3 cap violations, 4 internal assertion failures.
+floats outside the timing block).  Exit codes: 0 success, 1 stdout closed
+before the report was written, 2 parse errors, 3 cap violations, 4 internal
+assertion failures.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from . import modular_algebra as ma
 from .group_core import CapExceededError, FiniteGroup, InternalCheckError, PresentationError
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_CAPS = 3
 EXIT_INTERNAL = 4
@@ -46,7 +48,7 @@ def _read_spec(spec: str) -> tuple[str, str, bytes]:
         try:
             return spec, "pcp", cat.lookup(spec).presentation.encode()
         except KeyError as exc:
-            raise CliParseError(str(exc)) from exc
+            raise CliParseError(exc.args[0]) from exc
     path = Path(spec[1:])
     if not path.exists():
         raise CliParseError(f"no such file: {path}")
@@ -274,9 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
-    print(ci.canonical_json({"error": {"exit_code": exit_code, "kind": kind, "message": str(exc)}}))
+def _write(exit_code: int, *parts: str) -> int:
+    """Print ``parts`` as one line and return ``exit_code``, or EXIT_PIPE
+    when the reader has closed stdout.  Then stdout is pointed at
+    ``os.devnull``, so the flush at shutdown cannot fail again (the recipe
+    under SIGPIPE in Python's ``signal`` documentation)."""
+    try:
+        print(*parts, sep="")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return exit_code
+
+
+def _print_error(exit_code: int, kind: str, exc: Exception) -> int:
+    error = {"exit_code": exit_code, "kind": kind, "message": str(exc)}
+    return _write(exit_code, ci.canonical_json({"error": error}))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -302,8 +318,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     for key in sorted(texts):
         parts += (",", ci.canonical_json(key), ":", texts[key])
     parts[0] = "{"
-    print(*parts, "}", sep="")
-    return EXIT_OK
+    return _write(EXIT_OK, *parts, "}")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ isomorphism) non-abelian remainder.  Every step is verified
 exhaustively; the certificate is the point, not a byproduct.
 
 The peel happens inside G's own table: each step takes its ambient group as
-a ``FiniteGroup`` or a ``Subgroup`` of G, and the residual is G's whole
-group and then each complement in turn.  No residual table is built.
+a ``Subgroup`` of G, and the residual is G itself (the subgroup of all its
+elements) and then each complement in turn.  No residual table is built.
 
 The abelian-factor type is derived twice, by the peel and by the
 per-exponent quotient formula (``formula_ab_type``), and the two are
@@ -40,12 +40,12 @@ from .group_core import (
 )
 
 
-def homocyclic_rank(G: FiniteGroup | Subgroup, t: int) -> int:
+def homocyclic_rank(A: Subgroup, t: int) -> int:
     """Rank of the homocyclic direct factor of exponent p^t."""
-    return ma.power_quotient_map(G, t).rank()
+    return ma.power_quotient_map(A, t).rank()
 
 
-def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
+def extract_component(A: Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
     """A homocyclic direct factor T of exponent p^t with complement S.
 
     T is generated by the lifts of the lexicographically least complement
@@ -59,7 +59,6 @@ def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subg
     independent modulo Phi(A), so T's witness is the sorted lifts.
     Returns (trivial, ambient) at rank zero.
     """
-    A = gc._as_subgroup(G)
     P = A.parent
     p = P.p
     lam = ma.power_quotient_map(A, t)
@@ -80,12 +79,11 @@ def extract_component(G: FiniteGroup | Subgroup, t: int) -> tuple[Subgroup, Subg
     return T, S
 
 
-def _verify_internal_product(G: FiniteGroup | Subgroup, factors: list[Subgroup]) -> None:
+def _verify_internal_product(A: Subgroup, factors: list[Subgroup]) -> None:
     """The ambient group A is the internal direct product of the factors:
     they commute elementwise (generator pairs, one commutator-table gather),
     generate A and have orders multiplying to |A|, so the product map onto A
     from their direct product is a bijective homomorphism."""
-    A = gc._as_subgroup(G)
     P = A.parent
     orders = [f.order for f in factors]
     if math.prod(orders) != A.order:
@@ -159,7 +157,7 @@ def _claim_adjust(
     return adjusted
 
 
-def complement_construction(G: FiniteGroup | Subgroup, T: Subgroup) -> Subgroup:
+def complement_construction(A: Subgroup, T: Subgroup) -> Subgroup:
     """A direct complement S with A = S (+) T in the ambient group A.
 
     Preconditions (each checked): T is a central homocyclic subgroup of
@@ -168,7 +166,7 @@ def complement_construction(G: FiniteGroup | Subgroup, T: Subgroup) -> Subgroup:
     peels one Burnside generator of T at a time through the adjustment
     claim, re-checking the preconditions inside each intermediate group.
     """
-    A = ambient = gc._as_subgroup(G)
+    ambient = A
     P = A.parent
     p = P.p
     t = gc.log_p(T.exponent(), p)
@@ -247,7 +245,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
     """
     p = G.p
     components: list[HomocyclicComponent] = []
-    residual = G.full_subgroup()
+    residual = G
     trace: list[dict] = []
     t = 1
     while residual.order > 1 and p**t <= residual.exponent():

@@ -44,14 +44,17 @@ numbers G/N by them, ``normal_subgroups`` reads each product KB off them,
 the algebra's ``ElementaryQuotient`` reads M/K coordinates off them, and
 its ``relative_augmentation_ideal`` I(N)kG is their partition space.
 
+A group is the subgroup of all its elements: ``FiniteGroup`` subclasses
+``Subgroup`` and is its own parent, so every function of a subgroup takes
+the group as it is.
+
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
 *args)``, so arguments are part of the key and a Subgroup argument matches
 only a subgroup of the same parent.  A group keeps one cache per element
-set of its subgroups (``FiniteGroup._caches``, the whole set mapped to the
-group's own), and every ``Subgroup`` with that set takes it: subgroups with
-the same elements, however they were built, share their memoized values,
-and ``center(G)`` and ``center(G.full_subgroup())`` are one entry.  Every
+set of its subgroups (``FiniteGroup._caches``), and every ``Subgroup`` with
+that set takes it, the group itself included: subgroups with the same
+elements, however they were built, share their memoized values.  Every
 memoized value depends only on the element set, except the first term of
 ``jennings_series_product_formula``, which is the subgroup that asked
 first.  A cached list is handed out as a fresh copy.
@@ -343,14 +346,96 @@ def _light_generators(mul: np.ndarray) -> list[int]:
     return gens
 
 
-class FiniteGroup:
-    """A finite p-group as an explicit multiplication table.
+class Subgroup:
+    """A subgroup of a fixed parent group: a closed, sorted index set with
+    a generating witness.  A group is the subgroup of all its elements, its
+    own parent (``FiniteGroup``)."""
+
+    __slots__ = ("parent", "elements", "generators", "_set", "_cache")
+
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...], generators: tuple[int, ...]):
+        self.parent = parent
+        self.elements = tuple(elements)
+        self.generators = tuple(generators)
+        self._set = frozenset(elements)
+        if 0 not in self._set:
+            raise ValueError("subgroup must contain the identity")
+        if parent.order % len(self.elements) != 0:
+            raise ValueError("subgroup order does not divide the group order")
+        self._cache = parent._caches.setdefault(self._set, {})
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def __contains__(self, g: int) -> bool:
+        return g in self._set
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.parent is other.parent and self._set == other._set
+
+    def __hash__(self) -> int:
+        # the element set alone: an id() would make the iteration order of
+        # a set of subgroups vary by process
+        return hash(self._set)
+
+    def __repr__(self) -> str:
+        return f"Subgroup(order={self.order} of {self.parent.name})"
+
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
+    def contains_subgroup(self, other: "Subgroup") -> bool:
+        return other._set <= self._set
+
+    @_memo
+    def is_normal(self) -> bool:
+        return _normalizes(self.parent, self.parent, self)
+
+    @property
+    @_memo
+    def is_abelian(self) -> bool:
+        idx = np.array(self.elements)
+        sub = self.parent.mul[np.ix_(idx, idx)]
+        return bool(np.array_equal(sub, sub.T))
+
+    @_memo
+    def exponent(self) -> int:
+        G, idx = self.parent, np.array(self.elements)
+        t = 0
+        while G.power_p_map(t)[idx].any():
+            t += 1
+        return G.p**t
+
+    @_memo
+    def _mask(self) -> np.ndarray:
+        """Membership as a boolean array over the parent's elements."""
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.elements)] = True
+        mask.setflags(write=False)
+        return mask
+
+    @_memo
+    def _coset_labels(self) -> np.ndarray:
+        """The least element of each right coset, by element: label[g] is
+        min(Kg), one min over the subgroup's rows of the parent's table."""
+        label = self.parent.mul[np.array(self.elements)].min(axis=0)
+        label.setflags(write=False)
+        return label
+
+
+class FiniteGroup(Subgroup):
+    """A finite p-group as an explicit multiplication table, and the
+    subgroup of all its elements: ``G.parent is G``.
 
     Elements are the indices 0..order-1 with the identity at 0.  Every
     table is validated at construction, with no way to skip it: entries in
     range, a two-sided identity, consistent inverses, and associativity by
     Light's test over a generating set taken greedily by one walk of the
-    table (``_light_generators``).
+    table (``_light_generators``).  ``generators`` is then ``_grow``'s
+    greedy witness over all the elements, as for any subgroup.
 
     ``presentation`` is the pc presentation the table was built from, or
     None for a table with no presentation (a raw table, a subgroup or a
@@ -377,17 +462,18 @@ class FiniteGroup:
         if not _is_p_power(n, p):
             raise ValueError(f"order {n} is not a power of p={p}")
         self.p = p
-        self.order = n
         self.mul = mul.astype(np.int64)
         self.mul.setflags(write=False)
         self.name = name
         self.presentation = presentation
         self.inv = np.argmax(self.mul == 0, axis=1)
         self.inv.setflags(write=False)
-        self._cache: dict = {}
         # one memo cache per subgroup element set; see the module docstring
-        self._caches = {frozenset(range(n)): self._cache}
+        self._caches: dict = {}
+        Subgroup.__init__(self, self, tuple(range(n)), ())
         self._validate()
+        # the walk needs associativity, so it runs after validation
+        self.generators = tuple(_grow(self, self.elements)[1])
 
     # -- validation --------------------------------------------------------
 
@@ -432,16 +518,6 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return self.subgroup((a,)).order
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    @property
-    def is_abelian(self) -> bool:
-        return self.full_subgroup().is_abelian()
-
-    def exponent(self) -> int:
-        return self.full_subgroup().exponent()
-
     @_memo
     def power_p_map(self, t: int) -> np.ndarray:
         """The map g -> g^{p^t} as an index table: the p-th power table,
@@ -480,7 +556,7 @@ class FiniteGroup:
         conj = self.mul[self.mul[self.inv, g[:, None]], g]
         seen = [False] * self.order
         classes = []
-        for a in self.elements():
+        for a in self.elements:
             if seen[a]:
                 continue
             orbit = _distinct(conj[a], self.order)
@@ -492,95 +568,13 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order}, p={self.p})"
 
-    # -- whole-group views ---------------------------------------------------
+    # -- subgroups -----------------------------------------------------------
 
-    @_memo
-    def full_subgroup(self) -> "Subgroup":
-        elems = tuple(range(self.order))
-        return Subgroup(self, elems, tuple(_grow(self, elems)[1]))
-
-    def trivial_subgroup(self) -> "Subgroup":
+    def trivial_subgroup(self) -> Subgroup:
         return Subgroup(self, (0,), ())
 
-    def subgroup(self, generators: Iterable[int]) -> "Subgroup":
+    def subgroup(self, generators: Iterable[int]) -> Subgroup:
         return _generated(self, [int(g) for g in generators])
-
-
-class Subgroup:
-    """A subgroup of a fixed parent group: a closed, sorted index set."""
-
-    __slots__ = ("parent", "elements", "generators", "_set", "_cache")
-
-    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...], generators: tuple[int, ...]):
-        self.parent = parent
-        self.elements = tuple(elements)
-        self.generators = tuple(generators)
-        self._set = frozenset(elements)
-        if 0 not in self._set:
-            raise ValueError("subgroup must contain the identity")
-        if parent.order % len(self.elements) != 0:
-            raise ValueError("subgroup order does not divide the group order")
-        self._cache = parent._caches.setdefault(self._set, {})
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self._set
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.parent is other.parent and self._set == other._set
-
-    def __hash__(self) -> int:
-        # the element set alone: an id() would make the iteration order of
-        # a set of subgroups vary by process
-        return hash(self._set)
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order} of {self.parent.name})"
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other._set <= self._set
-
-    @_memo
-    def is_normal(self) -> bool:
-        return _normalizes(self.parent, self.parent.full_subgroup(), self)
-
-    @_memo
-    def is_abelian(self) -> bool:
-        idx = np.array(self.elements)
-        sub = self.parent.mul[np.ix_(idx, idx)]
-        return bool(np.array_equal(sub, sub.T))
-
-    @_memo
-    def exponent(self) -> int:
-        G, idx = self.parent, np.array(self.elements)
-        t = 0
-        while G.power_p_map(t)[idx].any():
-            t += 1
-        return G.p**t
-
-    @_memo
-    def _mask(self) -> np.ndarray:
-        """Membership as a boolean array over the parent's elements."""
-        mask = np.zeros(self.parent.order, dtype=bool)
-        mask[list(self.elements)] = True
-        mask.setflags(write=False)
-        return mask
-
-    @_memo
-    def _coset_labels(self) -> np.ndarray:
-        """The least element of each right coset, by element: label[g] is
-        min(Kg), one min over the subgroup's rows of the parent's table."""
-        label = self.parent.mul[np.array(self.elements)].min(axis=0)
-        label.setflags(write=False)
-        return label
 
 
 def _grow(G: FiniteGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]:
@@ -636,12 +630,6 @@ def subgroup_from_elements(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     return Subgroup(G, elems, tuple(gens))
 
 
-def _as_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
-    if isinstance(g, FiniteGroup):
-        return g.full_subgroup()
-    return g
-
-
 def _normalizes(G: FiniteGroup, by: Subgroup, n: Subgroup) -> bool:
     """Whether ``by`` normalizes ``n``: the conjugates of n's generators by
     by's generators stay in n, so each generator of ``by`` fixes N."""
@@ -672,15 +660,13 @@ def intersect_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 @_memo
-def center(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
-    s = _as_subgroup(g)
+def center(s: Subgroup) -> Subgroup:
     return centralizer(s, s)
 
 
-def centralizer(g: Union[FiniteGroup, Subgroup], of: Subgroup) -> Subgroup:
-    """The elements of g commuting with every generator of ``of``: one
+def centralizer(s: Subgroup, of: Subgroup) -> Subgroup:
+    """The elements of s commuting with every generator of ``of``: one
     gather of the commutator table, [x, t] = 1 exactly when xt = tx."""
-    s = _as_subgroup(g)
     G = s.parent
     idx = np.array(s.elements, dtype=np.int64)
     comms = G.commutator_table()[np.ix_(idx, np.array(of.generators, dtype=np.int64))]
@@ -696,29 +682,25 @@ def _commutators(h: Subgroup, s: Subgroup) -> Subgroup:
 
 
 @_memo
-def commutator_subgroup(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
-    s = _as_subgroup(g)
+def commutator_subgroup(s: Subgroup) -> Subgroup:
     return _commutators(s, s)
 
 
 @_memo
-def omega(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
+def omega(s: Subgroup, t: int) -> Subgroup:
     """Subgroup generated by the elements of order dividing p^t."""
-    s = _as_subgroup(g)
     return omega_relative(s, s.parent.trivial_subgroup(), t)
 
 
 @_memo
-def agemo(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
+def agemo(s: Subgroup, t: int) -> Subgroup:
     """Subgroup generated by the p^t-th powers."""
-    s = _as_subgroup(g)
     G = s.parent
     return _generated(G, _distinct(G.power_p_map(t)[np.array(s.elements)], G.order))
 
 
-def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subgroup:
+def omega_relative(s: Subgroup, n: Subgroup, t: int) -> Subgroup:
     """The subgroup generated by { x : x^{p^t} in N }; contains N."""
-    s = _as_subgroup(g)
     G = s.parent
     if n.parent is not G:
         raise ValueError("subgroups of different parents")
@@ -730,18 +712,17 @@ def omega_relative(g: Union[FiniteGroup, Subgroup], n: Subgroup, t: int) -> Subg
 
 
 @_memo
-def power_commutator(g: Union[FiniteGroup, Subgroup], t: int) -> Subgroup:
+def power_commutator(s: Subgroup, t: int) -> Subgroup:
     """Mho_t(S)S': the p^t-th powers and the commutators together."""
-    s = _as_subgroup(g)
     return join(agemo(s, t), commutator_subgroup(s))
 
 
-def frattini(g: Union[FiniteGroup, Subgroup]) -> Subgroup:
-    return power_commutator(g, 1)
+def frattini(s: Subgroup) -> Subgroup:
+    return power_commutator(s, 1)
 
 
 @_memo
-def jennings_series_product_formula(g: Union[FiniteGroup, Subgroup]) -> list[Subgroup]:
+def jennings_series_product_formula(s: Subgroup) -> list[Subgroup]:
     """Jennings series D_1 = S, D_n = [D_{n-1}, S] Mho_1(D_{ceil(n/p)}).
 
     This is Lazard's recursion (M. Lazard, Ann. Sci. ENS 71, 1954) for
@@ -749,10 +730,10 @@ def jennings_series_product_formula(g: Union[FiniteGroup, Subgroup]) -> list[Sub
     Mho_j(gamma_i(S)) (S. A. Jennings, Trans. AMS 50, 1941).  Returns D_1
     down to the first trivial term inclusive.
     """
-    s = _as_subgroup(g)
     p = s.parent.p
     # D_1 is S itself; the memo is shared per element set, so D_1 is the
-    # first subgroup with S's elements to ask
+    # first subgroup with S's elements to ask: for all of G's elements, G
+    # itself unless another subgroup of all of them asked before it
     series = [s]
     while not series[-1].is_trivial():
         n = len(series) + 1
@@ -761,13 +742,13 @@ def jennings_series_product_formula(g: Union[FiniteGroup, Subgroup]) -> list[Sub
 
 
 @_memo
-def burnside_basis(g: Union[FiniteGroup, Subgroup]) -> list[int]:
+def burnside_basis(s: Subgroup) -> list[int]:
     """Deterministic minimal generating set: repeatedly take the smallest
     element outside the subgroup generated so far together with Frattini."""
-    return burnside_basis_extend(g, ())
+    return burnside_basis_extend(s, ())
 
 
-def burnside_basis_extend(g: Union[FiniteGroup, Subgroup], seed: Sequence[int]) -> list[int]:
+def burnside_basis_extend(s: Subgroup, seed: Sequence[int]) -> list[int]:
     """Extend independent-mod-Frattini seed elements to a full Burnside basis.
 
     The greedy takes each element of the subgroup S, in order, that lies
@@ -777,7 +758,6 @@ def burnside_basis_extend(g: Union[FiniteGroup, Subgroup], seed: Sequence[int]) 
     log_p|S : Phi(S)| - len(seed) picks allowed are all there are; a seed
     outside S fails the final check either way.
     """
-    s = _as_subgroup(g)
     G = s.parent
     phi = frattini(s)
     head = list(phi.generators) + list(seed)
@@ -796,8 +776,8 @@ def burnside_basis_extend(g: Union[FiniteGroup, Subgroup], seed: Sequence[int]) 
     return basis
 
 
-def min_generators(g: Union[FiniteGroup, Subgroup]) -> int:
-    return len(burnside_basis(g))
+def min_generators(s: Subgroup) -> int:
+    return len(burnside_basis(s))
 
 
 @dataclass(frozen=True)
@@ -826,11 +806,10 @@ class AbelianType:
 
 
 @_memo
-def abelian_type(g: Union[FiniteGroup, Subgroup], modulo: Optional[Subgroup] = None) -> AbelianType:
+def abelian_type(s: Subgroup, modulo: Optional[Subgroup] = None) -> AbelianType:
     """Type of the abelian section S/N, N = ``modulo`` (trivial if None), from
     the counted ranks |Omega_i| / |Omega_{i-1}| (see the module docstring).
     Pass ``modulo`` by position: ``_memo`` takes no keyword arguments."""
-    s = _as_subgroup(g)
     G = s.parent
     n = G.trivial_subgroup() if modulo is None else modulo
     if n.parent is not G or not s.contains_subgroup(n):

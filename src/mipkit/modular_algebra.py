@@ -146,7 +146,7 @@ class AlgIdeal:
 
 def augmentation_ideal(A: GroupAlgebra) -> AlgIdeal:
     """I(G) = I(G)G, with the echelon basis e_i - e_{n-1}."""
-    return relative_augmentation_ideal(A, A.group.full_subgroup())
+    return relative_augmentation_ideal(A, A.group)
 
 
 @gc._memo
@@ -527,7 +527,7 @@ def _graded_map(dom, cod, images, seconds=(), failure=None) -> GradedMap:
 
 
 @gc._memo
-def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedMap:
+def power_quotient_map(G: Subgroup, t: int) -> GradedMap:
     """The p^{t-1} power map from the central p^t-torsion modulo Frattini
     into the graded piece of p^{t-1}-th powers modulo p^t-th powers, for G
     a group or a subgroup (computed in its parent's table).
@@ -538,7 +538,7 @@ def power_quotient_map(G: FiniteGroup | Subgroup, t: int) -> GradedMap:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    P = gc._as_subgroup(G).parent
+    P = G.parent
     otz = gc.omega(gc.center(G), t)
     phi = gc.frattini(G)
     dom = ElementaryQuotient(gc.join(otz, phi), phi, rep_pool=otz.elements)
@@ -700,7 +700,7 @@ def _frattini_classes(B: GroupAlgebra) -> np.ndarray:
     with h - 1 |-> h Phi(H)).  The class of a unit u of augmentation 1 is
     then ``u @ classes``, since u - 1 = sum over h of u_h (e_h - e_1)."""
     H = B.group
-    quotient = ElementaryQuotient(H.full_subgroup(), gc.frattini(H))
+    quotient = ElementaryQuotient(H, gc.frattini(H))
     return np.array([quotient.coords(h) for h in range(B.dim)])
 
 

@@ -11,7 +11,7 @@ def frattini_by_maximals(G: FiniteGroup) -> Subgroup:
     target = G.order // G.p
     maximals = [n for n in normal_subgroups(G) if n.order == target]
     if not maximals:
-        return G.full_subgroup()
+        return G
     elems = frozenset(maximals[0]._set)
     for m in maximals[1:]:
         elems &= m._set

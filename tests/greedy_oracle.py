@@ -116,9 +116,8 @@ def elementary_quotient_coords(m_sub, k_sub, basis) -> dict[int, tuple[int, ...]
     return coords
 
 
-def burnside_basis_extend(g, seed) -> list[int]:
+def burnside_basis_extend(s, seed) -> list[int]:
     """Extend independent-mod-Frattini seed elements to a full Burnside basis."""
-    s = gc._as_subgroup(g)
     G = s.parent
     phi = gc.frattini(s)
     basis = list(seed)

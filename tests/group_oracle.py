@@ -93,7 +93,7 @@ def element_order(self: FiniteGroup, a: int) -> int:
 
 
 def exponent(self: FiniteGroup) -> int:
-    return max(element_order(self, g) for g in self.elements())
+    return max(element_order(self, g) for g in self.elements)
 
 
 def is_abelian(self: FiniteGroup) -> bool:
@@ -107,7 +107,7 @@ def power_p_map(self: FiniteGroup, t: int) -> np.ndarray:
     else:
         prev = power_p_map(self, t - 1)
         step = np.array(
-            [self.power(g, self.p) for g in self.elements()], dtype=np.int64
+            [self.power(g, self.p) for g in self.elements], dtype=np.int64
         )
         tab = step[prev]
     tab.setflags(write=False)
@@ -124,7 +124,7 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     n_arr = np.array(n.elements)
     coset_of = np.full(G.order, -1, dtype=np.int64)
     reps = []
-    for g in G.elements():
+    for g in G.elements:
         if coset_of[g] >= 0:
             continue
         members = G.mul[g, n_arr]
@@ -138,15 +138,13 @@ def quotient(G: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     return Q, proj
 
 
-def commutator_subgroup(g) -> Subgroup:
-    s = gc._as_subgroup(g)
+def commutator_subgroup(s) -> Subgroup:
     G = s.parent
     idx = np.array(s.elements)
     return gc._generated(G, gc._distinct(G.commutator_table()[np.ix_(idx, idx)], G.order))
 
 
-def lower_central_series(g) -> list[Subgroup]:
-    s = gc._as_subgroup(g)
+def lower_central_series(s) -> list[Subgroup]:
     G = s.parent
     ctab = G.commutator_table()
     s_idx = np.array(s.elements)
@@ -162,23 +160,21 @@ def lower_central_series(g) -> list[Subgroup]:
     return series
 
 
-def omega(g, t: int) -> Subgroup:
+def omega(s, t: int) -> Subgroup:
     """Subgroup generated by the elements of order dividing p^t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    s = gc._as_subgroup(g)
     G = s.parent
     powmap = G.power_p_map(t)
     gens = [x for x in s.elements if powmap[x] == 0]
     return gc._generated(G, gens)
 
 
-def jennings_series_product_formula(g) -> list[Subgroup]:
+def jennings_series_product_formula(s) -> list[Subgroup]:
     """Jennings series D_n = prod over i*p^j >= n of agemo_j(gamma_i).
 
     Returns D_1 (the whole group) down to the first trivial term inclusive.
     """
-    s = gc._as_subgroup(g)
     G = s.parent
     p = G.p
     lcs = lower_central_series(s)

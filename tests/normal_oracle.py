@@ -22,7 +22,7 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     under pairwise join.  Complete because every normal subgroup is the
     join of the closures of its elements."""
     base = {G.trivial_subgroup()}
-    for g in G.elements():
+    for g in G.elements:
         if g:
             base.add(normal_closure(G, [g]))
     found = {s._set: s for s in base}

@@ -47,7 +47,7 @@ def extract_component(G: FiniteGroup, t: int) -> tuple[Subgroup, Subgroup]:
     ker = lam.kernel()
     rank = lam.domain.rank - ker.dim
     if rank == 0:
-        return G.trivial_subgroup(), G.full_subgroup()
+        return G.trivial_subgroup(), G
     otz = gc.omega(gc.center(G), t)
     # the domain M contains otz, so its coordinates cover every element
     lifts = [
@@ -156,14 +156,14 @@ def complement_construction(G: FiniteGroup, T: Subgroup) -> Subgroup:
     claim, re-checking the preconditions inside each intermediate group.
     """
     if T.is_trivial():
-        return G.full_subgroup()
+        return G
     p = G.p
     t = gc.log_p(T.exponent(), p)
     ttype = gc.abelian_type(T)
     rank = len(ttype.orders)
     if ttype.orders != (p**t,) * rank:
         raise ValueError(f"T is not homocyclic: {ttype}")
-    ambient = G.full_subgroup()
+    ambient = G
     t_gens = gc.burnside_basis(T)
     while t_gens:
         otz = gc.omega(gc.center(ambient), t)

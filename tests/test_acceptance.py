@@ -261,7 +261,7 @@ def test_a6_decomposition_correctness():
     big = dc.ab_nab_split(groups["D8xC4xC2"])
     nab_ok = (
         big.nab.order == 8
-        and not big.nab.is_abelian()
+        and not big.nab.is_abelian
         and big.certificate["nab"]["abelianization"] == [2, 2]
     )
     ab_ok = big.ab_type().to_list() == [4, 2]

@@ -285,6 +285,26 @@ def test_cli_commands_do_not_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv", [["analyze", "C2"], ["analyze", "E8"]], ids=["result", "error"])
+def test_closed_stdout_exits_1_with_an_empty_stderr(tmp_path, argv):
+    # the reader closed the pipe before the report is written: no traceback
+    # from the write or from the flush at shutdown, and one exit code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mipkit.cli", "--no-timing", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "MIPKIT_CACHE_DIR": str(tmp_path)},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
+
+
 def test_version_bump_invalidates_cache(capsys, monkeypatch, tmp_path):
     run(capsys, monkeypatch, tmp_path, "--no-timing", "analyze", "C4")
     assert len(list((tmp_path / "cache").glob("*.json"))) == 1

@@ -32,7 +32,7 @@ def test_extract_component_c4xc2(groups):
 def test_extract_component_d8xc4(groups):
     T, S = dc.extract_component(groups["D8xC4"], 2)
     assert gc.abelian_type(T).to_list() == [4]
-    assert S.order == 8 and not S.is_abelian()
+    assert S.order == 8 and not S.is_abelian
     # the complement is the dihedral factor up to isomorphism: its
     # abelianization has type [2, 2]
     s_grp, _ = group_oracle.as_group(S)
@@ -94,7 +94,7 @@ def test_complement_preconditions_checked(groups):
 
 def test_split_d8xc4xc2(groups):
     d = dc.ab_nab_split(groups["D8xC4xC2"])
-    assert d.nab.order == 8 and not d.nab.is_abelian()
+    assert d.nab.order == 8 and not d.nab.is_abelian
     assert d.ab_type().to_list() == [4, 2]
     assert [(c.t, c.rank) for c in d.components] == [(1, 1), (2, 1)]
     assert d.certificate["nab"]["abelianization"] == [2, 2]
@@ -217,7 +217,7 @@ def test_split_adjusts_by_a_generator_of_order_9():
     G = gc.from_pc_presentation(_ADJUST_BY_ORDER_9, name="C9xNab27")
     d = dc.ab_nab_split(G)
     assert [(c.t, c.rank) for c in d.components] == [(2, 1)]
-    assert d.nab.order == 27 and not d.nab.is_abelian()
+    assert d.nab.order == 27 and not d.nab.is_abelian
     assert d.certificate["verified"] is True
     assert dc.component_checks(G, d)["all_pass"]
     assert _certificate_json(dc.ab_nab_split, G) == _certificate_json(
@@ -262,7 +262,7 @@ def test_split_lifts_skip_the_kernel_pivot():
     assert (lam.domain.rank, lam.kernel().dim, lam.rank()) == (2, 1, 1)
     d = dc.ab_nab_split(G)
     assert [(c.t, c.rank) for c in d.components] == [(2, 1)]
-    assert d.nab.order == 16 and not d.nab.is_abelian()
+    assert d.nab.order == 16 and not d.nab.is_abelian
     assert dc.component_checks(G, d)["all_pass"]
     assert _certificate_json(dc.ab_nab_split, G) == _certificate_json(
         split_oracle.ab_nab_split, gc.from_pc_presentation(_Q8_CENTRAL_C4_BY_C4, name="Q8oC4xC4")
@@ -341,9 +341,9 @@ def test_internal_product_check_refuses_bad_factors(groups):
     )
     # <r> and <s> generate D8, but do not commute
     D8 = groups["D8"]
-    r = next(x for x in D8.elements() if D8.element_order(x) == 4)
+    r = next(x for x in D8.elements if D8.element_order(x) == 4)
     rot = D8.subgroup([r])
-    s = next(x for x in D8.elements() if x not in rot)
+    s = next(x for x in D8.elements if x not in rot)
     with pytest.raises(gc.InternalCheckError, match="do not commute elementwise"):
         dc._verify_internal_product(D8, [rot, D8.subgroup([s])])
     # a true product passes, also inside a subgroup as its ambient group

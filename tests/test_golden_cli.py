@@ -70,7 +70,7 @@ PINNED = {
     "iso-search C8 C8": "23b952d1701e9730959d667280d191d02ed8d7ce400018214b33e091d441dad8",
 }
 UNKNOWN_NAME_STDOUT = (
-    '{"error":{"exit_code":2,"kind":"parse","message":"\\"unknown catalog group \'E8\'\\""}}\n'
+    '{"error":{"exit_code":2,"kind":"parse","message":"unknown catalog group \'E8\'"}}\n'
 )
 
 

@@ -26,7 +26,7 @@ from test_pc_table import consistent_groups
 
 
 def census(G):
-    return dict(Counter(G.element_order(g) for g in G.elements()))
+    return dict(Counter(G.element_order(g) for g in G.elements))
 
 
 def test_dihedral_presentation_census(groups):
@@ -127,7 +127,7 @@ def test_merged_relations_of_the_second_factor_build_the_product(groups, a, b):
 def test_foreign_subgroups_and_unfit_products_are_refused(groups):
     G = groups["D8"]
     foreign = gc.center(cat.build("D8"))  # same table, another group
-    whole = G.full_subgroup()
+    whole = G
     for call in (
         lambda: gc.join(whole, foreign),
         lambda: gc.intersect_subgroups(whole, foreign),
@@ -201,7 +201,7 @@ def test_omega_agemo_monotone_and_stable(groups):
 
 def test_omega_relative_examples(groups):
     D8 = groups["D8"]
-    assert group_oracle.is_whole_group(gc.omega_relative(D8, D8.full_subgroup(), 3))
+    assert group_oracle.is_whole_group(gc.omega_relative(D8, D8, 3))
     # every element of the dihedral group squares into the derived subgroup
     assert group_oracle.is_whole_group(gc.omega_relative(D8, gc.commutator_subgroup(D8), 1))
 
@@ -316,7 +316,7 @@ def test_quotient_examples(groups):
     assert q.order == 8 and group_oracle.is_injective(proj)
     q, proj = gc.quotient(D8, gc.center(D8))
     assert q.order == 4 and q.exponent() == 2 and q.is_abelian
-    q, _ = gc.quotient(D8, D8.full_subgroup())
+    q, _ = gc.quotient(D8, D8)
     assert q.order == 1
 
 
@@ -432,9 +432,9 @@ def test_jennings_in_place_matches_the_subgroup_table(small_groups):
 
 def test_subgroup_predicates_match_elementwise_oracles(small_groups):
     for G in small_groups.values():
-        for s in [G.subgroup((g,)) for g in G.elements()] + gc.normal_subgroups(G):
+        for s in [G.subgroup((g,)) for g in G.elements] + gc.normal_subgroups(G):
             assert s.is_normal() == all(
-                group_oracle.conjugate(G, x, g) in s for x in s.elements for g in G.elements()
+                group_oracle.conjugate(G, x, g) in s for x in s.elements for g in G.elements
             )
             assert s.exponent() == max(G.element_order(x) for x in s.elements)
 
@@ -443,7 +443,7 @@ def test_section_type_rejections(groups):
     D8 = groups["D8"]
     z, r = gc.center(D8), D8.subgroup((4,))
     with pytest.raises(ValueError, match="N <= S") as info:
-        gc.abelian_type(z, D8.full_subgroup())
+        gc.abelian_type(z, D8)
     assert info.type is ValueError
     with pytest.raises(ValueError, match="N <= S"):
         gc.abelian_type(D8, gc.center(groups["Q8"]))
@@ -610,15 +610,36 @@ def test_memoized_lists_are_handed_out_as_copies(name):
 
 
 def test_center_of_group_and_of_full_subgroup_share_one_entry(groups):
+    # the subgroup of all of G's elements, checked from its set, is not G
+    # but equals it and shares its cache
     G = groups["Q8"]
-    assert gc.center(G) is gc.center(G.full_subgroup())
-    assert gc.jennings_series_product_formula(G) == gc.jennings_series_product_formula(G.full_subgroup())
+    full = gc.subgroup_from_elements(G, G.elements)
+    assert full is not G and full == G
+    assert gc.center(G) is gc.center(full)
+    assert gc.jennings_series_product_formula(G) == gc.jennings_series_product_formula(full)
     # two subgroups with the same elements, built by different walks
     G = cat.lookup("D8xC2").build()
     a = G.subgroup([G.order - 1, G.order - 2, G.order - 4])
     b = gc.subgroup_from_elements(G, a.elements)
     assert a is not b and a.elements == b.elements and a.generators != b.generators
     assert gc.center(a) is gc.center(b)
+
+
+def test_a_group_is_the_subgroup_of_all_its_elements(groups):
+    G = groups["D8xC2"]
+    assert isinstance(G, gc.Subgroup) and G.parent is G
+    assert G.elements == tuple(range(G.order)) and G.is_normal()
+    assert G.generators == tuple(gc._grow(G, G.elements)[1])
+    full = gc.subgroup_from_elements(G, range(G.order))
+    assert full == G and hash(full) == hash(G) and full._cache is G._cache
+    # each group is its own parent, so two builds of one group stay unequal
+    assert G != cat.build("D8xC2")
+    # one property, for a group and for a subgroup alike
+    center = gc.center(G)
+    assert [G.is_abelian, center.is_abelian, full.is_abelian] == [False, True, False]
+    assert all(isinstance(X.is_abelian, bool) for X in (G, center, full))
+    with pytest.raises(TypeError):
+        center.is_abelian()
 
 
 # -- one memo cache per subgroup element set ---------------------------------
@@ -629,7 +650,7 @@ def _subgroup_memo_probes():
     reaches, made on the subgroup ``s``."""
     return {
         "Subgroup.is_normal": lambda s: s.is_normal(),
-        "Subgroup.is_abelian": lambda s: s.is_abelian(),
+        "Subgroup.is_abelian": lambda s: s.is_abelian,
         "Subgroup.exponent": lambda s: s.exponent(),
         "Subgroup._mask": lambda s: s._mask(),
         "Subgroup._coset_labels": lambda s: s._coset_labels(),
@@ -645,13 +666,12 @@ def _subgroup_memo_probes():
     }
 
 
-# memoized on a FiniteGroup alone: no Subgroup owner reaches them
+# memoized on a FiniteGroup alone: no other Subgroup owner reaches them
 _GROUP_ONLY_MEMOS = {
     "FiniteGroup.power_p_map",
     "FiniteGroup._columns",
     "FiniteGroup.commutator_table",
     "FiniteGroup.conjugacy_classes",
-    "FiniteGroup.full_subgroup",
     "normal_subgroups",
 }
 
@@ -668,10 +688,11 @@ def _plain(value):
 
 
 def test_every_memo_has_a_shared_cache_probe():
+    # a memoized property is found by its getter
     memos = {
         f.__qualname__
         for space in (vars(gc), vars(gc.FiniteGroup), vars(gc.Subgroup))
-        for f in space.values()
+        for f in (getattr(v, "fget", v) for v in space.values())
         if getattr(f, "__wrapped__", None) is not None and f.__module__ == gc.__name__
     }
     assert memos == set(_subgroup_memo_probes()) | _GROUP_ONLY_MEMOS
@@ -683,7 +704,7 @@ def _probe_subgroups(pres):
     element, found on a group of their own so the probed ones start cold."""
     G = gc.from_pc_presentation(pres)
     basis = gc.burnside_basis(G)
-    sets = {G.full_subgroup().elements}
+    sets = {G.elements}
     if basis:
         sets.add(G.subgroup(basis[:-1] + list(gc.frattini(G).generators)).elements)
         sets.add(G.subgroup(basis[-1:]).elements)
@@ -737,7 +758,7 @@ def test_memo_keys_on_arguments_and_keeps_types():
     assert [gc.agemo(G, t).order for t in range(5)] == [16, 8, 4, 2, 1]
     assert isinstance(gc.abelian_type(G), gc.AbelianType)
     assert isinstance(G.exponent(), int) and isinstance(G.is_abelian, bool)
-    assert isinstance(group_oracle.as_group(G.full_subgroup()), tuple)
+    assert isinstance(group_oracle.as_group(G), tuple)
 
 
 def test_presentations_are_parsed_only_at_the_text_boundary():
@@ -772,30 +793,34 @@ def test_presentations_are_parsed_only_at_the_text_boundary():
 
 
 def test_subgroups_are_built_only_by_the_closure_helpers():
-    """A ``Subgroup`` is built in four places: the whole group, the trivial
-    subgroup, ``_generated`` (every closure) and ``subgroup_from_elements``
-    (a given element set, checked by the same walk).  No module builds a
-    subgroup's own table with ``as_group``."""
+    """A ``Subgroup`` is built in four places: the group itself, as the
+    subgroup of all its elements (``FiniteGroup.__init__`` runs
+    ``Subgroup.__init__`` on itself), the trivial subgroup, ``_generated``
+    (every closure) and ``subgroup_from_elements`` (a given element set,
+    checked by the same walk).  No module builds a subgroup's own table
+    with ``as_group``."""
     allowed = {
-        ("group_core", "full_subgroup"),
-        ("group_core", "trivial_subgroup"),
+        ("group_core", "FiniteGroup.__init__"),
+        ("group_core", "FiniteGroup.trivial_subgroup"),
         ("group_core", "_generated"),
         ("group_core", "subgroup_from_elements"),
     }
     built, tables = set(), set()
     for path in Path(gc.__file__).parent.glob("*.py"):
-        stack = [(ast.parse(path.read_text()), None)]
+        stack = [(ast.parse(path.read_text()), None, None)]
         while stack:
-            node, func = stack.pop()
+            node, cls, func = stack.pop()
+            if cls is None and func is None and isinstance(node, ast.ClassDef):
+                cls = node.name
             if func is None and isinstance(node, ast.FunctionDef):
-                func = node.name
+                func = f"{cls}.{node.name}" if cls else node.name
             if isinstance(node, ast.Call):
-                callee = ast.unparse(node.func).rsplit(".", 1)[-1]
-                if callee == "Subgroup":
+                callee = ast.unparse(node.func)
+                if callee.rsplit(".", 1)[-1] == "Subgroup" or callee.endswith("Subgroup.__init__"):
                     built.add((path.stem, func))
-                if callee == "as_group":
+                if callee.rsplit(".", 1)[-1] == "as_group":
                     tables.add((path.stem, func))
-            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+            stack.extend((child, cls, func) for child in ast.iter_child_nodes(node))
     assert built == allowed, built
     assert not tables, tables
 
@@ -804,7 +829,7 @@ def test_trivial_subgroup_has_an_empty_witness(groups):
     # the witness is empty exactly for the trivial subgroup, and an empty
     # generator set gives the answers the element set gave
     G = groups["D8xC2"]
-    whole, triv = G.full_subgroup(), G.trivial_subgroup()
+    whole, triv = G, G.trivial_subgroup()
     center = gc.center(G)
     assert triv.generators == () and G.subgroup([0, 0]).generators == ()
     assert all(s.generators for s in gc.normal_subgroups(G) if not s.is_trivial())
@@ -962,7 +987,7 @@ def test_relabeled_table_has_the_same_fingerprint(name, groups):
     gens = gc._light_generators(H.mul)
     assert gens == group_oracle.light_generators(H.mul)
     assert gens == sorted(gens)
-    assert gens == gc._grow(H, H.elements())[1]
+    assert gens == gc._grow(H, H.elements)[1]
     assert ci.fingerprint(H).invariant_bytes() == ci.fingerprint(G).invariant_bytes()
     assert _split_invariants(H) == _split_invariants(G)
 
@@ -1082,9 +1107,9 @@ def test_conjugation_gathers_match_scalar_loops(groups):
     # conjugation per (element, conjugator) pair, the loops they replaced
     for name, G in groups.items():
         classes, seen = [], set()
-        for a in G.elements():
+        for a in G.elements:
             if a not in seen:
-                orbit = sorted({group_oracle.conjugate(G, a, g) for g in G.elements()})
+                orbit = sorted({group_oracle.conjugate(G, a, g) for g in G.elements})
                 seen.update(orbit)
                 classes.append(tuple(orbit))
         assert G.conjugacy_classes() == classes, name
@@ -1092,7 +1117,7 @@ def test_conjugation_gathers_match_scalar_loops(groups):
         picks = [[g] for g in range(0, G.order, step)] + [[], [1, G.order - 1]]
         for elems in picks:
             gens = set(elems) - {0}
-            conj = {group_oracle.conjugate(G, x, g) for x in gens for g in G.elements()}
+            conj = {group_oracle.conjugate(G, x, g) for x in gens for g in G.elements}
             want = gc._generated(G, sorted(conj))
             got = normal_oracle.normal_closure(G, elems)
             assert (got.elements, got.generators) == (want.elements, want.generators), name
@@ -1134,7 +1159,7 @@ def _assert_normals_match_the_oracle(G):
     subs = gc.normal_subgroups(G)
     want = normal_oracle.normal_subgroups(G)
     assert [s.elements for s in subs] == [s.elements for s in want], G.name
-    whole = G.full_subgroup()
+    whole = G
     for s in subs:
         assert gc._normalizes(G, whole, s), (G.name, s.order)
         assert tuple(sorted(gc._grow(G, s.generators)[0])) == s.elements, (G.name, s.order)
@@ -1230,9 +1255,9 @@ def _assert_quantities_match_the_oracle(G):
         assert G.power_p_map(t).tolist() == group_oracle.power_p_map(G, t).tolist(), (G.name, t)
     assert G.exponent() == group_oracle.exponent(G)
     assert G.is_abelian == group_oracle.is_abelian(G)
-    orders = [group_oracle.element_order(G, g) for g in G.elements()]
-    assert [G.element_order(g) for g in G.elements()] == orders, G.name
-    _assert_series_match_the_oracle(G.full_subgroup())
+    orders = [group_oracle.element_order(G, g) for g in G.elements]
+    assert [G.element_order(g) for g in G.elements] == orders, G.name
+    _assert_series_match_the_oracle(G)
     for N in gc.normal_subgroups(G):
         Q, proj = gc.quotient(G, N)
         want, want_proj = group_oracle.quotient(G, N)
@@ -1452,7 +1477,7 @@ def test_far_power_maps_stop_at_the_identity():
     assert not G.power_p_map(900).any()
     assert gc.omega(G, 900) == gc.omega(G, 2)
     assert gc.agemo(G, 900).is_trivial()
-    assert gc.omega_relative(G, gc.center(G), 900) == G.full_subgroup()
+    assert gc.omega_relative(G, gc.center(G), 900) == G
     assert ma.power_quotient_map(G, 900).rank() == 0
 
 

@@ -137,7 +137,7 @@ def test_complement_criterion_degenerate_factor(algebras):
         A = algebras[name]
         G = A.group
         report = ma.check_ideal_complement(
-            A, fl.zero_subspace(A.p, A.dim), G.trivial_subgroup(), G.full_subgroup()
+            A, fl.zero_subspace(A.p, A.dim), G.trivial_subgroup(), G
         )
         assert all(report.values()), (name, report)
 

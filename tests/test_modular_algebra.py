@@ -62,7 +62,7 @@ def test_relative_augmentation_ideal_extremes(algebras):
     A = algebras["D8"]
     G = A.group
     assert ma.relative_augmentation_ideal(A, G.trivial_subgroup()).space.dim == 0
-    assert ma.relative_augmentation_ideal(A, G.full_subgroup()).space == ma.augmentation_ideal(A).space
+    assert ma.relative_augmentation_ideal(A, G).space == ma.augmentation_ideal(A).space
 
 
 def test_relative_augmentation_ideal_center_of_dihedral(algebras):
@@ -262,7 +262,7 @@ def test_natural_projection_extremes(algebras):
     G = A.group
     proj = ma.natural_projection(A, G.trivial_subgroup())
     assert fl.rref(proj.matrix, A.p).dim == A.dim  # bijection
-    proj = ma.natural_projection(A, G.full_subgroup())
+    proj = ma.natural_projection(A, G)
     assert proj.target.dim == 1  # the augmentation map onto F_p
     x = np.arange(A.dim) % A.p
     assert (x @ proj.matrix % A.p)[0] == x.sum() % A.p
@@ -315,24 +315,24 @@ def test_power_quotient_map_examples(groups):
 def test_elementary_quotient_rejects_a_non_normal_k(groups):
     D8 = groups["D8"]
     with pytest.raises(gc.NotNormalError):
-        ma.ElementaryQuotient(D8.full_subgroup(), D8.subgroup((4,)))
+        ma.ElementaryQuotient(D8, D8.subgroup((4,)))
 
 
 def test_elementary_quotient_rejects_a_non_abelian_section(groups):
     # Heis27 has exponent 3, so only commutativity fails
     heis = groups["Heis27"]
     with pytest.raises(ValueError, match="not abelian") as info:
-        ma.ElementaryQuotient(heis.full_subgroup(), heis.trivial_subgroup())
+        ma.ElementaryQuotient(heis, heis.trivial_subgroup())
     assert info.type is ValueError
 
 
 def test_elementary_quotient_rejects_exponent_above_p(groups):
     G = groups["C4xC2"]
     with pytest.raises(ValueError, match="not of exponent p") as info:
-        ma.ElementaryQuotient(G.full_subgroup(), G.trivial_subgroup())
+        ma.ElementaryQuotient(G, G.trivial_subgroup())
     assert info.type is ValueError
     # the same group modulo its squares passes
-    assert ma.ElementaryQuotient(G.full_subgroup(), gc.agemo(G, 1)).rank == 2
+    assert ma.ElementaryQuotient(G, gc.agemo(G, 1)).rank == 2
 
 
 def test_layer_embedding_injective_and_psi1_bijective(small_groups):
@@ -402,7 +402,7 @@ def test_group_jennings_with_normal_examples(algebras):
     G = A.group
     d3 = ma.group_jennings_with_normal(A, G.trivial_subgroup(), 3)
     assert d3.is_trivial()
-    whole = ma.group_jennings_with_normal(A, G.full_subgroup(), 3)
+    whole = ma.group_jennings_with_normal(A, G, 3)
     assert group_oracle.is_whole_group(whole)
     z = gc.center(G)
     got = ma.group_jennings_with_normal(A, z, 3)
@@ -551,7 +551,7 @@ def test_relative_augmentation_ideal_checks_its_input_on_every_call():
 def test_augmentation_span_rejects_a_foreign_subgroup(groups, algebras):
     A = algebras["D8"]
     # same order, other parent; and a subgroup larger than the group
-    for foreign in (gc.center(groups["Q8"]), groups["D8xC4"].full_subgroup()):
+    for foreign in (gc.center(groups["Q8"]), groups["D8xC4"]):
         with pytest.raises(ValueError, match="different group"):
             ma.augmentation_span(A, foreign)
 
@@ -559,7 +559,7 @@ def test_augmentation_span_rejects_a_foreign_subgroup(groups, algebras):
 def test_left_multiplier_span_rejects_a_foreign_subgroup(groups, algebras):
     A = algebras["D8"]
     ideal = ma.augmentation_ideal(A).space
-    for foreign in (gc.center(groups["Q8"]), groups["D8xC4"].full_subgroup()):
+    for foreign in (gc.center(groups["Q8"]), groups["D8xC4"]):
         with pytest.raises(ValueError, match="different group"):
             ma.left_multiplier_span(A, foreign, ideal)
 
@@ -579,7 +579,7 @@ def test_zero_operands_give_the_zero_space(algebras, name):
             ma.subspace_product(A, z, aug),
             ma.subspace_product(A, aug, z),
             ma.subspace_product(A, z, z),
-            ma.left_multiplier_span(A, G.full_subgroup(), z),
+            ma.left_multiplier_span(A, G, z),
             ma.left_multiplier_span(A, G.trivial_subgroup(), z),
             iso.apply_subspace(z),
         ]
@@ -747,10 +747,10 @@ def test_elementary_quotient_basis_matches_join_loop(groups):
 def test_elementary_quotient_pool_that_misses_the_quotient(groups):
     G = groups["D8xC4"]
     phi = gc.frattini(G)
-    pool = phi.elements + (next(g for g in G.elements() if g not in phi),)
+    pool = phi.elements + (next(g for g in G.elements if g not in phi),)
     for build in (ma.ElementaryQuotient, greedy_oracle.elementary_quotient_basis):
         with pytest.raises(ValueError, match="pool does not generate the quotient"):
-            build(G.full_subgroup(), phi, pool)
+            build(G, phi, pool)
 
 
 def _assert_quotient_coords_match_the_oracle(G):
@@ -764,11 +764,11 @@ def _assert_quotient_coords_match_the_oracle(G):
     torsion = gc.omega(gc.center(G), 1).elements
     for M in normals:
         phi = gc.frattini(M)
-        outside = [-1, G.order] + [g for g in G.elements() if g not in M][:: max(1, (G.order - M.order) // 3)]
+        outside = [-1, G.order] + [g for g in G.elements if g not in M][:: max(1, (G.order - M.order) // 3)]
         for K in normals:
             if not (M.contains_subgroup(K) and K.contains_subgroup(phi)):
                 continue
-            for pool in (None, torsion, tuple(reversed(M.elements)), tuple(reversed(G.elements()))):
+            for pool in (None, torsion, tuple(reversed(M.elements)), tuple(reversed(G.elements))):
                 where = (G.name, M.elements, K.elements, pool)
                 try:
                     want = greedy_oracle.elementary_quotient_basis(M, K, pool)
@@ -817,7 +817,7 @@ def test_class_and_center_spaces_match_elimination(algebras):
 def test_failed_projection_check_names_group_and_dimensions(groups, monkeypatch):
     G = groups["D8"]
     A = ma.GroupAlgebra(G)
-    wrong = ma.relative_augmentation_ideal(A, G.full_subgroup())
+    wrong = ma.relative_augmentation_ideal(A, G)
     monkeypatch.setattr(ma, "relative_augmentation_ideal", lambda A, n_sub: wrong)
     with pytest.raises(gc.InternalCheckError) as info:
         ma.natural_projection(A, gc.center(G))
@@ -906,7 +906,7 @@ def test_failed_power_map_checks_name_group_and_orders(monkeypatch):
 
 def test_failed_quotient_checks_name_group_and_orders(monkeypatch):
     G = _fresh("C4xC2")
-    whole, phi = G.full_subgroup(), gc.frattini(G)
+    whole, phi = G, gc.frattini(G)
     with monkeypatch.context() as m:
         # every power is the identity, so every coset rep is the identity
         m.setattr(gc.FiniteGroup, "power", lambda self, a, k: 0)

@@ -73,3 +73,60 @@ def test_the_census_finds_methods_nested_functions_and_no_dunders():
         "def f(): ...\n"
     )
     assert sorted(_defined(tree)) == [("K.__eq__", "__eq__"), ("K.m", "m"), ("f", "f"), ("inner", "inner")]
+
+
+# -- one group type: a FiniteGroup is the subgroup of all its elements -------
+
+COERCIONS = ("_as_subgroup", "full_subgroup")
+
+
+def _alternatives(node: ast.AST) -> set[str]:
+    """The type names an annotation offers as alternatives: the members of
+    an ``X | Y``, ``Union[...]`` or ``Optional[...]``, a quoted annotation
+    read as code, any other type by its last name."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _alternatives(node.left) | _alternatives(node.right)
+    if isinstance(node, ast.Subscript) and ast.unparse(node.value).rsplit(".", 1)[-1] in ("Union", "Optional"):
+        members = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return set().union(*(_alternatives(m) for m in members))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _alternatives(ast.parse(node.value, mode="eval").body)
+    return {ast.unparse(node).rsplit(".", 1)[-1]}
+
+
+def _coercion_sites(tree: ast.AST) -> list[str]:
+    """Every parameter annotated with FiniteGroup and Subgroup as
+    alternatives, and every function named like a coercion between them."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in COERCIONS:
+            found.append(node.name)
+        a = node.args
+        for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+            if arg is not None and arg.annotation is not None:
+                if {"FiniteGroup", "Subgroup"} <= _alternatives(arg.annotation):
+                    found.append(f"{node.name}({arg.arg})")
+    return found
+
+
+def test_no_coercion_between_a_group_and_its_subgroups():
+    """A FiniteGroup is a Subgroup, so a parameter that takes either is a
+    ``Subgroup`` and nothing turns a group into a subgroup."""
+    found = [
+        f"{path.name}: {site}" for path in sorted(SRC.glob("*.py")) for site in _coercion_sites(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+
+
+def test_the_coercion_check_finds_each_spelling():
+    tree = ast.parse(
+        "def _as_subgroup(g): ...\n"
+        "class G:\n"
+        "    def full_subgroup(self): ...\n"
+        "def f(a: FiniteGroup | Subgroup, b: 'Union[gc.FiniteGroup, gc.Subgroup]',\n"
+        "      c: Optional[Union[Subgroup, FiniteGroup]], d: Subgroup, *, e: Subgroup | int,\n"
+        "      **k: gc.Subgroup | gc.FiniteGroup): ...\n"
+    )
+    assert sorted(_coercion_sites(tree)) == ["_as_subgroup", "f(a)", "f(b)", "f(c)", "f(k)", "full_subgroup"]
