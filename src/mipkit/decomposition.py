@@ -31,13 +31,7 @@ import numpy as np
 from . import fp_linalg as fl
 from . import group_core as gc
 from . import modular_algebra as ma
-from .group_core import (
-    AbelianType,
-    FiniteGroup,
-    InternalCheckError,
-    Subgroup,
-    subgroup_from_elements,
-)
+from .group_core import AbelianType, FiniteGroup, InternalCheckError, Subgroup
 
 
 def homocyclic_rank(A: Subgroup, t: int) -> int:
@@ -56,8 +50,7 @@ def extract_component(A: Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
     b_k is the least element of Omega_t(Z(A)) outside Phi(A)<b_1..b_{k-1}>;
     every smaller x lies in that subgroup and has zero digits k..r, and
     b_k itself has coordinates e_k, whatever the kernel is.  The lifts are
-    independent modulo Phi(A), so T's witness is the sorted lifts.
-    Returns (trivial, ambient) at rank zero.
+    independent modulo Phi(A).  Returns (trivial, ambient) at rank zero.
     """
     P = A.parent
     p = P.p
@@ -241,7 +234,8 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
     factor (re-extraction of every exponent returns rank zero), and the
     peeled type is compared once with ``formula_ab_type``, which covers
     every exponent up to exp(G); the certificate's ``ab_type`` is that
-    checked type.  Witnesses are read off each subgroup's sorted elements.
+    checked type.  The certificate prints each subgroup's witness, the
+    greedy walk over its sorted elements (``gc._subgroup``).
     """
     p = G.p
     components: list[HomocyclicComponent] = []
@@ -253,8 +247,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
         rank = 0
         if not T.is_trivial():
             rank = len(gc.burnside_basis(T))
-            t_in_g, s_in_g = (subgroup_from_elements(G, X.elements) for X in (T, S))
-            components.append(HomocyclicComponent(t, rank, t_in_g, s_in_g))
+            components.append(HomocyclicComponent(t, rank, T, S))
             residual = S
             if homocyclic_rank(residual, t) != 0:
                 raise InternalCheckError(
@@ -262,7 +255,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
                 )
         trace.append({"t": t, "rank": rank, "residual_order": residual.order})
         t += 1
-    nab = subgroup_from_elements(G, residual.elements)
+    nab = residual
     factors = [c.subgroup for c in components] + [nab]
     _verify_internal_product(G, factors)
     for s in range(1, t):

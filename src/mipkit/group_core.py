@@ -26,12 +26,14 @@ groups keeps the two joined.  A raw table, a subgroup's table and a
 quotient have none.
 
 Every subgroup of a validated table is closed one way: Dimino's walk over
-right cosets (``_grow``), which also picks the greedy generating witness in
-the same pass.  ``FiniteGroup.subgroup``, ``join`` and the series go through
-``_generated``, and ``subgroup_from_elements`` checks a given set with the
-same walk.  The witness is empty exactly for the trivial subgroup.  The walk
-relies on associativity, so Light's test takes its generators by a walk of
-its own, ``_light_generators``.
+right cosets (``_grow``).  A subgroup is its element set: ``_subgroup`` keeps
+one ``Subgroup`` per set in the registry ``G._subgroups``, seeded with G,
+witnessed by the greedy generators of the walk over its sorted elements.
+``_generated`` (behind ``FiniteGroup.subgroup``, ``join`` and the series)
+and ``subgroup_from_elements`` go through it.  The witness is empty exactly
+for the trivial subgroup.  The walk relies on associativity, so Light's
+test takes its generators by a walk of its own, ``_light_generators``; on a
+valid table it picks G's witness.
 
 The abelian type of a section S/N is counted in the parent's table, with no
 quotient or subgroup table built: in an abelian group the elements of order
@@ -50,14 +52,10 @@ the group as it is.
 
 Values computed once per group, subgroup or algebra go through ``_memo``: it
 keeps ``fn(owner, *args)`` in ``owner._cache`` under ``(fn.__qualname__,
-*args)``, so arguments are part of the key and a Subgroup argument matches
-only a subgroup of the same parent.  A group keeps one cache per element
-set of its subgroups (``FiniteGroup._caches``), and every ``Subgroup`` with
-that set takes it, the group itself included: subgroups with the same
-elements, however they were built, share their memoized values.  Every
-memoized value depends only on the element set, except the first term of
-``jennings_series_product_formula``, which is the subgroup that asked
-first.  A cached list is handed out as a fresh copy.
+*args)``, so arguments are part of the key.  A subgroup is one object per
+element set of its parent, so a Subgroup argument matches exactly the
+subgroups with its elements, and every memoized value depends only on the
+element set.  A cached list is handed out as a fresh copy.
 """
 
 from __future__ import annotations
@@ -348,7 +346,9 @@ def _light_generators(mul: np.ndarray) -> list[int]:
 
 class Subgroup:
     """A subgroup of a fixed parent group: a closed, sorted index set with
-    a generating witness.  A group is the subgroup of all its elements, its
+    a generating witness, the greedy walk over its sorted elements.  Built
+    only by ``_subgroup``, one object per element set of a parent, so
+    equality is identity.  A group is the subgroup of all its elements, its
     own parent (``FiniteGroup``)."""
 
     __slots__ = ("parent", "elements", "generators", "_set", "_cache")
@@ -362,7 +362,7 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity")
         if parent.order % len(self.elements) != 0:
             raise ValueError("subgroup order does not divide the group order")
-        self._cache = parent._caches.setdefault(self._set, {})
+        self._cache = {}
 
     @property
     def order(self) -> int:
@@ -370,11 +370,6 @@ class Subgroup:
 
     def __contains__(self, g: int) -> bool:
         return g in self._set
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.parent is other.parent and self._set == other._set
 
     def __hash__(self) -> int:
         # the element set alone: an id() would make the iteration order of
@@ -434,8 +429,11 @@ class FiniteGroup(Subgroup):
     table is validated at construction, with no way to skip it: entries in
     range, a two-sided identity, consistent inverses, and associativity by
     Light's test over a generating set taken greedily by one walk of the
-    table (``_light_generators``).  ``generators`` is then ``_grow``'s
-    greedy witness over all the elements, as for any subgroup.
+    table (``_light_generators``).  That set is ``generators``: once the
+    table is associative, it is ``_grow``'s greedy witness over all the
+    elements, as for any subgroup, since both walks take the least element
+    outside the subgroup reached so far.  ``_subgroups`` holds the group's
+    subgroups, one per element set, the group itself included.
 
     ``presentation`` is the pc presentation the table was built from, or
     None for a table with no presentation (a raw table, a subgroup or a
@@ -468,18 +466,15 @@ class FiniteGroup(Subgroup):
         self.presentation = presentation
         self.inv = np.argmax(self.mul == 0, axis=1)
         self.inv.setflags(write=False)
-        # one memo cache per subgroup element set; see the module docstring
-        self._caches: dict = {}
-        Subgroup.__init__(self, self, tuple(range(n)), ())
-        self._validate()
-        # the walk needs associativity, so it runs after validation
-        self.generators = tuple(_grow(self, self.elements)[1])
+        Subgroup.__init__(self, self, tuple(range(n)), self._validate())
+        self._subgroups = {self._set: self}
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
-        n = self.order
+    def _validate(self) -> list[int]:
+        """Raises on an invalid table; returns the generators Light's test took."""
         mul = self.mul
+        n = mul.shape[0]
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
         if not np.array_equal(mul[0], np.arange(n)) or not np.array_equal(
@@ -493,10 +488,12 @@ class FiniteGroup(Subgroup):
         # Light's test: the elements a with (x a) y = x (a y) for all x, y
         # are closed under products and hold the identity, so checking a
         # set that reaches every element by right multiplication suffices
-        for a in _light_generators(mul):
+        generators = _light_generators(mul)
+        for a in generators:
             if not np.array_equal(mul[mul[:, a]], mul[:, mul[a]]):
                 raise PresentationError("multiplication table is not associative")
         # now a group of order p^k: by Lagrange every element order is a p-power
+        return generators
 
     # -- elementary operations ----------------------------------------------
 
@@ -571,7 +568,7 @@ class FiniteGroup(Subgroup):
     # -- subgroups -----------------------------------------------------------
 
     def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, (0,), ())
+        return _subgroup(self, frozenset((0,)))
 
     def subgroup(self, generators: Iterable[int]) -> Subgroup:
         return _generated(self, [int(g) for g in generators])
@@ -613,21 +610,31 @@ def _grow(G: FiniteGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]
     return seen, gens
 
 
+def _subgroup(G: FiniteGroup, elements: frozenset) -> Subgroup:
+    """The one subgroup of G with these elements, from G's registry.  A set
+    met for the first time is walked once in increasing order: the walk's
+    greedy generators are its witness, and it must reach no more than the
+    set itself, or the set is not a subgroup."""
+    s = G._subgroups.get(elements)
+    if s is None:
+        ordered = tuple(sorted(elements))
+        seen, gens = _grow(G, ordered)
+        if len(seen) != len(ordered):
+            raise InternalCheckError(
+                f"{len(ordered)} elements of {G.name} are not a subgroup: they generate order {len(seen)}"
+            )
+        s = G._subgroups[elements] = Subgroup(G, ordered, tuple(gens))
+    return s
+
+
 def _generated(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """The subgroup generated by ``elements``, witnessed by ``_grow``'s
-    greedy generators in increasing order."""
-    seen, gens = _grow(G, elements)
-    return Subgroup(G, tuple(sorted(seen)), tuple(sorted(gens)))
+    """The subgroup generated by ``elements``: closed by ``_grow``, then
+    the one subgroup with that set."""
+    return _subgroup(G, frozenset(_grow(G, elements)[0]))
 
 
 def subgroup_from_elements(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    elems = tuple(sorted(set(elements)))
-    seen, gens = _grow(G, elems)
-    if len(seen) != len(elems):
-        raise InternalCheckError(
-            f"{len(elems)} elements of {G.name} are not a subgroup: they generate order {len(seen)}"
-        )
-    return Subgroup(G, elems, tuple(gens))
+    return _subgroup(G, frozenset(elements))
 
 
 def _normalizes(G: FiniteGroup, by: Subgroup, n: Subgroup) -> bool:
@@ -731,9 +738,6 @@ def jennings_series_product_formula(s: Subgroup) -> list[Subgroup]:
     down to the first trivial term inclusive.
     """
     p = s.parent.p
-    # D_1 is S itself; the memo is shared per element set, so D_1 is the
-    # first subgroup with S's elements to ask: for all of G's elements, G
-    # itself unless another subgroup of all of them asked before it
     series = [s]
     while not series[-1].is_trivial():
         n = len(series) + 1

@@ -679,19 +679,19 @@ def _unit_candidates(B: GroupAlgebra) -> np.ndarray:
     """All of 1 + I(B), one row each, ordered by the little-endian integer
     encoding of the coefficient vector.
 
-    The first n-1 coefficients run through every value in encoding order
-    and the last is the one that makes the augmentation 1; a stable sort
-    on that most significant digit restores the full encoding order.
+    Row k holds k's base-p digits in coefficients 1..n-1, and coefficient 0
+    is the one that makes the augmentation 1, so the row encodes u_0 + p k:
+    the rows come out in encoding order.
     """
     p, n = B.p, B.dim
     count = p ** (n - 1)
     units = np.empty((count, n), dtype=np.int8)
     k = np.arange(count)
-    for i in range(n - 1):
+    for i in range(1, n):
         units[:, i] = k % p
         k //= p
-    units[:, n - 1] = (1 - units[:, : n - 1].sum(axis=1)) % p
-    return units[np.argsort(units[:, n - 1], kind="stable")]
+    units[:, 0] = (1 - units[:, 1:].sum(axis=1)) % p
+    return units
 
 
 def _frattini_classes(B: GroupAlgebra) -> np.ndarray:

@@ -610,19 +610,46 @@ def test_memoized_lists_are_handed_out_as_copies(name):
 
 
 def test_center_of_group_and_of_full_subgroup_share_one_entry(groups):
-    # the subgroup of all of G's elements, checked from its set, is not G
-    # but equals it and shares its cache
+    # the subgroup of all of G's elements, checked from its set, is G
     G = groups["Q8"]
     full = gc.subgroup_from_elements(G, G.elements)
-    assert full is not G and full == G
+    assert full is G
     assert gc.center(G) is gc.center(full)
     assert gc.jennings_series_product_formula(G) == gc.jennings_series_product_formula(full)
-    # two subgroups with the same elements, built by different walks
+    # a walk from generators and a check of the set give one subgroup,
+    # witnessed by the walk over its sorted elements
     G = cat.lookup("D8xC2").build()
     a = G.subgroup([G.order - 1, G.order - 2, G.order - 4])
     b = gc.subgroup_from_elements(G, a.elements)
-    assert a is not b and a.elements == b.elements and a.generators != b.generators
+    assert a is b and a.generators == tuple(gc._grow(G, a.elements)[1])
     assert gc.center(a) is gc.center(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=consistent_groups(max_exponent=9), seed=st.integers(0, 2**32 - 1))
+def test_drawn_group_witness_is_the_walk_over_all_its_elements(G, seed):
+    # Light's generators, taken before the table is known to be
+    # associative, are the greedy witness of the walk over every element
+    for H in (G, _relabeled(G, seed)):
+        assert H.generators == tuple(gc._grow(H, H.elements)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=consistent_groups(max_exponent=9, max_log=4))
+def test_drawn_subgroups_are_one_object_per_element_set(G):
+    basis = gc.burnside_basis(G)
+    cyclic = [G.subgroup((x,)) for x in basis]
+    maximal = G.subgroup(basis[:-1] + list(gc.frattini(G).generators))
+    normals = gc.normal_subgroups(G)
+    made = cyclic + normals + [gc.join(a, b) for a in cyclic for b in cyclic]
+    made += [gc.intersect_subgroups(a, N) for a in cyclic + [maximal] for N in normals]
+    for S in (G, maximal):
+        made += [S, gc.center(S), gc.frattini(S), gc.commutator_subgroup(S)]
+        made += [f(S, t) for f in (gc.agemo, gc.omega) for t in (1, 2)]
+        made += gc.jennings_series_product_formula(S)
+    for S in made:
+        assert S is gc.subgroup_from_elements(G, S.elements)
+        assert S.generators == tuple(gc._grow(G, S.elements)[1])
 
 
 def test_a_group_is_the_subgroup_of_all_its_elements(groups):
@@ -713,13 +740,13 @@ def _probe_subgroups(pres):
 
 def _check_shared_memos(pres, elements):
     """A subgroup built by a walk from its elements in descending order and
-    the same subgroup checked from its sorted elements share one cache, and
-    mostly carry different witnesses (66 of the 80 catalog cases).  Each
-    memo gives either object, whichever asks first, what that object gets
-    in a group of its own.
+    the same subgroup checked from its sorted elements share one cache.
+    Each memo gives either, whichever asks first, what it gets in a group
+    of its own.
 
     The one value that holds its owner: D_1 of the Jennings series is the
-    subgroup that asked first, so only its elements are compared."""
+    subgroup itself, so it is compared by identity in the one group and by
+    its elements across groups."""
     ways = {
         "walk": lambda G: G.subgroup(elements[::-1]),
         "set": lambda G: gc.subgroup_from_elements(G, elements),
@@ -793,17 +820,14 @@ def test_presentations_are_parsed_only_at_the_text_boundary():
 
 
 def test_subgroups_are_built_only_by_the_closure_helpers():
-    """A ``Subgroup`` is built in four places: the group itself, as the
+    """A ``Subgroup`` is built in two places: the group itself, as the
     subgroup of all its elements (``FiniteGroup.__init__`` runs
-    ``Subgroup.__init__`` on itself), the trivial subgroup, ``_generated``
-    (every closure) and ``subgroup_from_elements`` (a given element set,
-    checked by the same walk).  No module builds a subgroup's own table
-    with ``as_group``."""
+    ``Subgroup.__init__`` on itself), and ``_subgroup``, the registry that
+    builds every other subgroup once per element set.  No module builds a
+    subgroup's own table with ``as_group``."""
     allowed = {
         ("group_core", "FiniteGroup.__init__"),
-        ("group_core", "FiniteGroup.trivial_subgroup"),
-        ("group_core", "_generated"),
-        ("group_core", "subgroup_from_elements"),
+        ("group_core", "_subgroup"),
     }
     built, tables = set(), set()
     for path in Path(gc.__file__).parent.glob("*.py"):
@@ -847,7 +871,7 @@ def test_trivial_subgroup_has_an_empty_witness(groups):
 
 def test_only_memo_touches_the_per_object_caches():
     """Every ``._cache`` access sits in ``_memo`` or in the constructors
-    that create the dict or take their parent's dict for their element set.
+    that create the dict.
     ``_ideal_chain`` grows the dict of one memo entry, ``_ideal_terms``, and
     touches no cache itself."""
     allowed = {

@@ -218,6 +218,17 @@ def test_unit_candidates_in_encoding_order(algebras, name):
     assert np.array_equal(units, _units_by_encoding(B))
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 9), (5, 5), (7, 7)])
+def test_unit_candidates_come_out_in_encoding_order(p, n):
+    # the algebra of the cyclic group of order n: every unit of augmentation
+    # 1 once, and the little-endian encodings strictly increasing
+    cyclic = (np.arange(n)[:, None] + np.arange(n)) % n
+    units = ma._unit_candidates(ma.GroupAlgebra(gc.from_mul_table(cyclic))).astype(np.int64)
+    assert units.shape == (p ** (n - 1), n)
+    assert (units.sum(axis=1) % p == 1).all()
+    assert (np.diff(units @ p ** np.arange(n)) > 0).all()
+
+
 # SHA-256 of json.dumps([list of generator_images of every automorphism
 # iso_search_iter yields, in order], separators=(",", ":")), recorded from the
 # per-candidate search that re-derived every power and inverse.
