@@ -238,8 +238,7 @@ def _catalog(depth_limit: int, t_max: int) -> tuple[CanonicalExpr, ...]:
                 candidates += [TorsionAbove(t, n), CentralTorsionTimes(t, n)]
             candidates += [PowerTimes(t, l, n) for l in exprs for n in n_pool]
         pool.update(dict.fromkeys(normalize(c) for c in candidates))
-    result = [e for e in pool if e.depth <= depth_limit]
-    return tuple(sorted(result, key=lambda e: (e.depth, e.key)))
+    return tuple(sorted(pool, key=lambda e: (e.depth, e.key)))
 
 
 @functools.cache
@@ -271,7 +270,7 @@ def _evaluate(G: FiniteGroup, expr: CanonicalExpr, tau: int) -> Subgroup:
     if norm is not expr:
         # one evaluation per normalized form, whatever form it was asked in
         return _evaluate(G, norm, tau)
-    subs = [evaluate(c, G, tau) for c in norm.children]
+    subs = [_evaluate(G, c, tau) for c in norm.children]
     if norm.op in _ABOVE_OPS and not subs[-1].contains_subgroup(gc.commutator_subgroup(G)):
         raise ContainmentError(f"{norm.key} needs G' <= N but N does not contain G'")
     result = _RULES[norm.op].value(G, norm.t, subs)
@@ -383,32 +382,27 @@ def _catalog_entries(
 ) -> dict[str, dict]:
     """The fingerprint's catalog of G over ``_normal_catalog``'s ``exprs``
     and ``n_pool``: one bundle per distinct subgroup, held by every key
-    that evaluates to it."""
+    that evaluates to it.  A subgroup is one object per element set, so
+    the subgroup itself is the key."""
     z = gc.center(G)
-    # each pair entry's N, evaluated once for the whole catalog, and the N
-    # keys grouped by the subgroup they evaluate to
-    n_keys: list[tuple[str, tuple]] = []
-    n_subs: dict[tuple, Subgroup] = {}
-    for n_expr in n_pool:
-        n_sub = evaluate(n_expr, G, tau)
-        n_keys.append((n_expr.key, n_sub.elements))
-        n_subs.setdefault(n_sub.elements, n_sub)
+    # each pair entry's N, evaluated once for the whole catalog
+    n_keys = {n_expr.key: evaluate(n_expr, G, tau) for n_expr in n_pool}
     # one bundle per distinct subgroup, shared by every key that evaluates
     # to it, and one pair entry per distinct N, shared by its keys
-    bundles: dict[tuple, dict] = {}
+    bundles: dict[Subgroup, dict] = {}
     catalog: dict[str, dict] = {}
     for expr in exprs:
         sub = evaluate(expr, G, tau)
-        if sub.elements not in bundles:
+        if sub not in bundles:
             entries = {}
-            for n_elements, n_sub in n_subs.items():
+            for n_sub in dict.fromkeys(n_keys.values()):
                 ln = gc.join(sub, n_sub)
-                entries[n_elements] = {
+                entries[n_sub] = {
                     "quot_type": gc.abelian_type(G, ln).to_list(),
                     "sub_type": gc.abelian_type(ln, n_sub).to_list(),
                 }
-            pairs = {n_key: entries[n_elements] for n_key, n_elements in n_keys}
-            bundles[sub.elements] = {
+            pairs = {n_key: entries[n_sub] for n_key, n_sub in n_keys.items()}
+            bundles[sub] = {
                 "order": sub.order,
                 "jennings": [s.order for s in gc.jennings_series_product_formula(sub)],
                 "ab_type": _type_or_none(sub),
@@ -416,7 +410,7 @@ def _catalog_entries(
                 "z_quot_type": gc.abelian_type(gc.join(z, sub), sub).to_list(),
                 "pairs": pairs,
             }
-        catalog[expr.key] = bundles[sub.elements]
+        catalog[expr.key] = bundles[sub]
     return catalog
 
 

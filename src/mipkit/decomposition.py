@@ -82,7 +82,7 @@ def _verify_internal_product(A: Subgroup, factors: list[Subgroup]) -> None:
     if math.prod(orders) != A.order:
         raise InternalCheckError(f"{P.name}: factor orders {orders} do not multiply to {A.order}")
     gens = [g for f in factors for g in f.generators]
-    whole = gc._generated(P, gens)
+    whole = P.subgroup(gens)
     if whole != A:
         raise InternalCheckError(
             f"{P.name}: factors of orders {orders} generate a subgroup of order {whole.order},"
@@ -235,7 +235,7 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
     peeled type is compared once with ``formula_ab_type``, which covers
     every exponent up to exp(G); the certificate's ``ab_type`` is that
     checked type.  The certificate prints each subgroup's witness, the
-    greedy walk over its sorted elements (``gc._subgroup``).
+    greedy walk over its sorted elements (``gc.subgroup_from_elements``).
     """
     p = G.p
     components: list[HomocyclicComponent] = []

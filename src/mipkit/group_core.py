@@ -26,13 +26,14 @@ groups keeps the two joined.  A raw table, a subgroup's table and a
 quotient have none.
 
 Every subgroup of a validated table is closed one way: Dimino's walk over
-right cosets (``_grow``).  A subgroup is its element set: ``_subgroup`` keeps
-one ``Subgroup`` per set in the registry ``G._subgroups``, seeded with G,
-witnessed by the greedy generators of the walk over its sorted elements.
+right cosets (``_grow``).  A subgroup is its element set: the registry
+``G._subgroups``, seeded with G, keeps one ``Subgroup`` per set, and its one
+door, ``subgroup_from_elements``, walks a new set once over its sorted
+elements, which proves it closed and gives its greedy witness.
 ``_generated`` (behind ``FiniteGroup.subgroup``, ``join`` and the series)
-and ``subgroup_from_elements`` go through it.  The witness is empty exactly
-for the trivial subgroup.  The walk relies on associativity, so Light's
-test takes its generators by a walk of its own, ``_light_generators``; on a
+and ``trivial_subgroup`` go through it.  The witness is empty exactly for
+the trivial subgroup.  The walk relies on associativity, so Light's test
+takes its generators by a walk of its own, ``_light_generators``; on a
 valid table it picks G's witness.
 
 The abelian type of a section S/N is counted in the parent's table, with no
@@ -347,9 +348,9 @@ def _light_generators(mul: np.ndarray) -> list[int]:
 class Subgroup:
     """A subgroup of a fixed parent group: a closed, sorted index set with
     a generating witness, the greedy walk over its sorted elements.  Built
-    only by ``_subgroup``, one object per element set of a parent, so
-    equality is identity.  A group is the subgroup of all its elements, its
-    own parent (``FiniteGroup``)."""
+    only by ``subgroup_from_elements``, one object per element set of a
+    parent, so equality is identity.  A group is the subgroup of all its
+    elements, its own parent (``FiniteGroup``)."""
 
     __slots__ = ("parent", "elements", "generators", "_set", "_cache")
 
@@ -358,10 +359,6 @@ class Subgroup:
         self.elements = tuple(elements)
         self.generators = tuple(generators)
         self._set = frozenset(elements)
-        if 0 not in self._set:
-            raise ValueError("subgroup must contain the identity")
-        if parent.order % len(self.elements) != 0:
-            raise ValueError("subgroup order does not divide the group order")
         self._cache = {}
 
     @property
@@ -568,7 +565,7 @@ class FiniteGroup(Subgroup):
     # -- subgroups -----------------------------------------------------------
 
     def trivial_subgroup(self) -> Subgroup:
-        return _subgroup(self, frozenset((0,)))
+        return subgroup_from_elements(self, (0,))
 
     def subgroup(self, generators: Iterable[int]) -> Subgroup:
         return _generated(self, [int(g) for g in generators])
@@ -610,31 +607,28 @@ def _grow(G: FiniteGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]
     return seen, gens
 
 
-def _subgroup(G: FiniteGroup, elements: frozenset) -> Subgroup:
+def _generated(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
+    """The subgroup generated by ``elements``: closed by ``_grow``, then
+    the one subgroup with that set."""
+    return subgroup_from_elements(G, _grow(G, elements)[0])
+
+
+def subgroup_from_elements(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """The one subgroup of G with these elements, from G's registry.  A set
-    met for the first time is walked once in increasing order: the walk's
-    greedy generators are its witness, and it must reach no more than the
-    set itself, or the set is not a subgroup."""
-    s = G._subgroups.get(elements)
+    met for the first time is walked once in increasing order from the
+    identity: the walk's greedy generators are its witness, and it must
+    reach no more than the set itself, or the set is not a subgroup."""
+    key = frozenset(elements)
+    s = G._subgroups.get(key)
     if s is None:
-        ordered = tuple(sorted(elements))
+        ordered = tuple(sorted(key))
         seen, gens = _grow(G, ordered)
         if len(seen) != len(ordered):
             raise InternalCheckError(
                 f"{len(ordered)} elements of {G.name} are not a subgroup: they generate order {len(seen)}"
             )
-        s = G._subgroups[elements] = Subgroup(G, ordered, tuple(gens))
+        s = G._subgroups[key] = Subgroup(G, ordered, tuple(gens))
     return s
-
-
-def _generated(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """The subgroup generated by ``elements``: closed by ``_grow``, then
-    the one subgroup with that set."""
-    return _subgroup(G, frozenset(_grow(G, elements)[0]))
-
-
-def subgroup_from_elements(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    return _subgroup(G, frozenset(elements))
 
 
 def _normalizes(G: FiniteGroup, by: Subgroup, n: Subgroup) -> bool:

@@ -740,9 +740,9 @@ def _probe_subgroups(pres):
 
 def _check_shared_memos(pres, elements):
     """A subgroup built by a walk from its elements in descending order and
-    the same subgroup checked from its sorted elements share one cache.
-    Each memo gives either, whichever asks first, what it gets in a group
-    of its own.
+    the same subgroup checked from its sorted elements are one object, so
+    they share one cache.  Each memo gives it what either way gets in a
+    group of its own.
 
     The one value that holds its owner: D_1 of the Jennings series is the
     subgroup itself, so it is compared by identity in the one group and by
@@ -752,17 +752,16 @@ def _check_shared_memos(pres, elements):
         "set": lambda G: gc.subgroup_from_elements(G, elements),
     }
     for name, probe in _subgroup_memo_probes().items():
-        alone = {way: probe(build(gc.from_pc_presentation(pres))) for way, build in ways.items()}
-        for first, second in (("walk", "set"), ("set", "walk")):
-            G = gc.from_pc_presentation(pres)
-            owners = {way: ways[way](G) for way in (first, second)}
-            assert owners[first]._cache is owners[second]._cache
-            values = [probe(owners[first]), probe(owners[second]), *alone.values()]
-            if name == "jennings_series_product_formula":
-                assert values[0][0] is values[1][0] is owners[first]
-                assert len({v[0].elements for v in values}) == 1
-                values = [v[1:] for v in values]
-            assert all(_plain(v) == _plain(values[0]) for v in values), name
+        alone = [probe(build(gc.from_pc_presentation(pres))) for build in ways.values()]
+        G = gc.from_pc_presentation(pres)
+        owner = ways["walk"](G)
+        assert owner is ways["set"](G)
+        values = [probe(owner), *alone]
+        if name == "jennings_series_product_formula":
+            assert values[0][0] is owner
+            assert len({v[0].elements for v in values}) == 1
+            values = [v[1:] for v in values]
+        assert all(_plain(v) == _plain(values[0]) for v in values), name
 
 
 @pytest.mark.parametrize("entry", cat.builtin_catalog(), ids=lambda e: e.name)
@@ -822,12 +821,12 @@ def test_presentations_are_parsed_only_at_the_text_boundary():
 def test_subgroups_are_built_only_by_the_closure_helpers():
     """A ``Subgroup`` is built in two places: the group itself, as the
     subgroup of all its elements (``FiniteGroup.__init__`` runs
-    ``Subgroup.__init__`` on itself), and ``_subgroup``, the registry that
-    builds every other subgroup once per element set.  No module builds a
-    subgroup's own table with ``as_group``."""
+    ``Subgroup.__init__`` on itself), and ``subgroup_from_elements``, the
+    registry's one door, which builds every other subgroup once per element
+    set.  No module builds a subgroup's own table with ``as_group``."""
     allowed = {
         ("group_core", "FiniteGroup.__init__"),
-        ("group_core", "_subgroup"),
+        ("group_core", "subgroup_from_elements"),
     }
     built, tables = set(), set()
     for path in Path(gc.__file__).parent.glob("*.py"):

@@ -130,3 +130,13 @@ def test_the_coercion_check_finds_each_spelling():
         "      **k: gc.Subgroup | gc.FiniteGroup): ...\n"
     )
     assert sorted(_coercion_sites(tree)) == ["_as_subgroup", "f(a)", "f(b)", "f(c)", "f(k)", "full_subgroup"]
+
+
+def test_only_group_core_names_the_subgroup_registry():
+    """The registry ``G._subgroups`` has one door, ``subgroup_from_elements``,
+    and ``_generated`` is its closing walk: every other module reaches a
+    subgroup through the public functions, so no module of the package but
+    ``group_core`` names either."""
+    private = {"_generated", "_subgroups"}
+    named = {path.stem: _named([path]) & private for path in SRC.glob("*.py") if path.stem != "group_core"}
+    assert not any(named.values()), named
