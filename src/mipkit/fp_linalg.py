@@ -68,13 +68,10 @@ def as_vector(v, p: int, n: Optional[int] = None) -> np.ndarray:
 
 
 def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
-    """``rows`` as a 2-d int64 residue matrix.  An int64 array of residues
-    is returned as it is, not copied: no caller writes to the result."""
-    if isinstance(rows, np.ndarray):
-        mat = rows if rows.dtype == np.int64 else rows.astype(np.int64)
-        if mat.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-    else:
+    """``rows`` as a 2-d int64 residue matrix, from integer or boolean
+    entries only: a float is rejected, not truncated.  An int64 array of
+    residues is returned as it is, not copied: no caller writes to it."""
+    if not isinstance(rows, np.ndarray):
         rows = list(rows)
         if not rows:
             if ambient_dim is None:
@@ -83,7 +80,13 @@ def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError(f"inconsistent row lengths {sorted(widths)}")
-        mat = np.array(rows, dtype=np.int64)
+        rows = np.array(rows)
+    if rows.dtype.kind not in "biu":
+        raise ValueError(f"matrix entries must be integers, not {rows.dtype}")
+    if rows.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    # uint64 is the one integer type int64 cannot hold: reduce it first
+    mat = (rows % p if rows.dtype == np.uint64 else rows).astype(np.int64, copy=False)
     if ambient_dim is not None and mat.shape[1] != ambient_dim:
         raise AmbientMismatchError(
             f"rows of length {mat.shape[1]}, expected {ambient_dim}"

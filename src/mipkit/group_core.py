@@ -456,6 +456,8 @@ class FiniteGroup(Subgroup):
             )
         if not _is_p_power(n, p):
             raise ValueError(f"order {n} is not a power of p={p}")
+        if mul.dtype.kind not in "biu":
+            raise ValueError(f"multiplication table entries must be integers, not {mul.dtype}")
         self.p = p
         self.mul = mul.astype(np.int64)
         self.mul.setflags(write=False)
@@ -1029,9 +1031,9 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     is normal, K v B = KB, read off K's right-coset labels (the least
     element of each coset Kg, one min over K's rows of the table): g lies in
     KB exactly when Kg meets B, that is when label[g] is a label of B.  So a
-    join needs no walk; only a product set not seen before is built, by one
-    Dimino walk over K's and B's generators, and the walk must reach exactly
-    that set.
+    join needs no walk; only a product set not seen before is built, by
+    ``subgroup_from_elements``, whose one walk over the set checks that it is
+    closed.  A closed set holding K and B is K v B.
 
     Complete, by induction on k: the join of k base members is found.  For
     k = 1 it is a base member.  For k > 1 it is J v B with J a join of k - 1
@@ -1063,13 +1065,7 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 key = mask.tobytes()
                 if key in found:  # B inside K, or a product met before
                     continue
-                J = _generated(G, K.generators + B.generators)
-                if J._mask().tobytes() != key:
-                    raise InternalCheckError(
-                        f"normal subgroups of {G.name}: the walk reached order {J.order}, "
-                        f"the coset labels order {int(mask.sum())}"
-                    )
-                found[key] = J
+                found[key] = J = subgroup_from_elements(G, np.flatnonzero(mask).tolist())
                 new.append(J)
         frontier = new
     return sorted(found.values(), key=lambda s: (s.order, s.elements))

@@ -792,19 +792,18 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
     # for exponent e is u^e: one block power over every unit for each
     # exponent the relations use, kept in the unit table's narrow dtype.
     units = _unit_candidates(B)
-    # row c of ``classes`` is the class in J/J^2 whose coordinates read c
-    # in base p, and the class of unit u is row class_of[u]
-    classes = np.array(list(itertools.product(range(B.p), repeat=d_h)))
-    class_of = units @ frattini_classes % B.p @ B.p ** np.arange(d_h - 1, -1, -1)
+    one = units[0]  # the unit of encoding 1
+    # row u of ``classes`` is the class of unit u in J/J^2
+    classes = units @ frattini_classes % B.p
     powers = {1: units}
     for e in sorted({e for lhs, rhs in relations for _, e in lhs + rhs} - {1}):
         powers[e] = B.power_vec(units, e)
-    one = np.zeros(B.dim, dtype=units.dtype)
-    one[0] = 1
 
     def value(word, trial: list) -> np.ndarray:
         # the word's value as row bytes; trial[g] picks the image of g_g: a
-        # unit index gives one row, the pool being checked one row per unit
+        # unit index gives one row, the pool being checked one row per unit.
+        # Bytes, not encodings acc @ weights: a view costs no arithmetic, and
+        # that product was half of Q16 -> D16's exhaustion time (cProfile).
         acc = one
         for g, e in word:
             factor = np.take(powers[e], trial[g], axis=0)
@@ -838,29 +837,29 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
             ) from exc
 
     # codes[u, a] is the encoding of a(u), u @ weights[a], in the narrowest
-    # unsigned type that holds an encoding.
+    # unsigned type that holds an encoding: a fixes u iff codes[u, a] == codes[u, 0].
     weights = B.p ** np.arange(B.dim, dtype=np.min_scalar_type(B.p**B.dim - 1))
     codes = units.view(np.uint8) @ weights[automorphisms].T
 
     def least(pool: np.ndarray, images: list[int]) -> np.ndarray:
         # the candidates least in encoding order among their images by the
         # rows other than the identity's that fix every chosen image
-        chosen = units[images]
-        for a in np.flatnonzero((chosen[:, automorphisms] == chosen[:, None]).all(axis=(0, 2)))[1:]:
+        for a in np.flatnonzero((codes[images] == codes[images, :1]).all(axis=0))[1:]:
             pool = pool[codes[pool, 0] <= codes[pool, a]]
         return pool
 
-    # The units that may follow a prefix depend only on the prefix's classes.
-    spanning: dict[tuple[int, ...], np.ndarray] = {}
+    # The units that may follow a prefix depend only on its class rows.
+    spanning: dict[bytes, np.ndarray] = {}
 
-    def spanning_pool(prefix: tuple[int, ...]) -> np.ndarray:
-        if prefix not in spanning:
+    def spanning_pool(prefix: np.ndarray) -> np.ndarray:
+        key = prefix.tobytes()
+        if key not in spanning:
             pool = np.arange(len(units))
-            span = fl.rref(classes[list(prefix)], B.p, d_h)
+            span = fl.rref(prefix, B.p, d_h)
             if span.dim + d - len(prefix) == d_h:  # no slack: u must leave the span
-                pool = np.flatnonzero(span.reduce_rows(classes).any(axis=1)[class_of])
-            spanning[prefix] = pool
-        return spanning[prefix]
+                pool = np.flatnonzero(span.reduce_rows(classes).any(axis=1))
+            spanning[key] = pool
+        return spanning[key]
 
     def extend(images: list[int]):
         # depth-first over generator positions, candidates in encoding order
@@ -868,7 +867,7 @@ def _iso_walk(A: GroupAlgebra, B: GroupAlgebra, automorphisms: np.ndarray):
             yield build_iso([units[u].astype(np.int64) for u in images])
             return
         level = len(images)
-        pool = least(spanning_pool(tuple(class_of[images].tolist())), images)
+        pool = least(spanning_pool(classes[images]), images)
         for lhs, rhs in checks[level]:
             if not pool.size:
                 return

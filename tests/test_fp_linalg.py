@@ -37,6 +37,17 @@ def test_rref_inconsistent_rows_rejected():
         fl.rref([[1, 0], [1, 0, 1]], 2)
 
 
+def test_rref_rejects_non_integral_entries():
+    # refused, not truncated: cast to integers these span (0, 1) and (1, 1)
+    for rows in ([[0.5, 1]], np.array([[1.9, 1.0]])):
+        with pytest.raises(ValueError, match="must be integers, not float64"):
+            fl.rref(rows, 2)
+    assert fl.rref(np.array([[True, True]]), 2).basis.tolist() == [[1, 1]]
+    assert fl.rref(np.array([[2, 4]], dtype=np.uint8), 3).basis.tolist() == [[1, 2]]
+    # 2^63 = 2 mod 3; cast to int64 first it would wrap to -2^63 = 1 mod 3
+    assert fl.rref(np.array([[2**63, 1]], dtype=np.uint64), 3).basis.tolist() == [[1, 2]]
+
+
 def _random_subspace(rng, p, n, max_rank=None):
     k = rng.integers(0, (max_rank or n) + 1)
     return fl.rref(rng.integers(0, p, size=(k, n)), p, n)

@@ -16,6 +16,7 @@ from mipkit import canonical_invariants as ci
 from mipkit import catalog as cat
 from mipkit import cli
 from mipkit import decomposition as dc
+from mipkit import fp_linalg as fl
 from mipkit import group_core as gc
 from mipkit import modular_algebra as ma
 import frattini_oracle
@@ -510,6 +511,21 @@ def test_mul_table_input_requires_identity_zero(groups):
     shuffled = perm[table[perm][:, perm]]
     with pytest.raises(ValueError):
         gc.from_mul_table(shuffled)
+
+
+def test_mul_table_with_non_integral_entries_rejected():
+    # refused, not truncated: cast to integers this table reads as C2
+    with pytest.raises(ValueError, match="must be integers, not float64"):
+        gc.from_mul_table(np.array([[0, 1.7], [1.2, 0]]))
+    for dtype in (bool, np.uint8):
+        G = gc.from_mul_table(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert G.mul.dtype == np.int64 and G.mul.tolist() == [[0, 1], [1, 0]]
+
+
+def test_group_layer_and_linear_algebra_support_the_same_primes():
+    # a prime the group layer accepts must not reach an unsupported prime
+    # in fp_linalg mid-command
+    assert set(gc.ORDER_CAPS) == set(fl.SUPPORTED_PRIMES)
 
 
 def test_abelian_type_merge():
@@ -1217,32 +1233,35 @@ def test_relabeled_normal_subgroups_match_the_oracle(name, groups):
 
 
 def test_normal_subgroups_walk_once_per_subgroup(monkeypatch):
-    # one walk per class and one per new product set; no pairwise join
+    # two walks per class closure (its generators, then the registry's walk
+    # over the new set) and one per new product set; no pairwise join
     G = cat.build("D8xC4xC2")
     calls = Counter()
-    join, generated = gc.join, gc._generated
+    join, grow = gc.join, gc._grow
     monkeypatch.setattr(gc, "join", lambda a, b: calls.update(["join"]) or join(a, b))
-    monkeypatch.setattr(gc, "_generated", lambda H, xs: calls.update(["walk"]) or generated(H, xs))
+    monkeypatch.setattr(gc, "_grow", lambda H, xs: calls.update(["walk"]) or grow(H, xs))
     subs = gc.normal_subgroups(G)
     assert len(subs) == 137
     assert calls["join"] == 0
-    assert calls["walk"] <= len(G.conjugacy_classes()) - 1 + len(subs)
+    assert calls["walk"] <= 2 * (len(G.conjugacy_classes()) - 1) + len(subs)
 
 
 def test_normal_subgroups_recheck_each_product_by_its_walk(monkeypatch):
-    # the first walk after the class closures comes back trivial, so it
-    # disagrees with the coset labels of a product that is not
+    # the registry's walk over each new product set comes back trivial, so
+    # the registry refuses the first product the coset labels give
     G = cat.build("D8xC4")
-    walks = len(G.conjugacy_classes()) - 1
-    generated = gc._generated
+    grow = gc._grow
+    closures = {frozenset(grow(G, cls)[0]) for cls in G.conjugacy_classes()[1:]}
 
     def lossy(H, xs):
-        nonlocal walks
-        walks -= 1
-        return H.trivial_subgroup() if walks == -1 else generated(H, xs)
+        xs = tuple(xs)
+        # a class (other than {1}) lacks the identity; a subgroup's set has it
+        if 0 in xs and frozenset(xs) not in closures:
+            return {0}, []
+        return grow(H, xs)
 
-    monkeypatch.setattr(gc, "_generated", lossy)
-    with pytest.raises(gc.InternalCheckError, match="D8xC4: the walk reached order 1, "):
+    monkeypatch.setattr(gc, "_grow", lossy)
+    with pytest.raises(gc.InternalCheckError, match=r"elements of D8xC4 are not a subgroup: they generate order 1$"):
         gc.normal_subgroups(G)
 
 

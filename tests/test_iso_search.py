@@ -221,10 +221,12 @@ def test_unit_candidates_in_encoding_order(algebras, name):
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 9), (5, 5), (7, 7)])
 def test_unit_candidates_come_out_in_encoding_order(p, n):
     # the algebra of the cyclic group of order n: every unit of augmentation
-    # 1 once, and the little-endian encodings strictly increasing
+    # 1 once, and the little-endian encodings strictly increasing from the
+    # identity e_0, the row the iso walk reads as its unit
     cyclic = (np.arange(n)[:, None] + np.arange(n)) % n
     units = ma._unit_candidates(ma.GroupAlgebra(gc.from_mul_table(cyclic))).astype(np.int64)
     assert units.shape == (p ** (n - 1), n)
+    assert np.array_equal(units[0], np.eye(n, dtype=np.int64)[0])
     assert (units.sum(axis=1) % p == 1).all()
     assert (np.diff(units @ p ** np.arange(n)) > 0).all()
 
