@@ -10,8 +10,9 @@ GF(p)^m -> GF(p)^n is an m x n matrix A acting on row vectors by
 ``x |-> x @ A``.
 
 ``_rref`` is the one elimination: ``rref``, ``kernel``, ``solve_row``, the
-builder and the subquotient all call it.  ``preimage`` is the kernel of
-the residual rows against W, and ``intersect`` the image of a preimage.
+builder and the subquotient all call it, except on the label paths below.
+``preimage`` is the kernel of the residual rows against W, and
+``intersect`` the image of a preimage.
 Every matrix product goes through ``_mm``, which multiplies in float64
 and reduces mod p; that is exact while inner dimension * (p - 1)^2 <
 2^53, and ``_mm`` raises where it is not.
@@ -26,13 +27,17 @@ coordinate map, so each coordinate lookup is one product.
 Partition spaces, {x : x sums to 0 on every block} for a partition of the
 coordinates, are held as least-index block labels and need no
 elimination.  Membership of scaled differences c(e_a - e_b) is a label
-comparison and the sum of two partition spaces is the space of the join
-of their partitions; the echelon basis is written in closed form only
-when it is first read.  A ``SubspaceBuilder`` stays labelled while every
-row it absorbs is a scaled difference, joining blocks along those edges,
-and eliminates only from its first other row on.  These are the label
-paths the identity checks take thousands of times a pass; containment,
-equality and ``intersect`` read the basis, as for any other space.
+comparison, two partition spaces are equal when their labels are, and
+the sum of two partition spaces is the space of the join of their
+partitions; the echelon basis is written in closed form only when it is
+first read.  The kernel of a *function matrix*, every row one entry 1,
+as for kG -> k(G/N), is the partition space of its fibres, and so is its
+preimage of a partition space (see ``kernel`` and ``preimage``).  A
+``SubspaceBuilder`` stays labelled while every row it absorbs is a
+scaled difference, joining blocks along those edges, and eliminates only
+from its first other row on.  These are the label paths the identity
+checks take thousands of times a pass, chosen from the input alone;
+containment and ``intersect`` read the basis, as for any other space.
 """
 
 from __future__ import annotations
@@ -58,19 +63,29 @@ def _check_prime(p: int) -> None:
 
 
 def as_vector(v, p: int, n: Optional[int] = None) -> np.ndarray:
-    """Normalize ``v`` (sequence or array) to a 1-d residue array."""
-    arr = np.asarray(v, dtype=np.int64) % p
+    """Normalize ``v`` (sequence or array) to a 1-d residue array, from
+    integer or boolean entries only, as ``_as_matrix`` reads a matrix."""
+    arr = _integral(np.asarray(v), p)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d vector")
     if n is not None and arr.shape[0] != n:
         raise AmbientMismatchError(f"vector length {arr.shape[0]}, expected {n}")
-    return arr
+    return arr % p
+
+
+def _integral(arr: np.ndarray, p: int) -> np.ndarray:
+    """``arr`` as int64, from integer or boolean entries only: a float is
+    rejected, not truncated.  uint64 is the one integer type int64 cannot
+    hold, so it is reduced mod p first; an int64 array is not copied."""
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"entries must be integers, not {arr.dtype}")
+    return (arr % p if arr.dtype == np.uint64 else arr).astype(np.int64, copy=False)
 
 
 def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
-    """``rows`` as a 2-d int64 residue matrix, from integer or boolean
-    entries only: a float is rejected, not truncated.  An int64 array of
-    residues is returned as it is, not copied: no caller writes to it."""
+    """``rows`` as a 2-d int64 residue matrix, through ``_integral``.  An
+    int64 array of residues is returned as it is, not copied: no caller
+    writes to it."""
     if not isinstance(rows, np.ndarray):
         rows = list(rows)
         if not rows:
@@ -81,12 +96,9 @@ def _as_matrix(rows, p: int, ambient_dim: Optional[int] = None) -> np.ndarray:
         if len(widths) != 1:
             raise ValueError(f"inconsistent row lengths {sorted(widths)}")
         rows = np.array(rows)
-    if rows.dtype.kind not in "biu":
-        raise ValueError(f"matrix entries must be integers, not {rows.dtype}")
-    if rows.ndim != 2:
+    mat = _integral(rows, p)
+    if mat.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    # uint64 is the one integer type int64 cannot hold: reduce it first
-    mat = (rows % p if rows.dtype == np.uint64 else rows).astype(np.int64, copy=False)
     if ambient_dim is not None and mat.shape[1] != ambient_dim:
         raise AmbientMismatchError(
             f"rows of length {mat.shape[1]}, expected {ambient_dim}"
@@ -162,8 +174,9 @@ class Subspace:
     and None on every other space.  A partition space answers membership
     of difference rows and sums with another partition space from its
     labels, and writes ``basis`` and ``pivots`` when they are first read.
-    Equality and hashing read the basis, so a partition space equals and
-    hashes like its ``rref`` copy.
+    Hashing reads the basis, and so does equality unless both sides are
+    partition spaces, so a partition space equals and hashes like its
+    ``rref`` copy.
     """
 
     __slots__ = ("p", "ambient_dim", "dim", "basis", "pivots", "labels")
@@ -206,10 +219,15 @@ class Subspace:
         return getattr(self, name)
 
     def __eq__(self, other) -> bool:
+        """Equal as sets.  Least-index labels are canonical, so two
+        partition spaces compare their labels and read no basis; any other
+        pair compares echelon bases."""
         if not isinstance(other, Subspace):
             return NotImplemented
         if (self.p, self.ambient_dim, self.dim) != (other.p, other.ambient_dim, other.dim):
             return False
+        if self.labels is not None and other.labels is not None:
+            return np.array_equal(self.labels, other.labels)
         return self.pivots == other.pivots and np.array_equal(self.basis, other.basis)
 
     def __hash__(self) -> int:
@@ -384,10 +402,37 @@ def rref(rows, p: int, ambient_dim: Optional[int] = None) -> Subspace:
     return Subspace(p, mat.shape[1], basis, pivots)
 
 
+def _function_columns(a: np.ndarray) -> Optional[np.ndarray]:
+    """The column of each row's one entry when the residue matrix ``a`` is
+    a function matrix, one entry 1 and zeros elsewhere in every row: the
+    matrix of a map that sends each basis element to one basis element.
+    Entries are nonnegative, so a row sum of 1 says exactly that.  None
+    for any other matrix, an empty one included."""
+    if not a.size or not (a.sum(axis=1) == 1).all():
+        return None
+    return a.argmax(axis=1)
+
+
+def _fibre_labels(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Least-index block labels of the partition of range(len(keys)) into
+    the fibres of ``keys``, whose values lie in range(bound)."""
+    first = np.full(bound, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    return first[keys]
+
+
 def kernel(matrix, p: int) -> Subspace:
-    """Kernel { x : x @ A = 0 } of the row-convention map given by ``A``."""
+    """Kernel { x : x @ A = 0 } of the row-convention map given by ``A``.
+
+    When A is a function matrix sending e_g to e_pi(g), x @ A sums x over
+    each fibre of pi, so the kernel is the partition space of the fibres,
+    read off pi with no elimination.  Any other matrix is eliminated.
+    """
     _check_prime(p)
     a = _as_matrix(matrix, p)
+    cols = _function_columns(a)
+    if cols is not None:
+        return _partition(p, _fibre_labels(cols, a.shape[1]))
     m = a.shape[0]
     # A^T is eliminated with its columns reversed.  In reversed coordinates
     # each kernel vector e_f - sum_i red[i, f] e_{pivot_i} ends in its free
@@ -407,13 +452,22 @@ def kernel(matrix, p: int) -> Subspace:
 def preimage(matrix, w: Subspace, p: int) -> Subspace:
     """Full preimage { x : x @ A in W } of the subspace W.
 
-    x @ A lies in W exactly when its residual against W is zero, and the
-    residual is linear: it is x @ R for R the residual rows of A.  So the
-    preimage is the kernel of R.
+    When A is a function matrix sending e_g to e_pi(g) and W is a
+    partition space, x @ A sums to 0 on a block of W exactly when x sums
+    to 0 over the g with pi(g) in that block: the preimage is the
+    partition space of the key g |-> W.labels[pi(g)], read off labels.
+
+    Otherwise x @ A lies in W exactly when its residual against W is
+    zero, and the residual is linear: it is x @ R for R the residual rows
+    of A.  So the preimage is the kernel of R.
     """
     a = _as_matrix(matrix, p)
     if a.shape[1] != w.ambient_dim or w.p != p:
         raise AmbientMismatchError("matrix codomain does not match subspace ambient")
+    if w.labels is not None:
+        cols = _function_columns(a)
+        if cols is not None:
+            return _partition(p, _fibre_labels(w.labels[cols], w.ambient_dim))
     return kernel(w.reduce_rows(a), p)
 
 

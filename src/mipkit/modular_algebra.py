@@ -249,11 +249,15 @@ def nilpotency_index(A: GroupAlgebra) -> int:
 # Jennings series through the algebra
 
 
+@gc._memo
 def _one_minus_rows(A: GroupAlgebra) -> np.ndarray:
-    """Row g is e_g - e_0 mod p, so row 0 is zero."""
+    """Row g is e_g - e_0 mod p, so row 0 is zero; built once per algebra
+    and read-only."""
     rows = np.eye(A.dim, dtype=np.int64)
     rows[:, 0] -= 1
-    return rows % A.p
+    rows %= A.p
+    rows.setflags(write=False)
+    return rows
 
 
 def _jennings_term(G: FiniteGroup, n: int) -> Subgroup:
@@ -620,7 +624,7 @@ def group_jennings_with_normal(A: GroupAlgebra, n_sub: Subgroup, n: int) -> Subg
     if not n_sub.is_normal():
         raise NotNormalError("needs a normal subgroup")
     residual = _filtration(A, n, n_sub).reduce_rows(_one_minus_rows(A))
-    members = [g for g in range(A.dim) if not residual[g].any()]
+    members = np.flatnonzero(~residual.any(axis=1)).tolist()
     expected = gc.join(_jennings_term(G, n), n_sub)
     if set(members) != set(expected.elements):
         raise InternalCheckError(

@@ -1,6 +1,9 @@
 """The library's elimination as it stood before it skipped zero rows and
 zero columns, and its intersection and preimage as they stood before they
-shared one kernel, kept verbatim as oracles for the differential tests."""
+shared one kernel, kept as oracles for the differential tests, with a
+kernel built by elimination twice over.  Every oracle eliminates and none
+reads partition labels, so the library's label paths are checked against
+elimination."""
 
 import numpy as np
 
@@ -35,6 +38,20 @@ def oracle_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return a[:r], tuple(pivots)
 
 
+def oracle_kernel(a: np.ndarray, p: int) -> fl.Subspace:
+    """The kernel built from the free columns of rref(A^T), then eliminated again."""
+    m = a.shape[0]
+    red, pivots = oracle_rref(a.T.copy(), p)
+    free = [c for c in range(m) if c not in pivots]
+    vecs = np.zeros((len(free), m), dtype=np.int64)
+    for k, f in enumerate(free):
+        vecs[k, f] = 1
+        for i, c in enumerate(pivots):
+            vecs[k, c] = (-red[i, f]) % p
+    basis, ker_pivots = oracle_rref(vecs, p)
+    return fl.Subspace(p, m, basis, ker_pivots)
+
+
 # ``Subspace.intersect`` and ``preimage`` as they stood before both became
 # the kernel of residual rows: the stacked-basis kernel, and the kernel of
 # the map composed with the reduction matrix.
@@ -52,7 +69,7 @@ def oracle_intersect(self: fl.Subspace, other: fl.Subspace) -> fl.Subspace:
     if self.dim == 0 or other.dim == 0:
         return fl.zero_subspace(self.p, self.ambient_dim)
     stacked = np.concatenate([self.basis, other.basis], axis=0)
-    ker = fl.kernel(stacked, self.p)
+    ker = oracle_kernel(stacked, self.p)
     if ker.dim == 0:
         return fl.zero_subspace(self.p, self.ambient_dim)
     vecs = fl._mm(ker.basis[:, : self.dim], self.basis, self.p)
@@ -74,4 +91,4 @@ def oracle_preimage(matrix, w: fl.Subspace, p: int) -> fl.Subspace:
     if a.shape[1] != w.ambient_dim or w.p != p:
         raise fl.AmbientMismatchError("matrix codomain does not match subspace ambient")
     reduced_map = fl._mm(a, oracle_reduction_matrix(w), p)
-    return fl.kernel(reduced_map, p)
+    return oracle_kernel(reduced_map, p)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mipkit import fp_linalg as fl
 import greedy_oracle
-from rref_oracle import oracle_intersect, oracle_preimage, oracle_rref
+from rref_oracle import oracle_intersect, oracle_kernel, oracle_preimage, oracle_rref
 
 
 def test_rref_full_space_f2():
@@ -240,6 +240,21 @@ def test_subquotient_coords_roundtrip():
     assert q.coords(shifted).tolist() == [1, 1]
 
 
+def test_vectors_reject_non_integral_entries():
+    # refused, not truncated: cast to integers these read (0, 1) and (1, 0)
+    with pytest.raises(ValueError, match="must be integers, not float64"):
+        fl.as_vector([0.5, 1.7], 2)
+    with pytest.raises(ValueError, match="must be integers, not float64"):
+        fl.rref([[1, 0]], 2).contains([1.9, 0.2])
+    with pytest.raises(ValueError, match="must be integers, not float64"):
+        fl.solve_row(np.eye(2, dtype=np.int64), [1.0, 0.0], 2)
+    assert fl.as_vector([True, False, True], 2).tolist() == [1, 0, 1]
+    assert fl.as_vector(np.array([2, 4], dtype=np.uint8), 3).tolist() == [2, 1]
+    # 2^63 = 2 mod 3; cast to int64 first it would wrap to -2^63 = 1 mod 3
+    assert fl.as_vector(np.array([2**63, 1], dtype=np.uint64), 3).tolist() == [2, 1]
+    assert fl.rref([[1, 1]], 2).contains(np.array([True, True]))
+
+
 def test_fp_vector_validation():
     # vectors enter as sequences or arrays, reduced mod p on the way in
     assert fl.as_vector((0, 5, -2), 3).tolist() == [0, 2, 1]
@@ -283,27 +298,12 @@ def test_sum_matches_rref_of_stacked_bases(p, m, n, r, seed, k):
         assert np.array_equal(s.basis, oracle_basis)
 
 
-def _two_pass_kernel(a, p):
-    """The kernel built from the free columns of rref(A^T), then eliminated again."""
-    m = a.shape[0]
-    red, pivots = oracle_rref(a.T.copy(), p)
-    free = [c for c in range(m) if c not in pivots]
-    vecs = np.zeros((len(free), m), dtype=np.int64)
-    for k, f in enumerate(free):
-        vecs[k, f] = 1
-        for i, c in enumerate(pivots):
-            vecs[k, c] = (-red[i, f]) % p
-    return oracle_rref(vecs, p)
-
-
 @settings(max_examples=150, deadline=None)
 @given(**_shapes)
 def test_kernel_matches_two_pass_construction(p, m, n, r, seed):
     a = _matrix_of_rank(p, m, n, min(r, m, n), seed)
     ker = fl.kernel(a, p)
-    basis, pivots = _two_pass_kernel(a, p)
-    assert ker.pivots == pivots
-    assert np.array_equal(ker.basis, basis)
+    _assert_same_space(ker, oracle_kernel(a, p))
     assert not ((ker.basis @ a) % p).any()
     assert ker.dim == m - len(oracle_rref(a, p)[1])
 
@@ -381,10 +381,7 @@ def test_elimination_entry_points_match_oracle(pa, data):
     assert s.pivots == pivots
     assert np.array_equal(s.basis, basis)
 
-    ker = fl.kernel(a, p)
-    ker_basis, ker_pivots = _two_pass_kernel(a, p)
-    assert ker.pivots == ker_pivots
-    assert np.array_equal(ker.basis, ker_basis)
+    _assert_same_space(fl.kernel(a, p), oracle_kernel(a, p))
 
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for v in ((rng.integers(0, p, size=m) @ a) % p, rng.integers(0, p, size=n)):
@@ -812,7 +809,8 @@ def test_lazy_partition_space_reads_like_its_rref_copy(first, p, data):
 
 
 def test_labelled_operations_write_no_basis():
-    # containment of a space and equality read the basis, labelled or not
+    # containment of a space reads the basis, labelled or not; equality
+    # reads it unless both sides are labelled
     p, n = 3, 9
     u = fl.partition_subspace(p, [0, 0, 2, 2, 4, 5, 5, 7, 7])
     v = fl.partition_subspace(p, [0, 1, 1, 3, 3, 5, 6, 7, 8])
@@ -823,6 +821,9 @@ def test_labelled_operations_write_no_basis():
     assert total.dim == 6 and total.sum(u) is total
     assert u.contains_all([[1, 2, 0, 0, 0, 0, 0, 0, 0], [0] * 9])
     assert built.dim == 2
+    assert u != v and total == v.sum(u)
+    assert built == fl.partition_subspace(p, [0, 1, 2, 3, 4, 5, 5, 7, 7])
+    assert built != fl.partition_subspace(p, [0, 1, 2, 3, 4, 5, 6, 5, 6])
     for space in (u, v, built, total):
         assert not _basis_written(space)
     # spaces built by elimination hold their basis from the start
@@ -933,3 +934,91 @@ def test_subquotient_matches_greedy_oracle(pa, data):
     for _ in range(4):
         v = fl._mm(rng.integers(0, p, size=(1, top.dim)), top.basis, p)[0]
         assert np.array_equal(q.coords(v), greedy_oracle.subquotient_coords(top, coord_map, v))
+
+
+# -- function matrices: kernel and preimage read off labels ----------------
+
+
+@st.composite
+def _function_matrices(draw, p):
+    """An m x k function matrix, row g the unit vector e_pi(g): m and k
+    apart, up to the prime's order cap, pi onto range(k) or not."""
+    m = draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    k = draw(st.integers(min_value=1, max_value=m + 3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pi = rng.integers(0, k, size=m)
+    if k <= m and draw(st.booleans()):
+        pi[rng.permutation(m)[:k]] = np.arange(k)  # onto
+    a = np.zeros((m, k), dtype=np.int64)
+    a[np.arange(m), pi] = 1
+    return a
+
+
+def _rref_spied(fn, *args):
+    """``fn(*args)``, and whether it called the elimination ``_rref``."""
+    with mock.patch.object(fl, "_rref", side_effect=fl._rref) as spy:
+        result = fn(*args)
+    return result, spy.called
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_function_matrix_kernel_and_preimage_read_off_labels(p, data):
+    a = data.draw(_function_matrices(p))
+    k = a.shape[1]
+    labels = data.draw(_partitions(k))
+    ker, eliminated = _rref_spied(fl.kernel, a, p)
+    assert ker.labels is not None and not eliminated
+    _assert_same_space(ker, oracle_kernel(a, p))
+    pre, eliminated = _rref_spied(fl.preimage, a, fl.partition_subspace(p, labels), p)
+    assert pre.labels is not None and not eliminated
+    _assert_same_space(pre, oracle_preimage(a, fl.partition_subspace(p, labels), p))
+    # the same target held by its basis alone is reduced against, as before
+    copy = fl.rref(_difference_rows(labels, p), p, k)
+    _assert_same_space(fl.preimage(a, copy, p), oracle_preimage(a, copy, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize(
+    "a, function_over_gf2",
+    [
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 0, 0]], False),  # an entry 2: a zero row over GF(2)
+        ([[1, 1, 0], [0, 0, 1], [0, 1, 0]], False),  # two 1s in one row
+        ([[1, 0], [0, 0], [0, 1], [0, 1]], False),  # a zero row
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], True),  # an entry -1: a 1 over GF(2)
+        (np.zeros((0, 3), dtype=np.int64), False),  # no rows
+        (np.zeros((3, 0), dtype=np.int64), False),  # no columns
+    ],
+    ids=["entry 2", "two ones", "zero row", "entry -1", "no rows", "no columns"],
+)
+def test_near_function_matrices_are_eliminated(p, a, function_over_gf2):
+    a = np.array(a, dtype=np.int64).reshape(np.shape(a)) % p
+    function = function_over_gf2 and p == 2
+    ker, eliminated = _rref_spied(fl.kernel, a, p)
+    assert eliminated != function and (ker.labels is not None) == function
+    _assert_same_space(ker, oracle_kernel(a, p))
+    labels = np.zeros(a.shape[1], dtype=np.int64)
+    pre, eliminated = _rref_spied(fl.preimage, a, fl.partition_subspace(p, labels), p)
+    assert eliminated != function
+    _assert_same_space(pre, oracle_preimage(a, fl.partition_subspace(p, labels), p))
+
+
+@st.composite
+def _rearrangements(draw, labels):
+    """Least-index labels of a partition with the same block sizes as
+    ``labels``, so of the same dimension: its points permuted."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    _, first, inverse = np.unique(labels[rng.permutation(labels.size)], return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_labelled_equality_matches_equality_of_rref_copies(p, data):
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=12), st.just(_ORDER_CAP[p])))
+    a = data.draw(_partitions(n))
+    b = data.draw(st.one_of(_partitions(n), _coarsenings(a), _rearrangements(a), st.just(a.copy())))
+    u, v = fl.partition_subspace(p, a), fl.partition_subspace(p, b)
+    copy_u, copy_v = (fl.rref(_difference_rows(x, p), p, n) for x in (a, b))
+    assert (u == v) == (v == u) == (copy_u == copy_v)
+    assert not _basis_written(u) and not _basis_written(v)

@@ -484,6 +484,40 @@ def test_preimage_identity_through_projection(algebras):
             assert pre == ma.relative_augmentation_ideal(A, l_sub).space
 
 
+@pytest.mark.parametrize("name", ["D8xC4", "M27xC3"])
+def test_projection_kernels_and_preimages_read_off_labels(name, monkeypatch):
+    # kG -> k(G/N) sends each basis element to one basis element and every
+    # relative ideal is a partition space, so the kernel check and every
+    # preimage of I(L/N) are read off labels: no call eliminates
+    A = ma.GroupAlgebra(_fresh(name))
+    normals = gc.normal_subgroups(A.group)
+    calls = []
+    rref = fl._rref
+    monkeypatch.setattr(fl, "_rref", lambda mat, p: calls.append(mat.shape) or rref(mat, p))
+    preimages = []
+    for n_sub in normals:
+        proj = ma.natural_projection(A, n_sub)
+        for l_sub in normals:
+            if not l_sub.contains_subgroup(n_sub):
+                continue
+            image_l = sorted({proj.hom(x) for x in l_sub.elements})
+            l_over_n = gc.subgroup_from_elements(proj.target.group, image_l)
+            target = ma.relative_augmentation_ideal(proj.target, l_over_n).space
+            pre = fl.preimage(proj.matrix, target, A.p)
+            assert pre == ma.relative_augmentation_ideal(A, l_sub).space
+            preimages.append(pre)
+    assert calls == []
+    assert len(preimages) > len(normals) and all(pre.labels is not None for pre in preimages)
+
+
+def test_one_minus_rows_built_once_per_algebra_and_read_only(algebras):
+    A = algebras["C9xC3"]
+    rows = ma._one_minus_rows(A)
+    assert ma._one_minus_rows(A) is rows
+    assert not rows.flags.writeable
+    assert np.array_equal(rows, [one_minus(A, g) for g in range(A.dim)])
+
+
 def test_product_ideal_direct_sum(groups):
     # I(G)^n = I(N) I(G)^{n-1} (+) I(L)^n for G = N x L
     for a_name, b_name in (("D8", "C2"), ("C4", "C2"), ("Q8", "C4")):
