@@ -7,8 +7,10 @@ is extracted by lifting a complement of that kernel, read off the power
 map's domain basis (the basis elements off the kernel's pivots), and
 building a direct complement through a recursive Burnside-basis
 adjustment; peeling ascending exponents leaves the (unique up to
-isomorphism) non-abelian remainder.  Every step is verified
-exhaustively; the certificate is the point, not a byproduct.
+isomorphism) non-abelian remainder.  The certificate is the point, not a
+byproduct: each function checks its caller's input once, on entry, and its
+result once, on exit, and the steps in between carry no checks; a failure
+inside them is an ``InternalCheckError``.
 
 The peel happens inside G's own table: each step takes its ambient group as
 a ``Subgroup`` of G, and the residual is G itself (the subgroup of all its
@@ -51,6 +53,8 @@ def extract_component(A: Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
     every smaller x lies in that subgroup and has zero digits k..r, and
     b_k itself has coordinates e_k, whatever the kernel is.  The lifts are
     independent modulo Phi(A).  Returns (trivial, ambient) at rank zero.
+    The lift's type, (p^t,) * rank, is checked before the complement, and
+    a lift the complement's preconditions refuse is an internal fault.
     """
     P = A.parent
     p = P.p
@@ -59,17 +63,14 @@ def extract_component(A: Subgroup, t: int) -> tuple[Subgroup, Subgroup]:
     rank = lam.domain.rank - ker.dim
     if rank == 0:
         return P.trivial_subgroup(), A
-    otz = gc.omega(gc.center(A), t)
     T = P.subgroup(b for k, b in enumerate(lam.domain.basis) if k not in ker.pivots)
-    if not otz.contains_subgroup(T):
-        raise InternalCheckError(f"{P.name}: lift of order {T.order} is not central p^{t}-torsion")
-    if len(gc.burnside_basis(T)) != rank:
-        raise InternalCheckError(f"{P.name}: lift of order {T.order} does not have rank {rank}")
-    S = complement_construction(A, T)
     ttype = gc.abelian_type(T)
     if ttype.orders != (p**t,) * rank:
-        raise InternalCheckError(f"{P.name}: factor of order {T.order} is not homocyclic: {ttype}")
-    return T, S
+        raise InternalCheckError(f"{P.name}: lift of order {T.order} is not homocyclic of rank {rank}: {ttype}")
+    try:
+        return T, complement_construction(A, T)
+    except ValueError as exc:
+        raise InternalCheckError(f"{P.name}: lift of order {T.order}: {exc}") from exc
 
 
 def _verify_internal_product(A: Subgroup, factors: list[Subgroup]) -> None:
@@ -94,34 +95,26 @@ def _verify_internal_product(A: Subgroup, factors: list[Subgroup]) -> None:
         raise InternalCheckError(f"{P.name}: factors of orders {orders} do not commute elementwise")
 
 
-def _claim_adjust(
-    ambient: Subgroup, xs: list[int], y: int, t: int
-) -> list[int]:
+def _claim_adjust(ambient: Subgroup, xs: list[int], y: int, t: int) -> list[int]:
     """Adjust xs so that ambient = <adjusted xs> (+) <y>.
 
     Requires {xs..., y} to be a Burnside basis of ambient, y central of
-    order p^t with <y> meeting the powers-and-commutators subgroup
-    trivially.  Recursively maintains S_j N meet <y> = 1, replacing
-    x by x^w y^{p^{e-s}} when the invariant would break; the scan takes
-    the first (w, s) with p not dividing w, s <= e and x^{w p^s} y^{p^e}
-    in S_j N, so that the new x has its p^s-th power in S_j N.
+    order p^t with <y> meeting the powers-and-commutators subgroup N
+    trivially; the caller checks that and the result.  Recursively
+    maintains S_j N meet <y> = 1, replacing x by x^w y^{p^{e-s}} when the
+    invariant would break; the scan takes the first (w, s) with p not
+    dividing w, s <= e and x^{w p^s} y^{p^e} in S_j N, so that the new x
+    has its p^s-th power in S_j N.  Raises only when no such (w, s) exists.
     """
     G = ambient.parent
     p = G.p
     n_sub = gc.power_commutator(ambient, t)
     y_cyc = G.subgroup((y,))
-    if not gc.intersect_subgroups(y_cyc, n_sub).is_trivial():
-        raise ValueError("<y> meets the powers-and-commutators subgroup")
-    if y_cyc.order != p**t:
-        raise ValueError("y does not have order p^t")
     s_j = G.trivial_subgroup()
     adjusted: list[int] = []
     for x in xs:
-        candidate_group = gc.join(gc.join(s_j, G.subgroup((x,))), n_sub)
-        inter = gc.intersect_subgroups(candidate_group, y_cyc)
-        if inter.is_trivial():
-            x_new = x
-        else:
+        inter = gc.intersect_subgroups(gc.join(gc.join(s_j, G.subgroup((x,))), n_sub), y_cyc)
+        if not inter.is_trivial():
             e = t - gc.log_p(inter.order, p)
             sj_n = gc.join(s_j, n_sub)
             y_pe = G.power(y, p**e)
@@ -131,35 +124,24 @@ def _claim_adjust(
             )
             found = next(hits, None)
             if found is None:
-                raise InternalCheckError(
-                    f"{G.name}: no adjustment of x = {x} by y = {y} of order {p**t}"
-                )
+                raise InternalCheckError(f"{G.name}: no adjustment of x = {x} by y = {y} of order {p**t}")
             w, s = found
-            x_new = G.mul_elems(G.power(x, w), G.power(y, p ** (e - s)))
-        adjusted.append(x_new)
-        s_j = gc.join(s_j, G.subgroup((x_new,)))
-        meet = gc.intersect_subgroups(gc.join(s_j, n_sub), y_cyc)
-        if not meet.is_trivial():
-            raise InternalCheckError(f"{G.name}: <S_j, N> meets <y> in order {meet.order}")
-    meet = gc.intersect_subgroups(s_j, y_cyc)
-    if not meet.is_trivial():
-        raise InternalCheckError(f"{G.name}: adjusted generators meet <y> in order {meet.order}")
-    span = gc.join(s_j, y_cyc)
-    if span != ambient:
-        raise InternalCheckError(f"{G.name}: <S_j, y> has order {span.order}, not {ambient.order}")
+            x = G.mul_elems(G.power(x, w), G.power(y, p ** (e - s)))
+        adjusted.append(x)
+        s_j = gc.join(s_j, G.subgroup((x,)))
     return adjusted
 
 
 def complement_construction(A: Subgroup, T: Subgroup) -> Subgroup:
     """A direct complement S with A = S (+) T in the ambient group A.
 
-    Preconditions (each checked): T is a central homocyclic subgroup of
-    exponent p^t inside the p^t-torsion of the center, of full rank
-    modulo Frattini, meeting Mho_t(A)A' trivially.  The construction
-    peels one Burnside generator of T at a time through the adjustment
-    claim, re-checking the preconditions inside each intermediate group.
+    Preconditions, checked once on entry (``ValueError``): T is a central
+    homocyclic subgroup of exponent p^t inside the p^t-torsion of the
+    center, of full rank modulo Frattini, meeting Mho_t(A)A' trivially.
+    The construction peels one Burnside generator of T at a time through
+    the adjustment claim; a failure inside the peel, or a result that is
+    not a direct complement, is an ``InternalCheckError``.
     """
-    ambient = A
     P = A.parent
     p = P.p
     t = gc.log_p(T.exponent(), p)
@@ -167,26 +149,26 @@ def complement_construction(A: Subgroup, T: Subgroup) -> Subgroup:
     rank = len(ttype.orders)
     if ttype.orders != (p**t,) * rank:
         raise ValueError(f"T is not homocyclic: {ttype}")
+    if not gc.omega(gc.center(A), t).contains_subgroup(T):
+        raise ValueError("T is not inside the central p^t-torsion")
+    if not gc.intersect_subgroups(T, gc.power_commutator(A, t)).is_trivial():
+        raise ValueError("T meets Mho_t(G)G'")
+    phi = gc.frattini(A)
+    if gc.join(phi, T).order != phi.order * p**rank:
+        raise ValueError("d(T) != d(T Phi / Phi)")
+    ambient = A
     t_gens = gc.burnside_basis(T)
-    while t_gens:
-        otz = gc.omega(gc.center(ambient), t)
-        if not all(g in otz for g in t_gens):
-            raise ValueError("T is not inside the central p^t-torsion")
-        n_sub = gc.power_commutator(ambient, t)
-        t_cur = P.subgroup(t_gens)
-        if not gc.intersect_subgroups(t_cur, n_sub).is_trivial():
-            raise ValueError("T meets Mho_t(G)G'")
-        phi = gc.frattini(ambient)
-        if gc.join(phi, t_cur).order != phi.order * p ** len(t_gens):
-            raise ValueError("d(T) != d(T Phi / Phi)")
-        y = t_gens[-1]
-        others = t_gens[:-1]
-        ext = gc.burnside_basis_extend(ambient, list(others) + [y])
-        rest = ext[len(others) + 1 :]
-        x_list = list(rest) + list(others)
-        adjusted = _claim_adjust(ambient, x_list, y, t)
-        t_gens = adjusted[len(rest) :]
-        ambient = P.subgroup(adjusted)
+    try:
+        while t_gens:
+            y = t_gens[-1]
+            others = t_gens[:-1]
+            ext = gc.burnside_basis_extend(ambient, others + [y])
+            rest = ext[len(others) + 1 :]
+            adjusted = _claim_adjust(ambient, rest + others, y, t)
+            t_gens = adjusted[len(rest) :]
+            ambient = P.subgroup(adjusted)
+    except ValueError as exc:
+        raise InternalCheckError(f"{P.name}: complement of T of order {T.order}: {exc}") from exc
     _verify_internal_product(A, [ambient, T])
     return ambient
 
@@ -231,11 +213,13 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
 
     Each extraction happens in the residual, a subgroup of G: the whole
     group, then each complement.  The final residual has no abelian direct
-    factor (re-extraction of every exponent returns rank zero), and the
-    peeled type is compared once with ``formula_ab_type``, which covers
-    every exponent up to exp(G); the certificate's ``ab_type`` is that
-    checked type.  The certificate prints each subgroup's witness, the
-    greedy walk over its sorted elements (``gc.subgroup_from_elements``).
+    factor: re-extraction of every exponent returns rank zero, checked
+    once after the loop (by Krull-Remak-Schmidt each residual is the final
+    one times factors of higher exponent).  The peeled type is compared
+    once with ``formula_ab_type``, which covers every exponent up to
+    exp(G); the certificate's ``ab_type`` is that checked type.  The
+    certificate prints each subgroup's witness, the greedy walk over its
+    sorted elements (``gc.subgroup_from_elements``).
     """
     p = G.p
     components: list[HomocyclicComponent] = []
@@ -249,21 +233,13 @@ def ab_nab_split(G: FiniteGroup) -> HomocyclicDecomposition:
             rank = len(gc.burnside_basis(T))
             components.append(HomocyclicComponent(t, rank, T, S))
             residual = S
-            if homocyclic_rank(residual, t) != 0:
-                raise InternalCheckError(
-                    f"{G.name}: residual of order {residual.order} has a C{p**t} factor"
-                )
         trace.append({"t": t, "rank": rank, "residual_order": residual.order})
         t += 1
     nab = residual
-    factors = [c.subgroup for c in components] + [nab]
-    _verify_internal_product(G, factors)
+    _verify_internal_product(G, [c.subgroup for c in components] + [nab])
     for s in range(1, t):
-        if residual.order > 1 and p**s <= residual.exponent():
-            if homocyclic_rank(residual, s) != 0:
-                raise InternalCheckError(
-                    f"{G.name}: non-abelian residual of order {residual.order} has a C{p**s} factor"
-                )
+        if residual.order > 1 and p**s <= residual.exponent() and homocyclic_rank(residual, s):
+            raise InternalCheckError(f"{G.name}: final residual of order {residual.order} has a C{p**s} factor")
     peeled = AbelianType.from_ranks(p, {c.t: c.rank for c in components})
     formula = formula_ab_type(G)
     if peeled != formula:

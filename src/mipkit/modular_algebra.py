@@ -427,11 +427,12 @@ def power_map_commutative(A: GroupAlgebra, t: int) -> CommutativePowerMap:
     omega = gc.omega(G, t)
     if ker != relative_augmentation_ideal(A, omega).space:
         raise InternalCheckError(f"p^{t}-power map kernel on {G.name} != I(Omega_{t})G, |Omega_{t}| = {omega.order}")
-    hull = fl.rref(mat, A.p)
+    # the hull is spanned by the unit rows of the image, so it is Mho_t's
+    # span exactly when the image is Mho_t's element set
     mho = gc.agemo(G, t)
-    expected_rows = np.eye(A.dim, dtype=np.int64)[list(mho.elements)]
-    if hull != fl.rref(expected_rows, A.p, A.dim):
+    if set(powmap.tolist()) != set(mho.elements):
         raise InternalCheckError(f"p^{t}-power map image hull on {G.name} != span of Mho_{t}, |Mho_{t}| = {mho.order}")
+    hull = fl.rref(np.eye(A.dim, dtype=np.int64)[list(mho.elements)], A.p, A.dim)
     return CommutativePowerMap(A, t, mat, ker, hull)
 
 

@@ -21,6 +21,7 @@ from mipkit import catalog as cat
 from mipkit import cli
 from mipkit import decomposition as dc
 from mipkit import group_core as gc
+from test_decomposition import FAULT_PRESENTATIONS, FAULTS, SPLIT_FAULT_IDS, SPLIT_FAULTS
 
 
 def run(capsys, monkeypatch, tmp_path, *argv):
@@ -122,6 +123,23 @@ def test_abelian_factor_formula_mismatch_is_an_internal_error(capsys, monkeypatc
     assert code == 4
     assert report["error"]["kind"] == "internal"
     assert report["error"]["message"].startswith("abelian factor mismatch: peeled")
+
+
+@pytest.mark.parametrize("fault, name, message", SPLIT_FAULTS, ids=SPLIT_FAULT_IDS)
+def test_every_fault_in_the_split_exits_4(capsys, monkeypatch, tmp_path, fault, name, message):
+    # a fault inside the split prints one JSON error object and exits 4,
+    # never a traceback
+    spec = name
+    if name in FAULT_PRESENTATIONS:
+        (tmp_path / f"{name}.pcp").write_text(FAULT_PRESENTATIONS[name])
+        spec = f"@{tmp_path / name}.pcp"
+    FAULTS[fault](monkeypatch)
+    monkeypatch.setenv("MIPKIT_CACHE_DIR", str(tmp_path / "cache"))
+    code = cli.main(["--no-timing", "decompose", spec])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": {"exit_code": 4, "kind": "internal", "message": message}}
 
 
 def test_unsound_catalog_expression_is_an_internal_error(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import find, given, settings
@@ -81,15 +82,21 @@ def test_complement_of_trivial_subgroup(groups):
 
 
 def test_complement_preconditions_checked(groups):
+    # each precondition is checked once, on (A, T), before the peel
     G = groups["C4xC2"]
     g1, _ = gc._pcp_generator_indices(G.presentation)
     inside_frattini = G.subgroup((G.power(g1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^T meets Mho_t"):
         dc.complement_construction(G, inside_frattini)
+    with pytest.raises(ValueError, match="^T is not homocyclic: \\[4,2\\]$"):
+        dc.complement_construction(G, G)
     D8 = groups["D8"]
     derived = gc.commutator_subgroup(D8)  # meets Mho_1(G)G' nontrivially
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^T meets Mho_t"):
         dc.complement_construction(D8, derived)
+    reflection = next(x for x in D8.elements if x not in gc.center(D8) and D8.element_order(x) == 2)
+    with pytest.raises(ValueError, match="^T is not inside the central p\\^t-torsion$"):
+        dc.complement_construction(D8, D8.subgroup([reflection]))
 
 
 def test_split_d8xc4xc2(groups):
@@ -352,3 +359,135 @@ def test_internal_product_check_refuses_bad_factors(groups):
     dc._verify_internal_product(T, [T, G.trivial_subgroup()])
     with pytest.raises(gc.InternalCheckError, match="not the ambient group of order 4"):
         dc._verify_internal_product(T, [S, G.trivial_subgroup(), G.subgroup([G.power(g1, 2)])])
+
+
+# -- every fault inside the split is an InternalCheckError --------------------
+#
+# Each fault below is one that a deleted re-check used to catch, or one that
+# escaped as a plain ValueError.  Each must stop the split with an
+# InternalCheckError, raised by the one check of its fact that remains.
+
+
+def _claim_drops_a_generator(monkeypatch):
+    # a claim step whose result misses the ambient group: its first adjusted
+    # generator, when it has one, is replaced by the identity
+    claim = dc._claim_adjust
+
+    def dropped(A, xs, y, t):
+        adjusted = claim(A, xs, y, t)
+        return [0, *adjusted[1:]] if adjusted else adjusted
+
+    monkeypatch.setattr(dc, "_claim_adjust", dropped)
+
+
+def _partial_component(monkeypatch, own_complement):
+    # one generator T1 of a component of rank >= 2, with the complement of
+    # T1 itself or with the complement of the whole component
+    extract = dc.extract_component
+
+    def partial(A, t):
+        T, S = extract(A, t)
+        if len(T.generators) < 2:
+            return T, S
+        T1 = A.parent.subgroup(T.generators[:1])
+        return T1, dc.complement_construction(A, T1) if own_complement else S
+
+    monkeypatch.setattr(dc, "extract_component", partial)
+
+
+class _FaultyKernel:
+    """A power map whose ``kernel()`` is ``kernel(lam)``, the rest lam's."""
+
+    def __init__(self, lam, kernel):
+        self._lam = lam
+        self.kernel = lambda: kernel(lam)
+
+    def __getattr__(self, name):
+        return getattr(self._lam, name)
+
+
+def _faulty_kernel(kernel):
+    def inject(monkeypatch):
+        power_map = ma.power_quotient_map
+        monkeypatch.setattr(ma, "power_quotient_map", lambda A, t: _FaultyKernel(power_map(A, t), kernel))
+
+    return inject
+
+
+def _one_dimension_too_big(lam):
+    # the lift is read off the right basis elements, but its rank is one short
+    ker = lam.kernel()
+    return SimpleNamespace(dim=ker.dim + 1, pivots=ker.pivots)
+
+
+def _pivots_off_the_kernel(lam):
+    # the pivots are the domain's other indices: the lift is read off the kernel
+    ker = lam.kernel()
+    others = [k for k in range(lam.domain.rank) if k not in ker.pivots]
+    return SimpleNamespace(dim=ker.dim, pivots=tuple(others[: ker.dim]))
+
+
+def _lift_of_the_wrong_exponent(monkeypatch):
+    # the extraction at exponent p^t reads the power map of exponent p^{t+1}
+    power_map = ma.power_quotient_map
+    monkeypatch.setattr(ma, "power_quotient_map", lambda A, t: power_map(A, t + 1))
+
+
+FAULTS = {
+    "claim_drops_a_generator": _claim_drops_a_generator,
+    "partial_with_its_complement": lambda monkeypatch: _partial_component(monkeypatch, True),
+    "partial_with_the_whole_complement": lambda monkeypatch: _partial_component(monkeypatch, False),
+    "lift_of_the_wrong_rank": _faulty_kernel(_one_dimension_too_big),
+    "lift_of_the_wrong_exponent": _lift_of_the_wrong_exponent,
+    "lift_off_the_kernel_pivots": _faulty_kernel(_pivots_off_the_kernel),
+}
+# groups outside the catalog, by the name their presentation is built with
+FAULT_PRESENTATIONS = {"Q8oC4xC4": _Q8_CENTRAL_C4_BY_C4}
+# (fault, group, the message of the check that catches it)
+SPLIT_FAULTS = [
+    ("claim_drops_a_generator", "D8xC4xC2", "D8xC4xC2: factor orders [8, 2] do not multiply to 64"),
+    ("claim_drops_a_generator", "M27xC9", "M27xC9: factor orders [3, 9] do not multiply to 243"),
+    ("claim_drops_a_generator", "Heis27xC9", "Heis27xC9: factor orders [3, 9] do not multiply to 243"),
+    # the next peel step's Burnside basis extension refuses the identity
+    (
+        "claim_drops_a_generator",
+        "C2xC2xC2",
+        "C2xC2xC2: complement of T of order 8: seed elements are not independent modulo Frattini",
+    ),
+    (
+        "claim_drops_a_generator",
+        "C3xC3",
+        "C3xC3: complement of T of order 9: seed elements are not independent modulo Frattini",
+    ),
+    ("partial_with_its_complement", "C2xC2xC2", "C2xC2xC2: final residual of order 4 has a C2 factor"),
+    ("partial_with_its_complement", "C3xC3", "C3xC3: final residual of order 3 has a C3 factor"),
+    ("partial_with_the_whole_complement", "C2xC2xC2", "C2xC2xC2: factor orders [2, 1] do not multiply to 8"),
+    ("partial_with_the_whole_complement", "C3xC3", "C3xC3: factor orders [3, 1] do not multiply to 9"),
+    ("lift_of_the_wrong_rank", "C2xC2xC2", "C2xC2xC2: lift of order 8 is not homocyclic of rank 2: [2,2,2]"),
+    ("lift_of_the_wrong_rank", "C3xC3", "C3xC3: lift of order 9 is not homocyclic of rank 1: [3,3]"),
+    ("lift_of_the_wrong_exponent", "C4xC2", "C4xC2: lift of order 4 is not homocyclic of rank 1: [4]"),
+    ("lift_of_the_wrong_exponent", "D8xC4xC2", "D8xC4xC2: lift of order 4 is not homocyclic of rank 1: [4]"),
+    # the one catalog-free case: every catalog group's kernels are zero
+    ("lift_off_the_kernel_pivots", "Q8oC4xC4", "Q8oC4xC4: lift of order 4: T meets Mho_t(G)G'"),
+]
+SPLIT_FAULT_IDS = [f"{fault}-{name}" for fault, name, _ in SPLIT_FAULTS]
+
+
+@pytest.mark.parametrize("fault, name, message", SPLIT_FAULTS, ids=SPLIT_FAULT_IDS)
+def test_every_fault_in_the_split_is_an_internal_error(monkeypatch, fault, name, message):
+    G = gc.from_pc_presentation(FAULT_PRESENTATIONS[name], name=name) if name in FAULT_PRESENTATIONS else cat.build(name)
+    FAULTS[fault](monkeypatch)
+    with pytest.raises(gc.InternalCheckError) as info:
+        dc.ab_nab_split(G)
+    assert str(info.value) == message
+
+
+def test_a_claim_with_no_adjustment_is_an_internal_error(groups):
+    # the claim's one raise: y = a^2 lies in N = Mho_1(C4), against the
+    # claim's requirement, so no x^w y^{p^e} with p not dividing w lies in N
+    G = groups["C4"]
+    a = next(x for x in G.elements if G.element_order(x) == 4)
+    y = G.power(a, 2)
+    with pytest.raises(gc.InternalCheckError) as info:
+        dc._claim_adjust(G, [a], y, 1)
+    assert str(info.value) == f"C4: no adjustment of x = {a} by y = {y} of order 2"

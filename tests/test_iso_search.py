@@ -310,8 +310,9 @@ def test_search_takes_no_inverse_power(algebras, monkeypatch):
     assert seen == {2, 4}
 
 
-def _product_shapes(monkeypatch, search):
-    """The operand shapes of every ``multiply_vec`` call ``search()`` makes."""
+def _product_shapes(monkeypatch, search, found=False):
+    """The operand shapes of every ``multiply_vec`` call ``search()`` makes;
+    the search finds an isomorphism exactly when ``found``."""
     shapes = []
     multiply_vec = ma.GroupAlgebra.multiply_vec
 
@@ -320,8 +321,14 @@ def _product_shapes(monkeypatch, search):
         return multiply_vec(self, x, y)
 
     monkeypatch.setattr(ma.GroupAlgebra, "multiply_vec", spy)
-    assert search() is None
+    assert (search() is not None) == found
     return shapes
+
+
+def _left_rows(shapes) -> int:
+    """The rows the products process, counted on their left operands: a
+    block's leading dimension, one row for a single vector."""
+    return sum(x[0] if len(x) > 1 else 1 for x, _ in shapes)
 
 
 def test_relations_are_checked_on_candidate_blocks(algebras, monkeypatch):
@@ -338,10 +345,34 @@ def test_relations_are_checked_on_candidate_blocks(algebras, monkeypatch):
 
 def test_one_image_per_conjugacy_orbit_halves_the_checked_nodes(algebras, monkeypatch):
     # the same three table products, then 16 of those 32 nodes: the first
-    # image is tried once per orbit of D8 acting by conjugation
+    # image is tried once per orbit of D8 acting by conjugation.  The rows
+    # pin the second image too: each node's pool keeps the 8 candidates
+    # that are least among their images by the first image's stabilizer
+    # and pass the power relations, and checks g2 g1 = g1 g2 g2^2 in
+    # products of 8, 1 and 8 rows: 3 * 128 + 16 * (8 + 1 + 8) = 656.  A
+    # rule that skipped the first non-identity stabilizer row would keep
+    # 16 candidates: 3 * 128 + 16 * 33 = 912.
     shapes = _product_shapes(monkeypatch, lambda: ma.iso_search(algebras["Q8"], algebras["D8"]))
     assert len(shapes) == 3 + 16 * 3
     assert shapes[:3] == [((128, 8), (128, 8))] * 3
+    assert _left_rows(shapes) == 656
+
+
+@pytest.mark.parametrize("name, pool, rows", [("Q8", 16, 432), ("D8", 32, 464)])
+def test_a_self_search_checks_one_pool_per_orbit(algebras, monkeypatch, name, pool, rows):
+    # H -> H: the three table products (3 * 128 rows); then the first
+    # node's pool, the candidates that are least among their images by the
+    # first image's stabilizer and pass the power relations (16 for Q8, 32
+    # for D8), checks g2 g1 = g1 g2 g2^2 (both presentations' commutator)
+    # in products of pool, 1 and pool rows and holds the first witness; its
+    # matrix takes 7 one-row products, one per element after the identity,
+    # and the multiplicativity check one product of 8 rows.  So
+    # 3 * 128 + (2 * pool + 1) + 7 + 8 rows: 432 for Q8 and 464 for D8.  A
+    # rule that skipped the first non-identity stabilizer row would double
+    # the pool: 464 and 528.
+    shapes = _product_shapes(monkeypatch, lambda: ma.iso_search(algebras[name], algebras[name]), found=True)
+    assert shapes[3][0] == (pool, 8)
+    assert _left_rows(shapes) == rows
 
 
 _PASSMAN = [

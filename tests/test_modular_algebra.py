@@ -931,12 +931,13 @@ def test_failed_power_map_checks_name_group_and_orders(monkeypatch):
         with pytest.raises(gc.InternalCheckError) as info:
             ma.power_map_commutative(ma.GroupAlgebra(_fresh("C4xC2")), 1)
     assert str(info.value) == "p^1-power map kernel on C4xC2 != I(Omega_1)G, |Omega_1| = 4"
-    rref = fl.rref
+    G = _fresh("C4xC2")
+    _, g2 = gc._pcp_generator_indices(G.presentation)
     with monkeypatch.context() as m:
-        # the image hull is the one rref call that names no ambient dimension
-        m.setattr(fl, "rref", lambda rows, p, n=None: zero(rows, p) if n is None else rref(rows, p, n))
+        # Mho_1 = <g1^2> read as <g2>, of the same order: the image misses it
+        m.setattr(gc, "agemo", lambda s, t: G.subgroup([g2]))
         with pytest.raises(gc.InternalCheckError) as info:
-            ma.power_map_commutative(ma.GroupAlgebra(_fresh("C4xC2")), 1)
+            ma.power_map_commutative(ma.GroupAlgebra(G), 1)
     assert str(info.value) == "p^1-power map image hull on C4xC2 != span of Mho_1, |Mho_1| = 2"
 
 

@@ -140,3 +140,18 @@ def test_only_group_core_names_the_subgroup_registry():
     private = {"_generated", "_subgroups"}
     named = {path.stem: _named([path]) & private for path in SRC.glob("*.py") if path.stem != "group_core"}
     assert not any(named.values()), named
+
+
+# -- the mutant list names checks that exist ---------------------------------
+
+
+def test_every_mutant_old_text_occurs_once_in_src():
+    """``tests/mutants.py`` applies each mutant by an exact text replacement:
+    its old text occurs exactly once in ``src/``, in the file it names, so a
+    refactor that moves a check has to move its mutant."""
+    import mutants
+
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    found = {m.name: {name: text.count(m.old) for name, text in texts.items() if m.old in text} for m in mutants.MUTANTS}
+    assert found == {m.name: {m.file: 1} for m in mutants.MUTANTS}
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
