@@ -135,9 +135,9 @@ def _claim_adjust(ambient: Subgroup, xs: list[int], y: int, t: int) -> list[int]
 def complement_construction(A: Subgroup, T: Subgroup) -> Subgroup:
     """A direct complement S with A = S (+) T in the ambient group A.
 
-    Preconditions, checked once on entry (``ValueError``): T is a central
+    Preconditions, checked once on entry (``ValueError``): T is a
     homocyclic subgroup of exponent p^t inside the p^t-torsion of the
-    center, of full rank modulo Frattini, meeting Mho_t(A)A' trivially.
+    center meeting Mho_t(A)A' trivially, hence of full rank mod Frattini.
     The construction peels one Burnside generator of T at a time through
     the adjustment claim; a failure inside the peel, or a result that is
     not a direct complement, is an ``InternalCheckError``.
@@ -153,9 +153,6 @@ def complement_construction(A: Subgroup, T: Subgroup) -> Subgroup:
         raise ValueError("T is not inside the central p^t-torsion")
     if not gc.intersect_subgroups(T, gc.power_commutator(A, t)).is_trivial():
         raise ValueError("T meets Mho_t(G)G'")
-    phi = gc.frattini(A)
-    if gc.join(phi, T).order != phi.order * p**rank:
-        raise ValueError("d(T) != d(T Phi / Phi)")
     ambient = A
     t_gens = gc.burnside_basis(T)
     try:

@@ -9,20 +9,17 @@ Linear maps follow the row convention throughout the package: a map
 GF(p)^m -> GF(p)^n is an m x n matrix A acting on row vectors by
 ``x |-> x @ A``.
 
-``_rref`` is the one elimination: ``rref``, ``kernel``, ``solve_row``, the
-builder and the subquotient all call it, except on the label paths below.
-``preimage`` is the kernel of the residual rows against W, and
-``intersect`` the image of a preimage.
+``_rref`` is the one elimination: ``rref``, ``kernel``, ``solve_row`` and
+the builder call it, except on the label paths below.  ``preimage`` is
+the kernel of the residual rows against W, and ``intersect`` the image
+of a preimage.
 Every matrix product goes through ``_mm``, which multiplies in float64
 and reduces mod p; that is exact while inner dimension * (p - 1)^2 <
 2^53, and ``_mm`` raises where it is not.
 
-The subquotient's greedy basis, "take the next row of the top basis
-outside the span so far", is read off echelon pivots in one pass instead
-of one absorb per candidate.  ``Subquotient`` eliminates the bottom space
-once, with its columns reversed as in ``kernel``: the pivots are the rows
-of the top basis the greedy skips, and the same reduced rows give the
-coordinate map, so each coordinate lookup is one product.
+A ``Subquotient`` V/W is one ``kernel``, the annihilator of W in V's
+coordinates: its pivots are the greedy basis, "the next row of V's basis
+outside the span so far", and its basis is the coordinate map.
 
 Partition spaces, {x : x sums to 0 on every block} for a partition of the
 coordinates, are held as least-index block labels and need no
@@ -575,16 +572,13 @@ class Subquotient:
     The basis consists of the rows of V's echelon basis that are independent
     modulo W, taken greedily in order, so the choice is canonical.
 
-    One elimination gives both the basis and the coordinates.  A vector of
-    V is fixed by its entries on V's pivot columns, and there row i of V's
-    basis is e_i.  The greedy skips row i exactly when it lies in W plus
-    the rows before it, that is, when some vector of W (in these
-    coordinates) has its last nonzero entry at i.  Eliminating W's rows
-    with the columns reversed, as ``kernel`` does, makes those last
-    positions the pivots; every other row is a representative.  In the
-    original order the reduced rows are 1 at their own last position and 0
-    at the others', so x |-> (x - x[last] . red)[keep] sends x + W to its
-    coordinates; ``coords`` is a membership check and one product.
+    Both are read off one ``kernel``.  A vector of V is fixed by its
+    entries on V's pivot columns, where row i of V's basis is e_i; let W'
+    be W's basis read there.  The greedy skips row i exactly when a vector
+    of W' has its last nonzero entry at i; ``kernel(W'^T)`` eliminates W'
+    with its columns reversed, so its pivots are the other rows.  Its
+    echelon basis is the identity on them and annihilates W', so its
+    transpose maps x + W to its coordinates in one product.
     """
 
     def __init__(self, top: Subspace, bottom: Subspace):
@@ -594,18 +588,10 @@ class Subquotient:
         self.top = top
         self.bottom = bottom
         self.p = top.p
-        d = top.dim
-        red, rev_pivots = _rref(bottom.basis[:, list(top.pivots)][:, ::-1], self.p)
-        last = [d - 1 - c for c in rev_pivots]
-        keep = sorted(set(range(d)) - set(last))
-        self.basis_rows = top.basis[keep]
-        self.rank = len(keep)
-        if self.rank + bottom.dim != top.dim:
-            raise RuntimeError("subquotient basis construction failed")
-        coord_map = np.zeros((d, self.rank), dtype=np.int64)
-        coord_map[keep, range(self.rank)] = 1
-        coord_map[last] = (-red[:, ::-1][:, keep]) % self.p
-        self._coord_map = coord_map
+        annihilator = kernel(bottom.basis[:, list(top.pivots)].T, self.p)
+        self.basis_rows = top.basis[list(annihilator.pivots)]
+        self.rank = annihilator.dim
+        self._coord_map = annihilator.basis.T
 
     def coords(self, v) -> np.ndarray:
         """Coordinates of ``v + bottom`` in the representative basis."""

@@ -196,7 +196,7 @@ class PcPresentation:
                     f"relation word uses g{g + 1}, outside the allowed range g{low + 2}..g{len(self.rel_orders)}"
                 )
             if e < 1:
-                raise PresentationError("relation word exponents must be positive")
+                raise PresentationError("word exponents must be positive")
 
     def power_word(self, i: int) -> tuple[tuple[int, int], ...]:
         return self.powers.get(i, ())
@@ -248,10 +248,6 @@ class PcPresentation:
                     raise PresentationError(f"bad word factor {part.strip()!r}")
                 g = _number(fm.group(1))
                 e = _number(fm.group(2)) if fm.group(2) else 1
-                if not 1 <= g <= d:
-                    raise PresentationError(f"word uses unknown generator g{g}")
-                if e < 1:
-                    raise PresentationError("word exponents must be positive")
                 factors.append((g - 1, e))
             return tuple(factors)
 

@@ -171,17 +171,8 @@ MUTANTS = [
         ("tests/test_decomposition.py::test_complement_preconditions_checked",),
         "complement_construction's entry check that T meets Mho_t(A)A' trivially dropped",
     ),
-    Mutant(
-        "M19", "decomposition.py",
-        "    if gc.join(phi, T).order != phi.order * p**rank:",
-        "    if False:",
-        ("tests/test_decomposition.py::test_complement_preconditions_checked",),
-        "complement_construction's entry check of full rank modulo Frattini dropped."
-        " Equivalent: for T homocyclic of exponent p^t, an x in T outside T^p that"
-        " lay in Phi(A) = Mho_1(A)A' would have order p^t and x^{p^{t-1}} in"
-        " Mho_t(A)A' (A/A' is abelian), so the check before it already refuses T",
-        equivalent=True,
-    ),
+    # M19, complement_construction's full-rank-mod-Frattini entry check, was
+    # equivalent: the check before it implies it, and its code is gone.
     Mutant(
         "M20", "decomposition.py",
         "    except ValueError as exc:\n        raise InternalCheckError(f\"{P.name}: complement of T",
@@ -232,6 +223,27 @@ MUTANTS = [
         "    if False:",
         ("tests/test_modular_algebra.py::test_failed_power_map_checks_name_group_and_orders",),
         "power_map_commutative's image check dropped",
+    ),
+    Mutant(
+        "M27", "modular_algebra.py",
+        "A.power_vec(one_minus[xs], q)",
+        "one_minus[xs]",
+        ("tests/test_modular_algebra.py::test_power_diagram_commutes_on_small_catalog",),
+        "the power square's block power (x - 1)^q replaced by x - 1",
+    ),
+    Mutant(
+        "M28", "fp_linalg.py",
+        "        self.basis_rows = top.basis[list(annihilator.pivots)]",
+        "        self.basis_rows = top.basis[list(annihilator.pivots)[::-1]]",
+        ("tests/test_fp_linalg.py::test_subquotient_matches_greedy_oracle",),
+        "Subquotient takes the annihilator's rows in reverse order",
+    ),
+    Mutant(
+        "M29", "group_core.py",
+        "            if e < 1:\n                raise PresentationError(\"word exponents must be positive\")",
+        "            if False:\n                raise PresentationError(\"word exponents must be positive\")",
+        ("tests/test_cli.py::test_each_pcp_rejection_names_its_reason[zero-exponent]",),
+        "_check_word's exponent check, the one check of relation word exponents, dropped",
     ),
 ]
 

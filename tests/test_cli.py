@@ -821,9 +821,11 @@ def test_unusable_cache_directory_warns_and_prints_the_result(below, capsys, mon
         ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g2\npow 1 = 1\n", "duplicate pow line for generator 1"),
         ("p 2\ngens 2\norder 1 2\norder 2 2\ncomm 1 2 = 1\n", "comm lines need j > i"),
         ("p 2\ngens 2\norder 1 2\norder 2 2\ncomm 2 1 = 1\ncomm 2 1 = g2\n", "duplicate comm line for (2,1)"),
+        ("p 2\ngens 2\norder 1 2\norder 2 2\npow 1 = g3\n", "relation word uses g3, outside the allowed range g2..g2"),
     ],
     ids=["prime", "relative-order", "pow-generator", "comm-pair", "gens-line", "no-generators",
-         "zero-exponent", "order-generator", "duplicate-pow", "comm-order", "duplicate-comm"],
+         "zero-exponent", "order-generator", "duplicate-pow", "comm-order", "duplicate-comm",
+         "word-generator"],
 )
 def test_each_pcp_rejection_names_its_reason(text, message, capsys, monkeypatch, tmp_path):
     with pytest.raises(gc.PresentationError) as info:

@@ -936,6 +936,38 @@ def test_subquotient_matches_greedy_oracle(pa, data):
         assert np.array_equal(q.coords(v), greedy_oracle.subquotient_coords(top, coord_map, v))
 
 
+def _functions_where(tree, match):
+    """Names of the innermost functions of ``tree`` (``Class.name`` for a
+    method) that hold a node satisfying ``match``."""
+    found = set()
+
+    def visit(node, name, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, name, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, f"{owner}.{child.name}" if owner else child.name, "")
+            else:
+                if match(child):
+                    found.add(name)
+                visit(child, name, owner)
+
+    visit(tree, None, "")
+    return found
+
+
+def test_one_elimination_and_one_column_reversal():
+    # the subquotient is the annihilator ``kernel``, with no elimination of
+    # its own: the reversed-column elimination lives in ``kernel`` alone
+    tree = ast.parse(Path(fl.__file__).read_text())
+    calls = _functions_where(tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_rref")
+    assert calls == {"rref", "kernel", "solve_row", "SubspaceBuilder.absorb"}
+    reversed_columns = _functions_where(
+        tree, lambda n: isinstance(n, ast.Subscript) and ast.unparse(n).endswith("[:, ::-1]")
+    )
+    assert reversed_columns == {"kernel"}
+
+
 # -- function matrices: kernel and preimage read off labels ----------------
 
 

@@ -370,6 +370,59 @@ def test_power_diagram_commutes_on_small_catalog(small_groups):
             assert ma.power_diagram_commutes(A, t), (name, t)
 
 
+def test_layer_embeddings_at_the_power_degrees_are_injective(groups):
+    # the embeddings the power square used to build: degree q = p^{t-1}
+    # modulo Mho_t(G)G', for every t the square is checked at
+    count = 0
+    for name, G in groups.items():
+        if G.order > 81:
+            continue
+        A = ma.GroupAlgebra(G)
+        tau = 0
+        while G.p**tau < G.exponent():
+            tau += 1
+        for t in range(1, tau + 2):
+            emb = ma.jennings_layer_embedding(A, G.p ** (t - 1), gc.power_commutator(G, t))
+            assert emb.rank() == emb.domain.rank, (name, t)
+            count += 1
+    assert count == 82
+
+
+def test_power_square_is_one_block_congruence(monkeypatch):
+    # one block power per t, and no graded map, subquotient or layer embedding
+    G = _fresh("D8xC4")
+    A = ma.GroupAlgebra(G)
+    ts = range(1, 4)
+    for t in ts:
+        ma.power_quotient_map(G, t)  # memoized: its graded map is built here
+    blocks = []
+    power_vec = ma.GroupAlgebra.power_vec
+
+    def spy(self, x, k):
+        blocks.append(x.shape)
+        return power_vec(self, x, k)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the power square built a graded object")
+
+    monkeypatch.setattr(ma.GroupAlgebra, "power_vec", spy)
+    for name in ("GradedMap", "Subquotient", "jennings_layer_embedding"):
+        monkeypatch.setattr(ma, name, refuse)
+    for t in ts:
+        assert ma.power_diagram_commutes(A, t) is True
+    orders = [ma.power_quotient_map(G, t).domain.m_sub.order for t in ts]
+    assert blocks == [(n, A.dim) for n in orders]
+
+
+def test_power_square_fails_on_a_wrong_algebra_power(monkeypatch):
+    # (x - 1)^q read back as x - 1: right at q = 1; at q = 2 the difference
+    # x^2 - x lies outside I^2 + I(N)G for any x outside Phi(G)
+    A = ma.GroupAlgebra(_fresh("C4xC2"))
+    monkeypatch.setattr(ma.GroupAlgebra, "power_vec", lambda self, x, k: x % self.p)
+    assert ma.power_diagram_commutes(A, 1) is True
+    assert ma.power_diagram_commutes(A, 2) is False
+
+
 def test_kernel_correspondence_between_power_maps(groups):
     # the kernels of the two q-th power maps match through the degree-one
     # layer embedding
